@@ -33,9 +33,10 @@ from .errors import ConfigError, ConvergenceError, MagnetovarError
 from .grid import (Box, CellVectorField, Ellipsoid, GridSpec, ScalarField,
                    build_mask, grid_for_geometry)
 from .io import OutputTracker, write_csv, write_legacy_vector_dump
-from .magnetostatics import (SolverConfig, demag_tensor, dense_oracle_energy,
-                             ellipsoid_demag_factors, rayleigh_quotient,
-                             reciprocity_gap, solve_scalar_potential,
+from .magnetostatics import (DENSE_UNKNOWN_CAP, SolverConfig, demag_tensor,
+                             dense_oracle_energy, ellipsoid_demag_factors,
+                             rayleigh_quotient, reciprocity_gap,
+                             solve_scalar_potential,
                              solve_vector_potential_gauged,
                              solve_vector_potential_unconstrained)
 from .minimize import (MinimizeConfig, minimize_joint, minimize_m,
@@ -135,7 +136,6 @@ def build_solver_config(cfg: RunConfig, clamp_tol: bool = False):
         solver = SolverConfig(
             tol=tol,
             max_iter=cfg.get_int("solver.max_iter", 20000),
-            pad_ratio=cfg.get_float("grid.pad_ratio", 1.0),
             backend=cfg.get_str("solver.backend", "iterative"),
             preconditioner=cfg.get_str("solver.preconditioner", "dst"),
         )
@@ -422,7 +422,7 @@ def cmd_oracle(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     n_ball = cfg.get_int("oracle.ball_cells", 12)
     geom = Ellipsoid(1.0, 1.0, 1.0)
     grid = grid_for_geometry(geom, 2.0 / n_ball, 0.8, min_pad_cells=2)
-    if grid.n_cells > 32768:
+    if grid.n_cells > DENSE_UNKNOWN_CAP:
         raise ConfigError(
             f"oracle grid has {grid.n_cells} cells; reduce oracle.ball_cells")
     mask = build_mask(geom, grid)

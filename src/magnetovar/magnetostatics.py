@@ -7,12 +7,11 @@ box) the stray-field energy is computed three ways:
   cell potentials; the optimum solves the discrete Poisson problem and the
   energy is 1/2 ||grad u||^2;
 * gauged route: minimize  V_curl(m, a) = 1/2 ||curl a - m||^2  over edge
-  potentials; conjugate gradients on the curl-curl normal equations keep
-  the iterates divergence-free because the discrete divergence annihilates
-  the discrete curl exactly.  The preconditioner is the exact mixed
-  sine/cosine inverse of the edge vector Laplacian, which coincides with
-  the inverse of curl-curl on divergence-free fields, so CG converges in
-  one step; ``preconditioner = none`` runs plain CG;
+  potentials.  The source curl m is divergence-free because the discrete
+  divergence annihilates the discrete curl exactly, and on divergence-free
+  fields curl-curl equals the edge vector Laplacian, whose exact mixed
+  sine/cosine inverse solves the normal equations directly;
+  ``preconditioner = none`` runs plain CG on them instead;
 * unconstrained route: minimize
   V(m, a) = 1/2 ||D a||^2 + 1/2 ||m||^2 - <m, curl a>,
   which decouples into componentwise Poisson solves; the divergence-free
@@ -30,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import ConvergenceError, GridError
+from .errors import GridError
 from .grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask, Ellipsoid,
-                   GridSpec, ScalarField, VectorField)
+                   GridSpec, ScalarField, VectorField, edge_shapes)
 from .operators import (check_supported, curl, div, grad, grad_node,
                         grad_norm_sq, inner, norm)
 from . import poisson
@@ -46,7 +45,6 @@ class SolverConfig:
 
     tol: float = 1e-8
     max_iter: int = 20000
-    pad_ratio: float = 1.0
     backend: str = "iterative"
     preconditioner: str = "dst"
 
@@ -164,6 +162,22 @@ def project_divergence_free(a: VectorField, cfg: SolverConfig):
     return a + grad_node(p), res, iters
 
 
+def minimize_V(m: VectorField, cfg: SolverConfig):
+    """A minimizer of V(m, .): componentwise Poisson solves with source curl m.
+
+    Returns (a, worst residual, total iterations); ``a`` is not gauged.
+    """
+    comps = []
+    res_max, iters_total = 0.0, 0
+    for b in curl(m).components:
+        x, res, iters = poisson.solve_poisson(b, m.grid.h, cfg.tol, cfg.max_iter,
+                                              cfg.preconditioner)
+        comps.append(x)
+        res_max = max(res_max, res)
+        iters_total += iters
+    return VectorField(m.grid, *comps, staggering=EDGE), res_max, iters_total
+
+
 def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None,
                                          cfg: SolverConfig) -> VectorPotentialSolution:
     """Minimize V(m, .): componentwise Poisson solves with source curl m.
@@ -174,16 +188,7 @@ def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None
     tolerance on the truncated grid as well.
     """
     _validate_source(m, mask)
-    rhs = curl(m)
-    comps = []
-    res_max, iters_total = 0.0, 0
-    for b in rhs.components:
-        x, res, iters = poisson.solve_poisson(b, m.grid.h, cfg.tol, cfg.max_iter,
-                                              cfg.preconditioner)
-        comps.append(x)
-        res_max = max(res_max, res)
-        iters_total += iters
-    a_min = VectorField(m.grid, *comps, staggering=EDGE)
+    a_min, res_max, iters_total = minimize_V(m, cfg)
     energy = functional_V(m, a_min)
     a_star, res_p, iters_p = project_divergence_free(a_min, cfg)
     res_max = max(res_max, res_p)
@@ -195,85 +200,49 @@ def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None
                                    iterations=iters_total)
 
 
-def _curl_curl_apply(comps, grid: GridSpec):
-    a = VectorField(grid, *comps, staggering=EDGE)
-    cc = curl(curl(a))
-    return cc.components
-
-
 def solve_vector_potential_gauged(m: VectorField, mask: DomainMask | None,
                                   cfg: SolverConfig) -> VectorPotentialSolution:
     """Minimize V_curl(m, .) over the discrete divergence-free subspace.
 
-    Conjugate gradients on the curl-curl normal equations: the right-hand
-    side curl(m) is divergence-free by the exact discrete identity, so
-    every iterate stays in the divergence-free subspace; a final projection
-    removes rounding drift.
-
-    With ``preconditioner = "dst"`` each edge component is preconditioned
-    by the direct inverse of ``curl curl - grad_node div``: DST-I along the
-    component's own axis, DCT-II along the two node axes
-    (``poisson.transform_solve``).  On divergence-free fields that operator
-    equals curl-curl, so one CG step solves the system and the residual
-    test only confirms it.  ``preconditioner = "none"`` is plain CG.
+    Solves the curl-curl normal equations  curl curl a = curl m  for the
+    three edge components at once.  With ``preconditioner = "dst"`` the
+    solve is the direct inverse of ``curl curl - grad_node div``, per edge
+    component DST-I along its own axis and DCT-II along the two node axes
+    (``poisson.transform_solve``); the right-hand side is divergence-free
+    by the exact discrete identity, and there that operator equals
+    curl-curl, which the true-residual check confirms.
+    ``preconditioner = "none"`` runs plain CG, whose iterates stay in the
+    divergence-free subspace.  A final projection removes rounding drift.
     """
     _validate_source(m, mask)
     grid = m.grid
     h = grid.h
-    rhs = curl(m).components
-    bnorm = np.sqrt(sum(float(np.vdot(b, b)) for b in rhs))
-    if bnorm == 0.0:
-        a = VectorField.zeros(grid, EDGE)
-        return VectorPotentialSolution(a=a, curl_a=curl(a), div_norm=0.0,
-                                       energy=functional_V_curl(m, a),
-                                       residual=0.0, iterations=0)
+    shapes = edge_shapes(grid)
+    splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+    kinds = [tuple("dst" if ax == c else "dct" for ax in range(3)) for c in range(3)]
 
-    if cfg.preconditioner == "dst":
-        kinds = [tuple("dst" if ax == c else "dct" for ax in range(3)) for c in range(3)]
-        precond = lambda rs: [poisson.transform_solve(r, h, k) for r, k in zip(rs, kinds)]
-    else:
-        precond = lambda rs: [r.copy() for r in rs]
+    def split(v):
+        return [part.reshape(s) for part, s in zip(np.split(v, splits), shapes)]
 
-    x = [np.zeros_like(b) for b in rhs]
-    r = [b.copy() for b in rhs]
-    z = precond(r)
-    p = [zi.copy() for zi in z]
-    rz = sum(float(np.vdot(a_, b_)) for a_, b_ in zip(r, z))
-    res = 1.0
-    iters = 0
-    for k in range(1, cfg.max_iter + 1):
-        Ap = _curl_curl_apply(p, grid)
-        pAp = sum(float(np.vdot(a_, b_)) for a_, b_ in zip(p, Ap))
-        if pAp <= 0.0:
-            break
-        alpha = rz / pAp
-        for c in range(3):
-            x[c] += alpha * p[c]
-            r[c] -= alpha * Ap[c]
-        res = np.sqrt(sum(float(np.vdot(ri, ri)) for ri in r)) / bnorm
-        iters = k
-        if res <= cfg.tol:
-            break
-        z = precond(r)
-        rz_new = sum(float(np.vdot(a_, b_)) for a_, b_ in zip(r, z))
-        for c in range(3):
-            p[c] = z[c] + (rz_new / rz) * p[c]
-        rz = rz_new
-    if res > cfg.tol:
-        raise ConvergenceError(
-            f"gauged vector-potential solve stalled at relative residual "
-            f"{res:.3e} (target {cfg.tol:.1e})", residual=res, iterations=iters)
+    def curl_curl(v):
+        cc = curl(curl(VectorField(grid, *split(v), staggering=EDGE)))
+        return np.concatenate([c.ravel() for c in cc.components])
 
-    del rhs, r, z, p, Ap  # free the CG work arrays before the projection
-    a = VectorField(grid, *x, staggering=EDGE)
-    a, _, it_p = project_divergence_free(a, cfg)
-    iters += it_p
+    def inverse(v):
+        return np.concatenate([poisson.transform_solve(c, h, k).ravel()
+                               for c, k in zip(split(v), kinds)])
+
+    rhs = np.concatenate([c.ravel() for c in curl(m).components])
+    x, res, iters = poisson.checked_solve(curl_curl, rhs, inverse, cfg.tol,
+                                          cfg.max_iter, cfg.preconditioner)
+    del rhs
+    a, res_p, it_p = project_divergence_free(
+        VectorField(grid, *split(x), staggering=EDGE), cfg)
     curl_a = curl(a)
-    dn = norm(div(a))
     d = curl_a - m
-    return VectorPotentialSolution(a=a, curl_a=curl_a, div_norm=dn,
-                                   energy=0.5 * inner(d, d), residual=res,
-                                   iterations=iters)
+    return VectorPotentialSolution(a=a, curl_a=curl_a, div_norm=norm(div(a)),
+                                   energy=0.5 * inner(d, d), residual=max(res, res_p),
+                                   iterations=iters + it_p)
 
 
 def stray_field(m: VectorField, mask: DomainMask | None, cfg: SolverConfig) -> VectorField:
@@ -342,19 +311,10 @@ def helmholtz_orthogonality_defect(m: VectorField, sol_u: StrayFieldSolution,
 def dense_oracle_energy(m: VectorField, mask: DomainMask | None) -> float:
     """Stray energy by explicit assembly and direct factorization.
 
-    Independent of the iterative route; limited to 32768 cell unknowns.
+    Independent of the transform and CG solves; limited to
+    ``DENSE_UNKNOWN_CAP`` cell unknowns.
     """
-    _validate_source(m, mask)
-    grid = m.grid
-    if grid.n_cells > DENSE_UNKNOWN_CAP:
-        raise GridError(
-            f"dense oracle limited to {DENSE_UNKNOWN_CAP} cells, grid has "
-            f"{grid.n_cells}")
-    rhs = -div(m).data
-    solve = poisson.dense_poisson_solver(rhs.shape, grid.h)
-    u = ScalarField(grid, solve(rhs.ravel()).reshape(rhs.shape), CELL)
-    g = grad(u)
-    return 0.5 * inner(g, g)
+    return solve_scalar_potential(m, mask, SolverConfig(backend="dense_oracle")).energy
 
 
 def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,

@@ -23,9 +23,8 @@ import numpy as np
 from .errors import ConvergenceError, GridError
 from .grid import EDGE, CellVectorField, DomainMask, VectorField
 from .energy import ALL_TERMS, MaterialParams, effective_field, total_energy
-from .magnetostatics import SolverConfig, functional_V
+from .magnetostatics import SolverConfig, functional_V, minimize_V
 from .operators import curl, masked_cell_to_faces, masked_faces_to_cell_adjoint
-from . import poisson
 
 DESCENT_SLACK = 1e-12
 ARMIJO_C = 0.1
@@ -160,14 +159,7 @@ def _joint_energy(m: CellVectorField, a: VectorField, params: MaterialParams,
 
 def _a_step(m: CellVectorField, mask: DomainMask, scfg: SolverConfig) -> VectorField:
     """Exact minimizer of the unconstrained stray functional for fixed m."""
-    mf = masked_cell_to_faces(m, mask)
-    rhs = curl(mf)
-    comps = []
-    for b in rhs.components:
-        x, _, _ = poisson.solve_poisson(b, mask.grid.h, scfg.tol, scfg.max_iter,
-                                        scfg.preconditioner)
-        comps.append(x)
-    return VectorField(mask.grid, *comps, staggering=EDGE)
+    return minimize_V(masked_cell_to_faces(m, mask), scfg)[0]
 
 
 def minimize_joint(m0: CellVectorField, a0: VectorField | None,

@@ -1,17 +1,17 @@
 """Matrix-free Poisson solves on the staggered lattices.
 
-The operator is the 7-point Laplacian with zero (Dirichlet) ghost values,
-which is exactly ``div(grad u)`` restricted to any of the lattices (cells,
-nodes, or one edge/face component array).  Solves run through conjugate
-gradients; on a rectangular lattice the operator is diagonal in the
-type-I sine basis, so a fast sine transform supplies an (exact) spectral
-preconditioner and plain CG remains available as an independent slow path.
-
-Mixed boundary conditions are diagonal in a separable basis too: per axis,
-type-I sines for zero ghosts and type-II cosines for mirrored (no-flux)
-ends.  ``transform_solve`` inverts any such 7-point operator directly; on
-an edge component of the staggered grid it is the exact inverse of the
-edge vector Laplacian ``curl curl - grad_node div``.
+Every linear system of the three stray-field routes is a 7-point operator
+on a rectangular lattice: ``laplace_apply`` (zero ghost values, exactly
+``div(grad u)`` on cells or on one edge component array),
+``neumann_laplace_apply`` (mirrored, no-flux ends: ``div(grad_node p)`` on
+nodes), or per edge component the edge vector Laplacian
+``curl curl - grad_node div``, which mixes both kinds of ends.  Each is
+diagonal in a separable basis: per axis, type-I sines for zero ghosts and
+type-II cosines for mirrored ends.  ``transform_solve`` inverts any of
+them directly, and ``checked_solve`` confirms each such solve with one
+apply of the operator (the true residual ``||b - A x|| / ||b||``).  Plain
+conjugate gradients (``pcg``) and the dense LU factorization remain as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from scipy import sparse
 from scipy.sparse.linalg import factorized
 
 from .errors import ConvergenceError
+
+CELL_KINDS = ("dst", "dst", "dst")
+NODE_KINDS = ("dct", "dct", "dct")
 
 
 def laplace_apply(x: np.ndarray, h: float) -> np.ndarray:
@@ -35,83 +38,6 @@ def laplace_apply(x: np.ndarray, h: float) -> np.ndarray:
     y[:, :, 1:] -= x[:, :, :-1]
     y /= h * h
     return y
-
-
-def _axis_eigenvalues(n: int, h: float, kind: str) -> np.ndarray:
-    """Eigenvalues of the 1-D second difference: DST-I (Dirichlet) or DCT-II (Neumann)."""
-    if kind == "dst":
-        return 4.0 * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * (n + 1))) ** 2 / (h * h)
-    if kind == "dct":
-        return 4.0 * np.sin(np.pi * np.arange(n) / (2.0 * n)) ** 2 / (h * h)
-    raise ValueError(f"unknown transform kind {kind!r}")
-
-
-def _dst_eigenvalues(shape, h: float) -> np.ndarray:
-    lams = [_axis_eigenvalues(n, h, "dst") for n in shape]
-    return (lams[0][:, None, None] + lams[1][None, :, None] + lams[2][None, None, :])
-
-
-class DstPoisson:
-    """Direct inverse of the Dirichlet 7-point operator via DST-I."""
-
-    def __init__(self, shape, h: float):
-        self.shape = tuple(shape)
-        self.lam = _dst_eigenvalues(self.shape, h)
-        self.lam32 = self.lam.astype(np.float32)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        coef = sfft.dstn(b, type=1)
-        coef /= self.lam
-        return sfft.idstn(coef, type=1)
-
-    def solve32(self, b: np.ndarray) -> np.ndarray:
-        """Single-precision apply: ~7 accurate digits, half the transform cost.
-
-        Only used as a preconditioner; outer iterations always check the
-        double-precision residual.
-        """
-        coef = sfft.dstn(b.astype(np.float32), type=1)
-        coef /= self.lam32
-        return sfft.idstn(coef, type=1).astype(np.float64)
-
-
-_DST_CACHE: dict[tuple, DstPoisson] = {}
-
-
-def dst_solver(shape, h: float) -> DstPoisson:
-    key = (tuple(shape), float(h))
-    if key not in _DST_CACHE:
-        _DST_CACHE[key] = DstPoisson(shape, h)
-    return _DST_CACHE[key]
-
-
-_EIG_CACHE: dict[tuple, tuple] = {}
-
-
-def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str]) -> np.ndarray:
-    """Direct solve of the separable 7-point operator with per-axis ends.
-
-    ``kinds[axis]`` is ``"dst"`` for zero ghosts (the stencil of
-    ``laplace_apply``) or ``"dct"`` for mirrored ends (the stencil of
-    ``neumann_laplace_apply``).  At least one axis must be ``"dst"``, which
-    makes the operator nonsingular.  Only the 1-D eigenvalues are cached;
-    the division runs slab by slab, so no full-grid array is kept.
-    """
-    key = (b.shape, float(h), kinds)
-    if key not in _EIG_CACHE:
-        _EIG_CACHE[key] = tuple(_axis_eigenvalues(n, h, k) for n, k in zip(b.shape, kinds))
-    lam0, lam1, lam2 = _EIG_CACHE[key]
-    dst_axes = tuple(ax for ax, k in enumerate(kinds) if k == "dst")
-    dct_axes = tuple(ax for ax, k in enumerate(kinds) if k == "dct")
-    coef = sfft.dstn(b, type=1, axes=dst_axes)
-    if dct_axes:
-        coef = sfft.dctn(coef, type=2, axes=dct_axes, overwrite_x=True)
-    lam12 = lam1[:, None] + lam2[None, :]
-    for i, lam in enumerate(lam0):
-        coef[i] /= lam + lam12
-    if dct_axes:
-        coef = sfft.idctn(coef, type=2, axes=dct_axes, overwrite_x=True)
-    return sfft.idstn(coef, type=1, axes=dst_axes, overwrite_x=True)
 
 
 def neumann_laplace_apply(x: np.ndarray, h: float) -> np.ndarray:
@@ -137,32 +63,90 @@ def neumann_laplace_apply(x: np.ndarray, h: float) -> np.ndarray:
     return y
 
 
-class DctNeumannPoisson:
-    """Direct zero-mean inverse of the no-flux 7-point operator via DCT-II."""
+def _axis_eigenvalues(n: int, h: float, kind: str) -> np.ndarray:
+    """Eigenvalues of the 1-D second difference: DST-I (Dirichlet) or DCT-II (Neumann)."""
+    if kind == "dst":
+        return 4.0 * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * (n + 1))) ** 2 / (h * h)
+    if kind == "dct":
+        return 4.0 * np.sin(np.pi * np.arange(n) / (2.0 * n)) ** 2 / (h * h)
+    raise ValueError(f"unknown transform kind {kind!r}")
 
-    def __init__(self, shape, h: float):
-        self.shape = tuple(shape)
-        lams = [_axis_eigenvalues(n, h, "dct") for n in shape]
-        lam = (lams[0][:, None, None] + lams[1][None, :, None]
-               + lams[2][None, None, :])
-        lam[0, 0, 0] = 1.0  # constant mode removed below
-        self.lam = lam
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        coef = sfft.dctn(b, type=2)
-        coef /= self.lam
+_EIG_CACHE: dict[tuple, tuple] = {}
+
+
+def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str]) -> np.ndarray:
+    """Direct solve of the separable 7-point operator with per-axis ends.
+
+    ``kinds[axis]`` is ``"dst"`` for zero ghosts (the stencil of
+    ``laplace_apply``) or ``"dct"`` for mirrored ends (the stencil of
+    ``neumann_laplace_apply``).  With at least one ``"dst"`` axis the
+    operator is nonsingular; with none, constants are its kernel and the
+    zero-mean solution is returned.  ``b`` is not modified.  Only the 1-D
+    eigenvalues are cached; the division runs slab by slab, so no
+    full-grid array is kept.
+    """
+    key = (b.shape, float(h), kinds)
+    if key not in _EIG_CACHE:
+        _EIG_CACHE[key] = tuple(_axis_eigenvalues(n, h, k) for n, k in zip(b.shape, kinds))
+    lam0, lam1, lam2 = _EIG_CACHE[key]
+    dst_axes = tuple(ax for ax, k in enumerate(kinds) if k == "dst")
+    dct_axes = tuple(ax for ax, k in enumerate(kinds) if k == "dct")
+    # dstn over no axes returns b itself: then the DCT must not overwrite it
+    coef = sfft.dstn(b, type=1, axes=dst_axes) if dst_axes else b
+    if dct_axes:
+        coef = sfft.dctn(coef, type=2, axes=dct_axes, overwrite_x=coef is not b)
+    lam12 = lam1[:, None] + lam2[None, :]
+    for i, lam in enumerate(lam0):
+        denom = lam + lam12
+        if denom[0, 0] == 0.0:
+            denom[0, 0] = 1.0  # all-cosine constant mode, set to zero below
+        coef[i] /= denom
+    if not dst_axes:
         coef[0, 0, 0] = 0.0
-        return sfft.idctn(coef, type=2)
+    if dct_axes:
+        coef = sfft.idctn(coef, type=2, axes=dct_axes, overwrite_x=True)
+    if dst_axes:
+        coef = sfft.idstn(coef, type=1, axes=dst_axes, overwrite_x=True)
+    return coef
 
 
-_DCT_CACHE: dict[tuple, DctNeumannPoisson] = {}
+def _rhs_norm(b: np.ndarray) -> float:
+    bnorm = float(np.linalg.norm(b))
+    if not np.isfinite(bnorm):
+        raise ConvergenceError("right-hand side is not finite",
+                               residual=float("nan"), iterations=0)
+    return bnorm
 
 
-def dct_neumann_solver(shape, h: float) -> DctNeumannPoisson:
-    key = (tuple(shape), float(h))
-    if key not in _DCT_CACHE:
-        _DCT_CACHE[key] = DctNeumannPoisson(shape, h)
-    return _DCT_CACHE[key]
+def _residual(apply_op, x: np.ndarray, b: np.ndarray, bnorm: float) -> float:
+    """True relative residual ||b - A x|| / ||b||."""
+    return float(np.linalg.norm(b - apply_op(x))) / bnorm
+
+
+def checked_solve(apply_op, b: np.ndarray, inverse, tol: float, max_iter: int,
+                  preconditioner: str):
+    """Solve  A x = b  to true relative residual ``tol``.
+
+    ``preconditioner = "dst"`` applies the direct ``inverse`` once and
+    checks the true residual; ``"none"`` runs plain CG, the independent
+    oracle.  Returns (x, residual, iterations); raises ConvergenceError
+    with the residual and the iteration count if ``tol`` is not met.
+    """
+    if preconditioner == "none":
+        return pcg(apply_op, b, tol=tol, max_iter=max_iter)
+    if preconditioner != "dst":
+        raise ValueError(f"unknown preconditioner {preconditioner!r}")
+    bnorm = _rhs_norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0.0, 0
+    x = inverse(b)
+    res = _residual(apply_op, x, b, bnorm)
+    if not res <= tol:
+        raise ConvergenceError(
+            f"transform solve missed relative residual {tol:.1e}: got {res:.3e}",
+            residual=res, iterations=1)
+    return x, res, 1
 
 
 def solve_poisson_neumann(b: np.ndarray, h: float, tol: float, max_iter: int,
@@ -172,66 +156,61 @@ def solve_poisson_neumann(b: np.ndarray, h: float, tol: float, max_iter: int,
     The right-hand side must have (numerically) zero sum; this is exact for
     divergences of edge fields.
     """
-    apply_op = lambda x: neumann_laplace_apply(x, h)
-    precond = dct_neumann_solver(b.shape, h).solve if preconditioner == "dst" else None
-    b0 = b - b.mean()
-    return pcg(apply_op, b0, tol=tol, max_iter=max_iter, precond=precond)
+    return checked_solve(lambda x: neumann_laplace_apply(x, h), b - b.mean(),
+                         lambda r: transform_solve(r, h, NODE_KINDS),
+                         tol, max_iter, preconditioner)
 
 
 def solve_poisson(b: np.ndarray, h: float, tol: float, max_iter: int,
-                  preconditioner: str = "dst", x0: np.ndarray | None = None):
-    """Solve  -Laplacian(u) = b  to relative residual ``tol``.
+                  preconditioner: str = "dst"):
+    """Solve  -Laplacian(u) = b  to true relative residual ``tol``.
 
     Returns (u, residual, iterations).  Raises ConvergenceError if the
-    residual target is not met within ``max_iter`` iterations.
+    residual target is not met.
     """
-    apply_op = lambda x: laplace_apply(x, h)
-    if preconditioner == "dst":
-        precond = dst_solver(b.shape, h).solve32
-    elif preconditioner == "none":
-        precond = None
-    else:
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
-    return pcg(apply_op, b, tol=tol, max_iter=max_iter, precond=precond, x0=x0)
+    return checked_solve(lambda x: laplace_apply(x, h), b,
+                         lambda r: transform_solve(r, h, CELL_KINDS),
+                         tol, max_iter, preconditioner)
 
 
-def pcg(apply_op, b: np.ndarray, tol: float, max_iter: int,
-        precond=None, x0: np.ndarray | None = None):
-    """Preconditioned conjugate gradients for an SPD (or consistent SPSD) system.
+def pcg(apply_op, b: np.ndarray, tol: float, max_iter: int):
+    """Plain conjugate gradients for an SPD (or consistent SPSD) system.
 
-    Convergence is declared on the true relative residual ||b - A x|| / ||b||.
+    Convergence is declared on the true relative residual ||b - A x|| / ||b||:
+    when the recursively updated residual meets ``tol`` the true one is
+    recomputed, and if it misses, the iteration restarts from it.
     """
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _rhs_norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0, 0
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = x0.copy()
-        r = b - apply_op(x)
-    res = float(np.linalg.norm(r)) / bnorm
-    if res <= tol:
-        return x, res, 0
-    z = precond(r) if precond is not None else r
-    p = z.copy()
-    rz = float(np.vdot(r, z))
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = float(np.vdot(r, r))
     for k in range(1, max_iter + 1):
         Ap = apply_op(p)
         pAp = float(np.vdot(p, Ap))
-        if pAp <= 0.0:
-            # null-space direction of a semidefinite operator: restart signal
-            break
-        alpha = rz / pAp
+        if not pAp > 0.0:
+            res = _residual(apply_op, x, b, bnorm)
+            raise ConvergenceError(
+                f"conjugate gradients broke down at iteration {k}: p.Ap = {pAp:.3e} "
+                f"(operator not positive definite on the search direction), "
+                f"relative residual {res:.3e}", residual=res, iterations=k)
+        alpha = rr / pAp
         x += alpha * p
         r -= alpha * Ap
-        res = float(np.linalg.norm(r)) / bnorm
-        if res <= tol:
-            return x, res, k
-        z = precond(r) if precond is not None else r
-        rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        rr_new = float(np.vdot(r, r))
+        if rr_new <= (tol * bnorm) ** 2:
+            r = b - apply_op(x)
+            res = float(np.linalg.norm(r)) / bnorm
+            if res <= tol:
+                return x, res, k
+            p = r.copy()  # recursive residual drifted: restart from the true one
+            rr = float(np.vdot(r, r))
+            continue
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    res = _residual(apply_op, x, b, bnorm)
     raise ConvergenceError(
         f"conjugate gradients stalled at relative residual {res:.3e} "
         f"(target {tol:.1e}) after {max_iter} iterations",

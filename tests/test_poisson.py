@@ -13,10 +13,19 @@ def random_rhs(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def test_dst_solver_inverts_operator():
-    b = random_rhs((9, 10, 11), 1)
-    u = poisson.dst_solver(b.shape, 0.2).solve(b)
-    assert np.allclose(poisson.laplace_apply(u, 0.2), b, atol=1e-10)
+@pytest.mark.parametrize("kinds, apply_op", [(poisson.CELL_KINDS, poisson.laplace_apply),
+                                              (poisson.NODE_KINDS, poisson.neumann_laplace_apply)])
+@pytest.mark.parametrize("shape", [(9, 10, 11), (2, 5, 7), (6, 2, 3)])
+def test_transform_solve_inverts_cell_and_node_operators(kinds, apply_op, shape):
+    b = random_rhs(shape, 1)
+    if kinds == poisson.NODE_KINDS:
+        b -= b.mean()  # the no-flux operator maps onto zero-mean fields
+    b_in = b.copy()
+    u = poisson.transform_solve(b, 0.2, kinds)
+    assert np.array_equal(b, b_in)
+    assert np.abs(apply_op(u, 0.2) - b).max() <= 1e-12 * np.abs(b).max() / 0.04
+    if kinds == poisson.NODE_KINDS:
+        assert abs(u.mean()) <= 1e-14 * np.abs(u).max()
 
 
 @pytest.mark.parametrize("grid", [GridSpec(2, 5, 7, 0.3),
@@ -29,8 +38,11 @@ def test_transform_solve_inverts_edge_vector_laplacian(grid):
     for c in b.components:
         c[:] = rng.standard_normal(c.shape)
     kinds = [tuple("dst" if ax == c else "dct" for ax in range(3)) for c in range(3)]
+    b_in = b.copy()
     x = VectorField(grid, *(poisson.transform_solve(bc, grid.h, k)
                             for bc, k in zip(b.components, kinds)), staggering=EDGE)
+    for got, want in zip(b.components, b_in.components):
+        assert np.array_equal(got, want)
     lx = curl(curl(x)) - grad_node(div(x))
     for got, want in zip(lx.components, b.components):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -69,8 +81,45 @@ def test_neumann_solver_kills_mean_free_rhs():
     assert res <= 1e-10
 
 
-def test_warm_start_accepted():
-    b = random_rhs((8, 8, 8), 5)
-    u0, _, _ = poisson.solve_poisson(b, 0.1, 1e-6, 100)
-    u1, res, iters = poisson.solve_poisson(b, 0.1, 1e-10, 100, x0=u0)
-    assert res <= 1e-10
+@pytest.mark.parametrize("neumann", [False, True])
+@pytest.mark.parametrize("preconditioner", ["dst", "none"])
+def test_returned_residual_is_true_residual(neumann, preconditioner):
+    b = random_rhs((10, 6, 8), 5)
+    if neumann:
+        b -= b.mean()
+        solve, apply_op = poisson.solve_poisson_neumann, poisson.neumann_laplace_apply
+    else:
+        solve, apply_op = poisson.solve_poisson, poisson.laplace_apply
+    u, res, _ = solve(b, 0.1, 1e-13, 5000, preconditioner)
+    if neumann:
+        b = b - b.mean()  # the solve removes the (rounding) mean again
+    true = np.linalg.norm(b - apply_op(u, 0.1)) / np.linalg.norm(b)
+    assert res == true and res <= 1e-13
+
+
+def test_pcg_declares_convergence_on_true_residual():
+    # the recursively updated residual drifts below the attainable accuracy
+    b = random_rhs((40, 20, 30), 6)
+    apply_op = lambda x: poisson.laplace_apply(x, 0.1)
+    with pytest.raises(ConvergenceError) as info:
+        poisson.pcg(apply_op, b, tol=1e-18, max_iter=400)
+    true = info.value.residual
+    assert 1e-17 < true < 1e-13 and info.value.iterations == 400
+
+
+def test_pcg_rejects_non_finite_rhs_at_once():
+    calls = []
+    b = random_rhs((6, 6, 6), 7)
+    b[2, 3, 1] = np.nan
+    with pytest.raises(ConvergenceError, match="not finite") as info:
+        poisson.pcg(lambda x: calls.append(1) or x, b, tol=1e-8, max_iter=20000)
+    assert info.value.iterations == 0 and not calls
+    with pytest.raises(ConvergenceError, match="not finite"):
+        poisson.solve_poisson(b, 0.1, 1e-8, 20000, "dst")
+
+
+def test_pcg_breakdown_reports_iteration_and_cause():
+    b = random_rhs((4, 4, 4), 8)
+    with pytest.raises(ConvergenceError, match="broke down") as info:
+        poisson.pcg(lambda x: -x, b, tol=1e-8, max_iter=20000)
+    assert info.value.iterations == 1 and info.value.residual == 1.0
