@@ -13,16 +13,13 @@ Commands:
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 solver
 non-convergence, 4 I/O error.  Outputs are CSV tables (17 significant
 digits; byte-identical for identical config and seed) plus ASCII
-structured-grid field dumps.  The environment variable MAGNETOVAR_THREADS
-caps the worker pool of the shell study.
+structured-grid field dumps.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -376,30 +373,14 @@ def cmd_shell_study(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
         cells_per_thickness=cfg.get_float("shell.cells_per_thickness", 4.0),
         pad_ratio=cfg.get_float("shell.pad_ratio", 0.5))
     n_t = cfg.get_int("shell.t_nodes", 4)
-
-    m0 = sh.sample_on_vertices(mesh, m0_fn)
-    lim = sh.limit_energy(m0, mesh)
-
-    def one_row(eps: float) -> sh.ShellStudyRow:
-        mfield = sh.ShellField.t_independent(mesh, m0, n_t=n_t)
-        ex = sh.shell_dirichlet_energy(mfield, eps)
-        st = sh.shell_stray_energy_scaled(mesh, m0_fn, eps, solver, policy)
-        total = ex + st
-        return sh.ShellStudyRow(eps=eps, exchange=ex, stray_scaled=st, total=total,
-                                limit=lim, gap=abs(total - lim))
-
-    workers = int(os.environ.get("MAGNETOVAR_THREADS", "1"))
-    if workers > 1 and len(eps_list) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_row, eps_list))
-    else:
-        rows = [one_row(e) for e in eps_list]
+    rows = sh.convergence_study(mesh, m0_fn, eps_list, solver, policy, n_t=n_t)
 
     write_csv(out.path("shell_study.csv"),
               ["eps", "exchange", "stray_scaled", "total", "limit", "gap"],
               [[r.eps, r.exchange, r.stray_scaled, r.total, r.limit, r.gap]
                for r in rows])
     delta = cfg.get_float("shell.delta", sh.default_delta(mesh))
+    m0 = sh.sample_on_vertices(mesh, m0_fn)
     bound_rows = []
     for eps in eps_list:
         lo = sh.recovery_lower_bound(m0, mesh, eps, delta)

@@ -237,12 +237,13 @@ def assemble_laplacian(shape, h: float) -> sparse.csr_matrix:
     return (A / (h * h)).tocsr()
 
 
-_DENSE_CACHE: dict[tuple, object] = {}
+_DENSE_CACHE: dict[tuple, object] = {}  # the latest factor only
 
 
 def dense_poisson_solver(shape, h: float):
     """LU-factorized direct solver for small lattices (independent oracle)."""
     key = (tuple(shape), float(h))
     if key not in _DENSE_CACHE:
+        _DENSE_CACHE.clear()
         _DENSE_CACHE[key] = factorized(assemble_laplacian(shape, h).tocsc())
     return _DENSE_CACHE[key]

@@ -72,12 +72,6 @@ class SurfaceMesh:
         cr = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         return 0.5 * np.linalg.norm(cr, axis=1)
 
-    def vertex_areas(self) -> np.ndarray:
-        areas = self.triangle_areas()
-        out = np.zeros(self.n_vertices)
-        np.add.at(out, self.triangles.ravel(), np.repeat(areas / 3.0, 3))
-        return out
-
     def total_area(self) -> float:
         return float(self.triangle_areas().sum())
 
@@ -311,6 +305,16 @@ def _tri_vertex_mean(values: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return values[tris].mean(axis=1)
 
 
+def _triangle_frame(mesh: SurfaceMesh):
+    """Per-triangle (areas, unit mean tau1, unit mean tau2, mean kappa1, mean kappa2)."""
+    tris = mesh.triangles
+    return (mesh.triangle_areas(),
+            _unit(_tri_vertex_mean(mesh.tau1, tris)),
+            _unit(_tri_vertex_mean(mesh.tau2, tris)),
+            _tri_vertex_mean(mesh.kappa1, tris),
+            _tri_vertex_mean(mesh.kappa2, tris))
+
+
 def _p1_gradients(mesh: SurfaceMesh, values: np.ndarray) -> np.ndarray:
     """Per-triangle tangential gradient of a piecewise-linear vertex field.
 
@@ -418,12 +422,8 @@ def shell_dirichlet_energy(m: ShellField, eps: float) -> float:
         raise GridError("need at least 2 thickness nodes")
     if eps >= mesh.min_curvature_radius():
         raise GridError("half-thickness violates the tubular condition")
-    areas = mesh.triangle_areas()
     tris = mesh.triangles
-    t1 = _unit(_tri_vertex_mean(mesh.tau1, tris))
-    t2 = _unit(_tri_vertex_mean(mesh.tau2, tris))
-    k1 = _tri_vertex_mean(mesh.kappa1, tris)
-    k2 = _tri_vertex_mean(mesh.kappa2, tris)
+    areas, t1, t2, k1, k2 = _triangle_frame(mesh)
     Dt = _t_derivative_matrix(m.t_nodes)
     dmdt = np.einsum("qr,vrc->vqc", Dt, m.values)
 
@@ -445,7 +445,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# recovery profile and potential families
+# recovery profiles and the trial-energy bounds
 # ---------------------------------------------------------------------------
 
 def eta_profile(t, eps: float, delta: float):
@@ -472,45 +472,21 @@ def eta_profile_slope_sq(t, eps: float, delta: float):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class RecoveryPotential:
-    """Profile-based potential on the extended shell coordinates.
-
-    ``vertex_part`` is (m0 . n) for the scalar potential and (m0 x n) for
-    the vector potential; sample(v, t) = eps * eta(t) * vertex_part[v].
-    """
-
-    mesh: SurfaceMesh
-    eps: float
-    delta: float
-    vertex_part: np.ndarray
-
-    def sample(self, vertex: int, t: float):
-        return self.eps * eta_profile(t, self.eps, self.delta) * self.vertex_part[vertex]
-
-
 def default_delta(mesh: SurfaceMesh) -> float:
     """Matching radius for the recovery profiles: a fixed fraction of the
     tubular bound, independent of the shell thickness."""
     return 0.7 * mesh.min_curvature_radius()
 
 
-def recovery_scalar_potential(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
-                              delta: float | None = None) -> RecoveryPotential:
+def _checked_delta(mesh: SurfaceMesh, eps: float, delta: float | None) -> float:
+    """The matching radius (``default_delta`` if None), checked against the
+    tubular bound and the half-thickness."""
     delta = default_delta(mesh) if delta is None else delta
-    if not (0.0 < eps < delta):
-        raise GridError("recovery potential needs 0 < eps < delta")
-    phi = np.sum(m0 * mesh.normals, axis=1)
-    return RecoveryPotential(mesh, eps, delta, phi)
-
-
-def recovery_vector_potential(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
-                              delta: float | None = None) -> RecoveryPotential:
-    delta = default_delta(mesh) if delta is None else delta
-    if not (0.0 < eps < delta):
-        raise GridError("recovery potential needs 0 < eps < delta")
-    w = np.cross(m0, mesh.normals)
-    return RecoveryPotential(mesh, eps, delta, w)
+    if delta >= mesh.min_curvature_radius():
+        raise GridError("delta violates the tubular condition")
+    if eps >= delta:
+        raise GridError("profile needs eps < delta")
+    return delta
 
 
 def _t_pieces(eps: float, delta: float, n_gauss: int = 6):
@@ -524,12 +500,6 @@ def _t_pieces(eps: float, delta: float, n_gauss: int = 6):
     return pieces
 
 
-def surface_integral(mesh: SurfaceMesh, vertex_values: np.ndarray) -> float:
-    """Midpoint-rule surface integral of a per-vertex scalar."""
-    areas = mesh.triangle_areas()
-    return float(np.sum(areas * _tri_vertex_mean(vertex_values, mesh.triangles)))
-
-
 def recovery_lower_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
                          delta: float | None = None, n_gauss: int = 6) -> float:
     """Scalar-trial value: a rigorous lower bound for the scaled stray energy.
@@ -537,21 +507,13 @@ def recovery_lower_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
     Evaluates the maximization functional at the profile potential
     (thickness integrals piecewise-exact, surface integrals midpoint rule).
     """
-    delta = default_delta(mesh) if delta is None else delta
-    if delta >= mesh.min_curvature_radius():
-        raise GridError("delta violates the tubular condition")
-    if eps >= delta:
-        raise GridError("profile needs eps < delta")
+    delta = _checked_delta(mesh, eps, delta)
     tris = mesh.triangles
-    areas = mesh.triangle_areas()
+    areas, t1, t2, k1, k2 = _triangle_frame(mesh)
     phi = np.sum(m0 * mesh.normals, axis=1)
     phi2_tri = _tri_vertex_mean(phi ** 2, tris)
     gphi = _p1_gradients(mesh, phi)                      # (T, 3)
-    t1 = _unit(_tri_vertex_mean(mesh.tau1, tris))
-    t2 = _unit(_tri_vertex_mean(mesh.tau2, tris))
     m0t = _tri_vertex_mean(m0, tris)
-    k1 = _tri_vertex_mean(mesh.kappa1, tris)
-    k2 = _tri_vertex_mean(mesh.kappa2, tris)
     d1, d2 = np.einsum("tx,tx->t", gphi, t1), np.einsum("tx,tx->t", gphi, t2)
     m1, m2 = np.einsum("tx,tx->t", m0t, t1), np.einsum("tx,tx->t", m0t, t2)
 
@@ -574,21 +536,13 @@ def recovery_lower_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
 def recovery_upper_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
                          delta: float | None = None, n_gauss: int = 6) -> float:
     """Vector-trial value: a rigorous upper bound for the scaled stray energy."""
-    delta = default_delta(mesh) if delta is None else delta
-    if delta >= mesh.min_curvature_radius():
-        raise GridError("delta violates the tubular condition")
-    if eps >= delta:
-        raise GridError("profile needs eps < delta")
+    delta = _checked_delta(mesh, eps, delta)
     tris = mesh.triangles
-    areas = mesh.triangle_areas()
+    areas, t1, t2, k1, k2 = _triangle_frame(mesh)
     w_field = np.cross(m0, mesh.normals)                  # m0 x n per vertex
     wsq_tri = _tri_vertex_mean(np.sum(w_field ** 2, axis=1), tris)
     gw = _p1_gradients(mesh, w_field)                     # (T, 3, 3)
-    t1 = _unit(_tri_vertex_mean(mesh.tau1, tris))
-    t2 = _unit(_tri_vertex_mean(mesh.tau2, tris))
     m0t = _tri_vertex_mean(m0, tris)
-    k1 = _tri_vertex_mean(mesh.kappa1, tris)
-    k2 = _tri_vertex_mean(mesh.kappa2, tris)
     dw1 = np.einsum("tcx,tx->tc", gw, t1)                 # d(w)/d tau1
     dw2 = np.einsum("tcx,tx->tc", gw, t2)
     curl1 = np.cross(t1, dw1)                             # tau_i x d_tau_i w
@@ -617,13 +571,15 @@ def recovery_upper_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
 # 3D scaled stray energy and the convergence study
 # ---------------------------------------------------------------------------
 
+MIN_CELLS_ACROSS = 3  # grid cells the shell thickness must span
+
+
 @dataclass(frozen=True)
 class ShellGridPolicy:
     """How to size the 3D grid for a given shell half-thickness."""
 
     cells_per_thickness: float = 4.0
     pad_ratio: float = 0.5
-    min_cells_across: int = 3
 
     def spacing(self, eps: float) -> float:
         return 2.0 * eps / self.cells_per_thickness
@@ -657,10 +613,10 @@ def shell_stray_energy_scaled(mesh: SurfaceMesh, m0_fn: FieldFn, eps: float,
     if grid is None:
         h = policy.spacing(eps)
         grid = grid_for_geometry(Shell(mesh, eps), h, policy.pad_ratio)
-    if 2.0 * eps < policy.min_cells_across * grid.h:
+    if 2.0 * eps < MIN_CELLS_ACROSS * grid.h:
         raise GridError(
             f"shell of thickness {2 * eps} is thinner than "
-            f"{policy.min_cells_across} cells at spacing {grid.h}")
+            f"{MIN_CELLS_ACROSS} cells at spacing {grid.h}")
     m = shell_magnetization(mesh, m0_fn, eps, grid)
     sol = solve_scalar_potential(m, None, cfg)
     return sol.energy / eps
@@ -688,9 +644,9 @@ def convergence_study(mesh: SurfaceMesh, m0_fn: FieldFn, eps_list,
     """
     m0 = sample_on_vertices(mesh, m0_fn)
     lim = limit_energy(m0, mesh)
+    mfield = ShellField.t_independent(mesh, m0, n_t=n_t)
     rows = []
     for eps in eps_list:
-        mfield = ShellField.t_independent(mesh, m0, n_t=n_t)
         ex = shell_dirichlet_energy(mfield, eps)
         st = shell_stray_energy_scaled(mesh, m0_fn, eps, cfg, policy)
         total = ex + st

@@ -1,11 +1,12 @@
 """Command-line interface: config parsing, outputs, exit codes, determinism."""
 
-import os
-
 import pytest
 
+from magnetovar import shell as sh
 from magnetovar.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, RunConfig, main
 from magnetovar.errors import ConfigError
+from magnetovar.io import write_csv
+from magnetovar.magnetostatics import SolverConfig
 
 
 def write_cfg(tmp_path, name, body):
@@ -160,7 +161,7 @@ shell.eps_list = 0.2 0.1
         assert lo <= stray <= hi
 
 
-def test_shell_study_worker_pool_deterministic(tmp_path):
+def test_shell_study_deterministic_and_equals_convergence_study(tmp_path):
     cfg = write_cfg(tmp_path, "sh.cfg", BASE + """
 shell.surface = sphere
 shell.radius = 1.0
@@ -169,18 +170,19 @@ shell.m0 = uniform_z
 shell.eps_list = 0.2 0.1
 """)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    main(["shell-study", "--config", cfg, "--out", str(out1)])
-    old = os.environ.get("MAGNETOVAR_THREADS")
-    os.environ["MAGNETOVAR_THREADS"] = "2"
-    try:
-        main(["shell-study", "--config", cfg, "--out", str(out2)])
-    finally:
-        if old is None:
-            os.environ.pop("MAGNETOVAR_THREADS")
-        else:
-            os.environ["MAGNETOVAR_THREADS"] = old
+    assert main(["shell-study", "--config", cfg, "--out", str(out1)]) == EXIT_OK
+    assert main(["shell-study", "--config", cfg, "--out", str(out2)]) == EXIT_OK
+    for name in ("shell_study.csv", "recovery_bounds.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    rows = sh.convergence_study(sh.make_sphere_mesh(1.0, 2),
+                                sh.uniform_field((0.0, 0.0, 1.0)), [0.2, 0.1],
+                                SolverConfig())
+    write_csv(tmp_path / "study.csv",
+              ["eps", "exchange", "stray_scaled", "total", "limit", "gap"],
+              [[r.eps, r.exchange, r.stray_scaled, r.total, r.limit, r.gap]
+               for r in rows])
     assert (out1 / "shell_study.csv").read_bytes() == \
-        (out2 / "shell_study.csv").read_bytes()
+        (tmp_path / "study.csv").read_bytes()
 
 
 def test_unwritable_output_dir_exits_4(tmp_path):

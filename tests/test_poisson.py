@@ -1,7 +1,11 @@
 """Linear-solve kernels: spectral, plain CG, and dense routes agree."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnetovar import poisson
 from magnetovar.errors import ConvergenceError
@@ -46,6 +50,41 @@ def test_transform_solve_inverts_edge_vector_laplacian(grid):
     lx = curl(curl(x)) - grad_node(div(x))
     for got, want in zip(lx.components, b.components):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def apply_from_1d_ends(u, h, kinds):
+    """-Laplacian(u) summed axis by axis from 1-D second differences with
+    zero ghosts ("dst") or mirrored ends ("dct")."""
+    y = np.zeros_like(u)
+    for axis, kind in enumerate(kinds):
+        n = u.shape[axis]
+        t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        if kind == "dct":
+            t[0, 0] = t[-1, -1] = 1.0
+        y += np.moveaxis(np.tensordot(t, u, axes=(1, axis)), 0, axis)
+    return y / (h * h)
+
+
+@pytest.mark.parametrize("kinds", list(itertools.product(("dst", "dct"), repeat=3)),
+                         ids="-".join)
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(shape=st.tuples(*[st.integers(2, 9)] * 3), h=st.floats(0.05, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_transform_solve_property(kinds, shape, h, seed):
+    b = random_rhs(shape, seed)
+    if "dst" not in kinds:
+        b -= b.mean()  # the all-cosine operator maps onto zero-mean fields
+    b_in = b.copy()
+    u = poisson.transform_solve(b, h, kinds)
+    assert np.array_equal(b, b_in)
+    resid = np.linalg.norm(apply_from_1d_ends(u, h, kinds) - b)
+    assert resid <= 1e-12 * np.linalg.norm(b)
+
+
+def test_dense_cache_keeps_latest_factor_only():
+    for shape in ((4, 5, 6), (5, 4, 3)):
+        poisson.dense_poisson_solver(shape, 0.2)
+    assert list(poisson._DENSE_CACHE) == [((5, 4, 3), 0.2)]
 
 
 def test_pcg_routes_agree():

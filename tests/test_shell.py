@@ -162,16 +162,13 @@ def test_eta_tail_identity():
     assert abs(total - 2.0 * (1 + eps / (delta - eps))) < 1e-12
 
 
-def test_recovery_potentials():
-    mesh = SPHERE
-    m0 = sh.sample_on_vertices(mesh, sh.uniform_field((0, 0, 1)))
-    up = sh.recovery_scalar_potential(m0, mesh, 0.1, 0.5)
-    assert abs(up.sample(3, 1.0) - 0.1 * up.vertex_part[3]) < 1e-15
-    hedge = sh.sample_on_vertices(mesh, sh.hedgehog_field())
-    ap = sh.recovery_vector_potential(hedge, mesh, 0.1, 0.5)
-    assert np.abs(ap.vertex_part).max() < 1e-12  # m0 parallel to n
-    with pytest.raises(GridError):
-        sh.recovery_scalar_potential(m0, mesh, 0.5, 0.1)
+def test_recovery_bounds_check_eps_and_delta():
+    m0 = sh.sample_on_vertices(SPHERE, sh.uniform_field((0, 0, 1)))
+    for bound in (sh.recovery_lower_bound, sh.recovery_upper_bound):
+        with pytest.raises(GridError):
+            bound(m0, SPHERE, 0.5, 0.1)   # eps >= delta
+        with pytest.raises(GridError):
+            bound(m0, SPHERE, 0.1, 1.0)   # delta at the tubular bound
 
 
 def test_recovery_vector_tangential_gradient_vanishes():
