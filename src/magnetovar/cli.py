@@ -49,6 +49,25 @@ EXIT_IO = 4
 
 CONFIG_VERSION = 1
 
+# Every key a command reads; any other key in a config file is an error.
+# The README's config section lists the same keys.
+KNOWN_KEYS = frozenset({
+    "config_version", "seed", "output.dir",
+    "grid.h", "grid.pad_ratio",
+    "geometry.kind", "geometry.a", "geometry.b", "geometry.c", "geometry.extents",
+    "material.q", "material.easy_axis", "material.h_applied",
+    "solver.tol", "solver.max_iter", "solver.backend", "solver.preconditioner",
+    "minimize.method", "minimize.step", "minimize.backtrack", "minimize.grad_tol",
+    "minimize.max_iter", "minimize.terms",
+    "solve.init", "solve.init_direction",
+    "shell.surface", "shell.radius", "shell.level", "shell.r_major", "shell.r_minor",
+    "shell.n_major", "shell.n_minor", "shell.m0", "shell.eps_list",
+    "shell.cells_per_thickness", "shell.pad_ratio", "shell.t_nodes", "shell.delta",
+    "validate.ball_cells", "validate.pad_ratio",
+    "oracle.ball_cells",
+    "dump.fields",
+})
+
 
 class RunConfig:
     """Typed access to the flat key-value configuration."""
@@ -70,7 +89,10 @@ class RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{p}:{lineno}: expected 'key = value'")
             key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in KNOWN_KEYS:
+                raise ConfigError(f"{p}:{lineno}: unknown key {key!r}")
+            values[key] = val.strip()
         cfg = RunConfig(values, str(p))
         version = cfg.get_int("config_version", None)
         if version != CONFIG_VERSION:

@@ -10,13 +10,13 @@ effective field are exact gradients of one another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridError
 from .grid import CellVectorField, DomainMask
-from .magnetostatics import SolverConfig, solve_scalar_potential
+from .magnetostatics import SolverConfig, StrayFieldSolution, solve_scalar_potential
 from .operators import masked_cell_to_faces, masked_faces_to_cell_adjoint
 
 UNIT_NORM_TOL = 1e-12
@@ -48,10 +48,15 @@ class MaterialParams:
 
 @dataclass
 class EnergyBreakdown:
+    """Energy per term; ``stray_solution`` is the field solve behind ``stray``
+    (None when the stray term was not evaluated)."""
+
     exchange: float
     anisotropy: float
     zeeman: float
     stray: float
+    stray_solution: StrayFieldSolution | None = field(default=None, repr=False,
+                                                      compare=False)
 
     @property
     def total(self) -> float:
@@ -70,17 +75,6 @@ def check_unit_norm(m: CellVectorField, mask: DomainMask, tol: float = UNIT_NORM
             f"{tuple(int(i) for i in idx)}")
 
 
-def _bond_masks(mask: DomainMask):
-    """Per-axis indicators of neighbor pairs lying inside the domain."""
-    ind = mask.indicator
-    out = []
-    for axis in range(3):
-        lead = [slice(None)] * axis
-        out.append(np.minimum(ind[tuple(lead + [slice(0, -1)])],
-                              ind[tuple(lead + [slice(1, None)])]))
-    return out
-
-
 def exchange_energy(m: CellVectorField, mask: DomainMask, *,
                     check_norm: bool = True) -> float:
     """1/2 sum over interior bonds of |m_i - m_j|^2 h; free boundary.
@@ -92,7 +86,7 @@ def exchange_energy(m: CellVectorField, mask: DomainMask, *,
     if check_norm:
         check_unit_norm(m, mask)
     h = m.grid.h
-    bonds = _bond_masks(mask)
+    bonds = mask.bond_masks()
     total = 0.0
     for axis in range(3):
         d = np.diff(m.data, axis=1 + axis)
@@ -160,20 +154,24 @@ def total_energy(m: CellVectorField, params: MaterialParams, mask: DomainMask,
     an = (anisotropy_energy(m, params, mask, check_norm=False)
           if "anisotropy" in terms else 0.0)
     ze = zeeman_energy(m, params, mask, check_norm=False) if "zeeman" in terms else 0.0
-    st = (stray_energy(m, mask, cfg)[0]
-          if ("stray" in terms and not mask.is_empty()) else 0.0)
-    return EnergyBreakdown(exchange=ex, anisotropy=an, zeeman=ze, stray=st)
+    st, sol = (stray_energy(m, mask, cfg)
+               if ("stray" in terms and not mask.is_empty()) else (0.0, None))
+    return EnergyBreakdown(exchange=ex, anisotropy=an, zeeman=ze, stray=st,
+                           stray_solution=sol)
 
 
 def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask,
-                    cfg: SolverConfig, *, terms=ALL_TERMS) -> CellVectorField:
+                    cfg: SolverConfig, *, terms=ALL_TERMS,
+                    stray: StrayFieldSolution | None = None) -> CellVectorField:
     """Negative variational derivative of the total energy per unit volume.
 
     Exchange: neighbor Laplacian restricted to domain bonds; anisotropy:
     Q (m.e) e; Zeeman: h_a; stray: the demagnetizing field pulled back to
     cells through the adjoint of the face transfer.  The finite-difference
     directional-derivative test in the suite pins the exactness of this
-    gradient.
+    gradient.  ``stray`` is the solution of ``m``'s own stray-field problem,
+    if the caller already has it (``total_energy(m, ...).stray_solution``);
+    otherwise the stray term solves it.
     """
     terms = _check_terms(terms)
     grid = m.grid
@@ -182,7 +180,7 @@ def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask
     data = np.zeros_like(m.data)
 
     if "exchange" in terms:
-        bonds = _bond_masks(mask)
+        bonds = mask.bond_masks()
         for axis in range(3):
             d = np.diff(m.data, axis=1 + axis) * bonds[axis]
             lead = [slice(None), *([slice(None)] * axis)]
@@ -201,7 +199,8 @@ def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask
 
     field_cells = CellVectorField(grid, data * ind)
     if "stray" in terms and not mask.is_empty():
-        sol = stray_energy(m, mask, cfg)[1]
-        hd = masked_faces_to_cell_adjoint(sol.h, mask)
+        if stray is None:
+            stray = stray_energy(m, mask, cfg)[1]
+        hd = masked_faces_to_cell_adjoint(stray.h, mask)
         field_cells.data += hd.data * ind
     return field_cells

@@ -74,12 +74,6 @@ class GridSpec:
         coords[axis] = self.axis_coords(axis, 0.0)
         return tuple(coords)
 
-    def edge_centers(self, axis: int):
-        """1D coordinates of edge centers for edges running along ``axis``."""
-        coords = [self.axis_coords(d, 0.0) for d in range(3)]
-        coords[axis] = self.axis_coords(axis, 0.5)
-        return tuple(coords)
-
     def interior_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) corners of the unpadded interior box."""
         lo = np.asarray(self.origin) + self.h * self.pad
@@ -333,13 +327,19 @@ Geometry = Box | Ellipsoid | Shell
 class DomainMask:
     """Binary per-cell indicator of the magnetic domain.
 
-    The indicator is zero on all padding cells; ``cell_count`` and
-    ``volume = cell_count * h^3`` are cached at construction.
+    The indicator is zero on all padding cells and read-only after
+    construction, so the arrays derived from it can be cached: ``cell_count``
+    and ``volume = cell_count * h^3`` at construction, the face transfer
+    scales and the bond masks on first use.
     """
 
     grid: GridSpec
     indicator: np.ndarray
     cell_count: int = field(init=False)
+    _face_scales: dict = field(init=False, repr=False, compare=False,
+                               default_factory=dict)
+    _bond_masks: tuple | None = field(init=False, repr=False, compare=False,
+                                      default=None)
 
     def __post_init__(self):
         if self.indicator.shape != self.grid.shape:
@@ -354,6 +354,42 @@ class DomainMask:
             if pad_region.any():
                 raise SupportError("mask extends into the padding region")
         self.cell_count = int(self.indicator.sum())
+        self.indicator.setflags(write=False)
+
+    def face_scale(self, axis: int) -> np.ndarray:
+        """Per face normal to ``axis``: 1 / (number of adjacent domain cells).
+
+        The value is 1/2 on faces between two domain cells, 1 on faces with
+        one, and 0 on faces with none; float32 holds all three exactly.
+        """
+        scale = self._face_scales.get(axis)
+        if scale is None:
+            ind = self.indicator
+            shape = list(ind.shape)
+            shape[axis] += 1
+            count = np.zeros(shape, dtype=np.float32)
+            lead = [slice(None)] * axis
+            count[tuple(lead + [slice(1, None)])] += ind
+            count[tuple(lead + [slice(0, -1)])] += ind
+            scale = np.zeros(shape, dtype=np.float32)
+            np.divide(1.0, count, out=scale, where=count > 0)
+            scale.setflags(write=False)
+            self._face_scales[axis] = scale
+        return scale
+
+    def bond_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per axis, the indicator of neighbor pairs lying inside the domain."""
+        if self._bond_masks is None:
+            ind = self.indicator
+            bonds = []
+            for axis in range(3):
+                lead = [slice(None)] * axis
+                bond = np.minimum(ind[tuple(lead + [slice(0, -1)])],
+                                  ind[tuple(lead + [slice(1, None)])]).astype(np.float32)
+                bond.setflags(write=False)
+                bonds.append(bond)
+            self._bond_masks = tuple(bonds)
+        return self._bond_masks
 
     @property
     def volume(self) -> float:

@@ -12,6 +12,15 @@ Two schemes:
   the magnetization step is projected gradient descent at fixed potential,
   where the stray contribution to the field is curl a - m on the domain
   (no linear solves inside the line search).
+
+Both line searches start from the Barzilai-Borwein step <s, s> / <s, y>
+(Barzilai & Borwein, IMA J. Numer. Anal. 8:141, 1988), with s the last
+change of m and y the matching decrease of the tangential field, capped at
+``STEP_GROWTH_CAP`` times ``MinimizeConfig.step``.  Where no secant pair
+with <s, y> > 0 exists (the first step, the first m-step of each joint
+sweep), the first trial is the last accepted step grown by 1 / backtrack,
+under the same cap.  The Armijo test then shrinks the trial by the factor
+``backtrack`` until it descends, so the BB step never breaks monotonicity.
 """
 
 from __future__ import annotations
@@ -22,9 +31,11 @@ import numpy as np
 
 from .errors import ConvergenceError, GridError
 from .grid import EDGE, CellVectorField, DomainMask, VectorField
-from .energy import ALL_TERMS, MaterialParams, effective_field, total_energy
-from .magnetostatics import SolverConfig, functional_V, minimize_V
-from .operators import curl, masked_cell_to_faces, masked_faces_to_cell_adjoint
+from .energy import (ALL_TERMS, MaterialParams, anisotropy_energy, effective_field,
+                     exchange_energy, total_energy, zeeman_energy)
+from .magnetostatics import SolverConfig, minimize_V
+from .operators import (curl, grad_norm_sq, inner, masked_cell_to_faces,
+                        masked_faces_to_cell_adjoint)
 
 DESCENT_SLACK = 1e-12
 ARMIJO_C = 0.1
@@ -87,12 +98,48 @@ def _grad_norm(t_data: np.ndarray, vol: float) -> float:
     return float(np.sqrt(np.sum(t_data ** 2) * vol))
 
 
+def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float, cap: float) -> float:
+    """Barzilai-Borwein step <s, s> / <s, y>, at most ``cap``.
+
+    ``s`` is the last change of m and ``y`` the matching decrease of the
+    tangential field; when <s, y> <= 0 the pair carries no curvature
+    information and ``fallback`` is returned.
+    """
+    sy = float(np.vdot(s, y))
+    if sy <= 0.0:
+        return fallback
+    return min(float(np.vdot(s, s)) / sy, cap)
+
+
+def _armijo(m: CellVectorField, t: np.ndarray, energy: float, gnorm: float,
+            step: float, mask: DomainMask, mcfg: MinimizeConfig, evaluate,
+            where: str, iterations: int):
+    """Backtrack from ``step`` until m <- normalize(m + step t) descends enough.
+
+    ``evaluate(trial)`` returns (energy, by-product).  Returns the accepted
+    (trial, energy, by-product, step); raises ConvergenceError after
+    ``mcfg.max_backtracks`` rejected trials.
+    """
+    for _ in range(mcfg.max_backtracks):
+        trial = CellVectorField(mask.grid, _normalize_on_mask(m.data + step * t, mask))
+        e_trial, extra = evaluate(trial)
+        if e_trial <= energy - ARMIJO_C * step * gnorm ** 2 + DESCENT_SLACK:
+            return trial, e_trial, extra, step
+        step *= mcfg.backtrack
+    raise ConvergenceError(
+        f"line search failed {where}: energy {energy:.6e}, "
+        f"gradient norm {gnorm:.3e}, step {step:.3e}",
+        residual=gnorm, iterations=iterations)
+
+
 def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
                mcfg: MinimizeConfig, scfg: SolverConfig, *, terms=ALL_TERMS):
     """Projected gradient descent on the reduced energy over unit fields.
 
-    Returns (m, MinimizeReport).  Raises ConvergenceError if backtracking
-    cannot produce descent (step underflow before reaching grad_tol).
+    Each trial costs one stray solve; the accepted trial's solution also
+    gives the next gradient.  Returns (m, MinimizeReport).  Raises
+    ConvergenceError if backtracking cannot produce descent (step underflow
+    before reaching grad_tol).
     """
     report = MinimizeReport(iterations=0)
     if mask.is_empty():
@@ -102,13 +149,20 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
         return m0.copy(), report
 
     vol = mask.grid.cell_volume
+    cap = mcfg.step * STEP_GROWTH_CAP
+
+    def evaluate(trial):
+        breakdown = total_energy(trial, params, mask, scfg, terms=terms)
+        return breakdown.total, breakdown.stray_solution
+
     m = CellVectorField(mask.grid, _normalize_on_mask(m0.data.copy(), mask))
-    energy = total_energy(m, params, mask, scfg, terms=terms).total
+    energy, stray = evaluate(m)
     report.energy_trace.append(energy)
     step = mcfg.step
+    m_prev = t_prev = None
 
     for it in range(1, mcfg.max_iter + 1):
-        hf = effective_field(m, params, mask, scfg, terms=terms)
+        hf = effective_field(m, params, mask, scfg, terms=terms, stray=stray)
         t = _tangential(hf.data, m.data) * mask.indicator
         gnorm = _grad_norm(t, vol)
         report.final_grad_norm = gnorm
@@ -116,45 +170,48 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
             report.converged = True
             report.iterations = it - 1
             return m, report
-
-        accepted = False
-        for _ in range(mcfg.max_backtracks):
-            trial = CellVectorField(mask.grid,
-                                    _normalize_on_mask(m.data + step * t, mask))
-            e_trial = total_energy(trial, params, mask, scfg, terms=terms).total
-            if e_trial <= energy - ARMIJO_C * step * gnorm ** 2 + DESCENT_SLACK:
-                accepted = True
-                break
-            step *= mcfg.backtrack
-        if not accepted:
-            raise ConvergenceError(
-                f"line search failed at iteration {it}: energy {energy:.6e}, "
-                f"gradient norm {gnorm:.3e}, step {step:.3e}",
-                residual=gnorm, iterations=it)
-        m, energy = trial, e_trial
+        if t_prev is not None:
+            step = _bb_step(m.data - m_prev, t_prev - t, step, cap)
+        trial, e_trial, stray_trial, step = _armijo(
+            m, t, energy, gnorm, step, mask, mcfg, evaluate,
+            f"at iteration {it}", it)
+        m_prev, t_prev = m.data, t
+        m, energy, stray = trial, e_trial, stray_trial
         report.energy_trace.append(energy)
         report.iterations = it
-        step = min(step / mcfg.backtrack, mcfg.step * STEP_GROWTH_CAP)
+        step = min(step / mcfg.backtrack, cap)
     report.final_grad_norm = _grad_norm(
-        _tangential(effective_field(m, params, mask, scfg, terms=terms).data,
-                    m.data) * mask.indicator, vol)
+        _tangential(effective_field(m, params, mask, scfg, terms=terms,
+                                    stray=stray).data, m.data) * mask.indicator, vol)
     report.converged = report.final_grad_norm <= mcfg.grad_tol
     return m, report
 
 
-def _joint_energy(m: CellVectorField, a: VectorField, params: MaterialParams,
-                  mask: DomainMask, terms=ALL_TERMS) -> float:
-    """Local terms plus V(face m, a): the product-space functional."""
-    from .energy import anisotropy_energy, exchange_energy, zeeman_energy
-    mf = masked_cell_to_faces(m, mask)
-    total = functional_V(mf, a)
-    if "exchange" in terms:
-        total += exchange_energy(m, mask, check_norm=False)
-    if "anisotropy" in terms:
-        total += anisotropy_energy(m, params, mask, check_norm=False)
-    if "zeeman" in terms:
-        total += zeeman_energy(m, params, mask, check_norm=False)
-    return total
+def _fixed_a_energy(a: VectorField, params: MaterialParams, mask: DomainMask,
+                    terms=ALL_TERMS):
+    """The product-space functional as a function of m at fixed ``a``.
+
+    Returns (energy, curl a), where energy(m) = local terms + V(face m, a).
+    The m-independent parts of V, 1/2 ||D a||^2 and curl a, are computed
+    once here; the sum is formed in the order ``functional_V`` uses.
+    """
+    if a.staggering != EDGE:
+        raise GridError("vector potential must be edge-staggered")
+    half_da2 = 0.5 * grad_norm_sq(a)
+    curl_a = curl(a)
+
+    def energy(m: CellVectorField) -> float:
+        mf = masked_cell_to_faces(m, mask)
+        total = half_da2 + 0.5 * inner(mf, mf) - inner(mf, curl_a)
+        if "exchange" in terms:
+            total += exchange_energy(m, mask, check_norm=False)
+        if "anisotropy" in terms:
+            total += anisotropy_energy(m, params, mask, check_norm=False)
+        if "zeeman" in terms:
+            total += zeeman_energy(m, params, mask, check_norm=False)
+        return total
+
+    return energy, curl_a
 
 
 def _a_step(m: CellVectorField, mask: DomainMask, scfg: SolverConfig) -> VectorField:
@@ -184,52 +241,49 @@ def minimize_joint(m0: CellVectorField, a0: VectorField | None,
         return m0.copy(), a0, report
 
     vol = mask.grid.cell_volume
+    cap = mcfg.step * STEP_GROWTH_CAP
+    local_terms = tuple(t for t in terms if t != "stray")
     m = CellVectorField(mask.grid, _normalize_on_mask(m0.data.copy(), mask))
     a = a0 if a0 is not None else VectorField.zeros(mask.grid, EDGE)
-    energy = _joint_energy(m, a, params, mask, terms)
+    energy = _fixed_a_energy(a, params, mask, terms)[0](m)
     report.energy_trace.append(energy)
     step = mcfg.step
     total_m_steps = 0
 
     for sweep in range(1, mcfg.max_iter + 1):
         a = _a_step(m, mask, scfg)
-        energy = _joint_energy(m, a, params, mask, terms)
+        joint, curl_a = _fixed_a_energy(a, params, mask, terms)
+        energy = joint(m)
         report.energy_trace.append(energy)
 
-        curl_a_cells = masked_faces_to_cell_adjoint(curl(a), mask)
+        curl_a_cells = masked_faces_to_cell_adjoint(curl_a, mask)
         gnorm = None
+        m_prev = t_prev = None  # the secant pair is taken within one sweep
         for _ in range(m_steps_per_sweep):
-            hf = effective_field(m, params, mask, scfg,
-                                 terms=tuple(t for t in terms if t != "stray"))
+            hf = effective_field(m, params, mask, scfg, terms=local_terms)
             mf_cells = masked_faces_to_cell_adjoint(masked_cell_to_faces(m, mask), mask)
             hf.data += (curl_a_cells.data - mf_cells.data) * mask.indicator
             t = _tangential(hf.data, m.data) * mask.indicator
             gnorm = _grad_norm(t, vol)
             if gnorm <= mcfg.grad_tol:
                 break
-            accepted = False
-            for _ in range(mcfg.max_backtracks):
-                trial = CellVectorField(mask.grid,
-                                        _normalize_on_mask(m.data + step * t, mask))
-                e_trial = _joint_energy(trial, a, params, mask, terms)
-                if e_trial <= energy - ARMIJO_C * step * gnorm ** 2 + DESCENT_SLACK:
-                    accepted = True
-                    break
-                step *= mcfg.backtrack
-            if not accepted:
-                raise ConvergenceError(
-                    f"joint m-step line search failed in sweep {sweep}",
-                    residual=gnorm, iterations=total_m_steps)
-            m, energy = trial, e_trial
+            if t_prev is not None:
+                step = _bb_step(m.data - m_prev, t_prev - t, step, cap)
+            trial, energy, _, step = _armijo(
+                m, t, energy, gnorm, step, mask, mcfg,
+                lambda trial: (joint(trial), None),
+                f"in joint sweep {sweep}", total_m_steps)
+            m_prev, t_prev = m.data, t
+            m = trial
             report.energy_trace.append(energy)
             total_m_steps += 1
-            step = min(step / mcfg.backtrack, mcfg.step * STEP_GROWTH_CAP)
+            step = min(step / mcfg.backtrack, cap)
         report.iterations = total_m_steps
         report.final_grad_norm = gnorm if gnorm is not None else float("nan")
         if gnorm is not None and gnorm <= mcfg.grad_tol:
             # converged only if the potential is also stationary
             a_new = _a_step(m, mask, scfg)
-            e_new = _joint_energy(m, a_new, params, mask, terms)
+            e_new = _fixed_a_energy(a_new, params, mask, terms)[0](m)
             if abs(e_new - energy) <= max(abs(energy), 1.0) * 10 * scfg.tol:
                 a = a_new
                 report.energy_trace.append(e_new)

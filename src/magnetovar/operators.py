@@ -175,37 +175,30 @@ def faces_to_cell_adjoint(v: VectorField) -> CellVectorField:
     return CellVectorField(v.grid, data)
 
 
-def _mask_face_weights(mask: DomainMask, axis: int):
-    """(wL, wR) per face: indicator-weighted averaging coefficients.
+def _pair_sum_pad(a: np.ndarray, axis: int) -> np.ndarray:
+    """Two-point sum with zero extension: output one longer along axis."""
+    shape = list(a.shape)
+    shape[axis] += 1
+    out = np.zeros(shape)
+    lead = [slice(None)] * axis
+    out[tuple(lead + [slice(1, None)])] += a
+    out[tuple(lead + [slice(0, -1)])] += a
+    return out
+
+
+def masked_cell_to_faces(m: CellVectorField, mask: DomainMask) -> VectorField:
+    """Indicator-weighted face sampling of a mask-supported collocated field.
 
     Interior faces average the two neighbors (1/2, 1/2); faces on the
     domain boundary take the full inside value (closed-voxel convention,
     which keeps the surface charge of a uniform body on the voxel surface).
+    Cells outside the mask contribute nothing.
     """
     ind = mask.indicator
-    shape = list(ind.shape)
-    shape[axis] += 1
-    chiL = np.zeros(shape)
-    chiR = np.zeros(shape)
-    lead = [slice(None)] * axis
-    chiL[tuple(lead + [slice(1, None)])] = ind
-    chiR[tuple(lead + [slice(0, -1)])] = ind
-    denom = chiL + chiR
-    with np.errstate(invalid="ignore", divide="ignore"):
-        wL = np.where(denom > 0, chiL / np.maximum(denom, 1.0), 0.0)
-        wR = np.where(denom > 0, chiR / np.maximum(denom, 1.0), 0.0)
-    return wL, wR
-
-
-def masked_cell_to_faces(m: CellVectorField, mask: DomainMask) -> VectorField:
-    """Indicator-weighted face sampling of a mask-supported collocated field."""
     comps = []
     for axis in range(3):
-        wL, wR = _mask_face_weights(mask, axis)
-        comp = np.zeros(wL.shape)
-        lead = [slice(None)] * axis
-        comp[tuple(lead + [slice(1, None)])] += wL[tuple(lead + [slice(1, None)])] * m.data[axis]
-        comp[tuple(lead + [slice(0, -1)])] += wR[tuple(lead + [slice(0, -1)])] * m.data[axis]
+        comp = _pair_sum_pad(ind * m.data[axis], axis)
+        comp *= mask.face_scale(axis)
         comps.append(comp)
     return VectorField(m.grid, *comps, staggering=FACE)
 
@@ -214,12 +207,15 @@ def masked_faces_to_cell_adjoint(v: VectorField, mask: DomainMask) -> CellVector
     """Exact adjoint of ``masked_cell_to_faces`` with the same mask."""
     if v.staggering != FACE:
         raise GridError("expected a face-staggered field")
-    data = np.zeros((3, *v.grid.shape))
+    ind = mask.indicator
+    data = np.empty((3, *v.grid.shape))
     for axis, comp in enumerate(v.components):
-        wL, wR = _mask_face_weights(mask, axis)
+        scaled = mask.face_scale(axis) * comp
         lead = [slice(None)] * axis
-        data[axis] = (wL[tuple(lead + [slice(1, None)])] * comp[tuple(lead + [slice(1, None)])]
-                      + wR[tuple(lead + [slice(0, -1)])] * comp[tuple(lead + [slice(0, -1)])])
+        # ind multiplies each term, not their sum: off-mask cells then get
+        # (ind s_hi) v_hi + (ind s_lo) v_lo bit for bit, signed zeros included
+        np.multiply(ind, scaled[tuple(lead + [slice(1, None)])], out=data[axis])
+        data[axis] += ind * scaled[tuple(lead + [slice(0, -1)])]
     return CellVectorField(v.grid, data)
 
 

@@ -220,3 +220,27 @@ def test_absurd_tolerance_is_clamped_with_warning(tmp_path):
     # without clamping the absurd value is a config error
     with pytest.raises(Exception):
         build_solver_config(cfg)
+
+
+def test_unknown_config_key_is_rejected(tmp_path, capsys):
+    path = write_cfg(tmp_path, "typo.cfg", BASE + "solver.tolerance = 1e-6\n")
+    with pytest.raises(ConfigError, match=r"typo\.cfg:3: unknown key 'solver\.tolerance'"):
+        RunConfig.load(path)
+    assert main(["oracle", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "solver.tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_known_keys_cover_configs_cli_and_readme():
+    import re
+    from pathlib import Path
+    from magnetovar import cli
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted((root / "configs").glob("*.cfg")):
+        RunConfig.load(path)
+    read = set(re.findall(r'get_\w+\("([^"]+)"', Path(cli.__file__).read_text()))
+    assert read == cli.KNOWN_KEYS
+    readme = (root / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("```")[1]
+    documented = set(re.findall(r"^([a-z_]+(?:\.[a-z0-9_]+)?) =", block, re.M))
+    assert documented == cli.KNOWN_KEYS

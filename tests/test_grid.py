@@ -87,3 +87,27 @@ def test_grid_for_geometry_padding():
     assert grid.pad * grid.h >= 2.0 - 1e-12
     mask = build_mask(geom, grid)
     assert mask.cell_count > 0
+
+
+def test_mask_indicator_is_read_only_and_face_scales_cached():
+    grid = GridSpec.centered_box((4, 2, 3), 0.5, pad=1)
+    ind = np.zeros(grid.shape)
+    ind[1:5, 1:3, 1:4] = 1.0
+    ind[2, 1, 2] = 0.0
+    mask = DomainMask(grid, ind)
+    with pytest.raises(ValueError):
+        mask.indicator[1, 1, 1] = 0.0
+    ind[1, 1, 1] = 0.0  # the mask holds its own copy
+    assert mask.indicator[1, 1, 1] == 1.0
+    for axis in range(3):
+        scale = mask.face_scale(axis)
+        assert scale.dtype == np.float32 and scale is mask.face_scale(axis)
+        assert set(np.unique(scale)) <= {0.0, 0.5, 1.0}
+        with pytest.raises(ValueError):
+            scale[...] = 0.0
+    # the x-face between cells (1, 1, 1) and (2, 1, 1): both inside
+    assert mask.face_scale(0)[2, 1, 1] == 0.5
+    # the x-face between (1, 1, 2) and the hole at (2, 1, 2): one inside
+    assert mask.face_scale(0)[2, 1, 2] == 1.0
+    # faces of the padding layer touch no domain cell
+    assert mask.face_scale(0)[0, 0, 0] == 0.0

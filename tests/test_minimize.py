@@ -171,3 +171,59 @@ def test_line_search_failure_carries_diagnostics():
     with pytest.raises(ConvergenceError) as info:
         minimize_m(m0, params, mask, mcfg, CFG, terms=("zeeman",))
     assert info.value.residual is not None
+
+
+def test_reduced_minimizer_solves_once_per_trial(monkeypatch):
+    # one stray solve for the start and one per trial; the accepted trial's
+    # solution also gives the next gradient and the final gradient norm
+    from magnetovar import minimize, poisson
+    grid, mask = ball_setup(8)
+    counts = {"solves": 0, "energies": 0}
+    solve, energy = poisson.solve_poisson, minimize.total_energy
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_energy(*args, **kwargs):
+        counts["energies"] += 1
+        return energy(*args, **kwargs)
+
+    monkeypatch.setattr(poisson, "solve_poisson", counted_solve)
+    monkeypatch.setattr(minimize, "total_energy", counted_energy)
+    m0 = tilted_uniform(mask, (0.3, 0.15, 0.94))
+    for max_iter in (5, 200):  # stopped by the budget, then converged
+        counts.update(solves=0, energies=0)
+        _, rep = minimize_m(m0, MaterialParams(), mask,
+                            MinimizeConfig(grad_tol=1e-4, max_iter=max_iter, step=0.5), CFG)
+        trials = counts["energies"] - 1
+        assert trials >= rep.iterations > 0
+        assert counts["solves"] == 1 + trials
+    assert rep.converged
+
+
+def test_bb_step_rule():
+    from magnetovar.minimize import _bb_step
+    s = np.array([1.0, 2.0])
+    assert _bb_step(s, 0.5 * s, fallback=0.1, cap=10.0) == pytest.approx(2.0)
+    assert _bb_step(s, 0.01 * s, fallback=0.1, cap=10.0) == 10.0
+    assert _bb_step(s, -s, fallback=0.1, cap=10.0) == 0.1
+    assert _bb_step(s, np.zeros(2), fallback=0.1, cap=10.0) == 0.1
+
+
+def test_barzilai_borwein_steps_converge_monotonically():
+    # with growth-by-1/backtrack steps alone the reduced run needs ~110
+    # iterations on this ball; the BB first trials converge well within 80
+    grid, mask = ball_setup(12, 1.0)
+    params = MaterialParams()
+    m0 = tilted_uniform(mask, (0.3, 0.15, 0.94))
+    m_red, rep_red = minimize_m(m0, params, mask,
+                                MinimizeConfig(grad_tol=1e-4, max_iter=80, step=0.5), CFG)
+    m_joint, _, rep_joint = minimize_joint(
+        m0, None, params, mask, MinimizeConfig(grad_tol=1e-4, max_iter=40, step=0.5), CFG)
+    assert rep_red.converged and rep_joint.converged
+    assert np.all(np.diff(rep_red.energy_trace) <= 1e-12)
+    assert np.all(np.diff(rep_joint.energy_trace) <= 1e-12)
+    e_red = total_energy(m_red, params, mask, CFG).total
+    e_joint = total_energy(m_joint, params, mask, CFG).total
+    assert abs(e_red - e_joint) / abs(e_red) < 1e-4

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magnetovar.grid import (CELL, EDGE, FACE, NODE, CellVectorField,
+from magnetovar.grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask,
                              Ellipsoid, GridSpec, ScalarField, VectorField,
-                             build_mask)
+                             build_mask, face_shapes)
 from magnetovar.errors import GridError, SupportError
 from magnetovar.operators import (cell_to_faces, check_supported, curl, div,
                                   faces_to_cell_adjoint, grad, grad_node,
@@ -207,3 +209,78 @@ def test_interior_face_masks_are_inside():
     idx = np.argwhere(fx > 0)
     for i, j, k in idx[:50]:
         assert mask.indicator[i - 1, j, k] == 1 and mask.indicator[i, j, k] == 1
+
+
+def _parent_face_weights(ind, axis):
+    """(wL, wR) per face, as the transfer computed them per call before the
+    face scales were cached on the mask; kept here as the reference."""
+    shape = list(ind.shape)
+    shape[axis] += 1
+    chiL = np.zeros(shape)
+    chiR = np.zeros(shape)
+    lead = [slice(None)] * axis
+    chiL[tuple(lead + [slice(1, None)])] = ind
+    chiR[tuple(lead + [slice(0, -1)])] = ind
+    denom = chiL + chiR
+    with np.errstate(invalid="ignore", divide="ignore"):
+        wL = np.where(denom > 0, chiL / np.maximum(denom, 1.0), 0.0)
+        wR = np.where(denom > 0, chiR / np.maximum(denom, 1.0), 0.0)
+    return wL, wR
+
+
+def _reference_cell_to_faces(m_data, ind):
+    comps = []
+    for axis in range(3):
+        wL, wR = _parent_face_weights(ind, axis)
+        comp = np.zeros(wL.shape)
+        lead = [slice(None)] * axis
+        hi, lo = tuple(lead + [slice(1, None)]), tuple(lead + [slice(0, -1)])
+        comp[hi] += wL[hi] * m_data[axis]
+        comp[lo] += wR[lo] * m_data[axis]
+        comps.append(comp)
+    return comps
+
+
+def _reference_faces_to_cell(v_comps, ind):
+    data = np.zeros((3, *ind.shape))
+    for axis, comp in enumerate(v_comps):
+        wL, wR = _parent_face_weights(ind, axis)
+        lead = [slice(None)] * axis
+        hi, lo = tuple(lead + [slice(1, None)]), tuple(lead + [slice(0, -1)])
+        data[axis] = wL[hi] * comp[hi] + wR[lo] * comp[lo]
+    return data
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(sides=st.tuples(st.integers(3, 8), st.integers(3, 8)),
+       two_axis=st.integers(0, 2), pad=st.integers(0, 2),
+       fill=st.floats(0.1, 0.9), seed=st.integers(0, 2 ** 32 - 1))
+def test_cached_masked_transfer_is_bit_identical_to_face_weights(
+        sides, two_axis, pad, fill, seed):
+    # non-cubic grids with a side of 2; the input is nonzero off the mask
+    n = list(sides)
+    n.insert(two_axis, 2)
+    grid = GridSpec(*n, h=0.3, pad=pad)
+    rng = np.random.default_rng(seed)
+    ind = np.zeros(grid.shape)
+    inner_box = tuple(slice(pad, pad + k) for k in n)
+    ind[inner_box] = rng.random(tuple(n)) < fill
+    mask = DomainMask(grid, ind)
+    m = CellVectorField(grid, rng.standard_normal((3, *grid.shape)))
+    v = VectorField(grid, *(rng.standard_normal(s) for s in face_shapes(grid)))
+
+    mf = masked_cell_to_faces(m, mask)
+    back = masked_faces_to_cell_adjoint(v, mask)
+    for got, want in zip(mf.components, _reference_cell_to_faces(m.data, ind)):
+        assert _same_bits(got, want)
+    assert _same_bits(back.data, _reference_faces_to_cell(v.components, ind))
+    # a second call reads the cached scales and gives the same bits
+    assert _same_bits(masked_cell_to_faces(m, mask).x, mf.x)
+
+    lhs = inner(mf, v)
+    rhs = inner(m, back)
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
