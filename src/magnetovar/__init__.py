@@ -4,7 +4,7 @@ from .errors import (ConfigError, ConvergenceError, GridError, MagnetovarError,
                      SupportError)
 from .grid import (Box, CellVectorField, DomainMask, Ellipsoid, GridSpec,
                    ScalarField, Shell, VectorField, build_mask, grid_for_geometry)
-from .operators import cell_to_faces, curl, div, faces_to_cell_adjoint, grad, inner, norm
+from .operators import curl, div, grad, inner, norm
 from .magnetostatics import (SolverConfig, StrayFieldSolution, VectorPotentialSolution,
                              demag_tensor, dense_oracle_energy, ellipsoid_demag_factors,
                              functional_V, functional_V_curl, functional_W,

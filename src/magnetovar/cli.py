@@ -100,10 +100,8 @@ class RunConfig:
                 f"{p}: config_version must be {CONFIG_VERSION}, got {version}")
         return cfg
 
-    def _get(self, key, default, conv, kind):
+    def _get(self, key, default, conv):
         if key not in self.values:
-            if default is None and kind != "optional":
-                raise ConfigError(f"{self.path}: missing required key {key!r}")
             return default
         try:
             return conv(self.values[key])
@@ -112,13 +110,13 @@ class RunConfig:
                               f"{self.values[key]!r}") from exc
 
     def get_str(self, key, default=None):
-        return self._get(key, default, str, "optional")
+        return self._get(key, default, str)
 
     def get_float(self, key, default=None):
-        return self._get(key, default, float, "optional")
+        return self._get(key, default, float)
 
     def get_int(self, key, default=None):
-        return self._get(key, default, lambda s: int(s, 0), "optional")
+        return self._get(key, default, lambda s: int(s, 0))
 
     def get_bool(self, key, default=False):
         def conv(s):
@@ -128,7 +126,7 @@ class RunConfig:
             if s in ("false", "0", "no", "off"):
                 return False
             raise ValueError(s)
-        return self._get(key, default, conv, "optional")
+        return self._get(key, default, conv)
 
     def get_vec3(self, key, default=None):
         def conv(s):
@@ -136,14 +134,13 @@ class RunConfig:
             if len(parts) != 3:
                 raise ValueError(s)
             return tuple(parts)
-        return self._get(key, default, conv, "optional")
+        return self._get(key, default, conv)
 
     def get_floats(self, key, default=None):
-        return self._get(key, default, lambda s: [float(x) for x in s.split()],
-                         "optional")
+        return self._get(key, default, lambda s: [float(x) for x in s.split()])
 
     def get_words(self, key, default=None):
-        return self._get(key, default, lambda s: tuple(s.split()), "optional")
+        return self._get(key, default, lambda s: tuple(s.split()))
 
 
 def build_solver_config(cfg: RunConfig, clamp_tol: bool = False):
@@ -183,15 +180,14 @@ def build_material(cfg: RunConfig) -> MaterialParams:
         raise ConfigError(str(exc)) from exc
 
 
-def build_minimize_config(cfg: RunConfig, seed: int) -> MinimizeConfig:
+def build_minimize_config(cfg: RunConfig) -> MinimizeConfig:
     try:
         return MinimizeConfig(
             method=cfg.get_str("minimize.method", "projected_gradient"),
             step=cfg.get_float("minimize.step", 0.25),
             backtrack=cfg.get_float("minimize.backtrack", 0.5),
             grad_tol=cfg.get_float("minimize.grad_tol", 1e-4),
-            max_iter=cfg.get_int("minimize.max_iter", 500),
-            seed=seed)
+            max_iter=cfg.get_int("minimize.max_iter", 500))
     except MagnetovarError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -340,7 +336,7 @@ def cmd_solve(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     solver = build_solver_config(cfg)
     geom = build_geometry(cfg)
     params = build_material(cfg)
-    mcfg = build_minimize_config(cfg, seed)
+    mcfg = build_minimize_config(cfg)
     h = cfg.get_float("grid.h", 0.125)
     grid = grid_for_geometry(geom, h, cfg.get_float("grid.pad_ratio", 1.0))
     mask = build_mask(geom, grid)

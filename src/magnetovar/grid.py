@@ -330,7 +330,9 @@ class DomainMask:
     The indicator is zero on all padding cells and read-only after
     construction, so the arrays derived from it can be cached: ``cell_count``
     and ``volume = cell_count * h^3`` at construction, the face transfer
-    scales and the bond masks on first use.
+    scales and the bond masks on first use.  One per-face count of adjacent
+    domain cells, ``face_count``, gives the transfer scale (1/count), the
+    bonds and interior faces (count 2), and the support (count > 0).
     """
 
     grid: GridSpec
@@ -356,36 +358,45 @@ class DomainMask:
         self.cell_count = int(self.indicator.sum())
         self.indicator.setflags(write=False)
 
+    def face_count(self, axis: int) -> np.ndarray:
+        """Per face normal to ``axis``: the number of adjacent domain cells.
+
+        The count is 0, 1 or 2 (uint8); faces with count 0 lie outside the
+        support of a field extended by zero from the domain.
+        """
+        inside = self.indicator.astype(np.uint8)
+        shape = list(inside.shape)
+        shape[axis] += 1
+        count = np.zeros(shape, dtype=np.uint8)
+        lead = [slice(None)] * axis
+        count[tuple(lead + [slice(1, None)])] = inside
+        count[tuple(lead + [slice(0, -1)])] += inside
+        return count
+
     def face_scale(self, axis: int) -> np.ndarray:
-        """Per face normal to ``axis``: 1 / (number of adjacent domain cells).
+        """Per face normal to ``axis``: 1 / ``face_count``, 0 where it is 0.
 
         The value is 1/2 on faces between two domain cells, 1 on faces with
         one, and 0 on faces with none; float32 holds all three exactly.
         """
         scale = self._face_scales.get(axis)
         if scale is None:
-            ind = self.indicator
-            shape = list(ind.shape)
-            shape[axis] += 1
-            count = np.zeros(shape, dtype=np.float32)
-            lead = [slice(None)] * axis
-            count[tuple(lead + [slice(1, None)])] += ind
-            count[tuple(lead + [slice(0, -1)])] += ind
-            scale = np.zeros(shape, dtype=np.float32)
+            count = self.face_count(axis)
+            scale = np.zeros(count.shape, dtype=np.float32)
             np.divide(1.0, count, out=scale, where=count > 0)
             scale.setflags(write=False)
             self._face_scales[axis] = scale
         return scale
 
     def bond_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per axis, the indicator of neighbor pairs lying inside the domain."""
+        """Per axis, the indicator of neighbor pairs lying inside the domain:
+        the interior faces (not on the grid boundary) with ``face_count`` 2."""
         if self._bond_masks is None:
-            ind = self.indicator
             bonds = []
             for axis in range(3):
                 lead = [slice(None)] * axis
-                bond = np.minimum(ind[tuple(lead + [slice(0, -1)])],
-                                  ind[tuple(lead + [slice(1, None)])]).astype(np.float32)
+                count = self.face_count(axis)[tuple(lead + [slice(1, -1)])]
+                bond = (count == 2).astype(np.float32)
                 bond.setflags(write=False)
                 bonds.append(bond)
             self._bond_masks = tuple(bonds)

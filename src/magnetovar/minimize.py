@@ -50,7 +50,6 @@ class MinimizeConfig:
     grad_tol: float = 1e-4
     max_iter: int = 500
     max_backtracks: int = 40
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in ("projected_gradient", "joint_alternating"):

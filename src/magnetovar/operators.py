@@ -37,11 +37,6 @@ def _pad_diff(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _diff(a: np.ndarray, axis: int) -> np.ndarray:
-    """Interior difference: output one shorter along ``axis``."""
-    return np.diff(a, axis=axis)
-
-
 def grad(u: ScalarField) -> VectorField:
     """Face-centered gradient of a cell scalar (zero outside the grid)."""
     if u.centering != CELL:
@@ -60,9 +55,9 @@ def grad_node(p: ScalarField) -> VectorField:
         raise GridError("grad_node expects a node-centered scalar")
     h = p.grid.h
     return VectorField(p.grid,
-                       _diff(p.data, 0) / h,
-                       _diff(p.data, 1) / h,
-                       _diff(p.data, 2) / h,
+                       np.diff(p.data, axis=0) / h,
+                       np.diff(p.data, axis=1) / h,
+                       np.diff(p.data, axis=2) / h,
                        staggering=EDGE)
 
 
@@ -70,7 +65,8 @@ def div(v: VectorField) -> ScalarField:
     """Divergence: faces -> cells, or edges -> nodes."""
     h = v.grid.h
     if v.staggering == FACE:
-        data = (_diff(v.x, 0) + _diff(v.y, 1) + _diff(v.z, 2)) / h
+        data = (np.diff(v.x, axis=0) + np.diff(v.y, axis=1)
+                + np.diff(v.z, axis=2)) / h
         return ScalarField(v.grid, data, centering=CELL)
     data = (_pad_diff(v.x, 0) + _pad_diff(v.y, 1) + _pad_diff(v.z, 2)) / h
     return ScalarField(v.grid, data, centering=NODE)
@@ -84,9 +80,9 @@ def curl(v: VectorField) -> VectorField:
         cy = (_pad_diff(v.x, 2) - _pad_diff(v.z, 0)) / h
         cz = (_pad_diff(v.y, 0) - _pad_diff(v.x, 1)) / h
         return VectorField(v.grid, cx, cy, cz, staggering=EDGE)
-    cx = (_diff(v.z, 1) - _diff(v.y, 2)) / h
-    cy = (_diff(v.x, 2) - _diff(v.z, 0)) / h
-    cz = (_diff(v.y, 0) - _diff(v.x, 1)) / h
+    cx = (np.diff(v.z, axis=1) - np.diff(v.y, axis=2)) / h
+    cy = (np.diff(v.x, axis=2) - np.diff(v.z, axis=0)) / h
+    cz = (np.diff(v.y, axis=0) - np.diff(v.x, axis=1)) / h
     return VectorField(v.grid, cx, cy, cz, staggering=FACE)
 
 
@@ -133,47 +129,6 @@ def grad_norm_sq(v: VectorField) -> float:
 # ---------------------------------------------------------------------------
 # transfer between collocated magnetization and MAC faces
 # ---------------------------------------------------------------------------
-
-def _avg_pad(a: np.ndarray, axis: int) -> np.ndarray:
-    """Two-point average with zero extension: output one longer along axis."""
-    shape = list(a.shape)
-    shape[axis] += 1
-    out = np.zeros(shape, dtype=a.dtype)
-    lead = [slice(None)] * axis
-    out[tuple(lead + [slice(0, -1)])] = a
-    out[tuple(lead + [slice(1, None)])] += a
-    return 0.5 * out
-
-
-def _avg_adjoint(a: np.ndarray, axis: int) -> np.ndarray:
-    """Adjoint of ``_avg_pad``: output one shorter along axis."""
-    lead = [slice(None)] * axis
-    lo = a[tuple(lead + [slice(0, -1)])]
-    hi = a[tuple(lead + [slice(1, None)])]
-    return 0.5 * (lo + hi)
-
-
-def cell_to_faces(m: CellVectorField) -> VectorField:
-    """Sample a collocated field on faces by adjacent-cell averaging.
-
-    Cells outside the grid count as zero, so faces on the domain boundary
-    receive half the interior value (the flux-consistent choice for a
-    magnetization extended by zero).
-    """
-    return VectorField(m.grid,
-                       _avg_pad(m.data[0], 0),
-                       _avg_pad(m.data[1], 1),
-                       _avg_pad(m.data[2], 2),
-                       staggering=FACE)
-
-
-def faces_to_cell_adjoint(v: VectorField) -> CellVectorField:
-    """Exact adjoint of ``cell_to_faces`` (same h^3 weight on both sides)."""
-    if v.staggering != FACE:
-        raise GridError("expected a face-staggered field")
-    data = np.stack([_avg_adjoint(v.x, 0), _avg_adjoint(v.y, 1), _avg_adjoint(v.z, 2)])
-    return CellVectorField(v.grid, data)
-
 
 def _pair_sum_pad(a: np.ndarray, axis: int) -> np.ndarray:
     """Two-point sum with zero extension: output one longer along axis."""
@@ -223,45 +178,14 @@ def masked_faces_to_cell_adjoint(v: VectorField, mask: DomainMask) -> CellVector
 # mask-aware helpers
 # ---------------------------------------------------------------------------
 
-def interior_face_masks(mask: DomainMask):
-    """Indicators of faces whose *both* adjacent cells lie in the domain."""
-    ind = mask.indicator
-    return tuple(_shift_and(ind, axis) for axis in range(3))
-
-
-def _shift_and(ind: np.ndarray, axis: int) -> np.ndarray:
-    shape = list(ind.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    lead = [slice(None)] * axis
-    out[tuple(lead + [slice(1, -1)])] = np.minimum(
-        ind[tuple(lead + [slice(0, -1)])], ind[tuple(lead + [slice(1, None)])])
-    return out
-
-
-def touching_face_masks(mask: DomainMask):
-    """Indicators of faces adjacent to at least one domain cell."""
-    ind = mask.indicator
-    out = []
-    for axis in range(3):
-        shape = list(ind.shape)
-        shape[axis] += 1
-        arr = np.zeros(shape)
-        lead = [slice(None)] * axis
-        arr[tuple(lead + [slice(0, -1)])] = ind
-        arr[tuple(lead + [slice(1, None)])] = np.maximum(
-            arr[tuple(lead + [slice(1, None)])], ind)
-        out.append(arr)
-    return tuple(out)
-
-
 def check_supported(v: VectorField, mask: DomainMask):
-    """Raise SupportError if ``v`` carries values on faces away from the mask."""
+    """Raise SupportError if ``v`` is nonzero on a face that touches no domain
+    cell (``DomainMask.face_count`` 0)."""
     if v.staggering != FACE:
         raise GridError("support check expects a face field")
-    touch = touching_face_masks(mask)
-    for comp, t, name in zip(v.components, touch, "xyz"):
-        bad = np.abs(comp) * (1.0 - t)
+    for axis, (comp, name) in enumerate(zip(v.components, "xyz")):
+        bad = np.abs(comp)
+        bad[mask.face_count(axis) != 0] = 0.0
         if bad.any():
             idx = np.unravel_index(np.argmax(bad), bad.shape)
             raise SupportError(

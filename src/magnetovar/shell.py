@@ -129,16 +129,6 @@ class SurfaceMesh:
         raise GridError(f"no analytic projection for mesh kind {self.kind!r}")
 
 
-def validate_closed(mesh: SurfaceMesh) -> bool:
-    """Every edge shared by exactly two triangles (closed orientable)."""
-    edges = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            edges[key] = edges.get(key, 0) + 1
-    return all(c == 2 for c in edges.values())
-
-
 def make_sphere_mesh(radius: float = 1.0, level: int = 3) -> SurfaceMesh:
     """Icosphere: subdivided icosahedron reprojected onto the sphere."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
@@ -265,36 +255,16 @@ def sample_on_vertices(mesh: SurfaceMesh, fn: FieldFn) -> np.ndarray:
 # metric factors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MetricFactors:
-    sqrt_g: float
-    h1: float
-    h2: float
-
-
 def _metric_arrays(kappa1, kappa2, t, eps):
+    """Volume Jacobian sqrt(g) and the two tangential gradient scalings
+    h1, h2 at thickness coordinate ``t`` for principal curvatures
+    ``kappa1``, ``kappa2`` (arrays broadcast)."""
     H = 0.5 * (kappa1 + kappa2)
     G = kappa1 * kappa2
     sqrt_g = np.abs(1.0 + 2.0 * eps * t * H + (eps * t) ** 2 * G)
     h1 = 1.0 / (1.0 + eps * t * kappa1)
     h2 = 1.0 / (1.0 + eps * t * kappa2)
     return sqrt_g, h1, h2
-
-
-def metric_factors(mesh: SurfaceMesh, vertex: int, t: float, eps: float) -> MetricFactors:
-    """Volume Jacobian and tangential gradient scalings at (vertex, t).
-
-    Requires |t| <= 1 and eps below the minimal curvature radius so the
-    tubular coordinates are invertible.
-    """
-    if abs(t) > 1.0 + 1e-12:
-        raise GridError("thickness coordinate t must lie in [-1, 1]")
-    if eps >= mesh.min_curvature_radius():
-        raise GridError(
-            f"half-thickness {eps} violates the tubular condition "
-            f"(min curvature radius {mesh.min_curvature_radius()})")
-    sg, h1, h2 = _metric_arrays(mesh.kappa1[vertex], mesh.kappa2[vertex], t, eps)
-    return MetricFactors(float(sg), float(h1), float(h2))
 
 
 # ---------------------------------------------------------------------------

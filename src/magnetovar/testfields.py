@@ -21,7 +21,7 @@ import numpy as np
 from .errors import GridError
 from .grid import (CELL, FACE, CellVectorField, DomainMask, GridSpec, ScalarField,
                    VectorField)
-from .operators import grad, interior_face_masks
+from .operators import grad
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ def random_masked(seed: int, mask: DomainMask, staggering: str = FACE,
         if normalize:
             raise GridError("per-cell normalization is undefined on faces")
         v = VectorField.zeros(grid, FACE)
-        for c, im in zip(v.components, interior_face_masks(mask)):
-            c[:] = rng.standard_normal(c.shape) * im
+        for axis, c in enumerate(v.components):
+            c[:] = rng.standard_normal(c.shape) * (mask.face_count(axis) == 2)
         return v
     if staggering == CELL:
         data = rng.standard_normal((3, *grid.shape)) * mask.indicator

@@ -9,11 +9,10 @@ from magnetovar.grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask
                              Ellipsoid, GridSpec, ScalarField, VectorField,
                              build_mask, face_shapes)
 from magnetovar.errors import GridError, SupportError
-from magnetovar.operators import (cell_to_faces, check_supported, curl, div,
-                                  faces_to_cell_adjoint, grad, grad_node,
-                                  grad_norm_sq, inner, interior_face_masks,
-                                  masked_cell_to_faces, masked_faces_to_cell_adjoint,
-                                  norm)
+from magnetovar.operators import (check_supported, curl, div, grad, grad_node,
+                                  grad_norm_sq, inner, masked_cell_to_faces,
+                                  masked_faces_to_cell_adjoint, norm)
+from magnetovar.testfields import random_masked
 
 
 GRID = GridSpec.centered_cube(10, 0.2, pad=3)
@@ -184,31 +183,12 @@ def test_masked_transfer_keeps_uniform_value_on_boundary_faces():
     assert np.allclose(touched, 1.0)
 
 
-def test_plain_transfer_adjoint_pair():
-    rng = np.random.default_rng(9)
-    m = CellVectorField(GRID, rng.standard_normal((3, *GRID.shape)))
-    v = random_vector(GRID, 10)
-    lhs = inner(cell_to_faces(m), v)
-    rhs = inner(m, faces_to_cell_adjoint(v))
-    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
-
-
 def test_check_supported_raises_outside_mask():
     mask = build_mask(Ellipsoid(0.6, 0.6, 0.6), GRID)
     v = VectorField.zeros(GRID, FACE)
     v.x[1, 1, 1] = 1.0  # padding region
     with pytest.raises(SupportError):
         check_supported(v, mask)
-
-
-def test_interior_face_masks_are_inside():
-    mask = build_mask(Ellipsoid(0.8, 0.8, 0.8), GRID)
-    fx, fy, fz = interior_face_masks(mask)
-    assert fx.sum() > 0
-    # every interior x-face has both neighbor cells inside
-    idx = np.argwhere(fx > 0)
-    for i, j, k in idx[:50]:
-        assert mask.indicator[i - 1, j, k] == 1 and mask.indicator[i, j, k] == 1
 
 
 def _parent_face_weights(ind, axis):
@@ -284,3 +264,157 @@ def test_cached_masked_transfer_is_bit_identical_to_face_weights(
     lhs = inner(mf, v)
     rhs = inner(m, back)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# properties on random non-cubic grids with a side of 2
+# ---------------------------------------------------------------------------
+
+GRIDS = dict(sides=st.tuples(st.integers(3, 7), st.integers(3, 7)),
+             two_axis=st.integers(0, 2), pad=st.integers(0, 2),
+             seed=st.integers(0, 2 ** 32 - 1))
+
+
+def _grid_with_a_side_of_2(sides, two_axis, pad):
+    n = list(sides)
+    n.insert(two_axis, 2)
+    return GridSpec(*n, h=0.3, pad=pad), n
+
+
+def _random_mask(grid, n, pad, fill, rng):
+    ind = np.zeros(grid.shape)
+    ind[tuple(slice(pad, pad + k) for k in n)] = rng.random(tuple(n)) < fill
+    return DomainMask(grid, ind)
+
+
+def _parent_touching_faces(ind, axis):
+    """1.0 on faces with at least one domain neighbor, as the support check
+    computed them before the face count; kept here as the reference."""
+    shape = list(ind.shape)
+    shape[axis] += 1
+    arr = np.zeros(shape)
+    lead = [slice(None)] * axis
+    arr[tuple(lead + [slice(0, -1)])] = ind
+    arr[tuple(lead + [slice(1, None)])] = np.maximum(
+        arr[tuple(lead + [slice(1, None)])], ind)
+    return arr
+
+
+def _parent_interior_faces(ind, axis):
+    """1.0 on faces with two domain neighbors (the old ``_shift_and``)."""
+    shape = list(ind.shape)
+    shape[axis] += 1
+    out = np.zeros(shape)
+    lead = [slice(None)] * axis
+    out[tuple(lead + [slice(1, -1)])] = np.minimum(
+        ind[tuple(lead + [slice(0, -1)])], ind[tuple(lead + [slice(1, None)])])
+    return out
+
+
+def _parent_face_scale(ind, axis):
+    shape = list(ind.shape)
+    shape[axis] += 1
+    count = np.zeros(shape, dtype=np.float32)
+    lead = [slice(None)] * axis
+    count[tuple(lead + [slice(1, None)])] += ind
+    count[tuple(lead + [slice(0, -1)])] += ind
+    scale = np.zeros(shape, dtype=np.float32)
+    np.divide(1.0, count, out=scale, where=count > 0)
+    return scale
+
+
+def _parent_bond_mask(ind, axis):
+    lead = [slice(None)] * axis
+    return np.minimum(ind[tuple(lead + [slice(0, -1)])],
+                      ind[tuple(lead + [slice(1, None)])]).astype(np.float32)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(fill=st.floats(0.1, 1.0), **GRIDS)
+def test_mask_face_arrays_are_bit_identical_to_separate_formulas(
+        sides, two_axis, pad, fill, seed):
+    grid, n = _grid_with_a_side_of_2(sides, two_axis, pad)
+    mask = _random_mask(grid, n, pad, fill, np.random.default_rng(seed))
+    ind = mask.indicator
+    field = random_masked(seed, mask)
+    rng = np.random.default_rng(seed)
+    for axis in range(3):
+        count = mask.face_count(axis)
+        assert count.dtype == np.uint8 and set(np.unique(count)) <= {0, 1, 2}
+        assert _same_bits(mask.face_scale(axis), _parent_face_scale(ind, axis))
+        assert _same_bits(mask.bond_masks()[axis], _parent_bond_mask(ind, axis))
+        assert np.array_equal(count > 0, _parent_touching_faces(ind, axis) > 0)
+        # the same draws in the same order as random_masked makes them
+        want = rng.standard_normal(count.shape) * _parent_interior_faces(ind, axis)
+        assert _same_bits(field.components[axis], want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(fill=st.floats(0.0, 1.0), stray=st.sampled_from([0.0, 0.002, 0.05, 0.5]),
+       **GRIDS)
+def test_check_supported_flags_exactly_faces_touching_no_cell(
+        sides, two_axis, pad, fill, stray, seed):
+    grid, n = _grid_with_a_side_of_2(sides, two_axis, pad)
+    rng = np.random.default_rng(seed)
+    mask = _random_mask(grid, n, pad, fill, rng)
+    comps = []
+    for shape in face_shapes(grid):
+        comps.append(rng.standard_normal(shape) * (rng.random(shape) < 0.7))
+    v = VectorField(grid, *comps, staggering=FACE)
+    expected = None
+    for axis, (comp, name) in enumerate(zip(v.components, "xyz")):
+        outside = _parent_touching_faces(mask.indicator, axis) == 0
+        comp[outside] *= rng.random(int(outside.sum())) < stray
+        bad = np.abs(comp) * (1.0 - _parent_touching_faces(mask.indicator, axis))
+        if expected is None and bad.any():
+            idx = np.unravel_index(np.argmax(bad), bad.shape)
+            expected = (f"magnetization component {name} is nonzero outside the "
+                        f"domain mask at face index {tuple(int(i) for i in idx)}")
+    if expected is None:
+        check_supported(v, mask)
+    else:
+        with pytest.raises(SupportError) as err:
+            check_supported(v, mask)
+        assert str(err.value) == expected
+
+
+def _random_field(grid, staggering, rng, zero_ends=False):
+    """Random field on every entry; with ``zero_ends`` it vanishes on the
+    outermost layers that the interior differences (face divergence, edge
+    curl) do not see, so the ||D v||^2 split holds."""
+    v = VectorField.zeros(grid, staggering)
+    for axis, comp in enumerate(v.components):
+        comp[...] = rng.standard_normal(comp.shape)
+        if zero_ends:
+            ends = [axis] if staggering == FACE else [a for a in range(3) if a != axis]
+            for a in ends:
+                lead = [slice(None)] * a
+                comp[tuple(lead + [0])] = 0.0
+                comp[tuple(lead + [-1])] = 0.0
+    return v
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(**GRIDS)
+def test_operator_identities_on_random_grids(sides, two_axis, pad, seed):
+    grid, _ = _grid_with_a_side_of_2(sides, two_axis, pad)
+    rng = np.random.default_rng(seed)
+    u = ScalarField(grid, rng.standard_normal(grid.shape), CELL)
+    v = _random_field(grid, FACE, rng)
+    w = _random_field(grid, EDGE, rng)
+    tol = 1e-12
+    # <grad u, v> = -<u, div v> and <curl v, w> = <v, curl w>
+    assert abs(inner(grad(u), v) + inner(u, div(v))) <= tol * norm(u) * norm(v)
+    assert abs(inner(curl(v), w) - inner(v, curl(w))) <= tol * norm(v) * norm(w)
+    # curl grad = 0 and div curl = 0 on both staggerings, up to the edges
+    scale = np.abs(u.data).max() / grid.h ** 2
+    assert max(np.abs(c).max() for c in curl(grad(u)).components) <= tol * scale
+    for f in (v, w):
+        scale = max(np.abs(c).max() for c in f.components) / grid.h ** 2
+        assert np.abs(div(curl(f)).data).max() <= tol * scale
+    # ||D f||^2 = ||div f||^2 + ||curl f||^2
+    for staggering in (FACE, EDGE):
+        f = _random_field(grid, staggering, rng, zero_ends=True)
+        c, d = curl(f), div(f)
+        lhs = grad_norm_sq(f)
+        assert abs(lhs - inner(c, c) - inner(d, d)) <= 1e-10 * lhs

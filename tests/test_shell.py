@@ -12,9 +12,19 @@ SPHERE = sh.make_sphere_mesh(1.0, level=3)
 TORUS = sh.make_torus_mesh(2.0, 0.5, 48, 24)
 
 
+def _is_closed(mesh):
+    """Every edge shared by exactly two triangles (closed orientable)."""
+    edges = {}
+    for tri in mesh.triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            edges[key] = edges.get(key, 0) + 1
+    return all(c == 2 for c in edges.values())
+
+
 def test_meshes_are_closed_and_unit_normals():
     for mesh in (SPHERE, TORUS):
-        assert sh.validate_closed(mesh)
+        assert _is_closed(mesh)
         assert np.allclose(np.linalg.norm(mesh.normals, axis=1), 1.0, atol=1e-12)
 
 
@@ -38,19 +48,24 @@ def test_torus_curvatures():
 
 def test_metric_factors_sphere_closed_form():
     eps, t = 0.2, 0.37
-    mf = sh.metric_factors(SPHERE, 11, t, eps)
-    assert abs(mf.sqrt_g - (1 + eps * t) ** 2) < 1e-14
-    assert abs(mf.h1 - 1.0 / (1 + eps * t)) < 1e-14
-    assert abs(mf.h2 - mf.h1) < 1e-15
+    sqrt_g, h1, h2 = sh._metric_arrays(SPHERE.kappa1[11], SPHERE.kappa2[11], t, eps)
+    assert abs(sqrt_g - (1 + eps * t) ** 2) < 1e-14
+    assert abs(h1 - 1.0 / (1 + eps * t)) < 1e-14
+    assert abs(h2 - h1) < 1e-15
 
 
 def test_metric_factors_midsurface_and_errors():
-    mf = sh.metric_factors(TORUS, 5, 0.0, 0.2)
-    assert mf.sqrt_g == 1.0 and mf.h1 == 1.0 and mf.h2 == 1.0
-    with pytest.raises(GridError):
-        sh.metric_factors(SPHERE, 0, 0.5, 1.5)  # tubular violation
-    with pytest.raises(GridError):
-        sh.metric_factors(SPHERE, 0, 1.5, 0.1)
+    sqrt_g, h1, h2 = sh._metric_arrays(TORUS.kappa1, TORUS.kappa2, 0.0, 0.2)
+    assert np.all(sqrt_g == 1.0) and np.all(h1 == 1.0) and np.all(h2 == 1.0)
+    # half-thickness at or beyond the minimal curvature radius (1 on the
+    # unit sphere) violates the tubular condition
+    f = sh.ShellField.t_independent(
+        SPHERE, sh.sample_on_vertices(SPHERE, sh.uniform_field((0, 0, 1))))
+    for eps in (1.0, 1.5):
+        with pytest.raises(GridError, match="tubular"):
+            sh.shell_dirichlet_energy(f, eps)
+        with pytest.raises(GridError, match="tubular"):
+            sh.Shell(SPHERE, eps)
 
 
 def test_limit_energy_uniform_on_sphere():

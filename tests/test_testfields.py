@@ -97,3 +97,17 @@ def test_random_masked_empty_mask():
     mask = DomainMask(grid, np.zeros(grid.shape))
     m = random_masked(0, mask)
     assert norm(m) == 0.0
+
+
+def test_random_masked_faces_are_interior():
+    # a face carries a draw exactly when both of its cells lie in the domain
+    grid = GridSpec.centered_cube(10, 0.2, pad=3)
+    mask = build_mask(Ellipsoid(0.8, 0.8, 0.8), grid)
+    v = random_masked(5, mask)
+    ind = mask.indicator
+    for axis, comp in enumerate(v.components):
+        lead = [slice(None)] * axis
+        both = ind[tuple(lead + [slice(0, -1)])] * ind[tuple(lead + [slice(1, None)])]
+        assert both.sum() > 0
+        assert np.array_equal(comp[tuple(lead + [slice(1, -1)])] != 0, both == 1)
+        assert not comp[tuple(lead + [0])].any() and not comp[tuple(lead + [-1])].any()
