@@ -16,11 +16,15 @@ Two schemes:
 Both line searches start from the Barzilai-Borwein step <s, s> / <s, y>
 (Barzilai & Borwein, IMA J. Numer. Anal. 8:141, 1988), with s the last
 change of m and y the matching decrease of the tangential field, capped at
-``STEP_GROWTH_CAP`` times ``MinimizeConfig.step``.  Where no secant pair
-with <s, y> > 0 exists (the first step, the first m-step of each joint
-sweep), the first trial is the last accepted step grown by 1 / backtrack,
-under the same cap.  The Armijo test then shrinks the trial by the factor
-``backtrack`` until it descends, so the BB step never breaks monotonicity.
+``STEP_GROWTH_CAP`` times ``MinimizeConfig.step``.  The first trial of
+``minimize_m`` is ``min(step, FIRST_ROTATION / max|t|)``, with t the
+tangential field: no cell turns by more than atan(FIRST_ROTATION), whatever
+the size of the starting gradient (BB steepest descent for micromagnetics:
+Exl et al., J. Appl. Phys. 115:17D118, 2014).  Where no secant pair with
+<s, y> > 0 exists later (and at the first m-step of each joint sweep), the
+first trial is the last accepted step grown by 1 / backtrack, under the
+same cap.  The Armijo test then shrinks the trial by the factor
+``backtrack`` until it descends, so neither rule breaks monotonicity.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .operators import (curl, grad_norm_sq, inner, masked_cell_to_faces,
 DESCENT_SLACK = 1e-12
 ARMIJO_C = 0.1
 STEP_GROWTH_CAP = 8.0
+FIRST_ROTATION = 0.05  # the first trial turns no cell by more than atan(this)
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,6 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
     m = CellVectorField(mask.grid, _normalize_on_mask(m0.data.copy(), mask))
     energy, stray = evaluate(m)
     report.energy_trace.append(energy)
-    step = mcfg.step
     m_prev = t_prev = None
 
     for it in range(1, mcfg.max_iter + 1):
@@ -171,6 +175,9 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
             return m, report
         if t_prev is not None:
             step = _bb_step(m.data - m_prev, t_prev - t, step, cap)
+        else:
+            step = min(mcfg.step,
+                       FIRST_ROTATION / float(np.sqrt(np.max(np.sum(t ** 2, axis=0)))))
         trial, e_trial, stray_trial, step = _armijo(
             m, t, energy, gnorm, step, mask, mcfg, evaluate,
             f"at iteration {it}", it)

@@ -8,10 +8,12 @@ nodes), or per edge component the edge vector Laplacian
 ``curl curl - grad_node div``, which mixes both kinds of ends.  Each is
 diagonal in a separable basis: per axis, type-I sines for zero ghosts and
 type-II cosines for mirrored ends.  ``transform_solve`` inverts any of
-them directly, and ``checked_solve`` confirms each such solve with one
-apply of the operator (the true residual ``||b - A x|| / ||b||``).  Plain
-conjugate gradients (``pcg``) and the dense LU factorization remain as
-independent oracles.
+them directly with one cached dense orthonormal eigenbasis per axis
+length and end condition, applied by matrix products (box-restricted
+forward, in-place inverse), and ``checked_solve`` confirms each such
+solve with one apply of the operator (the true residual
+``||b - A x|| / ||b||``).  Plain conjugate gradients (``pcg``) and the
+dense LU factorization remain as independent oracles.
 """
 
 from __future__ import annotations
@@ -63,16 +65,36 @@ def neumann_laplace_apply(x: np.ndarray, h: float) -> np.ndarray:
     return y
 
 
-def _axis_eigenvalues(n: int, h: float, kind: str) -> np.ndarray:
-    """Eigenvalues of the 1-D second difference: DST-I (Dirichlet) or DCT-II (Neumann)."""
-    if kind == "dst":
-        return 4.0 * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * (n + 1))) ** 2 / (h * h)
-    if kind == "dct":
-        return 4.0 * np.sin(np.pi * np.arange(n) / (2.0 * n)) ** 2 / (h * h)
-    raise ValueError(f"unknown transform kind {kind!r}")
+_BASIS_CACHE: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
+
+_COLUMN_BLOCK = 256  # columns per block of the in-place axis-0 products
 
 
-_EIG_CACHE: dict[tuple, tuple] = {}
+def _axis_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenvectors ``Q`` (columns) and eigenvalues at unit spacing
+    of the 1-D second difference with zero ghosts (``"dst"``: type-I sines)
+    or mirrored ends (``"dct"``: type-II cosines); built once per (n, kind).
+    """
+    key = (n, kind)
+    if key not in _BASIS_CACHE:
+        k = np.arange(n)
+        if kind == "dst":
+            q = sfft.dst(np.eye(n), type=1, norm="ortho", axis=0).T
+            lam = 4.0 * np.sin(np.pi * (k + 1) / (2.0 * (n + 1))) ** 2
+        elif kind == "dct":
+            q = sfft.dct(np.eye(n), type=2, norm="ortho", axis=0).T
+            lam = 4.0 * np.sin(np.pi * k / (2.0 * n)) ** 2
+        else:
+            raise ValueError(f"unknown transform kind {kind!r}")
+        q.setflags(write=False)
+        lam.setflags(write=False)
+        _BASIS_CACHE[key] = (q, lam)
+    return _BASIS_CACHE[key]
+
+
+def _nonzero_span(present: np.ndarray) -> slice:
+    hit = np.flatnonzero(present)
+    return slice(int(hit[0]), int(hit[-1]) + 1)
 
 
 def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str]) -> np.ndarray:
@@ -82,32 +104,45 @@ def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str]) -> np.
     ``laplace_apply``) or ``"dct"`` for mirrored ends (the stencil of
     ``neumann_laplace_apply``).  With at least one ``"dst"`` axis the
     operator is nonsingular; with none, constants are its kernel and the
-    zero-mean solution is returned.  ``b`` is not modified.  Only the 1-D
-    eigenvalues are cached; the division runs slab by slab, so no
-    full-grid array is kept.
+    zero-mean solution is returned.  ``b`` is not modified.
+
+    The operator is the Kronecker sum of 1-D second differences, so it is
+    diagonal in the product of their cached dense orthonormal eigenbases
+    (the fast diagonalization method: Lynch, Rice & Thomas, Numer. Math.
+    6:185, 1964); each axis costs matrix products whose speed does not
+    depend on whether its length has large prime factors.  The forward
+    products read only the index box that holds ``b``'s nonzeros (for
+    ``-div m`` or ``curl m`` of a mask-supported ``m``, about the mask's
+    box): axis 0 first, written into the result, then slab by slab axes 2
+    and 1, the division by the eigenvalues and the inverse along axes 1
+    and 2; last, the inverse along axis 0 runs in place on blocks of
+    ``_COLUMN_BLOCK`` columns.  The result is the only full-grid array
+    allocated.
     """
-    key = (b.shape, float(h), kinds)
-    if key not in _EIG_CACHE:
-        _EIG_CACHE[key] = tuple(_axis_eigenvalues(n, h, k) for n, k in zip(b.shape, kinds))
-    lam0, lam1, lam2 = _EIG_CACHE[key]
-    dst_axes = tuple(ax for ax, k in enumerate(kinds) if k == "dst")
-    dct_axes = tuple(ax for ax, k in enumerate(kinds) if k == "dct")
-    # dstn over no axes returns b itself: then the DCT must not overwrite it
-    coef = sfft.dstn(b, type=1, axes=dst_axes) if dst_axes else b
-    if dct_axes:
-        coef = sfft.dctn(coef, type=2, axes=dct_axes, overwrite_x=coef is not b)
-    lam12 = lam1[:, None] + lam2[None, :]
-    for i, lam in enumerate(lam0):
+    present12 = np.any(b, axis=0)
+    if not present12.any():
+        return np.zeros(b.shape)
+    s0 = _nonzero_span(np.any(b, axis=(1, 2)))
+    s1 = _nonzero_span(present12.any(axis=1))
+    s2 = _nonzero_span(present12.any(axis=0))
+    hh = h * h
+    (q0, lam0), (q1, lam1), (q2, lam2) = (_axis_basis(n, k) for n, k in zip(b.shape, kinds))
+    coef = np.empty(b.shape)
+    q0_in, q1_in, q2_in, q2_out = q0[s0].T, q1[s1].T, q2[s2], q2.T
+    for j in range(s1.start, s1.stop):
+        np.matmul(q0_in, b[s0, j, s2], out=coef[:, j, s2])
+    lam12 = (lam1[:, None] + lam2[None, :]) / hh
+    for i, lam in enumerate(lam0 / hh):
+        slab = q1_in @ (coef[i, s1, s2] @ q2_in)
         denom = lam + lam12
         if denom[0, 0] == 0.0:
-            denom[0, 0] = 1.0  # all-cosine constant mode, set to zero below
-        coef[i] /= denom
-    if not dst_axes:
-        coef[0, 0, 0] = 0.0
-    if dct_axes:
-        coef = sfft.idctn(coef, type=2, axes=dct_axes, overwrite_x=True)
-    if dst_axes:
-        coef = sfft.idstn(coef, type=1, axes=dst_axes, overwrite_x=True)
+            denom[0, 0] = np.inf  # all-cosine constant mode: zero-mean solution
+        slab /= denom
+        np.matmul(q1 @ slab, q2_out, out=coef[i])
+    flat = coef.reshape(b.shape[0], -1)
+    for start in range(0, flat.shape[1], _COLUMN_BLOCK):
+        cols = flat[:, start:start + _COLUMN_BLOCK]
+        cols[...] = q0 @ cols
     return coef
 
 

@@ -227,3 +227,34 @@ def test_barzilai_borwein_steps_converge_monotonically():
     e_red = total_energy(m_red, params, mask, CFG).total
     e_joint = total_energy(m_joint, params, mask, CFG).total
     assert abs(e_red - e_joint) / abs(e_red) < 1e-4
+
+
+def test_first_trial_bounds_rotation_and_saves_trials(monkeypatch):
+    # C11's reduced setup: the ball 16 cells across, a tilted uniform start,
+    # step 0.5.  Started from the full step, the first iteration backtracks
+    # six times; the rotation cap starts it closer to the accepted step.
+    from magnetovar import minimize
+    grid, mask = ball_setup(16)
+    m0 = tilted_uniform(mask, (0.3, 0.15, 0.94))
+    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=1, step=0.5)
+    energy = minimize.total_energy
+    trials = []
+
+    def recorded_energy(m, *args, **kwargs):
+        trials.append(m.data.copy())
+        return energy(m, *args, **kwargs)
+
+    monkeypatch.setattr(minimize, "total_energy", recorded_energy)
+    counts = {}
+    theta = minimize.FIRST_ROTATION
+    for cap in (theta, np.inf):
+        monkeypatch.setattr(minimize, "FIRST_ROTATION", cap)
+        trials.clear()
+        _, rep = minimize_m(m0, MaterialParams(), mask, mcfg, CFG)
+        assert rep.iterations == 1 and rep.energy_trace[1] <= rep.energy_trace[0]
+        counts[cap] = len(trials) - 1
+        if cap == theta:
+            cos_turn = np.sum(trials[0] * trials[1], axis=0)[mask.indicator > 0]
+            assert np.arccos(np.clip(cos_turn, -1.0, 1.0)).max() <= np.arctan(cap) + 1e-12
+    assert counts[np.inf] == 7
+    assert counts[theta] < counts[np.inf]

@@ -1,0 +1,21 @@
+"""The benchmark harness still runs against the package and traces it."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_minimize_workload_runs_and_counts_solves():
+    # perfbench/tracing.py wraps the package's functions and swaps
+    # ``poisson.sfft`` for a counting proxy; a package change that breaks
+    # either shows here
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "minimize",
+                          "--seconds", "1", "--trace", "1"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    summary = json.loads(out.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0
+    assert summary["metrics"]["poisson.solve_calls"]["value"] > 0

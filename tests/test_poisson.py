@@ -1,6 +1,7 @@
 """Linear-solve kernels: spectral, plain CG, and dense routes agree."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,33 +53,101 @@ def test_transform_solve_inverts_edge_vector_laplacian(grid):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def second_difference(n, kind):
+    """The 1-D operator -d^2 at unit spacing with zero ghosts ("dst") or
+    mirrored ends ("dct"), as a dense matrix."""
+    t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    if kind == "dct":
+        t[0, 0] -= 1.0
+        t[-1, -1] -= 1.0
+    return t
+
+
 def apply_from_1d_ends(u, h, kinds):
-    """-Laplacian(u) summed axis by axis from 1-D second differences with
-    zero ghosts ("dst") or mirrored ends ("dct")."""
+    """-Laplacian(u) summed axis by axis from 1-D second differences."""
     y = np.zeros_like(u)
     for axis, kind in enumerate(kinds):
-        n = u.shape[axis]
-        t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        if kind == "dct":
-            t[0, 0] = t[-1, -1] = 1.0
+        t = second_difference(u.shape[axis], kind)
         y += np.moveaxis(np.tensordot(t, u, axes=(1, axis)), 0, axis)
     return y / (h * h)
 
 
+@pytest.mark.parametrize("kind", ["dst", "dct"])
+@pytest.mark.parametrize("n", [*range(1, 41), 83, 107, 108, 109])
+def test_axis_basis_is_orthonormal_eigenbasis(kind, n):
+    q, lam = poisson._axis_basis(n, kind)
+    assert q.shape == (n, n) and lam.shape == (n,)
+    assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13
+    assert np.abs(q.T @ second_difference(n, kind) @ q - np.diag(lam)).max() <= 1e-13
+    assert poisson._axis_basis(n, kind)[0] is q and not q.flags.writeable
+    if kind == "dst":
+        assert lam.min() > 0.0
+    else:
+        assert lam[0] == 0.0 and np.all(lam[1:] > 0.0)
+
+
+def test_axis_basis_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown transform kind"):
+        poisson._axis_basis(4, "fft")
+
+
+def supported_rhs(shape, seed, support, zero_mean):
+    """Random right-hand side that vanishes outside an index box: the whole
+    lattice ("full", touching every face), a random sub-box, one cell, or
+    no cell at all ("zero"); with ``zero_mean`` its values sum to zero."""
+    rng = np.random.default_rng(seed)
+    b = np.zeros(shape)
+    if support == "full":
+        box = tuple(slice(0, n) for n in shape)
+    elif support == "sub-box":
+        box = tuple(slice(lo, rng.integers(lo + 1, n + 1))
+                    for lo, n in zip(rng.integers(0, shape), shape))
+    elif support == "cell":
+        box = tuple(slice(i, i + 1) for i in rng.integers(0, shape))
+    else:
+        return b
+    values = rng.standard_normal(b[box].shape)
+    b[box] = values - values.mean() if zero_mean else values
+    return b
+
+
 @pytest.mark.parametrize("kinds", list(itertools.product(("dst", "dct"), repeat=3)),
                          ids="-".join)
-@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@settings(derandomize=True, deadline=None, max_examples=24, database=None)
 @given(shape=st.tuples(*[st.integers(2, 9)] * 3), h=st.floats(0.05, 2.0),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_transform_solve_property(kinds, shape, h, seed):
-    b = random_rhs(shape, seed)
-    if "dst" not in kinds:
-        b -= b.mean()  # the all-cosine operator maps onto zero-mean fields
+       seed=st.integers(0, 2 ** 32 - 1),
+       support=st.sampled_from(["full", "sub-box", "cell", "zero"]))
+def test_transform_solve_property(kinds, shape, h, seed, support):
+    # the all-cosine operator maps onto zero-mean fields
+    b = supported_rhs(shape, seed, support, zero_mean="dst" not in kinds)
     b_in = b.copy()
     u = poisson.transform_solve(b, h, kinds)
-    assert np.array_equal(b, b_in)
+    assert b.tobytes() == b_in.tobytes()
+    assert u.shape == b.shape and u.dtype == np.float64
+    if not b.any():
+        assert not u.any()
     resid = np.linalg.norm(apply_from_1d_ends(u, h, kinds) - b)
     assert resid <= 1e-12 * np.linalg.norm(b)
+    if "dst" not in kinds:
+        assert abs(u.sum()) <= 1e-12 * np.abs(u).sum()
+
+
+@pytest.mark.parametrize("kinds", [poisson.CELL_KINDS, poisson.NODE_KINDS, ("dst", "dct", "dct")],
+                         ids="-".join)
+def test_transform_solve_allocates_about_one_output(kinds):
+    # the forward products write into the result and the inverse runs in
+    # place, so no second full-grid temporary appears
+    b = random_rhs((60, 50, 40), 9)
+    poisson.transform_solve(b, 0.1, kinds)  # builds the cached bases
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        u = poisson.transform_solve(b, 0.1, kinds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.nbytes == b.nbytes
+    assert peak < 1.5 * b.nbytes
 
 
 def test_dense_cache_keeps_latest_factor_only():
