@@ -347,7 +347,11 @@ def cmd_solve(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
         m0 = random_unit_magnetization(seed, mask)
     elif init == "uniform":
         d = np.asarray(cfg.get_vec3("solve.init_direction", (0, 0, 1)), dtype=float)
-        m0 = CellVectorField.constant(grid, tuple(d / np.linalg.norm(d)), mask)
+        length = np.linalg.norm(d)
+        if not 0.0 < length < np.inf:
+            raise ConfigError(f"solve.init_direction must have a finite nonzero length, "
+                              f"got {cfg.values['solve.init_direction']!r}")
+        m0 = CellVectorField.constant(grid, tuple(d / length), mask)
     else:
         raise ConfigError(f"unknown solve.init {init!r}")
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import GridError
 from .grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask, Ellipsoid,
@@ -348,25 +347,49 @@ def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,
     return N
 
 
+def _carlson_rd(x: float, y: float, z: float) -> float:
+    """Carlson's symmetric elliptic integral of the second kind,
+    R_D(x, y, z) = 3/2 Int_0^inf dt / ((t + z) sqrt((t + x)(t + y)(t + z))).
+
+    Duplication (B. C. Carlson, Numer. Algorithms 10:13, 1995) until the
+    three arguments agree to 1e-4 relative, then the 7-term series of
+    DLMF 19.36.2, whose truncation error is far below rounding there.
+    """
+    total, scale = 0.0, 1.0
+    while True:
+        mean = (x + y + 3.0 * z) / 5.0
+        if max(abs(mean - x), abs(mean - y), abs(mean - z)) <= 1e-4 * mean:
+            break
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        total += scale / (sz * (z + lam))
+        scale *= 0.25
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+    dx, dy = (mean - x) / mean, (mean - y) / mean
+    dz = -(dx + dy) / 3.0
+    e2 = dx * dy - 6.0 * dz * dz
+    e3 = (3.0 * dx * dy - 8.0 * dz * dz) * dz
+    e4 = 3.0 * (dx * dy - dz * dz) * dz * dz
+    e5 = dx * dy * dz ** 3
+    series = (1.0 - 3.0 / 14.0 * e2 + e3 / 6.0 + 9.0 / 88.0 * e2 * e2 - 3.0 / 22.0 * e4
+              - 9.0 / 52.0 * e2 * e3 + 3.0 / 26.0 * e5)
+    return 3.0 * total + scale * series / (mean * np.sqrt(mean))
+
+
 def ellipsoid_demag_factors(a: float, b: float, c: float) -> np.ndarray:
     """Analytic demagnetizing factors of an ellipsoid with semi-axes a,b,c.
 
     Classical elliptic integrals
     N_x = (a b c / 2) * Int_0^inf ds / ((s + a^2) R(s)),
-    R(s) = sqrt((s+a^2)(s+b^2)(s+c^2)); evaluated by adaptive quadrature.
+    R(s) = sqrt((s+a^2)(s+b^2)(s+c^2)), in closed form through Carlson's
+    symmetric integral (DLMF 19.36): N_x = (a b c / 3) R_D(b^2, c^2, a^2)
+    (Osborn, Phys. Rev. 67:351, 1945), and cyclically.
     The three factors sum to 1.
     """
     axes = np.array([a, b, c], dtype=float)
-    if np.any(axes <= 0):
-        raise ValueError("semi-axes must be positive")
-
-    def factor(i):
-        def integrand(s):
-            R = np.sqrt((s + axes[0] ** 2) * (s + axes[1] ** 2) * (s + axes[2] ** 2))
-            return 1.0 / ((s + axes[i] ** 2) * R)
-
-        val, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12,
-                                limit=400)
-        return 0.5 * axes[0] * axes[1] * axes[2] * val
-
-    return np.array([factor(i) for i in range(3)])
+    if not np.all(np.isfinite(axes) & (axes > 0)):
+        raise ValueError("semi-axes must be positive and finite")
+    sq = axes ** 2
+    abc3 = axes.prod() / 3.0
+    return np.array([abc3 * _carlson_rd(sq[(i + 1) % 3], sq[(i + 2) % 3], sq[i])
+                     for i in range(3)])

@@ -1,7 +1,14 @@
 """Command-line interface: config parsing, outputs, exit codes, determinism."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import magnetovar
 from magnetovar import shell as sh
 from magnetovar.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, RunConfig, main
 from magnetovar.errors import ConfigError
@@ -97,6 +104,18 @@ grid.pad_ratio = 1.5
     trace = float(rows["trace"])
     assert abs(trace - 1.0) < 0.05
     assert abs(float(rows["n_xy"])) < 1e-8
+
+
+def test_solve_rejects_zero_or_non_finite_init_direction(tmp_path, capsys):
+    # zeeman only: no exchange norm check stops the NaN start (which ended in exit 3)
+    for direction in ("0 0 0", "nan 0 1", "inf 0 0"):
+        cfg = write_cfg(tmp_path, "s.cfg", BASE + "grid.h = 0.5\nminimize.terms = zeeman\n"
+                        "material.h_applied = 0 0 0.5\nsolve.init = uniform\n"
+                        f"solve.init_direction = {direction}\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "solve.init_direction" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
 
 
 def test_demag_requires_ellipsoid(tmp_path):
@@ -244,3 +263,37 @@ def test_known_keys_cover_configs_cli_and_readme():
     block = readme.split("### Config format", 1)[1].split("```")[1]
     documented = set(re.findall(r"^([a-z_]+(?:\.[a-z0-9_]+)?) =", block, re.M))
     assert documented == cli.KNOWN_KEYS
+
+
+IMPORT_GUARD = """
+import json, sys
+from magnetovar.cli import main
+work, report = sys.argv[1], {}
+for cmd in ("demag", "solve", "shell-study", "oracle"):
+    if cmd == "oracle":
+        report["scipy_before_oracle"] = sorted(m for m in sys.modules if m.startswith("scipy"))
+    report[cmd] = main([cmd, "--config", f"{work}/{cmd}.cfg", "--out", f"{work}/{cmd}"])
+report["oracle_loads_lu"] = "scipy.sparse.linalg" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_commands_run_without_scipy_except_oracle(tmp_path):
+    # every command but the dense LU oracle runs on numpy alone; this runs
+    # in a fresh interpreter because the test process has SciPy loaded
+    root = Path(__file__).resolve().parent.parent
+    configs = {"demag": ("demag_sphere", "grid.h = 0.25\n"), "solve": ("solve_zeeman", ""),
+               "shell-study": ("shell_sphere", "shell.eps_list = 0.2\n"),
+               "oracle": ("default", "oracle.ball_cells = 8\n")}
+    for cmd, (base, extra) in configs.items():
+        (tmp_path / f"{cmd}.cfg").write_text((root / "configs" / f"{base}.cfg").read_text()
+                                             + extra)
+    src = str(Path(magnetovar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert [report[cmd] for cmd in configs] == [EXIT_OK] * 4
+    assert report["scipy_before_oracle"] == []
+    assert report["oracle_loads_lu"]

@@ -252,6 +252,42 @@ def test_analytic_demag_factors():
     assert abs(n2[0] - 0.1736) < 5e-4 and abs(n2[1] - 0.4132) < 5e-4
 
 
+def quad_demag_factors(a, b, c):
+    """The demagnetizing integrals by adaptive quadrature: an oracle
+    independent of the Carlson R_D closed form."""
+    from scipy import integrate
+    axes = np.array([a, b, c], dtype=float)
+
+    def factor(i):
+        def integrand(s):
+            R = np.sqrt((s + axes[0] ** 2) * (s + axes[1] ** 2) * (s + axes[2] ** 2))
+            return 1.0 / ((s + axes[i] ** 2) * R)
+
+        val, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12,
+                                limit=400)
+        return 0.5 * axes.prod() * val
+
+    return np.array([factor(i) for i in range(3)])
+
+
+@pytest.mark.parametrize("axes", [(1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (1.0, 2.0, 3.0),
+                                  (5.0, 1.0, 0.2), (0.1, 1.0, 1.0), (10.0, 10.0, 0.5),
+                                  (1.0, 0.01, 1.0)])
+def test_demag_factors_match_quadrature(axes):
+    n = ellipsoid_demag_factors(*axes)
+    assert np.abs(n / quad_demag_factors(*axes) - 1.0).max() <= 1e-12
+    assert abs(n.sum() - 1.0) <= 1e-14
+
+
+def test_demag_factors_prolate_closed_form_and_bad_axes():
+    e = np.sqrt(1.0 - 0.5 ** 2)
+    n_a = (1.0 - e * e) / e ** 3 * (np.arctanh(e) - e)
+    assert abs(ellipsoid_demag_factors(2.0, 1.0, 1.0)[0] - n_a) <= 1e-14 * n_a
+    for bad in (0.0, -1.0, np.nan, np.inf):  # the duplication loop needs finite axes
+        with pytest.raises(ValueError, match="positive and finite"):
+            ellipsoid_demag_factors(1.0, bad, 1.0)
+
+
 def test_dense_oracle_matches_iterative():
     geom = Ellipsoid(1.0, 1.0, 1.0)
     grid = grid_for_geometry(geom, 2.0 / 12, 0.8, min_pad_cells=2)

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -84,6 +85,19 @@ def test_axis_basis_is_orthonormal_eigenbasis(kind, n):
         assert lam.min() > 0.0
     else:
         assert lam[0] == 0.0 and np.all(lam[1:] > 0.0)
+
+
+@pytest.mark.parametrize("kind", ["dst", "dct"])
+@pytest.mark.parametrize("n", [*range(1, 41), 83, 107, 108, 109, 213])
+def test_axis_basis_matches_scipy_transforms(kind, n):
+    # the closed-form bases against SciPy's orthonormal DST-I / DCT-II of the
+    # identity; an unreduced phase or a wrong DC column misses this bound
+    from scipy import fft
+    transform = fft.dst if kind == "dst" else fft.dct
+    ref = transform(np.eye(n), type=1 if kind == "dst" else 2, norm="ortho", axis=0).T
+    assert np.abs(poisson._axis_basis(n, kind)[0] - ref).max() <= 2e-15
+    # no annotation may name a SciPy module, which poisson imports only lazily
+    typing.get_type_hints(poisson.assemble_laplacian)
 
 
 def test_axis_basis_rejects_unknown_kind():
