@@ -31,11 +31,13 @@ class MaterialParams:
     h_applied: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.Q < 0:
-            raise GridError("quality factor must be nonnegative")
+        if not 0.0 <= self.Q < np.inf:
+            raise GridError(f"quality factor Q must be finite and >= 0, got {self.Q}")
         n = float(np.linalg.norm(self.easy_axis))
-        if abs(n - 1.0) > 1e-9:
-            raise GridError(f"easy axis must be a unit vector, |e| = {n}")
+        if not abs(n - 1.0) <= 1e-9:
+            raise GridError(f"easy_axis must be a unit vector, |e| = {n}")
+        if not np.all(np.isfinite(self.h_applied)):
+            raise GridError(f"h_applied must be finite, got {tuple(self.h_applied)}")
 
     @property
     def axis(self) -> np.ndarray:

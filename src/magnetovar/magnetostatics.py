@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import GridError
 from .grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask, Ellipsoid,
-                   GridSpec, ScalarField, VectorField, edge_shapes)
+                   GridSpec, ScalarField, VectorField, build_mask, edge_shapes)
 from .operators import (check_supported, curl, div, grad, grad_node,
-                        grad_norm_sq, inner, norm)
+                        grad_norm_sq, inner, masked_cell_to_faces, norm)
 from . import poisson
 
 DENSE_UNKNOWN_CAP = 32768
@@ -62,7 +62,6 @@ class SolverConfig:
 class StrayFieldSolution:
     u: ScalarField
     h: VectorField
-    b: VectorField
     energy: float
     residual: float
     iterations: int
@@ -106,8 +105,8 @@ def solve_scalar_potential(m: VectorField, mask: DomainMask | None,
                            cfg: SolverConfig) -> StrayFieldSolution:
     """Scalar-potential route: discrete weak Poisson problem for u.
 
-    ``u`` maximizes W(m, .) over the cell potential space; ``h = -grad u``,
-    ``b = h + m``, and ``energy = 1/2 ||grad u||^2``.
+    ``u`` maximizes W(m, .) over the cell potential space; ``h = -grad u``
+    and ``energy = 1/2 ||grad u||^2``.
     """
     _validate_source(m, mask)
     rhs = -div(m).data
@@ -117,10 +116,8 @@ def solve_scalar_potential(m: VectorField, mask: DomainMask | None,
     h = grad(u)
     for comp in h.components:
         np.negative(comp, out=comp)
-    b = h + m
     energy = 0.5 * inner(h, h)
-    return StrayFieldSolution(u=u, h=h, b=b, energy=energy, residual=res,
-                              iterations=iters)
+    return StrayFieldSolution(u=u, h=h, energy=energy, residual=res, iterations=iters)
 
 
 def functional_W(m: VectorField, u: ScalarField) -> float:
@@ -320,12 +317,13 @@ def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,
                  mask: DomainMask | None = None) -> np.ndarray:
     """Demagnetizing tensor of a rasterized ellipsoid.
 
-    Column j is the volume average over the domain of -H(e_j Chi); the
-    energy-consistent pairing makes the matrix symmetric up to solver
-    tolerance, and its trace is 1 up to discretization error.
+    N_ij = -<h(e_j Chi), e_i Chi>/|Omega| is the stray energy's bilinear form.
+    Summation by parts, <grad u, v> = -<u, div v>, is exact on the grid, so it
+    equals the cell pairing <u_j, rho_i>/|Omega| with the surface charge
+    rho_i = -div(e_i Chi), the right-hand side of column i's checked solve; no
+    field h is built.  N is symmetric up to solver tolerance and its trace is
+    1 up to discretization error.
     """
-    from .grid import build_mask
-    from .operators import masked_cell_to_faces
     if not isinstance(geom, Ellipsoid):
         raise GridError("demagnetizing tensor is defined for ellipsoids")
     if mask is None:
@@ -333,17 +331,15 @@ def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,
     vol = mask.volume
     if vol == 0.0:
         raise GridError("empty mask")
-
-    def unit(j):  # built on demand: three full face fields would be large
-        return masked_cell_to_faces(
-            CellVectorField.constant(grid, np.eye(3)[j], mask), mask)
-
-    N = np.zeros((3, 3))
+    # one unit field (three face arrays) at a time, dropped once its charge is taken
+    charges = [-div(masked_cell_to_faces(CellVectorField.constant(grid, e, mask),
+                                         mask)).data for e in np.eye(3)]
+    N = np.empty((3, 3))
     for j in range(3):
-        h = solve_scalar_potential(unit(j), mask, cfg).h
+        u = _cell_poisson(charges[j], grid, cfg)[0]
         for i in range(3):
-            N[i, j] = -inner(h, unit(i)) / vol
-        del h
+            N[i, j] = np.vdot(u, charges[i]) * grid.cell_volume / vol
+        del u
     return N
 
 

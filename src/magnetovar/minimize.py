@@ -59,8 +59,9 @@ class MinimizeConfig:
     def __post_init__(self):
         if self.method not in ("projected_gradient", "joint_alternating"):
             raise GridError(f"unknown method {self.method!r}")
-        if self.step <= 0 or self.grad_tol <= 0:
-            raise GridError("step and grad_tol must be positive")
+        for name in ("step", "grad_tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise GridError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not (0.0 < self.backtrack < 1.0):
             raise GridError("backtracking factor must lie in (0, 1)")
 

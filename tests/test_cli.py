@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,25 @@ def test_solve_rejects_zero_or_non_finite_init_direction(tmp_path, capsys):
         assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "solve.init_direction" in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("line, field", [
+    ("material.q = nan", "Q"),
+    ("material.easy_axis = nan nan nan", "easy_axis"),
+    ("material.h_applied = nan 0 0.5", "h_applied"),
+    ("minimize.step = inf", "step"),
+    ("minimize.grad_tol = nan", "grad_tol"),
+])
+def test_solve_rejects_non_finite_material_and_minimizer_values(tmp_path, capsys, line,
+                                                                field):
+    # rejected while the config is read, before a NaN line search can start
+    root = Path(__file__).resolve().parent.parent
+    body = (root / "configs" / "solve_zeeman.cfg").read_text() + line + "\n"
+    cfg = write_cfg(tmp_path, "s.cfg", body)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert re.search(rf"\b{field}\b", capsys.readouterr().err)
+    assert not (out / "summary.csv").exists()
 
 
 def test_demag_requires_ellipsoid(tmp_path):

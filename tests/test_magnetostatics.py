@@ -6,9 +6,9 @@ import pytest
 from magnetovar.errors import ConvergenceError, GridError, SupportError
 from magnetovar.grid import (EDGE, FACE, CellVectorField, Ellipsoid, GridSpec,
                              ScalarField, VectorField, build_mask, grid_for_geometry)
-from magnetovar.magnetostatics import (SolverConfig, demag_tensor, dense_oracle_energy,
-                                       ellipsoid_demag_factors, functional_V,
-                                       functional_V_curl, functional_W,
+from magnetovar.magnetostatics import (DENSE_UNKNOWN_CAP, SolverConfig, demag_tensor,
+                                       dense_oracle_energy, ellipsoid_demag_factors,
+                                       functional_V, functional_V_curl, functional_W,
                                        helmholtz_orthogonality_defect,
                                        helmholtz_residual, rayleigh_quotient,
                                        reciprocity_gap, reciprocity_terms,
@@ -65,8 +65,8 @@ def test_scalar_solution_diagnostics():
     # h is a gradient, so its curl vanishes identically
     c = curl(sol.h)
     assert max(np.abs(x).max() for x in c.components) < 1e-10
-    # div b at residual level
-    assert norm(div(sol.b)) <= 10 * CFG.tol * norm(div(m)) + 1e-12
+    # div b = div(h + m) at residual level
+    assert norm(div(sol.h + m)) <= 10 * CFG.tol * norm(div(m)) + 1e-12
     # optimality: W at the solution equals the energy
     assert abs(functional_W(m, sol.u) - sol.energy) < 1e-9 * max(sol.energy, 1.0)
 
@@ -235,6 +235,34 @@ def test_demag_tensor_sphere():
     for d in np.diag(N):
         assert abs(d - 1.0 / 3.0) / (1.0 / 3.0) < 0.02
     assert abs(np.trace(N) - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("pad_ratio", [0.5, 0.8])
+@pytest.mark.parametrize("preconditioner", ["dst", "none"])
+def test_demag_tensor_matches_face_pairing(pad_ratio, preconditioner):
+    # reference: the face pairing -<h(e_j Chi), e_i Chi>/|Omega| of the field
+    # solve, which the cell-charge pairing <u_j, -div(e_i Chi)>/|Omega| equals
+    # by exact summation by parts
+    geom = Ellipsoid(1.0, 0.7, 0.5)
+    grid = grid_for_geometry(geom, 0.2, pad_ratio)
+    assert len(set(grid.shape)) == 3
+    mask = build_mask(geom, grid)
+    cfg = SolverConfig(tol=1e-8, preconditioner=preconditioner)
+    units = [uniform_ball_m(mask, e) for e in np.eye(3)]
+    hs = [solve_scalar_potential(unit, mask, cfg).h for unit in units]
+    N_ref = np.array([[-inner(hs[j], units[i]) for j in range(3)]
+                      for i in range(3)]) / mask.volume
+    N = demag_tensor(geom, grid, cfg, mask=mask)
+    assert np.abs(N - N_ref).max() <= 1e-12 * np.abs(N_ref).max()
+
+
+def test_demag_tensor_dense_oracle_matches_iterative():
+    geom = Ellipsoid(1.0, 0.7, 0.5)
+    grid = grid_for_geometry(geom, 0.2, 0.8)
+    assert np.prod(grid.shape) <= DENSE_UNKNOWN_CAP
+    N_dense = demag_tensor(geom, grid, SolverConfig(backend="dense_oracle"))
+    N = demag_tensor(geom, grid, CFG)
+    assert np.abs(N_dense - N).max() <= 1e-10 * np.abs(N).max()
 
 
 def test_demag_tensor_requires_ellipsoid():

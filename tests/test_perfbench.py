@@ -19,3 +19,13 @@ def test_traced_minimize_workload_runs_and_counts_solves():
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0
     assert summary["metrics"]["poisson.solve_calls"]["value"] > 0
+
+
+def test_demag_workload_runs_and_checks_tensor():
+    # the workload checks the trace and the diagonal against the analytic factors
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "demag",
+                          "--seconds", "1", "--trace", "0"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    summary = json.loads(out.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0
