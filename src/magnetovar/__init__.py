@@ -9,7 +9,7 @@ from .magnetostatics import (SolverConfig, StrayFieldSolution, VectorPotentialSo
                              demag_tensor, dense_oracle_energy, ellipsoid_demag_factors,
                              functional_V, functional_V_curl, functional_W,
                              helmholtz_orthogonality_defect, helmholtz_residual,
-                             rayleigh_quotient, reciprocity_gap, reciprocity_terms,
+                             rayleigh_quotient, reciprocity_gap,
                              solve_scalar_potential, solve_vector_potential_gauged,
                              solve_vector_potential_unconstrained, stray_field)
 from .energy import (EnergyBreakdown, MaterialParams, anisotropy_energy,

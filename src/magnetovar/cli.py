@@ -30,10 +30,9 @@ from .errors import ConfigError, ConvergenceError, MagnetovarError
 from .grid import (Box, CellVectorField, Ellipsoid, GridSpec, ScalarField,
                    build_mask, grid_for_geometry)
 from .io import OutputTracker, write_csv, write_legacy_vector_dump
-from .magnetostatics import (DENSE_UNKNOWN_CAP, SolverConfig, demag_tensor,
-                             dense_oracle_energy, ellipsoid_demag_factors,
-                             rayleigh_quotient, reciprocity_gap,
-                             solve_scalar_potential,
+from .magnetostatics import (SolverConfig, demag_tensor, dense_oracle_energy,
+                             ellipsoid_demag_factors, rayleigh_quotient,
+                             reciprocity_gap, solve_scalar_potential,
                              solve_vector_potential_gauged,
                              solve_vector_potential_unconstrained)
 from .minimize import (MinimizeConfig, minimize_joint, minimize_m,
@@ -148,15 +147,12 @@ def build_solver_config(cfg: RunConfig, clamp_tol: bool = False):
     warned = False
     if clamp_tol and tol > 1e-6:
         tol, warned = 1e-8, True
-    try:
-        solver = SolverConfig(
-            tol=tol,
-            max_iter=cfg.get_int("solver.max_iter", 20000),
-            backend=cfg.get_str("solver.backend", "iterative"),
-            preconditioner=cfg.get_str("solver.preconditioner", "dst"),
-        )
-    except MagnetovarError as exc:
-        raise ConfigError(str(exc)) from exc
+    solver = SolverConfig(
+        tol=tol,
+        max_iter=cfg.get_int("solver.max_iter", 20000),
+        backend=cfg.get_str("solver.backend", "iterative"),
+        preconditioner=cfg.get_str("solver.preconditioner", "dst"),
+    )
     return (solver, warned) if clamp_tol else solver
 
 
@@ -172,24 +168,18 @@ def build_geometry(cfg: RunConfig):
 
 
 def build_material(cfg: RunConfig) -> MaterialParams:
-    try:
-        return MaterialParams(Q=cfg.get_float("material.q", 0.0),
-                              easy_axis=cfg.get_vec3("material.easy_axis", (0, 0, 1)),
-                              h_applied=cfg.get_vec3("material.h_applied", (0, 0, 0)))
-    except MagnetovarError as exc:
-        raise ConfigError(str(exc)) from exc
+    return MaterialParams(Q=cfg.get_float("material.q", 0.0),
+                          easy_axis=cfg.get_vec3("material.easy_axis", (0, 0, 1)),
+                          h_applied=cfg.get_vec3("material.h_applied", (0, 0, 0)))
 
 
 def build_minimize_config(cfg: RunConfig) -> MinimizeConfig:
-    try:
-        return MinimizeConfig(
-            method=cfg.get_str("minimize.method", "projected_gradient"),
-            step=cfg.get_float("minimize.step", 0.25),
-            backtrack=cfg.get_float("minimize.backtrack", 0.5),
-            grad_tol=cfg.get_float("minimize.grad_tol", 1e-4),
-            max_iter=cfg.get_int("minimize.max_iter", 500))
-    except MagnetovarError as exc:
-        raise ConfigError(str(exc)) from exc
+    return MinimizeConfig(
+        method=cfg.get_str("minimize.method", "projected_gradient"),
+        step=cfg.get_float("minimize.step", 0.25),
+        backtrack=cfg.get_float("minimize.backtrack", 0.5),
+        grad_tol=cfg.get_float("minimize.grad_tol", 1e-4),
+        max_iter=cfg.get_int("minimize.max_iter", 500))
 
 
 def build_mesh(cfg: RunConfig) -> sh.SurfaceMesh:
@@ -206,7 +196,7 @@ def build_mesh(cfg: RunConfig) -> sh.SurfaceMesh:
 
 
 def field_by_name(name: str):
-    if name in ("uniform_z", "e_z"):
+    if name == "uniform_z":
         return sh.uniform_field((0.0, 0.0, 1.0))
     if name == "hedgehog":
         return sh.hedgehog_field()
@@ -232,6 +222,8 @@ def _validate_rows(cfg: RunConfig, seed: int):
                      1e-6, "warn"])
 
     n_ball = cfg.get_int("validate.ball_cells", 16)
+    if n_ball < 1:
+        raise ConfigError(f"validate.ball_cells must be at least 1, got {n_ball}")
     geom = Ellipsoid(1.0, 1.0, 1.0)
     # generous padding: the unconstrained-route truncation must sit below
     # the cross-solver agreement threshold at this coarse resolution
@@ -279,10 +271,10 @@ def _validate_rows(cfg: RunConfig, seed: int):
 
     # kernel and saturation fields at the resolution the bounds require
     bump_grid = GridSpec.centered_cube(64, 1.0 / 24, pad=16)
-    mg = gradient_bump(TestFieldSpec(kind="gradient_bump", r0=0.9), bump_grid)
+    mg = gradient_bump(TestFieldSpec(r0=0.9), bump_grid)
     q_grad = rayleigh_quotient(mg, None, solver)
     record("gradient_saturation", q_grad, 1 - 1e-4, q_grad >= 1 - 1e-4)
-    ms = solenoidal_bump(TestFieldSpec(kind="solenoidal_bump", r0=0.9), bump_grid)
+    ms = solenoidal_bump(TestFieldSpec(r0=0.9), bump_grid)
     q_sol = rayleigh_quotient(ms, None, solver)
     record("solenoidal_kernel", q_sol, 1e-4, q_sol <= 1e-4)
     return rows
@@ -423,11 +415,10 @@ def cmd_shell_study(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
 def cmd_oracle(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     solver = build_solver_config(cfg)
     n_ball = cfg.get_int("oracle.ball_cells", 12)
+    if n_ball < 1:
+        raise ConfigError(f"oracle.ball_cells must be at least 1, got {n_ball}")
     geom = Ellipsoid(1.0, 1.0, 1.0)
-    grid = grid_for_geometry(geom, 2.0 / n_ball, 0.8, min_pad_cells=2)
-    if grid.n_cells > DENSE_UNKNOWN_CAP:
-        raise ConfigError(
-            f"oracle grid has {grid.n_cells} cells; reduce oracle.ball_cells")
+    grid = grid_for_geometry(geom, 2.0 / n_ball, 0.8)
     mask = build_mask(geom, grid)
     m = random_masked(seed, mask)
     e_dense = dense_oracle_energy(m, mask)
@@ -479,10 +470,6 @@ def main(argv=None) -> int:
 
     try:
         return COMMANDS[args.command](cfg, tracker, seed)
-    except ConfigError as exc:
-        tracker.discard_partial()
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ConvergenceError as exc:
         tracker.discard_partial()
         print(f"solver did not converge: {exc}", file=sys.stderr)
@@ -493,7 +480,7 @@ def main(argv=None) -> int:
         return EXIT_IO
     except MagnetovarError as exc:
         tracker.discard_partial()
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

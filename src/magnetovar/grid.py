@@ -21,6 +21,13 @@ EDGE = "edge"
 CELL = "cell"
 NODE = "node"
 
+MIN_PAD_CELLS = 2  # fewest padding layers per side, whatever the padding ratio
+
+
+def _check_spacing(h: float):
+    if not 0.0 < h < np.inf:
+        raise GridError(f"grid spacing h must be positive and finite, got {h}")
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -38,8 +45,7 @@ class GridSpec:
     pad: int = 0
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise GridError(f"grid spacing must be positive, got {self.h}")
+        _check_spacing(self.h)
         if min(self.nx, self.ny, self.nz) < 2:
             raise GridError("need at least 2 interior cells per direction")
         if self.pad < 0:
@@ -235,8 +241,8 @@ class Box:
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if min(self.extents) <= 0:
-            raise GridError("box extents must be positive")
+        if not all(0.0 < e < np.inf for e in self.extents):
+            raise GridError(f"box extents must be positive and finite, got {self.extents}")
 
     def contains(self, x, y, z):
         e = self.extents
@@ -262,8 +268,9 @@ class Ellipsoid:
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) <= 0:
-            raise GridError("ellipsoid semi-axes must be positive")
+        if not all(0.0 < r < np.inf for r in self.semi_axes):
+            raise GridError(f"ellipsoid semi-axes must be positive and finite, "
+                            f"got {self.semi_axes}")
 
     @property
     def semi_axes(self):
@@ -299,8 +306,9 @@ class Shell:
     eps: float
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise GridError("shell half-thickness must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise GridError(f"shell half-thickness eps must be positive and finite, "
+                            f"got {self.eps}")
         rmin = self.surface.min_curvature_radius()
         if self.eps >= rmin:
             raise GridError(
@@ -432,20 +440,22 @@ def build_mask(geom: Geometry, grid: GridSpec) -> DomainMask:
     return DomainMask(grid, geom.contains(x, y, z).astype(float))
 
 
-def grid_for_geometry(geom: Geometry, h: float, pad_ratio: float = 1.0,
-                      min_pad_cells: int = 2) -> GridSpec:
+def grid_for_geometry(geom: Geometry, h: float, pad_ratio: float = 1.0) -> GridSpec:
     """Build a centered grid whose interior tightly boxes the geometry.
 
     The padding distance is ``pad_ratio`` times the geometry diameter
-    (bounding-sphere diameter), at least ``min_pad_cells`` cells.  The
+    (bounding-sphere diameter), at least ``MIN_PAD_CELLS`` cells.  The
     scalar potential decays like 1/r^2, so the truncation error of energy
     quantities is second order in the padding ratio.
     """
+    _check_spacing(h)
+    if not 0.0 <= pad_ratio < np.inf:
+        raise GridError(f"pad_ratio must be nonnegative and finite, got {pad_ratio}")
     lo, hi = geom.bounds()
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     diameter = 2.0 * geom.bounding_radius()
     n = np.maximum(np.ceil((hi - lo) / h - 1e-9).astype(int), 2)
-    pad = max(int(np.ceil(pad_ratio * diameter / h)), min_pad_cells)
+    pad = max(int(np.ceil(pad_ratio * diameter / h)), MIN_PAD_CELLS)
     center = (lo + hi) / 2.0
     half = h * (n / 2.0 + pad)
     origin = tuple(center - half)

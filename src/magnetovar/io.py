@@ -30,19 +30,18 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 LEGACY_HEADER_TEMPLATE = """# vtk DataFile Version 2.0
-{title}
+magnetovar field dump
 ASCII
 DATASET STRUCTURED_POINTS
 DIMENSIONS {nx} {ny} {nz}
 ORIGIN {ox} {oy} {oz}
 SPACING {h} {h} {h}
 POINT_DATA {count}
-VECTORS {name} double
+VECTORS m double
 """
 
 
-def write_legacy_vector_dump(path: Path, m: CellVectorField, name: str = "m",
-                             title: str = "magnetovar field dump") -> None:
+def write_legacy_vector_dump(path: Path, m: CellVectorField) -> None:
     """ASCII structured-points dump of a collocated vector field.
 
     Points are the cell centers of the padded grid; data lines hold one
@@ -55,9 +54,9 @@ def write_legacy_vector_dump(path: Path, m: CellVectorField, name: str = "m",
     oy = grid.origin[1] + 0.5 * grid.h
     oz = grid.origin[2] + 0.5 * grid.h
     head = LEGACY_HEADER_TEMPLATE.format(
-        title=title, nx=n1, ny=n2, nz=n3,
+        nx=n1, ny=n2, nz=n3,
         ox=FLOAT_FORMAT % ox, oy=FLOAT_FORMAT % oy, oz=FLOAT_FORMAT % oz,
-        h=FLOAT_FORMAT % grid.h, count=n1 * n2 * n3, name=name)
+        h=FLOAT_FORMAT % grid.h, count=n1 * n2 * n3)
     # structured-points order: x varies fastest, then y, then z
     flat = m.data.transpose(3, 2, 1, 0).reshape(-1, 3)
     body = "\n".join(" ".join(FLOAT_FORMAT % v for v in row) for row in flat)

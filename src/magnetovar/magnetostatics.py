@@ -246,17 +246,6 @@ def stray_field(m: VectorField, mask: DomainMask | None, cfg: SolverConfig) -> V
     return solve_scalar_potential(m, mask, cfg).h
 
 
-def reciprocity_terms(m: VectorField, m2: VectorField, mask: DomainMask | None,
-                      cfg: SolverConfig):
-    """The three pairings that coincide for a self-adjoint field operator.
-
-    Returns (<h_m, h_m'>, -<m, h_m'>, -<h_m, m'>).
-    """
-    h1 = stray_field(m, mask, cfg)
-    h2 = stray_field(m2, mask, cfg)
-    return inner(h1, h2), -inner(m, h2), -inner(h1, m2)
-
-
 def reciprocity_gap(m: VectorField, m2: VectorField, mask: DomainMask | None,
                     cfg: SolverConfig) -> float:
     """|<H m, m'> - <m, H m'>| / (||m|| ||m'||)."""

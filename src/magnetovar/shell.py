@@ -471,7 +471,7 @@ def _t_pieces(eps: float, delta: float, n_gauss: int = 6):
 
 
 def recovery_lower_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
-                         delta: float | None = None, n_gauss: int = 6) -> float:
+                         delta: float | None = None) -> float:
     """Scalar-trial value: a rigorous lower bound for the scaled stray energy.
 
     Evaluates the maximization functional at the profile potential
@@ -489,7 +489,7 @@ def recovery_lower_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
 
     first = 0.0   # pairing of the trial gradient with the shell field
     second = 0.0  # half the squared trial gradient over the extended shell
-    for nodes, weights in _t_pieces(eps, delta, n_gauss):
+    for nodes, weights in _t_pieces(eps, delta):
         eta = eta_profile(nodes, eps, delta)
         etap2 = eta_profile_slope_sq(nodes, eps, delta)
         for t, w, et, ep2 in zip(nodes, weights, eta, etap2):
@@ -504,7 +504,7 @@ def recovery_lower_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
 
 
 def recovery_upper_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
-                         delta: float | None = None, n_gauss: int = 6) -> float:
+                         delta: float | None = None) -> float:
     """Vector-trial value: a rigorous upper bound for the scaled stray energy."""
     delta = _checked_delta(mesh, eps, delta)
     tris = mesh.triangles
@@ -523,7 +523,7 @@ def recovery_upper_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
     dw2_sq = np.sum(dw2 ** 2, axis=1)
 
     value = 0.0
-    for nodes, weights in _t_pieces(eps, delta, n_gauss):
+    for nodes, weights in _t_pieces(eps, delta):
         eta = eta_profile(nodes, eps, delta)
         etap2 = eta_profile_slope_sq(nodes, eps, delta)
         for t, w, et, ep2 in zip(nodes, weights, eta, etap2):
@@ -550,6 +550,11 @@ class ShellGridPolicy:
 
     cells_per_thickness: float = 4.0
     pad_ratio: float = 0.5
+
+    def __post_init__(self):
+        if not 0.0 < self.cells_per_thickness < np.inf:
+            raise GridError(f"cells_per_thickness must be positive and finite, "
+                            f"got {self.cells_per_thickness}")
 
     def spacing(self, eps: float) -> float:
         return 2.0 * eps / self.cells_per_thickness

@@ -9,7 +9,7 @@ Three families:
 * gradient bumps: discrete gradients of a smooth compactly supported
   scalar, which saturate the operator norm (the field operator reproduces
   them exactly up to solver tolerance);
-* seeded random masked fields for property sweeps.
+* seeded random masked face fields for property sweeps.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .grid import (CELL, FACE, CellVectorField, DomainMask, GridSpec, ScalarField,
-                   VectorField)
+from .grid import CELL, FACE, DomainMask, GridSpec, ScalarField, VectorField
 from .operators import grad
 
 
@@ -36,17 +35,13 @@ class TestFieldSpec:
 
     __test__ = False  # not a pytest class, despite the name
 
-    kind: str = "solenoidal_bump"
     r0: float = 1.0
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     xi_const: tuple[float, float, float] = (0.0, 0.0, 1.0)
     xi_quad: tuple[tuple[float, float, float], ...] | None = None
     sigma: float = 0.4
-    seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("solenoidal_bump", "gradient_bump", "random"):
-            raise GridError(f"unknown test field kind {self.kind!r}")
         if self.r0 <= 0:
             raise GridError("bump radius must be positive")
         if self.xi_quad is not None:
@@ -122,28 +117,11 @@ def gradient_bump(spec: TestFieldSpec, grid: GridSpec) -> VectorField:
     return grad(ScalarField(grid, v, CELL))
 
 
-def random_masked(seed: int, mask: DomainMask, staggering: str = FACE,
-                  normalize: bool = False):
-    """Seeded random field supported on the mask.
-
-    Face staggering fills faces interior to the mask with unit Gaussians
-    (property-test fuel for the solvers).  Cell staggering returns a
-    collocated field, optionally normalized to unit length per cell
-    (magnetization initialization).
-    """
+def random_masked(seed: int, mask: DomainMask) -> VectorField:
+    """Seeded random face field supported on the mask: unit Gaussians on the
+    faces interior to the mask (property-test fuel for the solvers)."""
     rng = np.random.default_rng(seed)
-    grid = mask.grid
-    if staggering == FACE:
-        if normalize:
-            raise GridError("per-cell normalization is undefined on faces")
-        v = VectorField.zeros(grid, FACE)
-        for axis, c in enumerate(v.components):
-            c[:] = rng.standard_normal(c.shape) * (mask.face_count(axis) == 2)
-        return v
-    if staggering == CELL:
-        data = rng.standard_normal((3, *grid.shape)) * mask.indicator
-        if normalize:
-            n = np.sqrt(np.sum(data ** 2, axis=0))
-            np.divide(data, n, out=data, where=n > 0)
-        return CellVectorField(grid, data)
-    raise GridError(f"unsupported staggering {staggering!r}")
+    v = VectorField.zeros(mask.grid, FACE)
+    for axis, c in enumerate(v.components):
+        c[:] = rng.standard_normal(c.shape) * (mask.face_count(axis) == 2)
+    return v

@@ -129,7 +129,7 @@ def test_c04_uniform_sphere_energy():
     sol = solve_scalar_potential(m, mask, CFG)
     ratio_err = abs(sol.energy / mask.volume - 1.0 / 6.0) / (1.0 / 6.0)
 
-    small = grid_for_geometry(geom, 2.0 / 12, pad_ratio=0.8, min_pad_cells=2)
+    small = grid_for_geometry(geom, 2.0 / 12, pad_ratio=0.8)
     small_mask = build_mask(geom, small)
     ms = random_masked(0, small_mask)
     dense = dense_oracle_energy(ms, small_mask)
@@ -171,7 +171,7 @@ def test_c05_demagnetizing_tensor():
 def test_c06_reciprocity_and_operator_norm():
     geom = Ellipsoid(1.0, 1.0, 1.0)
     # dense route on a 12^3 ball under the unknown cap
-    small = grid_for_geometry(geom, 2.0 / 12, pad_ratio=0.8, min_pad_cells=2)
+    small = grid_for_geometry(geom, 2.0 / 12, pad_ratio=0.8)
     small_mask = build_mask(geom, small)
     dense_cfg = SolverConfig(tol=1e-8, backend="dense_oracle")
     worst_dense = max(
@@ -194,14 +194,12 @@ def test_c06_reciprocity_and_operator_norm():
     in_bounds = all(-1e-6 <= q <= 1 + 1e-6 for q in quotients)
 
     bump_grid = GridSpec.centered_cube(64, 1.0 / 24, pad=16)
-    grad_specs = [TestFieldSpec(kind="gradient_bump", r0=0.9),
-                  TestFieldSpec(kind="gradient_bump", r0=0.6, sigma=0.25,
-                                center=(0.2, -0.1, 0.0))]
+    grad_specs = [TestFieldSpec(r0=0.9),
+                  TestFieldSpec(r0=0.6, sigma=0.25, center=(0.2, -0.1, 0.0))]
     q_grad = min(rayleigh_quotient(gradient_bump(s, bump_grid), None, CFG)
                  for s in grad_specs)
-    sol_specs = [TestFieldSpec(kind="solenoidal_bump", r0=0.9),
-                 TestFieldSpec(kind="solenoidal_bump", r0=0.8,
-                               xi_const=(0.5, 1.0, -0.3),
+    sol_specs = [TestFieldSpec(r0=0.9),
+                 TestFieldSpec(r0=0.8, xi_const=(0.5, 1.0, -0.3),
                                xi_quad=((0.2, 0.0, 0.1), (0.0, -0.4, 0.0),
                                         (0.1, 0.0, 0.3)))]
     q_sol = max(rayleigh_quotient(solenoidal_bump(s, bump_grid), None, CFG)

@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, outputs, exit codes, determinism."""
 
+import ast
 import json
 import os
 import re
@@ -138,6 +139,41 @@ def test_solve_rejects_non_finite_material_and_minimizer_values(tmp_path, capsys
     assert not (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("command, base, lines, quantity", [
+    ("demag", "demag_sphere", "grid.h = nan", "grid spacing h"),
+    ("demag", "demag_sphere", "grid.h = inf", "grid spacing h"),
+    ("demag", "demag_sphere", "geometry.a = nan", "semi-axes"),
+    ("demag", "demag_sphere", "geometry.a = inf", "semi-axes"),
+    ("solve", "solve_zeeman", "geometry.kind = box\ngeometry.extents = nan 1 1", "extents"),
+    ("shell-study", "shell_sphere", "shell.pad_ratio = nan", "pad_ratio"),
+    ("shell-study", "shell_sphere", "shell.eps_list = nan", "half-thickness eps"),
+    ("shell-study", "shell_sphere", "shell.cells_per_thickness = 0", "cells_per_thickness"),
+    ("validate", "default", "validate.ball_cells = 0", "validate.ball_cells"),
+    ("oracle", "default", "oracle.ball_cells = 0", "oracle.ball_cells"),
+])
+def test_non_finite_or_out_of_range_sizes_are_config_errors(tmp_path, capsys, command,
+                                                            base, lines, quantity):
+    # each used to end in a traceback (exit 1) or, for grid.h = inf, an all-NaN demag.csv
+    root = Path(__file__).resolve().parent.parent
+    body = (root / "configs" / f"{base}.cfg").read_text() + lines + "\n"
+    cfg = write_cfg(tmp_path, "c.cfg", body)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert quantity in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_oracle_beyond_dense_cap_is_config_error(tmp_path, capsys):
+    # 40 cells across the ball give a 104^3 = 1,124,864-cell grid
+    root = Path(__file__).resolve().parent.parent
+    body = (root / "configs" / "default.cfg").read_text() + "oracle.ball_cells = 40\n"
+    cfg = write_cfg(tmp_path, "o.cfg", body)
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "32768" in capsys.readouterr().err
+    assert not (out / "oracle.csv").exists()
+
+
 def test_demag_requires_ellipsoid(tmp_path):
     cfg = write_cfg(tmp_path, "d.cfg", BASE + "geometry.kind = box\n")
     assert main(["demag", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -271,8 +307,6 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
 
 
 def test_known_keys_cover_configs_cli_and_readme():
-    import re
-    from pathlib import Path
     from magnetovar import cli
     root = Path(__file__).resolve().parent.parent
     for path in sorted((root / "configs").glob("*.cfg")):
@@ -283,6 +317,45 @@ def test_known_keys_cover_configs_cli_and_readme():
     block = readme.split("### Config format", 1)[1].split("```")[1]
     documented = set(re.findall(r"^([a-z_]+(?:\.[a-z0-9_]+)?) =", block, re.M))
     assert documented == cli.KNOWN_KEYS
+
+    # the README's value for each key is the literal default cli.py passes,
+    # parsed with the same getter; "<command>: <value>" in the key's comment
+    # names the default of that command where it differs
+    readme_values, comments, key = {}, {}, None
+    for line in block.splitlines():
+        if line.lstrip().startswith("#") and key is not None:
+            comments[key] += " " + line.split("#", 1)[1]
+        elif "=" in line:
+            key, rest = (part.strip() for part in line.split("=", 1))
+            readme_values[key], _, comments[key] = (part.strip() for part in
+                                                    rest.partition("#"))
+    checked = set()
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        command = func.name[4:].replace("_", "-") if func.name.startswith("cmd_") else None
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr.startswith("get_") and len(call.args) == 2
+                    and isinstance(call.args[0], ast.Constant)):
+                continue
+            key = call.args[0].value
+            try:
+                default = ast.literal_eval(call.args[1])
+            except ValueError:
+                # not a literal, so not checked: demag's grid.h (2 min(a, b, c) / 24)
+                # and shell.delta (0.7 x the minimal curvature radius) are computed,
+                # minimize.terms is the constant energy.ALL_TERMS
+                continue
+            if default is None:  # config_version has no default: it is mandatory
+                continue
+            named = re.search(rf"\b{command}: (\S+)", comments[key]) if command else None
+            text = named.group(1) if named else readme_values[key]
+            value = getattr(RunConfig({key: text}), call.func.attr)(key)
+            assert value == default, (key, command, text, default)
+            checked.add(key)
+    assert {"output.dir", "grid.h", "grid.pad_ratio", "oracle.ball_cells"} <= checked
 
 
 IMPORT_GUARD = """

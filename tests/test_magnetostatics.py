@@ -11,7 +11,7 @@ from magnetovar.magnetostatics import (DENSE_UNKNOWN_CAP, SolverConfig, demag_te
                                        functional_V, functional_V_curl, functional_W,
                                        helmholtz_orthogonality_defect,
                                        helmholtz_residual, rayleigh_quotient,
-                                       reciprocity_gap, reciprocity_terms,
+                                       reciprocity_gap,
                                        solve_scalar_potential,
                                        solve_vector_potential_gauged,
                                        solve_vector_potential_unconstrained,
@@ -43,7 +43,7 @@ def test_zero_magnetization():
 def test_gradient_field_case():
     # m = grad v reproduces h = -m and energy = ||m||^2 / 2 at solver tolerance
     grid = GridSpec.centered_cube(24, 1.0 / 12, pad=8)
-    m = gradient_bump(TestFieldSpec(kind="gradient_bump", r0=0.9), grid)
+    m = gradient_bump(TestFieldSpec(r0=0.9), grid)
     sol = solve_scalar_potential(m, None, CFG)
     half_msq = 0.5 * inner(m, m)
     assert abs(sol.energy - half_msq) / half_msq < 1e-6
@@ -149,7 +149,7 @@ def test_unconstrained_energy_decreases_with_padding():
 def test_solenoidal_bump_low_energy():
     from magnetovar.testfields import solenoidal_bump
     grid = GridSpec.centered_cube(32, 1.0 / 16, pad=10)
-    m = solenoidal_bump(TestFieldSpec(kind="solenoidal_bump", r0=0.9), grid)
+    m = solenoidal_bump(TestFieldSpec(r0=0.9), grid)
     sol = solve_scalar_potential(m, None, CFG)
     assert sol.energy <= 1e-4 * 0.5 * inner(m, m)
 
@@ -172,14 +172,15 @@ def test_reciprocity_identity():
     m1, m2 = random_masked(4, mask), random_masked(5, mask)
     assert reciprocity_gap(m1, m1, mask, CFG) < 1e-12
     assert reciprocity_gap(m1, m2, mask, CFG) < 1e-6
-    hh, mh, hm = reciprocity_terms(m1, m2, mask, CFG)
+    h1, h2 = stray_field(m1, mask, CFG), stray_field(m2, mask, CFG)
+    hh, mh, hm = inner(h1, h2), -inner(m1, h2), -inner(h1, m2)
     scale = norm(m1) * norm(m2)
     assert abs(hh - mh) < 1e-6 * scale and abs(hh - hm) < 1e-6 * scale
 
 
 def test_reciprocity_dense_oracle():
     geom = Ellipsoid(1.0, 1.0, 1.0)
-    grid = grid_for_geometry(geom, 2.0 / 12, 0.8, min_pad_cells=2)
+    grid = grid_for_geometry(geom, 2.0 / 12, 0.8)
     assert grid.n_cells <= 32768
     mask = build_mask(geom, grid)
     cfg = SolverConfig(tol=1e-8, backend="dense_oracle")
@@ -198,7 +199,7 @@ def test_rayleigh_quotient_bounds():
 
 def test_rayleigh_saturation_on_gradient_fields():
     grid = GridSpec.centered_cube(24, 1.0 / 12, pad=8)
-    m = gradient_bump(TestFieldSpec(kind="gradient_bump", r0=0.9), grid)
+    m = gradient_bump(TestFieldSpec(r0=0.9), grid)
     assert rayleigh_quotient(m, None, CFG) >= 1.0 - 1e-4
 
 
@@ -318,7 +319,7 @@ def test_demag_factors_prolate_closed_form_and_bad_axes():
 
 def test_dense_oracle_matches_iterative():
     geom = Ellipsoid(1.0, 1.0, 1.0)
-    grid = grid_for_geometry(geom, 2.0 / 12, 0.8, min_pad_cells=2)
+    grid = grid_for_geometry(geom, 2.0 / 12, 0.8)
     mask = build_mask(geom, grid)
     m = random_masked(9, mask)
     e_dense = dense_oracle_energy(m, mask)
@@ -368,8 +369,8 @@ def test_mixture_energy_is_gradient_part_only():
     # the cross pairing vanishes with the sampling defect
     from magnetovar.testfields import solenoidal_bump
     grid = GridSpec.centered_cube(32, 1.0 / 16, pad=10)
-    g = gradient_bump(TestFieldSpec(kind="gradient_bump", r0=0.9), grid)
-    s = solenoidal_bump(TestFieldSpec(kind="solenoidal_bump", r0=0.9), grid)
+    g = gradient_bump(TestFieldSpec(r0=0.9), grid)
+    s = solenoidal_bump(TestFieldSpec(r0=0.9), grid)
     s = s.scaled(norm(g) / norm(s))
     alpha, beta = 0.8, 1.7
     mix = VectorField(grid, alpha * g.x + beta * s.x, alpha * g.y + beta * s.y,

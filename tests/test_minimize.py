@@ -160,6 +160,7 @@ def test_random_unit_magnetization_determinism():
     assert np.array_equal(a.data, b.data)
     norms = a.pointwise_norm()[mask.bool_array]
     assert np.allclose(norms, 1.0, atol=1e-12)
+    assert np.all(a.data[:, ~mask.bool_array] == 0.0)
 
 
 def test_line_search_failure_carries_diagnostics():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magnetovar.errors import GridError
-from magnetovar.grid import CELL, Ellipsoid, GridSpec, build_mask, grid_for_geometry
+from magnetovar.grid import Ellipsoid, GridSpec, build_mask, grid_for_geometry
 from magnetovar.operators import div, norm
 from magnetovar.testfields import (TestFieldSpec, gradient_bump, random_masked,
                                    smooth_cutoff, solenoidal_bump)
@@ -19,7 +19,7 @@ def test_cutoff_profile_shape():
 
 
 def test_solenoidal_bump_divergence_scales_quadratically():
-    spec = TestFieldSpec(kind="solenoidal_bump", r0=0.9)
+    spec = TestFieldSpec(r0=0.9)
     norms = []
     for n in (16, 32):
         grid = GridSpec.centered_cube(n, 2.0 / n, pad=2)
@@ -31,15 +31,13 @@ def test_solenoidal_bump_divergence_scales_quadratically():
 
 def test_solenoidal_bump_zero_generator():
     grid = GridSpec.centered_cube(12, 0.2, pad=2)
-    m = solenoidal_bump(TestFieldSpec(kind="solenoidal_bump", r0=0.9,
-                                      xi_const=(0, 0, 0)), grid)
+    m = solenoidal_bump(TestFieldSpec(r0=0.9, xi_const=(0, 0, 0)), grid)
     assert norm(m) == 0.0
 
 
 def test_solenoidal_bump_quadratic_generator():
     q = ((0.5, 0.1, 0.0), (0.1, -0.3, 0.2), (0.0, 0.2, 0.7))
-    spec = TestFieldSpec(kind="solenoidal_bump", r0=0.9,
-                         xi_const=(0.2, -0.1, 1.0), xi_quad=q)
+    spec = TestFieldSpec(r0=0.9, xi_const=(0.2, -0.1, 1.0), xi_quad=q)
     defects = []
     for n in (16, 32):
         grid = GridSpec.centered_cube(n, 2.0 / n, pad=2)
@@ -50,13 +48,12 @@ def test_solenoidal_bump_quadratic_generator():
 
 def test_xi_quad_must_be_symmetric():
     with pytest.raises(GridError):
-        TestFieldSpec(kind="solenoidal_bump",
-                      xi_quad=((0, 1, 0), (0, 0, 0), (0, 0, 0)))
+        TestFieldSpec(xi_quad=((0, 1, 0), (0, 0, 0), (0, 0, 0)))
 
 
 def test_gradient_bump_zero_scalar():
     grid = GridSpec.centered_cube(12, 0.2, pad=2)
-    m = gradient_bump(TestFieldSpec(kind="gradient_bump", r0=1e-9, sigma=1.0), grid)
+    m = gradient_bump(TestFieldSpec(r0=1e-9, sigma=1.0), grid)
     # cutoff radius ~0 kills the bump entirely
     assert norm(m) < 1e-12
 
@@ -64,7 +61,7 @@ def test_gradient_bump_zero_scalar():
 def test_support_overflow_raises():
     grid = GridSpec.centered_cube(8, 0.1, pad=2)  # interior [-0.4, 0.4]
     with pytest.raises(GridError):
-        solenoidal_bump(TestFieldSpec(kind="solenoidal_bump", r0=1.0), grid)
+        solenoidal_bump(TestFieldSpec(r0=1.0), grid)
 
 
 def test_random_masked_determinism_and_spread():
@@ -78,17 +75,6 @@ def test_random_masked_determinism_and_spread():
     diff = sum(int(np.sum((x != y) & (x != 0))) for x, y in zip(a.components, c.components))
     live = sum(int(np.sum(x != 0)) for x in a.components)
     assert diff >= 0.99 * live
-
-
-def test_random_masked_cell_normalized():
-    geom = Ellipsoid(0.8, 0.8, 0.8)
-    grid = grid_for_geometry(geom, 0.1, 0.5)
-    mask = build_mask(geom, grid)
-    m = random_masked(1, mask, staggering=CELL, normalize=True)
-    norms = m.pointwise_norm()
-    inside = norms[mask.bool_array]
-    assert np.allclose(inside, 1.0, atol=1e-12)
-    assert np.all(norms[~mask.bool_array] == 0.0)
 
 
 def test_random_masked_empty_mask():
