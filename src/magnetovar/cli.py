@@ -114,8 +114,11 @@ class RunConfig:
     def get_float(self, key, default=None):
         return self._get(key, default, float)
 
-    def get_int(self, key, default=None):
-        return self._get(key, default, lambda s: int(s, 0))
+    def get_int(self, key, default=None, least=None):
+        value = self._get(key, default, lambda s: int(s, 0))
+        if least is not None and value < least:
+            raise ConfigError(f"{key} must be at least {least}, got {value}")
+        return value
 
     def get_bool(self, key, default=False):
         def conv(s):
@@ -186,12 +189,12 @@ def build_mesh(cfg: RunConfig) -> sh.SurfaceMesh:
     surface = cfg.get_str("shell.surface", "sphere")
     if surface == "sphere":
         return sh.make_sphere_mesh(cfg.get_float("shell.radius", 1.0),
-                                   cfg.get_int("shell.level", 4))
+                                   cfg.get_int("shell.level", 4, least=0))
     if surface == "torus":
         return sh.make_torus_mesh(cfg.get_float("shell.r_major", 2.0),
                                   cfg.get_float("shell.r_minor", 0.5),
-                                  cfg.get_int("shell.n_major", 64),
-                                  cfg.get_int("shell.n_minor", 32))
+                                  cfg.get_int("shell.n_major", 64, least=3),
+                                  cfg.get_int("shell.n_minor", 32, least=3))
     raise ConfigError(f"unknown shell.surface {surface!r}")
 
 
@@ -221,9 +224,7 @@ def _validate_rows(cfg: RunConfig, seed: int):
         rows.append(["loose_tolerance", cfg.get_float("solver.tol", 1e-8),
                      1e-6, "warn"])
 
-    n_ball = cfg.get_int("validate.ball_cells", 16)
-    if n_ball < 1:
-        raise ConfigError(f"validate.ball_cells must be at least 1, got {n_ball}")
+    n_ball = cfg.get_int("validate.ball_cells", 16, least=1)
     geom = Ellipsoid(1.0, 1.0, 1.0)
     # generous padding: the unconstrained-route truncation must sit below
     # the cross-solver agreement threshold at this coarse resolution
@@ -414,9 +415,7 @@ def cmd_shell_study(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
 
 def cmd_oracle(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     solver = build_solver_config(cfg)
-    n_ball = cfg.get_int("oracle.ball_cells", 12)
-    if n_ball < 1:
-        raise ConfigError(f"oracle.ball_cells must be at least 1, got {n_ball}")
+    n_ball = cfg.get_int("oracle.ball_cells", 12, least=1)
     geom = Ellipsoid(1.0, 1.0, 1.0)
     grid = grid_for_geometry(geom, 2.0 / n_ball, 0.8)
     mask = build_mask(geom, grid)
@@ -455,11 +454,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = RunConfig.load(args.config)
+        seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
     out_dir = args.out or cfg.get_str("output.dir", "magnetovar_out")
     tracker = OutputTracker(Path(out_dir))
     try:

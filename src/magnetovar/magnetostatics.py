@@ -302,6 +302,27 @@ def dense_oracle_energy(m: VectorField, mask: DomainMask | None) -> float:
     return solve_scalar_potential(m, mask, SolverConfig(backend="dense_oracle")).energy
 
 
+def _unit_charges(mask: DomainMask) -> list[np.ndarray]:
+    """The charges -div(e_i Chi), i = x, y, z, of a nonempty mask, built on the
+    mask's index box grown by one cell (a ``pad = 0`` grid) and embedded in
+    zeros: the full-grid build bit for bit, at the box's cost."""
+    grid = mask.grid
+    box = tuple(slice(max(int(idx.min()) - 1, 0), min(int(idx.max()) + 2, n))
+                for idx, n in zip(np.nonzero(mask.indicator), grid.shape))
+    lo = np.array([s.start for s in box])
+    box_grid = GridSpec(*(s.stop - s.start for s in box), grid.h,
+                        origin=tuple(np.asarray(grid.origin) + grid.h * lo))
+    box_mask = DomainMask(box_grid, mask.indicator[box])
+    charges = []
+    for e in np.eye(3):
+        rho = np.zeros(grid.shape)
+        rho[box] = div(masked_cell_to_faces(
+            CellVectorField.constant(box_grid, e, box_mask), box_mask)).data
+        # negated in place, as the full-grid -div is: -0.0 off the box too
+        charges.append(np.negative(rho, out=rho))
+    return charges
+
+
 def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,
                  mask: DomainMask | None = None) -> np.ndarray:
     """Demagnetizing tensor of a rasterized ellipsoid.
@@ -310,8 +331,8 @@ def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,
     Summation by parts, <grad u, v> = -<u, div v>, is exact on the grid, so it
     equals the cell pairing <u_j, rho_i>/|Omega| with the surface charge
     rho_i = -div(e_i Chi), the right-hand side of column i's checked solve; no
-    field h is built.  N is symmetric up to solver tolerance and its trace is
-    1 up to discretization error.
+    field h is built, and each rho_i only on the mask's box.  N is symmetric
+    up to solver tolerance and its trace is 1 up to discretization error.
     """
     if not isinstance(geom, Ellipsoid):
         raise GridError("demagnetizing tensor is defined for ellipsoids")
@@ -320,9 +341,7 @@ def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,
     vol = mask.volume
     if vol == 0.0:
         raise GridError("empty mask")
-    # one unit field (three face arrays) at a time, dropped once its charge is taken
-    charges = [-div(masked_cell_to_faces(CellVectorField.constant(grid, e, mask),
-                                         mask)).data for e in np.eye(3)]
+    charges = _unit_charges(mask)
     N = np.empty((3, 3))
     for j in range(3):
         u = _cell_poisson(charges[j], grid, cfg)[0]

@@ -29,11 +29,14 @@ def _pad_diff(a: np.ndarray, axis: int) -> np.ndarray:
     """Difference with zero extension: output one longer along ``axis``."""
     shape = list(a.shape)
     shape[axis] += 1
-    out = np.zeros(shape, dtype=a.dtype)
-    lead = [slice(None)] * axis
-    out[tuple(lead + [slice(0, -1)])] = a
-    out[tuple(lead + [slice(1, None)])] -= a
-    # out[i] = a[i] - a[i-1] with a[-1] = a[n] = 0
+    out = np.empty(shape, dtype=a.dtype)
+    lead = (slice(None),) * axis
+    first, last = lead + (0,), lead + (-1,)
+    # out[i] = a[i] - a[i-1] with a[-1] = a[n] = 0; 0 - a, not -a, keeps +0.0
+    out[first] = a[first]
+    np.subtract(a[lead + (slice(1, None),)], a[lead + (slice(None, -1),)],
+                out=out[lead + (slice(1, -1),)])
+    np.subtract(0.0, a[last], out=out[last])
     return out
 
 

@@ -562,17 +562,25 @@ class ShellGridPolicy:
 
 def shell_magnetization(mesh: SurfaceMesh, m0_fn: FieldFn, eps: float,
                         grid: GridSpec) -> VectorField:
-    """Face samples of the extruded field m0(project(x)) inside the shell."""
+    """Face samples of the extruded field m0(project(x)) inside the shell,
+    |signed distance| < eps.  No face farther than eps from ``mesh.bounds()``
+    is inside, so distances are evaluated only within eps + h of the bounds."""
+    lo, hi = mesh.bounds()
+    reach = eps + grid.h
     comps = []
     for axis in range(3):
         coords = grid.face_centers(axis)
-        X, Y, Z = np.meshgrid(*coords, indexing="ij")
+        box = tuple(slice(*np.searchsorted(c, (l - reach, u + reach)))
+                    for c, l, u in zip(coords, lo, hi))
+        X, Y, Z = np.meshgrid(*(c[s] for c, s in zip(coords, box)), indexing="ij")
         pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
         inside = np.abs(mesh.signed_distance(pts)) < eps
         vals = np.zeros(len(pts))
         if inside.any():
             vals[inside] = m0_fn(mesh.project(pts[inside]))[:, axis]
-        comps.append(vals.reshape(X.shape))
+        comp = np.zeros(tuple(len(c) for c in coords))
+        comp[box] = vals.reshape(X.shape)
+        comps.append(comp)
     return VectorField(grid, *comps, staggering=FACE)
 
 

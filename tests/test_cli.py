@@ -150,10 +150,14 @@ def test_solve_rejects_non_finite_material_and_minimizer_values(tmp_path, capsys
     ("shell-study", "shell_sphere", "shell.cells_per_thickness = 0", "cells_per_thickness"),
     ("validate", "default", "validate.ball_cells = 0", "validate.ball_cells"),
     ("oracle", "default", "oracle.ball_cells = 0", "oracle.ball_cells"),
+    ("shell-study", "shell_sphere", "shell.level = -1", "shell.level"),
+    ("shell-study", "shell_sphere", "shell.surface = torus\nshell.n_major = 2", "shell.n_major"),
+    ("shell-study", "shell_sphere", "shell.surface = torus\nshell.n_minor = 2", "shell.n_minor"),
 ])
 def test_non_finite_or_out_of_range_sizes_are_config_errors(tmp_path, capsys, command,
                                                             base, lines, quantity):
-    # each used to end in a traceback (exit 1) or, for grid.h = inf, an all-NaN demag.csv
+    # each used to end in a traceback (exit 1), in an all-NaN demag.csv (grid.h = inf)
+    # or in a study of another mesh (shell.level = -1 built the level-0 icosahedron)
     root = Path(__file__).resolve().parent.parent
     body = (root / "configs" / f"{base}.cfg").read_text() + lines + "\n"
     cfg = write_cfg(tmp_path, "c.cfg", body)
@@ -161,6 +165,15 @@ def test_non_finite_or_out_of_range_sizes_are_config_errors(tmp_path, capsys, co
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert quantity in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_bad_seed_is_config_error(tmp_path, capsys):
+    # read with the config, before the output directory is made
+    cfg = write_cfg(tmp_path, "s.cfg", "config_version = 1\nseed = abc\n")
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_beyond_dense_cap_is_config_error(tmp_path, capsys):

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnetovar.errors import ConvergenceError, GridError, SupportError
-from magnetovar.grid import (EDGE, FACE, CellVectorField, Ellipsoid, GridSpec,
-                             ScalarField, VectorField, build_mask, grid_for_geometry)
-from magnetovar.magnetostatics import (DENSE_UNKNOWN_CAP, SolverConfig, demag_tensor,
+from magnetovar.grid import (EDGE, FACE, CellVectorField, DomainMask, Ellipsoid,
+                             GridSpec, ScalarField, VectorField, build_mask,
+                             grid_for_geometry)
+from magnetovar.magnetostatics import (DENSE_UNKNOWN_CAP, SolverConfig, _unit_charges,
+                                       demag_tensor,
                                        dense_oracle_energy, ellipsoid_demag_factors,
                                        functional_V, functional_V_curl, functional_W,
                                        helmholtz_orthogonality_defect,
@@ -255,6 +259,34 @@ def test_demag_tensor_matches_face_pairing(pad_ratio, preconditioner):
                       for i in range(3)]) / mask.volume
     N = demag_tensor(geom, grid, cfg, mask=mask)
     assert np.abs(N - N_ref).max() <= 1e-12 * np.abs(N_ref).max()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(sides=st.tuples(st.integers(3, 8), st.integers(3, 8), st.integers(3, 8)),
+       two_axis=st.sampled_from([0, 1, 2, None]), pad=st.integers(0, 2),
+       h=st.sampled_from([0.3, 1.0 / 12, 0.7]), fill=st.floats(0.05, 1.0),
+       touch=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_box_built_charges_equal_full_grid_charges(sides, two_axis, pad, h, fill,
+                                                   touch, seed):
+    # non-cubic grids, optionally with a side of 2; with touch the mask's box is
+    # the whole interior, so the grown box reaches into the padding (pad 2),
+    # fills it (pad 1) or is clipped at the grid's edge (pad 0)
+    n = list(sides)
+    if two_axis is not None:
+        n[two_axis] = 2
+    grid = GridSpec(*n, h=h, origin=(-0.4, 0.1, 2.0), pad=pad)
+    rng = np.random.default_rng(seed)
+    inner_cells = rng.random(tuple(n)) < fill
+    inner_cells[tuple(rng.integers(0, k) for k in n)] = True
+    if touch:
+        inner_cells[0, 0, 0] = inner_cells[-1, -1, -1] = True
+    ind = np.zeros(grid.shape)
+    ind[tuple(slice(pad, pad + k) for k in n)] = inner_cells
+    mask = DomainMask(grid, ind)
+    for e, rho in zip(np.eye(3), _unit_charges(mask)):
+        want = -div(masked_cell_to_faces(CellVectorField.constant(grid, e, mask),
+                                         mask)).data
+        assert rho.shape == want.shape and rho.tobytes() == want.tobytes()
 
 
 def test_demag_tensor_dense_oracle_matches_iterative():

@@ -9,7 +9,7 @@ from magnetovar.grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask
                              Ellipsoid, GridSpec, ScalarField, VectorField,
                              build_mask, face_shapes)
 from magnetovar.errors import GridError, SupportError
-from magnetovar.operators import (check_supported, curl, div, grad, grad_node,
+from magnetovar.operators import (_pad_diff, check_supported, curl, div, grad, grad_node,
                                   grad_norm_sq, inner, masked_cell_to_faces,
                                   masked_faces_to_cell_adjoint, norm)
 from magnetovar.testfields import random_masked
@@ -273,6 +273,21 @@ def test_cached_masked_transfer_is_bit_identical_to_face_weights(
 GRIDS = dict(sides=st.tuples(st.integers(3, 7), st.integers(3, 7)),
              two_axis=st.integers(0, 2), pad=st.integers(0, 2),
              seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+       axis=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_pad_diff_is_bit_identical_to_diff_of_zero_padded(shape, axis, seed):
+    # signed zeros included: the ends are a[0] - 0 and 0 - a[n-1]
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) * rng.integers(0, 2, shape)
+    a[rng.random(shape) < 0.3] = -0.0
+    widths = [(0, 0)] * 3
+    widths[axis] = (1, 1)
+    want = np.diff(np.pad(a, widths), axis=axis)
+    got = _pad_diff(a, axis)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _grid_with_a_side_of_2(sides, two_axis, pad):

@@ -228,6 +228,33 @@ def test_scaled_stray_tangential_torus_vanishes():
     assert vals[1] < 0.1 * dirichlet_floor
 
 
+def _full_grid_shell_magnetization(mesh, m0_fn, eps, grid):
+    # distance and projection at every face centre of the padded grid
+    comps = []
+    for axis in range(3):
+        X, Y, Z = np.meshgrid(*grid.face_centers(axis), indexing="ij")
+        pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+        inside = np.abs(mesh.signed_distance(pts)) < eps
+        vals = np.zeros(len(pts))
+        vals[inside] = m0_fn(mesh.project(pts[inside]))[:, axis]
+        comps.append(vals.reshape(X.shape))
+    return comps
+
+
+@pytest.mark.parametrize("pad_ratio", [0.25, 1.0])
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+@pytest.mark.parametrize("mesh,m0_fn", [(SPHERE, sh.hedgehog_field()),
+                                        (TORUS, sh.toroidal_field())],
+                         ids=["sphere", "torus"])
+def test_shell_magnetization_matches_full_grid_sampling(mesh, m0_fn, eps, pad_ratio):
+    grid = sh.grid_for_geometry(sh.Shell(mesh, eps), 0.12, pad_ratio)
+    m = sh.shell_magnetization(mesh, m0_fn, eps, grid)
+    want = _full_grid_shell_magnetization(mesh, m0_fn, eps, grid)
+    assert any(np.count_nonzero(c) for c in want)
+    for got, ref in zip(m.components, want):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def test_shell_resolution_guard():
     mesh = SPHERE
     grid = sh.grid_for_geometry(sh.Shell(mesh, 0.05), 0.06, 0.3)
