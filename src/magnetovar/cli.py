@@ -48,153 +48,155 @@ EXIT_IO = 4
 
 CONFIG_VERSION = 1
 
-# Every key a command reads; any other key in a config file is an error.
-# The README's config section lists the same keys.
-KNOWN_KEYS = frozenset({
-    "config_version", "seed", "output.dir",
-    "grid.h", "grid.pad_ratio",
-    "geometry.kind", "geometry.a", "geometry.b", "geometry.c", "geometry.extents",
-    "material.q", "material.easy_axis", "material.h_applied",
-    "solver.tol", "solver.max_iter", "solver.backend", "solver.preconditioner",
-    "minimize.method", "minimize.step", "minimize.backtrack", "minimize.grad_tol",
-    "minimize.max_iter", "minimize.terms",
-    "solve.init", "solve.init_direction",
-    "shell.surface", "shell.radius", "shell.level", "shell.r_major", "shell.r_minor",
-    "shell.n_major", "shell.n_minor", "shell.m0", "shell.eps_list",
-    "shell.cells_per_thickness", "shell.pad_ratio", "shell.t_nodes", "shell.delta",
-    "validate.ball_cells", "validate.pad_ratio",
-    "oracle.ball_cells",
-    "dump.fields",
-})
+
+def _int(s):
+    return int(s, 0)
+
+
+def _int_at_least(least):
+    def parse(s):
+        value = _int(s)
+        if value < least:
+            raise ValueError(f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
+def _bool(s):
+    s = s.lower()
+    if s in ("true", "1", "yes", "on"):
+        return True
+    if s in ("false", "0", "no", "off"):
+        return False
+    raise ValueError("expected true or false")
+
+
+def _floats(s):
+    return tuple(float(x) for x in s.split())
+
+
+def _vec3(s):
+    parts = _floats(s)
+    if len(parts) != 3:
+        raise ValueError("expected three numbers")
+    return parts
+
+
+def _words(s):
+    return tuple(s.split())
+
+
+# Every key a command reads, with its parser and default; any other key in a
+# config file is an error.  The README's config section lists the same keys
+# in the same order.  A default of None means the key is mandatory
+# (config_version) or computed from the mesh (shell.delta, in shell.py).
+KEYS = {
+    "config_version": (_int, None), "seed": (_int, 0),
+    "output.dir": (str, "magnetovar_out"),
+    "grid.h": (float, 0.125), "grid.pad_ratio": (float, 1.0),
+    "geometry.kind": (str, "ellipsoid"),
+    "geometry.a": (float, 1.0), "geometry.b": (float, 1.0), "geometry.c": (float, 1.0),
+    "geometry.extents": (_vec3, (1.0, 1.0, 1.0)),
+    "material.q": (float, 0.0), "material.easy_axis": (_vec3, (0.0, 0.0, 1.0)),
+    "material.h_applied": (_vec3, (0.0, 0.0, 0.0)),
+    "solver.tol": (float, 1e-8), "solver.max_iter": (_int, 20000),
+    "solver.backend": (str, "iterative"), "solver.preconditioner": (str, "dst"),
+    "minimize.method": (str, "projected_gradient"), "minimize.step": (float, 0.25),
+    "minimize.backtrack": (float, 0.5), "minimize.grad_tol": (float, 1e-4),
+    "minimize.max_iter": (_int, 500), "minimize.terms": (_words, ALL_TERMS),
+    "solve.init": (str, "random"), "solve.init_direction": (_vec3, (0.0, 0.0, 1.0)),
+    "shell.surface": (str, "sphere"), "shell.radius": (float, 1.0),
+    "shell.level": (_int_at_least(0), 4),
+    "shell.r_major": (float, 2.0), "shell.r_minor": (float, 0.5),
+    "shell.n_major": (_int_at_least(3), 64), "shell.n_minor": (_int_at_least(3), 32),
+    "shell.m0": (str, "uniform_z"), "shell.eps_list": (_floats, (0.2, 0.1, 0.05)),
+    "shell.cells_per_thickness": (float, 4.0), "shell.pad_ratio": (float, 0.5),
+    "shell.t_nodes": (_int, 4), "shell.delta": (float, None),
+    "validate.ball_cells": (_int_at_least(1), 16), "validate.pad_ratio": (float, 3.0),
+    "oracle.ball_cells": (_int_at_least(1), 12), "dump.fields": (_bool, True),
+}
 
 
 class RunConfig:
-    """Typed access to the flat key-value configuration."""
+    """A config file's values, parsed and checked by their ``KEYS`` parsers;
+    ``cfg[key]`` falls back to the key's default."""
 
-    def __init__(self, values: dict[str, str], path: str = "<config>"):
+    def __init__(self, values: dict):
         self.values = values
-        self.path = path
 
     @staticmethod
     def load(path) -> "RunConfig":
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file {p} does not exist")
-        values: dict[str, str] = {}
+        values = {}
         for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{p}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            key = key.strip()
-            if key not in KNOWN_KEYS:
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in KEYS:
                 raise ConfigError(f"{p}:{lineno}: unknown key {key!r}")
-            values[key] = val.strip()
-        cfg = RunConfig(values, str(p))
-        version = cfg.get_int("config_version", None)
-        if version != CONFIG_VERSION:
-            raise ConfigError(
-                f"{p}: config_version must be {CONFIG_VERSION}, got {version}")
+            try:
+                values[key] = KEYS[key][0](val)
+            except ValueError as exc:
+                raise ConfigError(f"{p}:{lineno}: bad value for {key!r}: {val!r} "
+                                  f"({exc})") from exc
+        cfg = RunConfig(values)
+        if cfg["config_version"] != CONFIG_VERSION:
+            raise ConfigError(f"{p}: config_version must be {CONFIG_VERSION}, "
+                              f"got {cfg['config_version']}")
         return cfg
 
-    def _get(self, key, default, conv):
-        if key not in self.values:
-            return default
-        try:
-            return conv(self.values[key])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{self.path}: bad value for {key!r}: "
-                              f"{self.values[key]!r}") from exc
+    def __getitem__(self, key):
+        return self.values.get(key, KEYS[key][1])
 
-    def get_str(self, key, default=None):
-        return self._get(key, default, str)
-
-    def get_float(self, key, default=None):
-        return self._get(key, default, float)
-
-    def get_int(self, key, default=None, least=None):
-        value = self._get(key, default, lambda s: int(s, 0))
-        if least is not None and value < least:
-            raise ConfigError(f"{key} must be at least {least}, got {value}")
-        return value
-
-    def get_bool(self, key, default=False):
-        def conv(s):
-            s = s.lower()
-            if s in ("true", "1", "yes", "on"):
-                return True
-            if s in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(s)
-        return self._get(key, default, conv)
-
-    def get_vec3(self, key, default=None):
-        def conv(s):
-            parts = [float(x) for x in s.split()]
-            if len(parts) != 3:
-                raise ValueError(s)
-            return tuple(parts)
-        return self._get(key, default, conv)
-
-    def get_floats(self, key, default=None):
-        return self._get(key, default, lambda s: [float(x) for x in s.split()])
-
-    def get_words(self, key, default=None):
-        return self._get(key, default, lambda s: tuple(s.split()))
+    def get(self, key, default):
+        """The value of ``key``, or a command's own default for it."""
+        return self.values.get(key, default)
 
 
-def build_solver_config(cfg: RunConfig, clamp_tol: bool = False):
-    tol = cfg.get_float("solver.tol", 1e-8)
-    warned = False
-    if clamp_tol and tol > 1e-6:
-        tol, warned = 1e-8, True
-    solver = SolverConfig(
-        tol=tol,
-        max_iter=cfg.get_int("solver.max_iter", 20000),
-        backend=cfg.get_str("solver.backend", "iterative"),
-        preconditioner=cfg.get_str("solver.preconditioner", "dst"),
+def build_solver_config(cfg: RunConfig, tol: float | None = None) -> SolverConfig:
+    return SolverConfig(
+        tol=cfg["solver.tol"] if tol is None else tol,
+        max_iter=cfg["solver.max_iter"],
+        backend=cfg["solver.backend"],
+        preconditioner=cfg["solver.preconditioner"],
     )
-    return (solver, warned) if clamp_tol else solver
 
 
 def build_geometry(cfg: RunConfig):
-    kind = cfg.get_str("geometry.kind", "ellipsoid")
+    kind = cfg["geometry.kind"]
     if kind == "ellipsoid":
-        return Ellipsoid(cfg.get_float("geometry.a", 1.0),
-                         cfg.get_float("geometry.b", 1.0),
-                         cfg.get_float("geometry.c", 1.0))
+        return Ellipsoid(cfg["geometry.a"], cfg["geometry.b"], cfg["geometry.c"])
     if kind == "box":
-        return Box(cfg.get_vec3("geometry.extents", (1.0, 1.0, 1.0)))
+        return Box(cfg["geometry.extents"])
     raise ConfigError(f"unknown geometry.kind {kind!r}")
 
 
 def build_material(cfg: RunConfig) -> MaterialParams:
-    return MaterialParams(Q=cfg.get_float("material.q", 0.0),
-                          easy_axis=cfg.get_vec3("material.easy_axis", (0, 0, 1)),
-                          h_applied=cfg.get_vec3("material.h_applied", (0, 0, 0)))
+    return MaterialParams(Q=cfg["material.q"], easy_axis=cfg["material.easy_axis"],
+                          h_applied=cfg["material.h_applied"])
 
 
 def build_minimize_config(cfg: RunConfig) -> MinimizeConfig:
     return MinimizeConfig(
-        method=cfg.get_str("minimize.method", "projected_gradient"),
-        step=cfg.get_float("minimize.step", 0.25),
-        backtrack=cfg.get_float("minimize.backtrack", 0.5),
-        grad_tol=cfg.get_float("minimize.grad_tol", 1e-4),
-        max_iter=cfg.get_int("minimize.max_iter", 500))
+        method=cfg["minimize.method"],
+        step=cfg["minimize.step"],
+        backtrack=cfg["minimize.backtrack"],
+        grad_tol=cfg["minimize.grad_tol"],
+        max_iter=cfg["minimize.max_iter"])
 
 
 def build_mesh(cfg: RunConfig) -> sh.SurfaceMesh:
-    surface = cfg.get_str("shell.surface", "sphere")
+    surface = cfg["shell.surface"]
     if surface == "sphere":
-        return sh.make_sphere_mesh(cfg.get_float("shell.radius", 1.0),
-                                   cfg.get_int("shell.level", 4, least=0))
+        return sh.make_sphere_mesh(cfg["shell.radius"], cfg["shell.level"])
     if surface == "torus":
-        return sh.make_torus_mesh(cfg.get_float("shell.r_major", 2.0),
-                                  cfg.get_float("shell.r_minor", 0.5),
-                                  cfg.get_int("shell.n_major", 64, least=3),
-                                  cfg.get_int("shell.n_minor", 32, least=3))
+        return sh.make_torus_mesh(cfg["shell.r_major"], cfg["shell.r_minor"],
+                                  cfg["shell.n_major"], cfg["shell.n_minor"])
     raise ConfigError(f"unknown shell.surface {surface!r}")
 
 
@@ -213,23 +215,23 @@ def field_by_name(name: str):
 # ---------------------------------------------------------------------------
 
 def _validate_rows(cfg: RunConfig, seed: int):
-    solver, tol_warned = build_solver_config(cfg, clamp_tol=True)
     rows = []
 
     def record(check, value, threshold, ok):
         rows.append([check, value, threshold, "pass" if ok else "fail"])
         return ok
 
-    if tol_warned:
-        rows.append(["loose_tolerance", cfg.get_float("solver.tol", 1e-8),
-                     1e-6, "warn"])
+    tol = cfg["solver.tol"]
+    if tol > 1e-6:
+        rows.append(["loose_tolerance", tol, 1e-6, "warn"])
+        tol = 1e-8
+    solver = build_solver_config(cfg, tol)
 
-    n_ball = cfg.get_int("validate.ball_cells", 16, least=1)
+    n_ball = cfg["validate.ball_cells"]
     geom = Ellipsoid(1.0, 1.0, 1.0)
     # generous padding: the unconstrained-route truncation must sit below
     # the cross-solver agreement threshold at this coarse resolution
-    grid = grid_for_geometry(geom, 2.0 / n_ball,
-                             cfg.get_float("validate.pad_ratio", 3.0))
+    grid = grid_for_geometry(geom, 2.0 / n_ball, cfg["validate.pad_ratio"])
     mask = build_mask(geom, grid)
     rng = np.random.default_rng(seed)
 
@@ -304,8 +306,8 @@ def cmd_demag(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     geom = build_geometry(cfg)
     if not isinstance(geom, Ellipsoid):
         raise ConfigError("demag requires geometry.kind = ellipsoid")
-    h = cfg.get_float("grid.h", 2.0 * min(geom.semi_axes) / 24)
-    grid = grid_for_geometry(geom, h, cfg.get_float("grid.pad_ratio", 1.5))
+    h = cfg.get("grid.h", 2.0 * min(geom.semi_axes) / 24)
+    grid = grid_for_geometry(geom, h, cfg.get("grid.pad_ratio", 1.5))
     N = demag_tensor(geom, grid, solver)
     analytic = ellipsoid_demag_factors(*geom.semi_axes)
     rows = []
@@ -330,20 +332,19 @@ def cmd_solve(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     geom = build_geometry(cfg)
     params = build_material(cfg)
     mcfg = build_minimize_config(cfg)
-    h = cfg.get_float("grid.h", 0.125)
-    grid = grid_for_geometry(geom, h, cfg.get_float("grid.pad_ratio", 1.0))
+    grid = grid_for_geometry(geom, cfg["grid.h"], cfg["grid.pad_ratio"])
     mask = build_mask(geom, grid)
-    terms = cfg.get_words("minimize.terms", ALL_TERMS)
+    terms = cfg["minimize.terms"]
 
-    init = cfg.get_str("solve.init", "random")
+    init = cfg["solve.init"]
     if init == "random":
         m0 = random_unit_magnetization(seed, mask)
     elif init == "uniform":
-        d = np.asarray(cfg.get_vec3("solve.init_direction", (0, 0, 1)), dtype=float)
+        d = np.asarray(cfg["solve.init_direction"])
         length = np.linalg.norm(d)
         if not 0.0 < length < np.inf:
             raise ConfigError(f"solve.init_direction must have a finite nonzero length, "
-                              f"got {cfg.values['solve.init_direction']!r}")
+                              f"got {cfg['solve.init_direction']}")
         m0 = CellVectorField.constant(grid, tuple(d / length), mask)
     else:
         raise ConfigError(f"unknown solve.init {init!r}")
@@ -368,7 +369,7 @@ def cmd_solve(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
         ["stray", breakdown.stray],
         ["total", breakdown.total],
     ])
-    if cfg.get_bool("dump.fields", True):
+    if cfg["dump.fields"]:
         write_legacy_vector_dump(out.path("magnetization.vtk"), m)
     print(f"minimization {'converged' if report.converged else 'stopped'} after "
           f"{report.iterations} steps, total energy {breakdown.total:.9g}")
@@ -382,19 +383,18 @@ def cmd_solve(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
 def cmd_shell_study(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     solver = build_solver_config(cfg)
     mesh = build_mesh(cfg)
-    m0_fn = field_by_name(cfg.get_str("shell.m0", "uniform_z"))
-    eps_list = cfg.get_floats("shell.eps_list", [0.2, 0.1, 0.05])
-    policy = sh.ShellGridPolicy(
-        cells_per_thickness=cfg.get_float("shell.cells_per_thickness", 4.0),
-        pad_ratio=cfg.get_float("shell.pad_ratio", 0.5))
-    n_t = cfg.get_int("shell.t_nodes", 4)
-    rows = sh.convergence_study(mesh, m0_fn, eps_list, solver, policy, n_t=n_t)
+    m0_fn = field_by_name(cfg["shell.m0"])
+    eps_list = cfg["shell.eps_list"]
+    policy = sh.ShellGridPolicy(cells_per_thickness=cfg["shell.cells_per_thickness"],
+                                pad_ratio=cfg["shell.pad_ratio"])
+    rows = sh.convergence_study(mesh, m0_fn, eps_list, solver, policy,
+                                n_t=cfg["shell.t_nodes"])
 
     write_csv(out.path("shell_study.csv"),
               ["eps", "exchange", "stray_scaled", "total", "limit", "gap"],
               [[r.eps, r.exchange, r.stray_scaled, r.total, r.limit, r.gap]
                for r in rows])
-    delta = cfg.get_float("shell.delta", sh.default_delta(mesh))
+    delta = cfg["shell.delta"]
     m0 = sh.sample_on_vertices(mesh, m0_fn)
     bound_rows = []
     for eps in eps_list:
@@ -415,7 +415,7 @@ def cmd_shell_study(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
 
 def cmd_oracle(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     solver = build_solver_config(cfg)
-    n_ball = cfg.get_int("oracle.ball_cells", 12, least=1)
+    n_ball = cfg["oracle.ball_cells"]
     geom = Ellipsoid(1.0, 1.0, 1.0)
     grid = grid_for_geometry(geom, 2.0 / n_ball, 0.8)
     mask = build_mask(geom, grid)
@@ -454,12 +454,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = RunConfig.load(args.config)
-        seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    seed = args.seed if args.seed is not None else cfg["seed"]
 
-    out_dir = args.out or cfg.get_str("output.dir", "magnetovar_out")
+    out_dir = args.out or cfg["output.dir"]
     tracker = OutputTracker(Path(out_dir))
     try:
         tracker.prepare()

@@ -94,10 +94,9 @@ def _cell_poisson(b: np.ndarray, grid: GridSpec, cfg: SolverConfig):
                 f"dense backend limited to {DENSE_UNKNOWN_CAP} unknowns, got {b.size}"
             )
         solve = poisson.dense_poisson_solver(b.shape, grid.h)
-        u = solve(b.ravel()).reshape(b.shape)
-        r = b - poisson.laplace_apply(u, grid.h)
-        bn = np.linalg.norm(b)
-        return u, float(np.linalg.norm(r) / bn) if bn else 0.0, 0
+        return poisson.checked_solve(lambda x: poisson.laplace_apply(x, grid.h), b,
+                                     lambda r: solve(r.ravel()).reshape(r.shape),
+                                     cfg.tol, cfg.max_iter, "dst")
     return poisson.solve_poisson(b, grid.h, cfg.tol, cfg.max_iter, cfg.preconditioner)
 
 

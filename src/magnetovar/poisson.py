@@ -181,10 +181,11 @@ def checked_solve(apply_op, b: np.ndarray, inverse, tol: float, max_iter: int,
                   preconditioner: str):
     """Solve  A x = b  to true relative residual ``tol``.
 
-    ``preconditioner = "dst"`` applies the direct ``inverse`` once and
-    checks the true residual; ``"none"`` runs plain CG, the independent
-    oracle.  Returns (x, residual, iterations); raises ConvergenceError
-    with the residual and the iteration count if ``tol`` is not met.
+    ``preconditioner = "dst"`` applies the direct ``inverse`` (a transform
+    solve, or the dense LU oracle's) once and checks the true residual;
+    ``"none"`` runs plain CG, the independent oracle.  Returns (x, residual,
+    iterations); raises ConvergenceError with the residual and the
+    iteration count if ``tol`` is not met.
     """
     if preconditioner == "none":
         return pcg(apply_op, b, tol=tol, max_iter=max_iter)
@@ -197,7 +198,7 @@ def checked_solve(apply_op, b: np.ndarray, inverse, tol: float, max_iter: int,
     res = _residual(apply_op, x, b, bnorm)
     if not res <= tol:
         raise ConvergenceError(
-            f"transform solve missed relative residual {tol:.1e}: got {res:.3e}",
+            f"direct solve missed relative residual {tol:.1e}: got {res:.3e}",
             residual=res, iterations=1)
     return x, res, 1
 

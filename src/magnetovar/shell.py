@@ -55,6 +55,10 @@ class SurfaceMesh:
     tau2: np.ndarray          # (V, 3)
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.kind not in ("sphere", "torus"):
+            raise GridError(f"mesh kind must be sphere or torus, got {self.kind!r}")
+
     @property
     def mean_curvature(self) -> np.ndarray:
         return 0.5 * (self.kappa1 + self.kappa2)
@@ -78,18 +82,12 @@ class SurfaceMesh:
     def min_curvature_radius(self) -> float:
         if self.kind == "sphere":
             return float(self.params["radius"])
-        if self.kind == "torus":
-            return min(self.params["r_minor"],
-                       self.params["r_major"] - self.params["r_minor"])
-        kmax = max(np.abs(self.kappa1).max(), np.abs(self.kappa2).max())
-        return 1.0 / kmax
+        return min(self.params["r_minor"], self.params["r_major"] - self.params["r_minor"])
 
     def bounding_radius(self) -> float:
         if self.kind == "sphere":
             return float(self.params["radius"])
-        if self.kind == "torus":
-            return float(self.params["r_major"] + self.params["r_minor"])
-        return float(np.linalg.norm(self.vertices, axis=1).max())
+        return float(self.params["r_major"] + self.params["r_minor"])
 
     def bounds(self):
         r = self.bounding_radius()
@@ -102,11 +100,9 @@ class SurfaceMesh:
         pts = np.atleast_2d(pts)
         if self.kind == "sphere":
             return np.linalg.norm(pts, axis=-1) - self.params["radius"]
-        if self.kind == "torus":
-            R = self.params["r_major"]
-            rho = np.linalg.norm(pts[..., :2], axis=-1)
-            return np.sqrt((rho - R) ** 2 + pts[..., 2] ** 2) - self.params["r_minor"]
-        raise GridError(f"no analytic distance for mesh kind {self.kind!r}")
+        R = self.params["r_major"]
+        rho = np.linalg.norm(pts[..., :2], axis=-1)
+        return np.sqrt((rho - R) ** 2 + pts[..., 2] ** 2) - self.params["r_minor"]
 
     def project(self, pts: np.ndarray) -> np.ndarray:
         """Nearest point on the surface (valid inside the tubular radius)."""
@@ -116,21 +112,21 @@ class SurfaceMesh:
             nrm = np.linalg.norm(pts, axis=-1, keepdims=True)
             nrm = np.where(nrm > 0, nrm, 1.0)
             return R * pts / nrm
-        if self.kind == "torus":
-            R, r = self.params["r_major"], self.params["r_minor"]
-            rho = np.linalg.norm(pts[..., :2], axis=-1, keepdims=True)
-            rho = np.where(rho > 0, rho, 1.0)
-            ring = np.concatenate([R * pts[..., :2] / rho,
-                                   np.zeros_like(pts[..., :1])], axis=-1)
-            d = pts - ring
-            dn = np.linalg.norm(d, axis=-1, keepdims=True)
-            dn = np.where(dn > 0, dn, 1.0)
-            return ring + r * d / dn
-        raise GridError(f"no analytic projection for mesh kind {self.kind!r}")
+        R, r = self.params["r_major"], self.params["r_minor"]
+        rho = np.linalg.norm(pts[..., :2], axis=-1, keepdims=True)
+        rho = np.where(rho > 0, rho, 1.0)
+        ring = np.concatenate([R * pts[..., :2] / rho,
+                               np.zeros_like(pts[..., :1])], axis=-1)
+        d = pts - ring
+        dn = np.linalg.norm(d, axis=-1, keepdims=True)
+        dn = np.where(dn > 0, dn, 1.0)
+        return ring + r * d / dn
 
 
 def make_sphere_mesh(radius: float = 1.0, level: int = 3) -> SurfaceMesh:
     """Icosphere: subdivided icosahedron reprojected onto the sphere."""
+    if level < 0:
+        raise GridError(f"level must be at least 0, got {level}")
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
@@ -185,6 +181,9 @@ def make_torus_mesh(r_major: float = 2.0, r_minor: float = 0.5,
     """Structured triangulation of a torus with analytic frame data."""
     if r_minor >= r_major:
         raise GridError("torus needs r_minor < r_major")
+    for name, n in (("n_major", n_major), ("n_minor", n_minor)):
+        if n < 3:
+            raise GridError(f"{name} must be at least 3, got {n}")
     u = 2 * np.pi * np.arange(n_major) / n_major
     v = 2 * np.pi * np.arange(n_minor) / n_minor
     U, Vv = np.meshgrid(u, v, indexing="ij")

@@ -13,7 +13,7 @@ import pytest
 import magnetovar
 from magnetovar import shell as sh
 from magnetovar.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, RunConfig, main
-from magnetovar.errors import ConfigError
+from magnetovar.errors import ConfigError, GridError
 from magnetovar.io import write_csv
 from magnetovar.magnetostatics import SolverConfig
 
@@ -37,12 +37,15 @@ shell.eps_list = 0.2 0.1
 dump.fields = false
 """)
     cfg = RunConfig.load(path)
-    assert cfg.get_int("seed") == 7
-    assert cfg.get_vec3("material.easy_axis") == (0.0, 1.0, 0.0)
-    assert cfg.get_floats("shell.eps_list") == [0.2, 0.1]
-    assert cfg.get_bool("dump.fields") is True or cfg.get_bool("dump.fields") is False
-    assert cfg.get_bool("dump.fields") is False
-    assert cfg.get_str("missing.key", "fallback") == "fallback"
+    assert cfg.values["seed"] == 7  # parsed when the file is read
+    assert cfg["seed"] == 7
+    assert cfg["material.easy_axis"] == (0.0, 1.0, 0.0)
+    assert cfg["shell.eps_list"] == (0.2, 0.1)
+    assert cfg["dump.fields"] is False
+    assert cfg["solver.tol"] == 1e-8  # the table's default
+    assert cfg.get("output.dir", "fallback") == "fallback"
+    with pytest.raises(KeyError):
+        cfg["missing.key"]
 
 
 def test_config_requires_version(tmp_path):
@@ -165,6 +168,21 @@ def test_non_finite_or_out_of_range_sizes_are_config_errors(tmp_path, capsys, co
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert quantity in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("line, key", [
+    ("dump.fields = maybe", "dump.fields"),
+    ("shell.level = -1", "shell.level"),
+    ("geometry.extents = 1 1", "geometry.extents"),
+    ("minimize.max_iter = 1.5", "minimize.max_iter"),
+])
+def test_bad_value_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, key):
+    # oracle reads none of these keys, but every value is parsed with the file
+    cfg = write_cfg(tmp_path, "o.cfg", BASE + "oracle.ball_cells = 8\n" + line + "\n")
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"o.cfg:4: bad value for {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_seed_is_config_error(tmp_path, capsys):
@@ -299,15 +317,24 @@ shell.delta = 5.0
     assert not (out / "shell_study.csv").exists()
 
 
-def test_absurd_tolerance_is_clamped_with_warning(tmp_path):
-    from magnetovar.cli import build_solver_config
-    path = write_cfg(tmp_path, "t.cfg", BASE + "solver.tol = 1\n")
+def test_absurd_tolerance_is_clamped_with_warning(tmp_path, monkeypatch):
+    from magnetovar import cli
+    path = write_cfg(tmp_path, "t.cfg", BASE + "solver.tol = 1\nvalidate.ball_cells = 4\n")
     cfg = RunConfig.load(path)
-    solver, warned = build_solver_config(cfg, clamp_tol=True)
-    assert warned and solver.tol == 1e-8
     # without clamping the absurd value is a config error
-    with pytest.raises(Exception):
-        build_solver_config(cfg)
+    with pytest.raises(GridError, match="tol"):
+        cli.build_solver_config(cfg)
+    # validate clamps it to 1e-8 for every solve and reports the clamp first
+    tols, solve = [], cli.solve_scalar_potential
+
+    def spy(m, mask, solver):
+        tols.append(solver.tol)
+        return solve(m, mask, solver)
+
+    monkeypatch.setattr(cli, "solve_scalar_potential", spy)
+    rows = cli._validate_rows(cfg, 1)
+    assert rows[0] == ["loose_tolerance", 1.0, 1e-6, "warn"]
+    assert tols and set(tols) == {1e-8}
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
@@ -324,16 +351,14 @@ def test_known_keys_cover_configs_cli_and_readme():
     root = Path(__file__).resolve().parent.parent
     for path in sorted((root / "configs").glob("*.cfg")):
         RunConfig.load(path)
-    read = set(re.findall(r'get_\w+\("([^"]+)"', Path(cli.__file__).read_text()))
-    assert read == cli.KNOWN_KEYS
+    # every key is read somewhere, written literally as cfg["key"] or cfg.get("key", ...)
+    source = Path(cli.__file__).read_text()
+    assert set(re.findall(r'cfg(?:\[|\.get\()"([^"]+)"', source)) == set(cli.KEYS)
+
+    # the README block lists the same keys in the same order, and its value for
+    # each key, parsed by the key's parser, is the table's default
     readme = (root / "README.md").read_text()
     block = readme.split("### Config format", 1)[1].split("```")[1]
-    documented = set(re.findall(r"^([a-z_]+(?:\.[a-z0-9_]+)?) =", block, re.M))
-    assert documented == cli.KNOWN_KEYS
-
-    # the README's value for each key is the literal default cli.py passes,
-    # parsed with the same getter; "<command>: <value>" in the key's comment
-    # names the default of that command where it differs
     readme_values, comments, key = {}, {}, None
     for line in block.splitlines():
         if line.lstrip().startswith("#") and key is not None:
@@ -342,33 +367,23 @@ def test_known_keys_cover_configs_cli_and_readme():
             key, rest = (part.strip() for part in line.split("=", 1))
             readme_values[key], _, comments[key] = (part.strip() for part in
                                                     rest.partition("#"))
-    checked = set()
-    tree = ast.parse(Path(cli.__file__).read_text())
-    for func in ast.walk(tree):
-        if not isinstance(func, ast.FunctionDef):
+    assert list(readme_values) == list(cli.KEYS)
+    assert int(readme_values["config_version"]) == cli.CONFIG_VERSION
+    for key, (parse, default) in cli.KEYS.items():
+        if default is not None:  # None: mandatory (config_version) or computed
+            assert parse(readme_values[key]) == default, key
+
+    # "demag: <value>" in a key's comment is demag's own default, cfg.get(key, value)
+    own = dict(re.findall(r'cfg\.get\("([^"]+)", ((?:[^()]|\([^()]*\))*)\)', source))
+    assert set(own) == {k for k, c in comments.items() if "demag:" in c}
+    for key, expr in own.items():
+        note = re.search(r"\bdemag: (\S+)", comments[key]).group(1)
+        try:
+            default = ast.literal_eval(expr)
+        except ValueError:  # computed: demag's grid.h is 2 min(a, b, c) / 24
             continue
-        command = func.name[4:].replace("_", "-") if func.name.startswith("cmd_") else None
-        for call in ast.walk(func):
-            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                    and call.func.attr.startswith("get_") and len(call.args) == 2
-                    and isinstance(call.args[0], ast.Constant)):
-                continue
-            key = call.args[0].value
-            try:
-                default = ast.literal_eval(call.args[1])
-            except ValueError:
-                # not a literal, so not checked: demag's grid.h (2 min(a, b, c) / 24)
-                # and shell.delta (0.7 x the minimal curvature radius) are computed,
-                # minimize.terms is the constant energy.ALL_TERMS
-                continue
-            if default is None:  # config_version has no default: it is mandatory
-                continue
-            named = re.search(rf"\b{command}: (\S+)", comments[key]) if command else None
-            text = named.group(1) if named else readme_values[key]
-            value = getattr(RunConfig({key: text}), call.func.attr)(key)
-            assert value == default, (key, command, text, default)
-            checked.add(key)
-    assert {"output.dir", "grid.h", "grid.pad_ratio", "oracle.ball_cells"} <= checked
+        assert cli.KEYS[key][0](note) == default, key
+    assert own["grid.pad_ratio"] == "1.5"
 
 
 IMPORT_GUARD = """

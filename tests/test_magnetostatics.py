@@ -360,6 +360,21 @@ def test_dense_oracle_matches_iterative():
     assert dense_oracle_energy(VectorField.zeros(grid, FACE), mask) == 0.0
 
 
+def test_dense_oracle_solution_is_residual_checked(monkeypatch):
+    # the LU result is checked by the same true-residual code as the transform solve
+    from magnetovar import poisson
+    dense = poisson.dense_poisson_solver
+
+    def perturbed(shape, h):
+        solve = dense(shape, h)
+        return lambda b: solve(b) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(poisson, "dense_poisson_solver", perturbed)
+    grid, mask = ball_mask(8, 0.8)
+    with pytest.raises(ConvergenceError, match="residual"):
+        dense_oracle_energy(random_masked(9, mask), mask)
+
+
 def test_dense_oracle_size_cap():
     grid = GridSpec.centered_cube(40, 0.05, pad=0)
     with pytest.raises(GridError):

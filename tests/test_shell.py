@@ -28,6 +28,23 @@ def test_meshes_are_closed_and_unit_normals():
         assert np.allclose(np.linalg.norm(mesh.normals, axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: sh.make_sphere_mesh(1.0, level=-1), "level"),
+    (lambda: sh.make_torus_mesh(2.0, 0.5, n_major=2, n_minor=24), "n_major"),
+    (lambda: sh.make_torus_mesh(2.0, 0.5, n_major=48, n_minor=2), "n_minor"),
+])
+def test_mesh_builders_reject_bad_sizes(build, name):
+    # range(-1) used to leave the level-0 icosahedron; n < 3 gave degenerate tori
+    with pytest.raises(GridError, match=name):
+        build()
+
+
+def test_unknown_mesh_kind_is_rejected():
+    with pytest.raises(GridError, match="plane"):
+        sh.SurfaceMesh("plane", SPHERE.vertices, SPHERE.triangles, SPHERE.normals,
+                       SPHERE.kappa1, SPHERE.kappa2, SPHERE.tau1, SPHERE.tau2)
+
+
 def test_mesh_area_converges_to_analytic():
     a2 = sh.make_sphere_mesh(1.0, 2).total_area()
     a3 = sh.make_sphere_mesh(1.0, 3).total_area()
