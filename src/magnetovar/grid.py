@@ -421,6 +421,14 @@ class DomainMask:
     def is_empty(self) -> bool:
         return self.cell_count == 0
 
+    def check_grid(self, grid: GridSpec):
+        """Raise GridError, naming what differs, unless the mask is on ``grid``."""
+        if self.grid != grid:
+            diff = ", ".join(f"{name} {getattr(self.grid, name)} != {getattr(grid, name)}"
+                             for name in ("nx", "ny", "nz", "h", "origin", "pad")
+                             if getattr(self.grid, name) != getattr(grid, name))
+            raise GridError(f"mask is on another grid (mask vs field): {diff}")
+
 
 def build_mask(geom: Geometry, grid: GridSpec) -> DomainMask:
     """Rasterize a geometry: a cell belongs to the domain iff its center does.

@@ -29,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask, Ellipsoid,
+from .grid import (CELL, EDGE, FACE, CellVectorField, DomainMask, Ellipsoid,
                    GridSpec, ScalarField, VectorField, build_mask, edge_shapes)
-from .operators import (check_supported, curl, div, grad, grad_node,
-                        grad_norm_sq, inner, masked_cell_to_faces, norm)
+from .operators import (check_supported, curl, curl_component, div, grad,
+                        grad_component, grad_norm_sq, inner, masked_cell_to_faces,
+                        norm)
 from . import poisson
 
 DENSE_UNKNOWN_CAP = 32768
@@ -60,11 +61,21 @@ class SolverConfig:
 
 @dataclass
 class StrayFieldSolution:
+    """Scalar-route solution; the field ``h = -grad u`` is built each time it
+    is read, not stored, so a caller that needs only the energy holds no face
+    field."""
+
     u: ScalarField
-    h: VectorField
     energy: float
     residual: float
     iterations: int
+
+    @property
+    def h(self) -> VectorField:
+        h = grad(self.u)
+        for comp in h.components:
+            np.negative(comp, out=comp)
+        return h
 
 
 @dataclass
@@ -84,7 +95,13 @@ def _validate_source(m: VectorField, mask: DomainMask | None):
         if not np.all(np.isfinite(comp)):
             raise GridError("magnetization contains non-finite values")
     if mask is not None:
+        mask.check_grid(m.grid)
         check_supported(m, mask)
+
+
+def _sq(a: np.ndarray) -> float:
+    """<a, a>, one array at a time: the argument is the only temporary."""
+    return float(np.vdot(a, a))
 
 
 def _cell_poisson(b: np.ndarray, grid: GridSpec, cfg: SolverConfig):
@@ -105,18 +122,18 @@ def solve_scalar_potential(m: VectorField, mask: DomainMask | None,
     """Scalar-potential route: discrete weak Poisson problem for u.
 
     ``u`` maximizes W(m, .) over the cell potential space; ``h = -grad u``
-    and ``energy = 1/2 ||grad u||^2``.
+    and ``energy = 1/2 ||grad u||^2``, summed one face component at a time
+    (equal to ``0.5 * inner(h, h)`` bit for bit; no gradient is kept).
     """
     _validate_source(m, mask)
-    rhs = -div(m).data
+    rhs = div(m).data
+    np.negative(rhs, out=rhs)
     u_data, res, iters = _cell_poisson(rhs, m.grid, cfg)
     del rhs
     u = ScalarField(m.grid, u_data, CELL)
-    h = grad(u)
-    for comp in h.components:
-        np.negative(comp, out=comp)
-    energy = 0.5 * inner(h, h)
-    return StrayFieldSolution(u=u, h=h, energy=energy, residual=res, iterations=iters)
+    g2 = sum(_sq(grad_component(u, axis)) for axis in range(3))
+    return StrayFieldSolution(u=u, energy=0.5 * (g2 * m.grid.cell_volume),
+                              residual=res, iterations=iters)
 
 
 def functional_W(m: VectorField, u: ScalarField) -> float:
@@ -129,7 +146,12 @@ def functional_V(m: VectorField, a: VectorField) -> float:
     """Unconstrained trial functional (full difference-gradient stiffness)."""
     if a.staggering != EDGE:
         raise GridError("vector potential must be edge-staggered")
-    return 0.5 * grad_norm_sq(a) + 0.5 * inner(m, m) - inner(m, curl(a))
+    if m.staggering != FACE:
+        raise GridError("magnetization must be face-staggered")
+    # inner(m, curl a) one component of curl a at a time, bit for bit
+    m_curl_a = sum(float(np.vdot(mc, curl_component(a, c)))
+                   for c, mc in enumerate(m.components)) * m.grid.cell_volume
+    return 0.5 * grad_norm_sq(a) + 0.5 * inner(m, m) - m_curl_a
 
 
 def functional_V_curl(m: VectorField, a: VectorField) -> float:
@@ -144,17 +166,22 @@ def project_divergence_free(a: VectorField, cfg: SolverConfig):
     """Divergence-free representative of the gauge class of ``a``.
 
     Solves the node Poisson problem for the gauge scalar and adds its
-    gradient; the curl of the result is unchanged to rounding.
+    gradient, one component at a time (``a + grad_node(p)`` bit for bit);
+    the curl of the result is unchanged to rounding.  ``a`` is not modified.
     """
-    d = div(a)
-    bn = np.linalg.norm(d.data)
-    if bn == 0.0:
+    d = div(a).data
+    if not d.any():
         return a, 0.0, 0
     # div(grad_node p) is the no-flux node Laplacian; kill div a with its inverse
-    p_data, res, iters = poisson.solve_poisson_neumann(d.data, a.grid.h, cfg.tol,
-                                                       cfg.max_iter, cfg.preconditioner)
-    p = ScalarField(a.grid, p_data, NODE)
-    return a + grad_node(p), res, iters
+    p, res, iters = poisson.solve_poisson_neumann(d, a.grid.h, cfg.tol,
+                                                  cfg.max_iter, cfg.preconditioner)
+    del d
+    comps = []
+    for axis, comp in enumerate(a.components):
+        g = np.diff(p, axis=axis)
+        g /= a.grid.h
+        comps.append(np.add(comp, g, out=g))
+    return VectorField(a.grid, *comps, staggering=EDGE), res, iters
 
 
 def minimize_V(m: VectorField, cfg: SolverConfig):
@@ -164,9 +191,9 @@ def minimize_V(m: VectorField, cfg: SolverConfig):
     """
     comps = []
     res_max, iters_total = 0.0, 0
-    for b in curl(m).components:
-        x, res, iters = poisson.solve_poisson(b, m.grid.h, cfg.tol, cfg.max_iter,
-                                              cfg.preconditioner)
+    for c in range(3):
+        x, res, iters = poisson.solve_poisson(curl_component(m, c), m.grid.h, cfg.tol,
+                                              cfg.max_iter, cfg.preconditioner)
         comps.append(x)
         res_max = max(res_max, res)
         iters_total += iters
@@ -186,13 +213,52 @@ def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None
     a_min, res_max, iters_total = minimize_V(m, cfg)
     energy = functional_V(m, a_min)
     a_star, res_p, iters_p = project_divergence_free(a_min, cfg)
+    del a_min
     res_max = max(res_max, res_p)
     iters_total += iters_p
-    curl_a = curl(a_star)
     div_norm = norm(div(a_star))
+    curl_a = curl(a_star)
     return VectorPotentialSolution(a=a_star, curl_a=curl_a, div_norm=div_norm,
                                    energy=energy, residual=res_max,
                                    iterations=iters_total)
+
+
+_EDGE_KINDS = tuple(tuple("dst" if axis == c else "dct" for axis in range(3))
+                    for c in range(3))
+
+
+def _solve_curl_curl(m: VectorField, cfg: SolverConfig):
+    """Solve  curl curl a = curl m  for an edge field; (a, residual, iterations).
+
+    The direct solve takes one transform solve per component, and its true
+    residual ||b - curl curl a|| / ||b|| is summed one component of
+    curl curl a at a time.  Plain CG runs on the concatenated components.
+    """
+    grid = m.grid
+    if cfg.preconditioner == "none":
+        shapes = edge_shapes(grid)
+        splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+
+        def field(v):
+            parts = np.split(v, splits)
+            return VectorField(grid, *(p.reshape(s) for p, s in zip(parts, shapes)),
+                               staggering=EDGE)
+
+        def flat(f):
+            return np.concatenate([c.ravel() for c in f.components])
+
+        x, res, iters = poisson.pcg(lambda v: flat(curl(curl(field(v)))), flat(curl(m)),
+                                    cfg.tol, cfg.max_iter)
+        return field(x), res, iters
+    b = curl(m).components
+    bnorm = poisson.rhs_norm(*b)
+    if bnorm == 0.0:
+        return VectorField.zeros(grid, EDGE), 0.0, 0
+    a = VectorField(grid, *(poisson.transform_solve(bc, grid.h, k)
+                            for bc, k in zip(b, _EDGE_KINDS)), staggering=EDGE)
+    curl_a = curl(a)
+    r2 = sum(_sq(bc - curl_component(curl_a, c)) for c, bc in enumerate(b))
+    return a, poisson.confirm_direct(float(np.sqrt(r2)) / bnorm, cfg.tol), 1
 
 
 def solve_vector_potential_gauged(m: VectorField, mask: DomainMask | None,
@@ -200,44 +266,27 @@ def solve_vector_potential_gauged(m: VectorField, mask: DomainMask | None,
     """Minimize V_curl(m, .) over the discrete divergence-free subspace.
 
     Solves the curl-curl normal equations  curl curl a = curl m  for the
-    three edge components at once.  With ``preconditioner = "dst"`` the
-    solve is the direct inverse of ``curl curl - grad_node div``, per edge
-    component DST-I along its own axis and DCT-II along the two node axes
+    three edge components.  With ``preconditioner = "dst"`` the solve is the
+    direct inverse of ``curl curl - grad_node div``, per edge component
+    DST-I along its own axis and DCT-II along the two node axes
     (``poisson.transform_solve``); the right-hand side is divergence-free
     by the exact discrete identity, and there that operator equals
     curl-curl, which the true-residual check confirms.
     ``preconditioner = "none"`` runs plain CG, whose iterates stay in the
     divergence-free subspace.  A final projection removes rounding drift.
+    The energy 1/2 ||curl a - m||^2 is summed one component at a time.
     """
     _validate_source(m, mask)
-    grid = m.grid
-    h = grid.h
-    shapes = edge_shapes(grid)
-    splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
-    kinds = [tuple("dst" if ax == c else "dct" for ax in range(3)) for c in range(3)]
-
-    def split(v):
-        return [part.reshape(s) for part, s in zip(np.split(v, splits), shapes)]
-
-    def curl_curl(v):
-        cc = curl(curl(VectorField(grid, *split(v), staggering=EDGE)))
-        return np.concatenate([c.ravel() for c in cc.components])
-
-    def inverse(v):
-        return np.concatenate([poisson.transform_solve(c, h, k).ravel()
-                               for c, k in zip(split(v), kinds)])
-
-    rhs = np.concatenate([c.ravel() for c in curl(m).components])
-    x, res, iters = poisson.checked_solve(curl_curl, rhs, inverse, cfg.tol,
-                                          cfg.max_iter, cfg.preconditioner)
-    del rhs
-    a, res_p, it_p = project_divergence_free(
-        VectorField(grid, *split(x), staggering=EDGE), cfg)
+    x, res, iters = _solve_curl_curl(m, cfg)
+    a, res_p, it_p = project_divergence_free(x, cfg)
+    del x
+    div_norm = norm(div(a))
     curl_a = curl(a)
-    d = curl_a - m
-    return VectorPotentialSolution(a=a, curl_a=curl_a, div_norm=norm(div(a)),
-                                   energy=0.5 * inner(d, d), residual=max(res, res_p),
-                                   iterations=iters + it_p)
+    # 0.5 * inner(curl_a - m, curl_a - m) bit for bit, one component at a time
+    d2 = sum(_sq(ca - mc) for ca, mc in zip(curl_a.components, m.components))
+    return VectorPotentialSolution(a=a, curl_a=curl_a, div_norm=div_norm,
+                                   energy=0.5 * (d2 * m.grid.cell_volume),
+                                   residual=max(res, res_p), iterations=iters + it_p)
 
 
 def stray_field(m: VectorField, mask: DomainMask | None, cfg: SolverConfig) -> VectorField:
@@ -337,6 +386,7 @@ def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,
         raise GridError("demagnetizing tensor is defined for ellipsoids")
     if mask is None:
         mask = build_mask(geom, grid)
+    mask.check_grid(grid)
     vol = mask.volume
     if vol == 0.0:
         raise GridError("empty mask")

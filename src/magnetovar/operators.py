@@ -40,15 +40,18 @@ def _pad_diff(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def grad(u: ScalarField) -> VectorField:
-    """Face-centered gradient of a cell scalar (zero outside the grid)."""
+def grad_component(u: ScalarField, axis: int) -> np.ndarray:
+    """Component ``axis`` of ``grad(u)``, bit for bit, without the other two."""
     if u.centering != CELL:
         raise GridError("grad expects a cell-centered scalar")
-    h = u.grid.h
-    return VectorField(u.grid,
-                       _pad_diff(u.data, 0) / h,
-                       _pad_diff(u.data, 1) / h,
-                       _pad_diff(u.data, 2) / h,
+    g = _pad_diff(u.data, axis)
+    g /= u.grid.h
+    return g
+
+
+def grad(u: ScalarField) -> VectorField:
+    """Face-centered gradient of a cell scalar (zero outside the grid)."""
+    return VectorField(u.grid, *(grad_component(u, axis) for axis in range(3)),
                        staggering=FACE)
 
 
@@ -66,27 +69,31 @@ def grad_node(p: ScalarField) -> VectorField:
 
 def div(v: VectorField) -> ScalarField:
     """Divergence: faces -> cells, or edges -> nodes."""
-    h = v.grid.h
-    if v.staggering == FACE:
-        data = (np.diff(v.x, axis=0) + np.diff(v.y, axis=1)
-                + np.diff(v.z, axis=2)) / h
-        return ScalarField(v.grid, data, centering=CELL)
-    data = (_pad_diff(v.x, 0) + _pad_diff(v.y, 1) + _pad_diff(v.z, 2)) / h
-    return ScalarField(v.grid, data, centering=NODE)
+    face = v.staggering == FACE
+    diff = np.diff if face else _pad_diff
+    data = diff(v.x, axis=0)
+    data += diff(v.y, axis=1)
+    data += diff(v.z, axis=2)
+    data /= v.grid.h
+    return ScalarField(v.grid, data, centering=CELL if face else NODE)
+
+
+def curl_component(v: VectorField, c: int) -> np.ndarray:
+    """Component ``c`` of ``curl(v)``, bit for bit, without the other two:
+    d_j v_k - d_k v_j with (c, j, k) cyclic."""
+    j, k = (c + 1) % 3, (c + 2) % 3
+    diff = _pad_diff if v.staggering == FACE else np.diff
+    comps = v.components
+    out = diff(comps[k], axis=j)
+    out -= diff(comps[j], axis=k)
+    out /= v.grid.h
+    return out
 
 
 def curl(v: VectorField) -> VectorField:
     """Staggered curl; flips the layout (faces -> edges, edges -> faces)."""
-    h = v.grid.h
-    if v.staggering == FACE:
-        cx = (_pad_diff(v.z, 1) - _pad_diff(v.y, 2)) / h
-        cy = (_pad_diff(v.x, 2) - _pad_diff(v.z, 0)) / h
-        cz = (_pad_diff(v.y, 0) - _pad_diff(v.x, 1)) / h
-        return VectorField(v.grid, cx, cy, cz, staggering=EDGE)
-    cx = (np.diff(v.z, axis=1) - np.diff(v.y, axis=2)) / h
-    cy = (np.diff(v.x, axis=2) - np.diff(v.z, axis=0)) / h
-    cz = (np.diff(v.y, axis=0) - np.diff(v.x, axis=1)) / h
-    return VectorField(v.grid, cx, cy, cz, staggering=FACE)
+    return VectorField(v.grid, *(curl_component(v, c) for c in range(3)),
+                       staggering=EDGE if v.staggering == FACE else FACE)
 
 
 def inner(f, g) -> float:
@@ -137,10 +144,14 @@ def _pair_sum_pad(a: np.ndarray, axis: int) -> np.ndarray:
     """Two-point sum with zero extension: output one longer along axis."""
     shape = list(a.shape)
     shape[axis] += 1
-    out = np.zeros(shape)
-    lead = [slice(None)] * axis
-    out[tuple(lead + [slice(1, None)])] += a
-    out[tuple(lead + [slice(0, -1)])] += a
+    out = np.empty(shape, dtype=a.dtype)
+    lead = (slice(None),) * axis
+    # out[i] = (0 + a[i-1]) + a[i] with a[-1] = a[n] = 0, a zero-filled sum's
+    # arithmetic with only the first plane filled; 0 + a, not a, turns -0.0
+    # into +0.0, so two -0.0 neighbours still sum to +0.0
+    out[lead + (0,)] = 0.0
+    np.add(0.0, a, out=out[lead + (slice(1, None),)])
+    out[lead + (slice(None, -1),)] += a
     return out
 
 
@@ -187,9 +198,9 @@ def check_supported(v: VectorField, mask: DomainMask):
     if v.staggering != FACE:
         raise GridError("support check expects a face field")
     for axis, (comp, name) in enumerate(zip(v.components, "xyz")):
-        bad = np.abs(comp)
-        bad[mask.face_count(axis) != 0] = 0.0
-        if bad.any():
+        outside = mask.face_count(axis) == 0
+        if np.any(comp, where=outside):
+            bad = np.where(outside, np.abs(comp), 0.0)
             idx = np.unravel_index(np.argmax(bad), bad.shape)
             raise SupportError(
                 f"magnetization component {name} is nonzero outside the domain "

@@ -12,10 +12,13 @@ them directly with one cached dense orthonormal eigenbasis per axis
 length and end condition, built from its closed-form sines or cosines and
 applied by matrix products (box-restricted forward, in-place inverse), and
 ``checked_solve`` confirms each such solve with one apply of the operator
-(the true residual ``||b - A x|| / ||b||``).  Plain conjugate gradients
-(``pcg``) and the dense LU factorization remain as independent oracles;
-the LU oracle is the only code here that needs SciPy, and it imports it
-on first use, so the fast path runs on numpy alone.
+(the true residual ``||b - A x|| / ||b||`` over the full grid).  The apply
+runs slab by slab along axis 0, each slab with a one-plane halo, so every
+slab of ``A x`` is the full apply's bit for bit and the check's temporaries
+are one slab of ``_SLAB_BYTES``, not arrays of the grid's size.  Plain
+conjugate gradients (``pcg``) and the dense LU factorization remain as
+independent oracles; the LU oracle is the only code here that needs SciPy,
+and it imports it on first use, so the fast path runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def __getattr__(name: str):
 
 def laplace_apply(x: np.ndarray, h: float) -> np.ndarray:
     """y = -Laplacian(x) with zero ghosts: SPD on any lattice shape."""
-    y = 6.0 * x.copy()
+    y = 6.0 * x
     y[:-1] -= x[1:]
     y[1:] -= x[:-1]
     y[:, :-1] -= x[:, 1:]
@@ -57,7 +60,7 @@ def neumann_laplace_apply(x: np.ndarray, h: float) -> np.ndarray:
     This is div(grad_node(.)) on the node lattice, whose boundary stencils
     drop the missing-neighbor terms entirely.  Singular: constants map to 0.
     """
-    y = 6.0 * x.copy()
+    y = 6.0 * x
     y[0] -= x[0]
     y[-1] -= x[-1]
     y[:, 0] -= x[:, 0]
@@ -77,6 +80,7 @@ def neumann_laplace_apply(x: np.ndarray, h: float) -> np.ndarray:
 _BASIS_CACHE: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
 
 _COLUMN_BLOCK = 256  # columns per block of the in-place axis-0 products
+_SLAB_BYTES = 1 << 20  # bytes of b per slab of a residual check
 
 
 def _axis_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -164,8 +168,10 @@ def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str]) -> np.
     return coef
 
 
-def _rhs_norm(b: np.ndarray) -> float:
-    bnorm = float(np.linalg.norm(b))
+def rhs_norm(*parts: np.ndarray) -> float:
+    """||b|| for ``b`` the concatenation of ``parts``; raises ConvergenceError
+    if it is not finite."""
+    bnorm = float(np.sqrt(sum(float(np.vdot(p, p)) for p in parts)))
     if not np.isfinite(bnorm):
         raise ConvergenceError("right-hand side is not finite",
                                residual=float("nan"), iterations=0)
@@ -177,30 +183,60 @@ def _residual(apply_op, x: np.ndarray, b: np.ndarray, bnorm: float) -> float:
     return float(np.linalg.norm(b - apply_op(x))) / bnorm
 
 
+def stencil_residual_norm(apply_op, x: np.ndarray, b: np.ndarray) -> float:
+    """||b - A x|| over the full grid, summed slab by slab along axis 0.
+
+    ``apply_op`` is a 7-point stencil such as ``laplace_apply`` or
+    ``neumann_laplace_apply``: its value on a plane reads ``x`` on that plane
+    and its two neighbours only, and it treats the ends of the array it is
+    given as the lattice's ends.  Each slab is applied with a one-plane halo
+    on each side that has a neighbour, so every slab of ``A x`` equals the
+    full apply's bit for bit.  A slab holds ``_SLAB_BYTES`` of ``b``, at
+    least one plane, so a grid that fits is one slab and its norm is
+    ``np.linalg.norm(b - apply_op(x))`` exactly.
+    """
+    n0 = b.shape[0]
+    planes = max(1, _SLAB_BYTES // b[0].nbytes)
+    total = 0.0
+    for lo in range(0, n0, planes):
+        hi = min(lo + planes, n0)
+        start = max(lo - 1, 0)
+        r = apply_op(x[start:hi + 1])[lo - start:hi - start]
+        np.subtract(b[lo:hi], r, out=r)
+        total += float(np.vdot(r, r))
+    return float(np.sqrt(total))
+
+
+def confirm_direct(res: float, tol: float) -> float:
+    """Return the relative residual ``res`` of a direct solve, or raise
+    ConvergenceError if it misses ``tol``."""
+    if not res <= tol:
+        raise ConvergenceError(
+            f"direct solve missed relative residual {tol:.1e}: got {res:.3e}",
+            residual=res, iterations=1)
+    return res
+
+
 def checked_solve(apply_op, b: np.ndarray, inverse, tol: float, max_iter: int,
                   preconditioner: str):
     """Solve  A x = b  to true relative residual ``tol``.
 
     ``preconditioner = "dst"`` applies the direct ``inverse`` (a transform
-    solve, or the dense LU oracle's) once and checks the true residual;
-    ``"none"`` runs plain CG, the independent oracle.  Returns (x, residual,
-    iterations); raises ConvergenceError with the residual and the
-    iteration count if ``tol`` is not met.
+    solve, or the dense LU oracle's) once and checks the true residual over
+    the full grid, slab by slab (``stencil_residual_norm``: ``apply_op`` is
+    a 7-point stencil); ``"none"`` runs plain CG, the independent oracle.
+    Returns (x, residual, iterations); raises ConvergenceError with the
+    residual and the iteration count if ``tol`` is not met.
     """
     if preconditioner == "none":
         return pcg(apply_op, b, tol=tol, max_iter=max_iter)
     if preconditioner != "dst":
         raise ValueError(f"unknown preconditioner {preconditioner!r}")
-    bnorm = _rhs_norm(b)
+    bnorm = rhs_norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0, 0
     x = inverse(b)
-    res = _residual(apply_op, x, b, bnorm)
-    if not res <= tol:
-        raise ConvergenceError(
-            f"direct solve missed relative residual {tol:.1e}: got {res:.3e}",
-            residual=res, iterations=1)
-    return x, res, 1
+    return x, confirm_direct(stencil_residual_norm(apply_op, x, b) / bnorm, tol), 1
 
 
 def solve_poisson_neumann(b: np.ndarray, h: float, tol: float, max_iter: int,
@@ -234,7 +270,7 @@ def pcg(apply_op, b: np.ndarray, tol: float, max_iter: int):
     when the recursively updated residual meets ``tol`` the true one is
     recomputed, and if it misses, the iteration restarts from it.
     """
-    bnorm = _rhs_norm(b)
+    bnorm = rhs_norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0, 0
     x = np.zeros_like(b)

@@ -1,5 +1,8 @@
 """The three stray-field routes and their cross-checks."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,8 @@ from magnetovar.magnetostatics import (DENSE_UNKNOWN_CAP, SolverConfig, _unit_ch
                                        solve_vector_potential_gauged,
                                        solve_vector_potential_unconstrained,
                                        stray_field)
-from magnetovar.operators import curl, div, inner, masked_cell_to_faces, norm
+from magnetovar import poisson
+from magnetovar.operators import curl, div, grad, inner, masked_cell_to_faces, norm
 from magnetovar.testfields import TestFieldSpec, gradient_bump, random_masked
 
 CFG = SolverConfig(tol=1e-8)
@@ -391,6 +395,61 @@ def test_source_validation():
     m2.x[0, 0, 0] = np.nan
     with pytest.raises(GridError):
         solve_scalar_potential(m2, None, CFG)
+
+
+def test_h_is_built_on_access_and_not_stored():
+    grid, mask = ball_mask(8)
+    sol = solve_scalar_potential(random_masked(2, mask), mask, CFG)
+    assert "h" not in {f.name for f in dataclasses.fields(sol)}
+    assert "h" not in vars(sol)
+    g = grad(sol.u)
+    h = sol.h
+    for hc, gc in zip(h.components, g.components):
+        assert hc.tobytes() == (-gc).tobytes()
+    assert sol.energy == 0.5 * inner(h, h)
+
+
+# Peak bytes a route allocates above its inputs, in face fields (one
+# component's nbytes), on a 48^3 grid with 6-plane residual slabs.  What a
+# route returns is part of it: u (1), or a and curl a (6).
+ROUTE_PEAK_FACES = {solve_scalar_potential: 3.0,
+                    solve_vector_potential_gauged: 12.0,
+                    solve_vector_potential_unconstrained: 8.0}
+
+
+@pytest.mark.parametrize("route", list(ROUTE_PEAK_FACES), ids=lambda r: r.__name__)
+def test_route_transient_peak_is_bounded(monkeypatch, route):
+    grid, mask = ball_mask(16, 1.0)
+    assert grid.shape == (48, 48, 48)
+    monkeypatch.setattr(poisson, "_SLAB_BYTES", 6 * 8 * 48 * 48)
+    m = random_masked(1, mask)
+    route(m, mask, CFG)  # builds the cached bases and mask arrays
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sol = route(m, mask, CFG)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sol.energy > 0
+    assert peak < ROUTE_PEAK_FACES[route] * m.x.nbytes
+
+
+@pytest.mark.parametrize("other", [dict(h=2.0 / 9), dict(pad=3)], ids=["same-shape-other-h",
+                                                                     "other-shape"])
+def test_mask_from_another_grid_is_rejected(other):
+    geom = Ellipsoid(1.0, 1.0, 1.0)
+    grid = GridSpec.centered_cube(12, 2.0 / 8, pad=2)
+    spec = dict(n=12, h=2.0 / 8, pad=2) | other
+    wrong = build_mask(geom, GridSpec.centered_cube(spec["n"], spec["h"], pad=spec["pad"]))
+    name = "h" if "h" in other else "pad"
+    with pytest.raises(GridError, match=f"another grid.*{name}"):
+        demag_tensor(geom, grid, CFG, mask=wrong)
+    m = uniform_ball_m(build_mask(geom, grid))
+    for route in ROUTE_PEAK_FACES:
+        with pytest.raises(GridError, match=f"another grid.*{name}"):
+            route(m, wrong, CFG)
 
 
 def test_solver_config_validation():

@@ -9,7 +9,8 @@ from magnetovar.grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask
                              Ellipsoid, GridSpec, ScalarField, VectorField,
                              build_mask, face_shapes)
 from magnetovar.errors import GridError, SupportError
-from magnetovar.operators import (_pad_diff, check_supported, curl, div, grad, grad_node,
+from magnetovar.operators import (_pad_diff, _pair_sum_pad, check_supported, curl,
+                                  curl_component, div, grad, grad_component, grad_node,
                                   grad_norm_sq, inner, masked_cell_to_faces,
                                   masked_faces_to_cell_adjoint, norm)
 from magnetovar.testfields import random_masked
@@ -288,6 +289,70 @@ def test_pad_diff_is_bit_identical_to_diff_of_zero_padded(shape, axis, seed):
     want = np.diff(np.pad(a, widths), axis=axis)
     got = _pad_diff(a, axis)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _signed_zero_array(shape, rng):
+    a = rng.standard_normal(shape) * rng.integers(0, 2, shape)
+    a[rng.random(shape) < 0.3] = -0.0
+    return a
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+       axis=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_sum_pad_is_bit_identical_to_zero_filled_sum(shape, axis, seed):
+    # signed zeros included: two -0.0 neighbours and -0.0 ends give +0.0
+    a = _signed_zero_array(shape, np.random.default_rng(seed))
+    out_shape = list(shape)
+    out_shape[axis] += 1
+    want = np.zeros(out_shape)
+    lead = [slice(None)] * axis
+    want[tuple(lead + [slice(1, None)])] += a
+    want[tuple(lead + [slice(0, -1)])] += a
+    got = _pair_sum_pad(a, axis)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_pair_sum_pad_of_two_negative_zeros_is_positive_zero():
+    got = _pair_sum_pad(np.full((3, 1, 1), -0.0), 0)
+    assert not np.signbit(got).any()
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(shape=st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_operators_are_bit_identical_to_their_expression_forms(shape, seed):
+    # grad, div and curl accumulate in place and by component; each equals the
+    # whole-array expression bit for bit, signed zeros included
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(*shape, h=0.3)
+    u = ScalarField(grid, _signed_zero_array(grid.shape, rng))
+    f = VectorField(grid, *(_signed_zero_array(s, rng) for s in face_shapes(grid)), FACE)
+    e = curl(f)
+    e = VectorField(grid, *(_signed_zero_array(c.shape, rng) for c in e.components), EDGE)
+    h = grid.h
+
+    def same(got, want):
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    want_grad = [_pad_diff(u.data, axis) / h for axis in range(3)]
+    assert all(same(g, w) for g, w in zip(grad(u).components, want_grad))
+    assert all(same(grad_component(u, axis), want_grad[axis]) for axis in range(3))
+    assert same(div(f).data, (np.diff(f.x, axis=0) + np.diff(f.y, axis=1)
+                              + np.diff(f.z, axis=2)) / h)
+    assert same(div(e).data, (_pad_diff(e.x, 0) + _pad_diff(e.y, 1)
+                              + _pad_diff(e.z, 2)) / h)
+    want_fe = [(_pad_diff(f.z, 1) - _pad_diff(f.y, 2)) / h,
+               (_pad_diff(f.x, 2) - _pad_diff(f.z, 0)) / h,
+               (_pad_diff(f.y, 0) - _pad_diff(f.x, 1)) / h]
+    want_ef = [(np.diff(e.z, axis=1) - np.diff(e.y, axis=2)) / h,
+               (np.diff(e.x, axis=2) - np.diff(e.z, axis=0)) / h,
+               (np.diff(e.y, axis=0) - np.diff(e.x, axis=1)) / h]
+    for v, want, out in ((f, want_fe, EDGE), (e, want_ef, FACE)):
+        c = curl(v)
+        assert c.staggering == out
+        assert all(same(g, w) for g, w in zip(c.components, want))
+        assert all(same(curl_component(v, k), want[k]) for k in range(3))
 
 
 def _grid_with_a_side_of_2(sides, two_axis, pad):

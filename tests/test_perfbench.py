@@ -29,3 +29,14 @@ def test_demag_workload_runs_and_checks_tensor():
     assert out.returncode == 0, out.stderr
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0
+
+
+def test_threeway_workload_runs_and_checks_routes():
+    # the workload reads the scalar energy, curl a and the divergence norm of
+    # all three routes on C1's grid and checks their agreement
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "threeway",
+                          "--seconds", "1", "--trace", "0"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    summary = json.loads(out.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0

@@ -164,6 +164,86 @@ def test_transform_solve_allocates_about_one_output(kinds):
     assert peak < 1.5 * b.nbytes
 
 
+APPLIES = [poisson.laplace_apply, poisson.neumann_laplace_apply]
+
+
+def _budget_planes(monkeypatch, shape, planes):
+    """Set the residual slab budget to ``planes`` planes of a float array of
+    ``shape``."""
+    monkeypatch.setattr(poisson, "_SLAB_BYTES", planes * 8 * shape[1] * shape[2])
+
+
+@pytest.mark.parametrize("apply_op", APPLIES, ids=["laplace", "neumann"])
+@pytest.mark.parametrize("shape, planes", [((1, 6, 5), 1), ((10, 6, 5), 3), ((9, 4, 7), 3),
+                                           ((7, 5, 6), 2), ((8, 3, 4), 1)])
+def test_slab_residual_matches_full_residual(monkeypatch, apply_op, shape, planes):
+    # several slabs, n0 a multiple of the slab or not, and a single plane
+    _budget_planes(monkeypatch, shape, planes)
+    rng = np.random.default_rng(11)
+    x, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    slabs = []
+
+    def spy(xs):
+        slabs.append(xs.shape[0])
+        return apply_op(xs, 0.1)
+
+    got = poisson.stencil_residual_norm(spy, x, b)
+    want = np.linalg.norm(b - apply_op(x, 0.1))
+    assert abs(got - want) <= 1e-13 * want
+    assert len(slabs) == -(-shape[0] // planes)
+
+
+@pytest.mark.parametrize("apply_op", APPLIES, ids=["laplace", "neumann"])
+def test_slab_applies_equal_the_full_apply_bit_for_bit(monkeypatch, apply_op):
+    shape = (11, 5, 6)
+    _budget_planes(monkeypatch, shape, 4)
+    rng = np.random.default_rng(12)
+    x, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    full = apply_op(x, 0.1)
+    applied = []
+
+    def spy(xs):
+        y = apply_op(xs, 0.1)
+        applied.append(y.copy())  # the check subtracts from y in place
+        return y
+
+    poisson.stencil_residual_norm(spy, x, b)
+    # slabs own planes [0, 4), [4, 8) and [8, 11); each is applied with its
+    # neighbouring planes as a halo
+    owned = [(0, 4), (4, 8), (8, 11)]
+    assert [y.shape[0] for y in applied] == [5, 6, 4]
+    for (lo, hi), y in zip(owned, applied):
+        start = max(lo - 1, 0)
+        assert y[lo - start:hi - start].tobytes() == full[lo:hi].tobytes()
+
+
+def test_grid_within_the_budget_is_one_slab():
+    calls = []
+    x = np.ones((24, 24, 24))
+    poisson.stencil_residual_norm(
+        lambda xs: calls.append(xs.shape) or poisson.laplace_apply(xs, 1.0), x, x)
+    assert calls == [(24, 24, 24)]
+
+
+def test_checked_solve_allocates_about_one_output_plus_a_slab(monkeypatch):
+    # the transform solve's result plus one residual slab with its halo;
+    # a full-grid b - A x would add two more arrays of b's size
+    shape = (64, 40, 50)
+    _budget_planes(monkeypatch, shape, 8)
+    b = random_rhs(shape, 13)
+    poisson.solve_poisson(b, 0.1, 1e-8, 100)  # builds the cached bases
+    slab = (8 + 2) * b[0].nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        u, res, _ = poisson.solve_poisson(b, 0.1, 1e-8, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res <= 1e-8 and u.nbytes == b.nbytes
+    assert peak < 1.5 * b.nbytes + slab
+
+
 def test_dense_cache_keeps_latest_factor_only():
     for shape in ((4, 5, 6), (5, 4, 3)):
         poisson.dense_poisson_solver(shape, 0.2)
