@@ -229,6 +229,14 @@ def _check_same_layout(a: VectorField, b: VectorField):
         raise GridError(f"staggering mismatch: {a.staggering} vs {b.staggering}")
 
 
+def grow_box(box: tuple[slice, ...], *axes: int) -> tuple[slice, ...]:
+    """``box`` with one more index at the high end along each of ``axes``: the
+    faces normal to ``axis`` of a cell box are ``grow_box(box, axis)``, its
+    edges along ``c`` are ``box`` grown along the two other axes."""
+    return tuple(slice(s.start, s.stop + 1) if axis in axes else s
+                 for axis, s in enumerate(box))
+
+
 # ---------------------------------------------------------------------------
 # geometry and masks
 # ---------------------------------------------------------------------------
@@ -350,6 +358,7 @@ class DomainMask:
                                default_factory=dict)
     _bond_masks: tuple | None = field(init=False, repr=False, compare=False,
                                       default=None)
+    _box: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.indicator.shape != self.grid.shape:
@@ -409,6 +418,43 @@ class DomainMask:
                 bonds.append(bond)
             self._bond_masks = tuple(bonds)
         return self._bond_masks
+
+    def _box_and_grid(self) -> tuple:
+        if self._box is None:
+            if self.is_empty():
+                box = tuple(slice(0, n) for n in self.grid.shape)
+            else:
+                box = tuple(slice(max(int(idx.min()) - 1, 0), min(int(idx.max()) + 2, n))
+                            for idx, n in zip(np.nonzero(self.indicator), self.grid.shape))
+            lo = np.array([s.start for s in box])
+            self._box = (box, GridSpec(*(s.stop - s.start for s in box), self.grid.h,
+                                       origin=tuple(np.asarray(self.grid.origin)
+                                                    + self.grid.h * lo)))
+        return self._box
+
+    @property
+    def box(self) -> tuple[slice, slice, slice]:
+        """Index box of the domain cells grown by one cell, clipped to the grid
+        (the whole grid for an empty mask); cached.
+
+        Every face with ``face_count`` > 0 is a face of a cell in the box
+        (``grow_box(box, axis)``), so a field supported on the domain
+        vanishes off the box's faces, and its ``-div`` and ``curl`` vanish
+        off the box's cells and edges.
+        """
+        return self._box_and_grid()[0]
+
+    @property
+    def box_grid(self) -> GridSpec:
+        """The ``pad = 0`` grid of the cells of ``box``, with the box's
+        origin; cached."""
+        return self._box_and_grid()[1]
+
+    def box_mask(self) -> DomainMask:
+        """This mask on ``box_grid``, built on each call (box-sized arrays
+        only, so a mask keeps none).  Because the box is grown by one cell,
+        its ``face_count`` is this mask's on the box's faces."""
+        return DomainMask(self.box_grid, self.indicator[self.box])
 
     @property
     def volume(self) -> float:

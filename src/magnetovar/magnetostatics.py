@@ -11,12 +11,19 @@ box) the stray-field energy is computed three ways:
   divergence annihilates the discrete curl exactly, and on divergence-free
   fields curl-curl equals the edge vector Laplacian, whose exact mixed
   sine/cosine inverse solves the normal equations directly;
-  ``preconditioner = none`` runs plain CG on them instead;
+  ``preconditioner = none`` runs plain CG on them instead.  Either solve
+  lands in the divergence-free subspace to rounding, so its ``a`` is
+  returned as it is (``div_norm`` reports how far off it is);
 * unconstrained route: minimize
   V(m, a) = 1/2 ||D a||^2 + 1/2 ||m||^2 - <m, curl a>,
   which decouples into componentwise Poisson solves; the divergence-free
   (Coulomb) representative of the minimizing gauge class is recovered by a
   single auxiliary Poisson solve and returned.
+
+A mask-supported ``m`` vanishes off its mask's box (``DomainMask.box``),
+so each route checks ``m`` there and builds its sources ``-div m`` and
+``curl m`` there only, embedded in zeros; the checked solves and their
+true residuals still run on the whole grid.
 
 By construction W(m, u) <= V_curl(m, a) <= V(m, a) holds for *every*
 discrete trial pair, so the duality sandwich is exact in floating point.
@@ -30,7 +37,8 @@ import numpy as np
 
 from .errors import GridError
 from .grid import (CELL, EDGE, FACE, CellVectorField, DomainMask, Ellipsoid,
-                   GridSpec, ScalarField, VectorField, build_mask, edge_shapes)
+                   GridSpec, ScalarField, VectorField, build_mask, edge_shapes,
+                   grow_box)
 from .operators import (check_supported, curl, curl_component, div, grad,
                         grad_component, grad_norm_sq, inner, masked_cell_to_faces,
                         norm)
@@ -88,15 +96,78 @@ class VectorPotentialSolution:
     iterations: int
 
 
+def _valid_on_box(m: VectorField, mask: DomainMask) -> bool:
+    """True if ``m`` vanishes off the faces of ``mask.box`` (one read-only
+    count per component; ``-0.0`` counts as zero) and is finite and
+    supported on them."""
+    if mask.grid != m.grid:
+        return False
+    box, box_mask = mask.box, mask.box_mask()
+    for axis, comp in enumerate(m.components):
+        part = comp[grow_box(box, axis)]
+        if (np.count_nonzero(comp) != np.count_nonzero(part)
+                or not np.isfinite(part).all()
+                or np.any(part, where=box_mask.face_count(axis) == 0)):
+            return False
+    return True
+
+
 def _validate_source(m: VectorField, mask: DomainMask | None):
+    """Raise unless ``m`` is a finite face field supported on ``mask``.
+
+    The checks run on the mask's box when ``m`` vanishes off it.  Otherwise,
+    or with no mask, the full-grid checks run: the non-finite check first,
+    then ``check_supported``, which names the component and face.
+    """
     if m.staggering != FACE:
         raise GridError("magnetization must be face-staggered")
+    if mask is not None and _valid_on_box(m, mask):
+        return
     for comp in m.components:
         if not np.all(np.isfinite(comp)):
             raise GridError("magnetization contains non-finite values")
     if mask is not None:
         mask.check_grid(m.grid)
         check_supported(m, mask)
+
+
+def _on_box(m: VectorField, mask: DomainMask | None):
+    """(``m`` on its mask's box, the box): views of ``m`` on a ``pad = 0``
+    grid, on which ``div`` and ``curl`` equal the full grid's for an ``m``
+    that vanishes off the box.  With no mask the box is the whole grid."""
+    if mask is None:
+        return m, tuple(slice(0, n) for n in m.grid.shape)
+    box = mask.box
+    return VectorField(mask.box_grid,
+                       *(comp[grow_box(box, axis)] for axis, comp in enumerate(m.components)),
+                       staggering=FACE), box
+
+
+def _embed(part: np.ndarray, shape: tuple[int, ...], box: tuple[slice, ...]) -> np.ndarray:
+    """``part`` placed on ``box`` in zeros of ``shape``; ``part`` itself when
+    it already has that shape."""
+    if part.shape == shape:
+        return part
+    out = np.zeros(shape)
+    out[box] = part
+    return out
+
+
+def _charge(m_box: VectorField, box: tuple[slice, ...], shape) -> np.ndarray:
+    """-div m on the full grid from ``m`` on ``box``: built on the box, embedded
+    in zeros and negated in place, as the full-grid -div is (-0.0 off the box)."""
+    rho = _embed(div(m_box).data, shape, box)
+    return np.negative(rho, out=rho)
+
+
+def _edge_box(box: tuple[slice, ...], c: int) -> tuple[slice, ...]:
+    """The edges along axis ``c`` of the cell box ``box``."""
+    return grow_box(box, *(axis for axis in range(3) if axis != c))
+
+
+def _curl_source(m_box: VectorField, box: tuple[slice, ...], c: int, grid: GridSpec):
+    """Component ``c`` of curl m on the full grid, built on the box's edges."""
+    return _embed(curl_component(m_box, c), edge_shapes(grid)[c], _edge_box(box, c))
 
 
 def _sq(a: np.ndarray) -> float:
@@ -126,8 +197,7 @@ def solve_scalar_potential(m: VectorField, mask: DomainMask | None,
     (equal to ``0.5 * inner(h, h)`` bit for bit; no gradient is kept).
     """
     _validate_source(m, mask)
-    rhs = div(m).data
-    np.negative(rhs, out=rhs)
+    rhs = _charge(*_on_box(m, mask), m.grid.shape)
     u_data, res, iters = _cell_poisson(rhs, m.grid, cfg)
     del rhs
     u = ScalarField(m.grid, u_data, CELL)
@@ -142,15 +212,32 @@ def functional_W(m: VectorField, u: ScalarField) -> float:
     return inner(g, m) - 0.5 * inner(g, g)
 
 
+def pair_m_curl_a(m: VectorField, curl_a_component) -> float:
+    """<m, curl a>, summed as ``inner`` sums it: one full-grid product per
+    component, in component order.  ``curl_a_component(c)`` returns component
+    ``c`` of curl a, or an array equal to it wherever ``m``'s component is
+    nonzero: the other products are zeros, so the sum is the same bit for
+    bit.  ``functional_V`` and the minimizer's fixed-``a`` energy both sum
+    it here."""
+    return sum(float(np.vdot(mc, curl_a_component(c)))
+               for c, mc in enumerate(m.components)) * m.grid.cell_volume
+
+
 def functional_V(m: VectorField, a: VectorField) -> float:
     """Unconstrained trial functional (full difference-gradient stiffness)."""
     if a.staggering != EDGE:
         raise GridError("vector potential must be edge-staggered")
     if m.staggering != FACE:
         raise GridError("magnetization must be face-staggered")
-    # inner(m, curl a) one component of curl a at a time, bit for bit
-    m_curl_a = sum(float(np.vdot(mc, curl_component(a, c)))
-                   for c, mc in enumerate(m.components)) * m.grid.cell_volume
+
+    def curl_a_on_m(c):
+        # component c of curl a on the box of m_c's nonzeros, zero elsewhere
+        shape = m.components[c].shape
+        box = poisson.nonzero_box(m.components[c])
+        return np.zeros(shape) if box is None else _embed(curl_component(a, c, box),
+                                                            shape, box)
+
+    m_curl_a = pair_m_curl_a(m, curl_a_on_m)
     return 0.5 * grad_norm_sq(a) + 0.5 * inner(m, m) - m_curl_a
 
 
@@ -184,16 +271,18 @@ def project_divergence_free(a: VectorField, cfg: SolverConfig):
     return VectorField(a.grid, *comps, staggering=EDGE), res, iters
 
 
-def minimize_V(m: VectorField, cfg: SolverConfig):
-    """A minimizer of V(m, .): componentwise Poisson solves with source curl m.
+def minimize_V(m: VectorField, mask: DomainMask | None, cfg: SolverConfig):
+    """A minimizer of V(m, .): componentwise Poisson solves with source curl m,
+    each built on the box of ``mask`` (on which ``m`` must be supported).
 
     Returns (a, worst residual, total iterations); ``a`` is not gauged.
     """
+    m_box, box = _on_box(m, mask)
     comps = []
     res_max, iters_total = 0.0, 0
     for c in range(3):
-        x, res, iters = poisson.solve_poisson(curl_component(m, c), m.grid.h, cfg.tol,
-                                              cfg.max_iter, cfg.preconditioner)
+        x, res, iters = poisson.solve_poisson(_curl_source(m_box, box, c, m.grid), m.grid.h,
+                                              cfg.tol, cfg.max_iter, cfg.preconditioner)
         comps.append(x)
         res_max = max(res_max, res)
         iters_total += iters
@@ -210,7 +299,7 @@ def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None
     tolerance on the truncated grid as well.
     """
     _validate_source(m, mask)
-    a_min, res_max, iters_total = minimize_V(m, cfg)
+    a_min, res_max, iters_total = minimize_V(m, mask, cfg)
     energy = functional_V(m, a_min)
     a_star, res_p, iters_p = project_divergence_free(a_min, cfg)
     del a_min
@@ -227,14 +316,18 @@ _EDGE_KINDS = tuple(tuple("dst" if axis == c else "dct" for axis in range(3))
                     for c in range(3))
 
 
-def _solve_curl_curl(m: VectorField, cfg: SolverConfig):
-    """Solve  curl curl a = curl m  for an edge field; (a, residual, iterations).
+def _solve_curl_curl(m: VectorField, mask: DomainMask | None, cfg: SolverConfig):
+    """Solve  curl curl a = curl m  for an edge field; (a, curl a, residual,
+    iterations).
 
-    The direct solve takes one transform solve per component, and its true
-    residual ||b - curl curl a|| / ||b|| is summed one component of
-    curl curl a at a time.  Plain CG runs on the concatenated components.
+    Each component of the source curl m is built on the mask's box.  The
+    direct solve takes one transform solve per component, and its true
+    residual ||b - curl curl a|| / ||b|| is summed one component at a time,
+    each component of b rebuilt on the box, so only ``a`` and ``curl a``
+    are held.  Plain CG runs on the concatenated components.
     """
     grid = m.grid
+    m_box, box = _on_box(m, mask)
     if cfg.preconditioner == "none":
         shapes = edge_shapes(grid)
         splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
@@ -247,18 +340,26 @@ def _solve_curl_curl(m: VectorField, cfg: SolverConfig):
         def flat(f):
             return np.concatenate([c.ravel() for c in f.components])
 
-        x, res, iters = poisson.pcg(lambda v: flat(curl(curl(field(v)))), flat(curl(m)),
+        b = np.concatenate([_curl_source(m_box, box, c, grid).ravel() for c in range(3)])
+        x, res, iters = poisson.pcg(lambda v: flat(curl(curl(field(v)))), b,
                                     cfg.tol, cfg.max_iter)
-        return field(x), res, iters
-    b = curl(m).components
-    bnorm = poisson.rhs_norm(*b)
+        a = field(x)
+        return a, curl(a), res, iters
+    bnorm = poisson.rhs_norm(*(curl_component(m_box, c) for c in range(3)))
     if bnorm == 0.0:
-        return VectorField.zeros(grid, EDGE), 0.0, 0
-    a = VectorField(grid, *(poisson.transform_solve(bc, grid.h, k)
-                            for bc, k in zip(b, _EDGE_KINDS)), staggering=EDGE)
+        a = VectorField.zeros(grid, EDGE)
+        return a, curl(a), 0.0, 0
+    a = VectorField(grid, *(poisson.transform_solve(_curl_source(m_box, box, c, grid),
+                                                    grid.h, k)
+                            for c, k in enumerate(_EDGE_KINDS)), staggering=EDGE)
     curl_a = curl(a)
-    r2 = sum(_sq(bc - curl_component(curl_a, c)) for c, bc in enumerate(b))
-    return a, poisson.confirm_direct(float(np.sqrt(r2)) / bnorm, cfg.tol), 1
+    r2 = 0.0
+    for c in range(3):
+        # curl curl a - b, the negated residual: the same squares
+        r = curl_component(curl_a, c)
+        r[_edge_box(box, c)] -= curl_component(m_box, c)
+        r2 += _sq(r)
+    return a, curl_a, poisson.confirm_direct(float(np.sqrt(r2)) / bnorm, cfg.tol), 1
 
 
 def solve_vector_potential_gauged(m: VectorField, mask: DomainMask | None,
@@ -273,20 +374,20 @@ def solve_vector_potential_gauged(m: VectorField, mask: DomainMask | None,
     by the exact discrete identity, and there that operator equals
     curl-curl, which the true-residual check confirms.
     ``preconditioner = "none"`` runs plain CG, whose iterates stay in the
-    divergence-free subspace.  A final projection removes rounding drift.
-    The energy 1/2 ||curl a - m||^2 is summed one component at a time.
+    range of curl, so in the divergence-free subspace.  Either way ``a``
+    lands there to rounding (``div_norm`` = ||div a|| reports it), so no
+    projection follows: one would cost a node solve and change only
+    rounding.  The ``curl a`` of the residual check is returned, and the
+    energy 1/2 ||curl a - m||^2 is summed one component at a time.
     """
     _validate_source(m, mask)
-    x, res, iters = _solve_curl_curl(m, cfg)
-    a, res_p, it_p = project_divergence_free(x, cfg)
-    del x
+    a, curl_a, res, iters = _solve_curl_curl(m, mask, cfg)
     div_norm = norm(div(a))
-    curl_a = curl(a)
     # 0.5 * inner(curl_a - m, curl_a - m) bit for bit, one component at a time
     d2 = sum(_sq(ca - mc) for ca, mc in zip(curl_a.components, m.components))
     return VectorPotentialSolution(a=a, curl_a=curl_a, div_norm=div_norm,
                                    energy=0.5 * (d2 * m.grid.cell_volume),
-                                   residual=max(res, res_p), iterations=iters + it_p)
+                                   residual=res, iterations=iters)
 
 
 def stray_field(m: VectorField, mask: DomainMask | None, cfg: SolverConfig) -> VectorField:
@@ -352,23 +453,12 @@ def dense_oracle_energy(m: VectorField, mask: DomainMask | None) -> float:
 
 def _unit_charges(mask: DomainMask) -> list[np.ndarray]:
     """The charges -div(e_i Chi), i = x, y, z, of a nonempty mask, built on the
-    mask's index box grown by one cell (a ``pad = 0`` grid) and embedded in
-    zeros: the full-grid build bit for bit, at the box's cost."""
-    grid = mask.grid
-    box = tuple(slice(max(int(idx.min()) - 1, 0), min(int(idx.max()) + 2, n))
-                for idx, n in zip(np.nonzero(mask.indicator), grid.shape))
-    lo = np.array([s.start for s in box])
-    box_grid = GridSpec(*(s.stop - s.start for s in box), grid.h,
-                        origin=tuple(np.asarray(grid.origin) + grid.h * lo))
-    box_mask = DomainMask(box_grid, mask.indicator[box])
-    charges = []
-    for e in np.eye(3):
-        rho = np.zeros(grid.shape)
-        rho[box] = div(masked_cell_to_faces(
-            CellVectorField.constant(box_grid, e, box_mask), box_mask)).data
-        # negated in place, as the full-grid -div is: -0.0 off the box too
-        charges.append(np.negative(rho, out=rho))
-    return charges
+    mask's cached box (``DomainMask.box_mask()``) and embedded in zeros: the
+    full-grid build bit for bit, at the box's cost."""
+    box_mask = mask.box_mask()
+    return [_charge(masked_cell_to_faces(
+        CellVectorField.constant(box_mask.grid, e, box_mask), box_mask),
+        mask.box, mask.grid.shape) for e in np.eye(3)]
 
 
 def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,

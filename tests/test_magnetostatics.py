@@ -24,7 +24,8 @@ from magnetovar.magnetostatics import (DENSE_UNKNOWN_CAP, SolverConfig, _unit_ch
                                        solve_vector_potential_unconstrained,
                                        stray_field)
 from magnetovar import poisson
-from magnetovar.operators import curl, div, grad, inner, masked_cell_to_faces, norm
+from magnetovar.operators import (check_supported, curl, div, grad, inner,
+                                  masked_cell_to_faces, norm)
 from magnetovar.testfields import TestFieldSpec, gradient_bump, random_masked
 
 CFG = SolverConfig(tol=1e-8)
@@ -127,6 +128,9 @@ def test_gauged_transform_preconditioner_matches_plain_cg(grid):
         m, None, SolverConfig(tol=1e-12, preconditioner="none"))
     assert fast.iterations <= 3
     assert abs(fast.energy - plain.energy) <= 1e-10 * plain.energy
+    # not re-projected: both solves land in the divergence-free subspace
+    for sol in (fast, plain):
+        assert sol.div_norm <= 1e-12 * norm(sol.curl_a)
     scale = max(np.abs(c).max() for c in plain.a.components)
     for got, want in zip(fast.a.components, plain.a.components):
         assert np.abs(got - want).max() <= 1e-10 * scale
@@ -397,6 +401,46 @@ def test_source_validation():
         solve_scalar_potential(m2, None, CFG)
 
 
+def test_source_validation_on_the_box_keeps_the_full_checks_errors():
+    # m is checked on the mask's box when it vanishes off it; any failure
+    # falls back to the full-grid checks, whose errors name the same
+    # component and face
+    grid, mask = ball_mask(8)
+    box = mask.box
+    corner = tuple(s.start for s in box)  # a face of the box off the support
+    assert mask.face_count(0)[corner] == 0 and mask.face_count(1)[0, 0, 0] == 0
+    clean = random_masked(3, mask)
+
+    def with_values(*entries):
+        m = clean.copy()
+        for axis, idx, value in entries:
+            m.components[axis][idx] = value
+        return m
+
+    centre = tuple(n // 2 for n in grid.shape)  # on the support
+    for entries in [[(1, (0, 0, 0), np.nan)], [(0, centre, np.inf)],
+                    [(1, (0, 0, 0), np.nan), (0, corner, 1.0)]]:
+        for route in ROUTE_PEAK_FACES:
+            with pytest.raises(GridError, match="non-finite"):
+                route(with_values(*entries), mask, CFG)
+    for entries in [[(1, (0, 0, 0), -2.0)], [(0, corner, 1.0)],
+                    [(1, (0, 0, 0), 3.0), (0, corner, 1.0)]]:
+        m = with_values(*entries)
+        with pytest.raises(SupportError) as full:
+            check_supported(m, mask)
+        for route in ROUTE_PEAK_FACES:
+            with pytest.raises(SupportError) as err:
+                route(m, mask, CFG)
+            assert str(err.value) == str(full.value)
+    # -0.0 off the support is zero: accepted, with the same solution bits
+    m = clean.copy()
+    for axis, comp in enumerate(m.components):
+        comp[mask.face_count(axis) == 0] = -0.0
+    got = solve_scalar_potential(m, mask, CFG)
+    want = solve_scalar_potential(clean, mask, CFG)
+    assert got.u.data.tobytes() == want.u.data.tobytes() and got.energy == want.energy
+
+
 def test_h_is_built_on_access_and_not_stored():
     grid, mask = ball_mask(8)
     sol = solve_scalar_potential(random_masked(2, mask), mask, CFG)
@@ -413,7 +457,7 @@ def test_h_is_built_on_access_and_not_stored():
 # component's nbytes), on a 48^3 grid with 6-plane residual slabs.  What a
 # route returns is part of it: u (1), or a and curl a (6).
 ROUTE_PEAK_FACES = {solve_scalar_potential: 3.0,
-                    solve_vector_potential_gauged: 12.0,
+                    solve_vector_potential_gauged: 10.0,
                     solve_vector_potential_unconstrained: 8.0}
 
 
@@ -434,6 +478,22 @@ def test_route_transient_peak_is_bounded(monkeypatch, route):
         tracemalloc.stop()
     assert sol.energy > 0
     assert peak < ROUTE_PEAK_FACES[route] * m.x.nbytes
+
+
+def test_three_routes_take_eight_transform_solves_and_one_neumann_solve(monkeypatch):
+    # scalar 1, gauged 3 (no re-projection), unconstrained 3 + the gauge
+    # recovery's Neumann solve, itself one transform solve
+    grid, mask = ball_mask(8)
+    m = random_masked(4, mask)
+    counts = dict.fromkeys(("transform_solve", "solve_poisson_neumann"), 0)
+    for name in counts:
+        def counted(*args, _real=getattr(poisson, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(poisson, name, counted)
+    for route in ROUTE_PEAK_FACES:
+        route(m, mask, CFG)
+    assert counts == {"transform_solve": 8, "solve_poisson_neumann": 1}
 
 
 @pytest.mark.parametrize("other", [dict(h=2.0 / 9), dict(pad=3)], ids=["same-shape-other-h",

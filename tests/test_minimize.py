@@ -7,9 +7,10 @@ from magnetovar.energy import MaterialParams, total_energy
 from magnetovar.errors import GridError
 from magnetovar.grid import (Box, CellVectorField, DomainMask, Ellipsoid, GridSpec,
                              build_mask, grid_for_geometry)
-from magnetovar.magnetostatics import SolverConfig, solve_vector_potential_unconstrained
-from magnetovar.minimize import (MinimizeConfig, minimize_joint, minimize_m,
-                                 random_unit_magnetization)
+from magnetovar.magnetostatics import (SolverConfig, functional_V, minimize_V,
+                                       solve_vector_potential_unconstrained)
+from magnetovar.minimize import (MinimizeConfig, _fixed_a_energy, minimize_joint,
+                                 minimize_m, random_unit_magnetization)
 from magnetovar.operators import masked_cell_to_faces
 
 CFG = SolverConfig(tol=1e-8)
@@ -34,6 +35,22 @@ def test_config_validation():
         MinimizeConfig(step=-1.0)
     with pytest.raises(GridError):
         MinimizeConfig(backtrack=1.5)
+
+
+def test_fixed_a_stray_energy_is_functional_V_bit_for_bit():
+    # one <m, curl a> pairing: the joint sweep's energy at fixed a is
+    # functional_V of the face field, at the a-step's minimizer and elsewhere
+    grid, mask = ball_setup(8)
+    m = random_unit_magnetization(5, mask)
+    mf = masked_cell_to_faces(m, mask)
+    a_min = minimize_V(mf, mask, CFG)[0]
+    rng = np.random.default_rng(2)
+    a_rand = a_min.copy()
+    for comp in a_rand.components:
+        comp += rng.standard_normal(comp.shape)
+    for a in (a_min, a_rand):
+        energy, _ = _fixed_a_energy(a, MaterialParams(), mask, terms=("stray",))
+        assert energy(m) == functional_V(mf, a)
 
 
 def test_zeeman_only_reaches_aligned_minimum():

@@ -9,6 +9,7 @@ from magnetovar.grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask
                              Ellipsoid, GridSpec, ScalarField, VectorField,
                              build_mask, face_shapes)
 from magnetovar.errors import GridError, SupportError
+from magnetovar.magnetostatics import _charge, _curl_source, _on_box
 from magnetovar.operators import (_pad_diff, _pair_sum_pad, check_supported, curl,
                                   curl_component, div, grad, grad_component, grad_node,
                                   grad_norm_sq, inner, masked_cell_to_faces,
@@ -458,6 +459,35 @@ def test_check_supported_flags_exactly_faces_touching_no_cell(
         assert str(err.value) == expected
 
 
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(fill=st.floats(0.0, 1.0), touch=st.booleans(), neg_zero=st.booleans(), **GRIDS)
+def test_box_built_sources_equal_full_grid_sources(sides, two_axis, pad, fill, touch,
+                                                   neg_zero, seed):
+    # -div m and curl m built on the mask's box and embedded in zeros, as the
+    # routes build them; with touch and pad 0 the grown box is clipped at the
+    # grid's edge, with fill 0 the mask is empty and the box is the grid.
+    # With neg_zero the faces off the support hold -0.0, whose signs the
+    # full-grid build can carry into some of its zeros: zeros then compare
+    # by value, every other entry bit for bit.
+    grid, n = _grid_with_a_side_of_2(sides, two_axis, pad)
+    rng = np.random.default_rng(seed)
+    mask = _random_mask(grid, n, pad, fill, rng)
+    if touch:
+        ind = mask.indicator.copy()
+        ind[pad, pad, pad] = ind[tuple(pad + k - 1 for k in n)] = 1.0
+        mask = DomainMask(grid, ind)
+    off = -0.0 if neg_zero else 0.0
+    m = VectorField(grid, *(np.where(mask.face_count(axis) > 0, rng.standard_normal(shape),
+                                     off)
+                            for axis, shape in enumerate(face_shapes(grid))),
+                    staggering=FACE)
+    m_box, box = _on_box(m, mask)
+    pairs = [(_charge(m_box, box, grid.shape), -div(m).data)]
+    pairs += [(_curl_source(m_box, box, c, grid), curl_component(m, c)) for c in range(3)]
+    for got, want in pairs:
+        assert _same_bits(got + 0.0, want + 0.0) if neg_zero else _same_bits(got, want)
+
+
 def _random_field(grid, staggering, rng, zero_ends=False):
     """Random field on every entry; with ``zero_ends`` it vanishes on the
     outermost layers that the interior differences (face divergence, edge
@@ -498,3 +528,10 @@ def test_operator_identities_on_random_grids(sides, two_axis, pad, seed):
         c, d = curl(f), div(f)
         lhs = grad_norm_sq(f)
         assert abs(lhs - inner(c, c) - inner(d, d)) <= 1e-10 * lhs
+    # an edge field's curl on an index box of each face component, bit for bit
+    for c, full in enumerate(curl(w).components):
+        lo = [int(rng.integers(0, n)) for n in full.shape]
+        box = tuple(slice(a, int(rng.integers(a + 1, n + 1))) for a, n in zip(lo, full.shape))
+        assert _same_bits(curl_component(w, c, box), full[box])
+    with pytest.raises(GridError, match="edge field"):
+        curl_component(v, 0, box)
