@@ -99,11 +99,11 @@ KEYS = {
     "geometry.extents": (_vec3, (1.0, 1.0, 1.0)),
     "material.q": (float, 0.0), "material.easy_axis": (_vec3, (0.0, 0.0, 1.0)),
     "material.h_applied": (_vec3, (0.0, 0.0, 0.0)),
-    "solver.tol": (float, 1e-8), "solver.max_iter": (_int, 20000),
+    "solver.tol": (float, 1e-8), "solver.max_iter": (_int_at_least(1), 20000),
     "solver.backend": (str, "iterative"), "solver.preconditioner": (str, "dst"),
     "minimize.method": (str, "projected_gradient"), "minimize.step": (float, 0.25),
     "minimize.backtrack": (float, 0.5), "minimize.grad_tol": (float, 1e-4),
-    "minimize.max_iter": (_int, 500), "minimize.terms": (_words, ALL_TERMS),
+    "minimize.max_iter": (_int_at_least(1), 500), "minimize.terms": (_words, ALL_TERMS),
     "solve.init": (str, "random"), "solve.init_direction": (_vec3, (0.0, 0.0, 1.0)),
     "shell.surface": (str, "sphere"), "shell.radius": (float, 1.0),
     "shell.level": (_int_at_least(0), 4),
@@ -111,7 +111,7 @@ KEYS = {
     "shell.n_major": (_int_at_least(3), 64), "shell.n_minor": (_int_at_least(3), 32),
     "shell.m0": (str, "uniform_z"), "shell.eps_list": (_floats, (0.2, 0.1, 0.05)),
     "shell.cells_per_thickness": (float, 4.0), "shell.pad_ratio": (float, 0.5),
-    "shell.t_nodes": (_int, 4), "shell.delta": (float, None),
+    "shell.t_nodes": (_int_at_least(2), 4), "shell.delta": (float, None),
     "validate.ball_cells": (_int_at_least(1), 16), "validate.pad_ratio": (float, 3.0),
     "oracle.ball_cells": (_int_at_least(1), 12), "dump.fields": (_bool, True),
 }

@@ -86,6 +86,12 @@ class GridSpec:
         hi = lo + self.h * np.array([self.nx, self.ny, self.nz])
         return lo, hi
 
+    def sub_grid(self, box: tuple[slice, ...]) -> "GridSpec":
+        """The ``pad = 0`` grid of the cells of the index ``box``."""
+        lo = np.array([s.start for s in box])
+        return GridSpec(*(s.stop - s.start for s in box), self.h,
+                        origin=tuple(np.asarray(self.origin) + self.h * lo))
+
     @staticmethod
     def centered_cube(n: int, h: float, pad: int = 0) -> "GridSpec":
         """Cube of n^3 interior cells centered at the coordinate origin."""
@@ -237,6 +243,36 @@ def grow_box(box: tuple[slice, ...], *axes: int) -> tuple[slice, ...]:
                  for axis, s in enumerate(box))
 
 
+def _nonzero_span(present: np.ndarray) -> slice:
+    hit = np.flatnonzero(present)
+    return slice(int(hit[0]), int(hit[-1]) + 1)
+
+
+def nonzero_box(b: np.ndarray) -> tuple[slice, slice, slice] | None:
+    """The smallest index box holding all nonzeros (NaN and inf, not ``-0.0``)
+    of the 3-D array ``b``, or None.  One full read finds the spans of axes
+    1 and 2; axis 0's is read from their box only."""
+    present12 = np.any(b, axis=0)
+    if not present12.any():
+        return None
+    s1, s2 = _nonzero_span(present12.any(axis=1)), _nonzero_span(present12.any(axis=0))
+    return _nonzero_span(np.any(b[:, s1, s2], axis=(1, 2))), s1, s2
+
+
+def support_box(shape: tuple[int, int, int], *arrays: np.ndarray) -> tuple[slice, ...]:
+    """The union of the ``nonzero_box``-es of ``arrays`` (cell, face or edge
+    arrays of a grid of ``shape`` cells; a last face or edge counts as the
+    last cell) grown by one cell, clipped to the grid: the whole grid if all
+    are zero.  Every nonzero face then lies on the box's faces with both its
+    cells in the box, and the box has at least two cells per axis."""
+    boxes = [box for box in map(nonzero_box, arrays) if box is not None]
+    if not boxes:
+        return tuple(slice(0, n) for n in shape)
+    return tuple(slice(max(min(min(b[d].start for b in boxes), n - 1) - 1, 0),
+                       min(max(b[d].stop for b in boxes) + 1, n))
+                 for d, n in enumerate(shape))
+
+
 # ---------------------------------------------------------------------------
 # geometry and masks
 # ---------------------------------------------------------------------------
@@ -348,7 +384,8 @@ class DomainMask:
     and ``volume = cell_count * h^3`` at construction, the face transfer
     scales and the bond masks on first use.  One per-face count of adjacent
     domain cells, ``face_count``, gives the transfer scale (1/count), the
-    bonds and interior faces (count 2), and the support (count > 0).
+    bonds and interior faces (count 2), and the support (count > 0).  A
+    mask keeps no index box; routes restrict it to their field's ``support_box``.
     """
 
     grid: GridSpec
@@ -358,7 +395,6 @@ class DomainMask:
                                default_factory=dict)
     _bond_masks: tuple | None = field(init=False, repr=False, compare=False,
                                       default=None)
-    _box: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.indicator.shape != self.grid.shape:
@@ -418,43 +454,6 @@ class DomainMask:
                 bonds.append(bond)
             self._bond_masks = tuple(bonds)
         return self._bond_masks
-
-    def _box_and_grid(self) -> tuple:
-        if self._box is None:
-            if self.is_empty():
-                box = tuple(slice(0, n) for n in self.grid.shape)
-            else:
-                box = tuple(slice(max(int(idx.min()) - 1, 0), min(int(idx.max()) + 2, n))
-                            for idx, n in zip(np.nonzero(self.indicator), self.grid.shape))
-            lo = np.array([s.start for s in box])
-            self._box = (box, GridSpec(*(s.stop - s.start for s in box), self.grid.h,
-                                       origin=tuple(np.asarray(self.grid.origin)
-                                                    + self.grid.h * lo)))
-        return self._box
-
-    @property
-    def box(self) -> tuple[slice, slice, slice]:
-        """Index box of the domain cells grown by one cell, clipped to the grid
-        (the whole grid for an empty mask); cached.
-
-        Every face with ``face_count`` > 0 is a face of a cell in the box
-        (``grow_box(box, axis)``), so a field supported on the domain
-        vanishes off the box's faces, and its ``-div`` and ``curl`` vanish
-        off the box's cells and edges.
-        """
-        return self._box_and_grid()[0]
-
-    @property
-    def box_grid(self) -> GridSpec:
-        """The ``pad = 0`` grid of the cells of ``box``, with the box's
-        origin; cached."""
-        return self._box_and_grid()[1]
-
-    def box_mask(self) -> DomainMask:
-        """This mask on ``box_grid``, built on each call (box-sized arrays
-        only, so a mask keeps none).  Because the box is grown by one cell,
-        its ``face_count`` is this mask's on the box's faces."""
-        return DomainMask(self.box_grid, self.indicator[self.box])
 
     @property
     def volume(self) -> float:

@@ -20,10 +20,10 @@ box) the stray-field energy is computed three ways:
   (Coulomb) representative of the minimizing gauge class is recovered by a
   single auxiliary Poisson solve and returned.
 
-A mask-supported ``m`` vanishes off its mask's box (``DomainMask.box``),
-so each route checks ``m`` there and builds its sources ``-div m`` and
-``curl m`` there only, embedded in zeros; the checked solves and their
-true residuals still run on the whole grid.
+Each route finds the support box of ``m`` once (``grid.support_box``:
+its nonzeros grown by one cell), checks ``m`` there and builds its sources
+``-div m`` and ``curl m`` there only, embedded in zeros; the checked
+solves and their true residuals still run on the whole grid.
 
 By construction W(m, u) <= V_curl(m, a) <= V(m, a) holds for *every*
 discrete trial pair, so the duality sandwich is exact in floating point.
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, SupportError
 from .grid import (CELL, EDGE, FACE, CellVectorField, DomainMask, Ellipsoid,
                    GridSpec, ScalarField, VectorField, build_mask, edge_shapes,
-                   grow_box)
+                   grow_box, support_box)
 from .operators import (check_supported, curl, curl_component, div, grad,
                         grad_component, grad_norm_sq, inner, masked_cell_to_faces,
                         norm)
@@ -96,51 +96,30 @@ class VectorPotentialSolution:
     iterations: int
 
 
-def _valid_on_box(m: VectorField, mask: DomainMask) -> bool:
-    """True if ``m`` vanishes off the faces of ``mask.box`` (one read-only
-    count per component; ``-0.0`` counts as zero) and is finite and
-    supported on them."""
-    if mask.grid != m.grid:
-        return False
-    box, box_mask = mask.box, mask.box_mask()
-    for axis, comp in enumerate(m.components):
-        part = comp[grow_box(box, axis)]
-        if (np.count_nonzero(comp) != np.count_nonzero(part)
-                or not np.isfinite(part).all()
-                or np.any(part, where=box_mask.face_count(axis) == 0)):
-            return False
-    return True
+def _checked_on_box(m: VectorField, mask: DomainMask | None):
+    """(``m`` on its ``support_box``, a view on a ``pad = 0`` grid, the box);
+    raises unless ``m`` is a finite face field supported on ``mask``.
 
-
-def _validate_source(m: VectorField, mask: DomainMask | None):
-    """Raise unless ``m`` is a finite face field supported on ``mask``.
-
-    The checks run on the mask's box when ``m`` vanishes off it.  Otherwise,
-    or with no mask, the full-grid checks run: the non-finite check first,
-    then ``check_supported``, which names the component and face.
-    """
+    Every nonzero, non-finite values included, lies on the box, so the checks
+    read it only, in order: finiteness, the mask's grid, the support on the
+    box's mask.  A support failure raises ``check_supported``'s full-grid
+    error, which names the component and face."""
     if m.staggering != FACE:
         raise GridError("magnetization must be face-staggered")
-    if mask is not None and _valid_on_box(m, mask):
-        return
-    for comp in m.components:
-        if not np.all(np.isfinite(comp)):
-            raise GridError("magnetization contains non-finite values")
+    box = support_box(m.grid.shape, *m.components)
+    m_box = VectorField(m.grid.sub_grid(box),
+                        *(comp[grow_box(box, axis)] for axis, comp in enumerate(m.components)),
+                        staggering=FACE)
+    if not all(np.isfinite(comp).all() for comp in m_box.components):
+        raise GridError("magnetization contains non-finite values")
     if mask is not None:
         mask.check_grid(m.grid)
-        check_supported(m, mask)
-
-
-def _on_box(m: VectorField, mask: DomainMask | None):
-    """(``m`` on its mask's box, the box): views of ``m`` on a ``pad = 0``
-    grid, on which ``div`` and ``curl`` equal the full grid's for an ``m``
-    that vanishes off the box.  With no mask the box is the whole grid."""
-    if mask is None:
-        return m, tuple(slice(0, n) for n in m.grid.shape)
-    box = mask.box
-    return VectorField(mask.box_grid,
-                       *(comp[grow_box(box, axis)] for axis, comp in enumerate(m.components)),
-                       staggering=FACE), box
+        try:
+            check_supported(m_box, DomainMask(m_box.grid, mask.indicator[box]))
+        except SupportError:
+            check_supported(m, mask)
+            raise
+    return m_box, box
 
 
 def _embed(part: np.ndarray, shape: tuple[int, ...], box: tuple[slice, ...]) -> np.ndarray:
@@ -196,8 +175,7 @@ def solve_scalar_potential(m: VectorField, mask: DomainMask | None,
     and ``energy = 1/2 ||grad u||^2``, summed one face component at a time
     (equal to ``0.5 * inner(h, h)`` bit for bit; no gradient is kept).
     """
-    _validate_source(m, mask)
-    rhs = _charge(*_on_box(m, mask), m.grid.shape)
+    rhs = _charge(*_checked_on_box(m, mask), m.grid.shape)
     u_data, res, iters = _cell_poisson(rhs, m.grid, cfg)
     del rhs
     u = ScalarField(m.grid, u_data, CELL)
@@ -223,19 +201,20 @@ def pair_m_curl_a(m: VectorField, curl_a_component) -> float:
                for c, mc in enumerate(m.components)) * m.grid.cell_volume
 
 
-def functional_V(m: VectorField, a: VectorField) -> float:
-    """Unconstrained trial functional (full difference-gradient stiffness)."""
+def functional_V(m: VectorField, a: VectorField,
+                 box: tuple[slice, ...] | None = None) -> float:
+    """Unconstrained trial functional (full difference-gradient stiffness);
+    <m, curl a> reads curl a on the faces of ``box``, a cell box off whose
+    faces ``m`` vanishes (its support box if not given)."""
     if a.staggering != EDGE:
         raise GridError("vector potential must be edge-staggered")
     if m.staggering != FACE:
         raise GridError("magnetization must be face-staggered")
+    box = support_box(m.grid.shape, *m.components) if box is None else box
 
-    def curl_a_on_m(c):
-        # component c of curl a on the box of m_c's nonzeros, zero elsewhere
-        shape = m.components[c].shape
-        box = poisson.nonzero_box(m.components[c])
-        return np.zeros(shape) if box is None else _embed(curl_component(a, c, box),
-                                                            shape, box)
+    def curl_a_on_m(c):  # zero off the box's faces
+        faces = grow_box(box, c)
+        return _embed(curl_component(a, c, faces), m.components[c].shape, faces)
 
     m_curl_a = pair_m_curl_a(m, curl_a_on_m)
     return 0.5 * grad_norm_sq(a) + 0.5 * inner(m, m) - m_curl_a
@@ -273,20 +252,25 @@ def project_divergence_free(a: VectorField, cfg: SolverConfig):
 
 def minimize_V(m: VectorField, mask: DomainMask | None, cfg: SolverConfig):
     """A minimizer of V(m, .): componentwise Poisson solves with source curl m,
-    each built on the box of ``mask`` (on which ``m`` must be supported).
+    each built on the support box of ``m``, which is checked there.
 
     Returns (a, worst residual, total iterations); ``a`` is not gauged.
     """
-    m_box, box = _on_box(m, mask)
+    return _minimize_V(*_checked_on_box(m, mask), m.grid, cfg)
+
+
+def _minimize_V(m_box: VectorField, box: tuple[slice, ...], grid: GridSpec,
+                cfg: SolverConfig):
+    """``minimize_V`` on ``grid`` from ``m`` on its checked support box."""
     comps = []
     res_max, iters_total = 0.0, 0
     for c in range(3):
-        x, res, iters = poisson.solve_poisson(_curl_source(m_box, box, c, m.grid), m.grid.h,
+        x, res, iters = poisson.solve_poisson(_curl_source(m_box, box, c, grid), grid.h,
                                               cfg.tol, cfg.max_iter, cfg.preconditioner)
         comps.append(x)
         res_max = max(res_max, res)
         iters_total += iters
-    return VectorField(m.grid, *comps, staggering=EDGE), res_max, iters_total
+    return VectorField(grid, *comps, staggering=EDGE), res_max, iters_total
 
 
 def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None,
@@ -298,9 +282,9 @@ def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None
     by one auxiliary Poisson solve), so the Coulomb gauge holds to solver
     tolerance on the truncated grid as well.
     """
-    _validate_source(m, mask)
-    a_min, res_max, iters_total = minimize_V(m, mask, cfg)
-    energy = functional_V(m, a_min)
+    m_box, box = _checked_on_box(m, mask)
+    a_min, res_max, iters_total = _minimize_V(m_box, box, m.grid, cfg)
+    energy = functional_V(m, a_min, box)
     a_star, res_p, iters_p = project_divergence_free(a_min, cfg)
     del a_min
     res_max = max(res_max, res_p)
@@ -316,18 +300,17 @@ _EDGE_KINDS = tuple(tuple("dst" if axis == c else "dct" for axis in range(3))
                     for c in range(3))
 
 
-def _solve_curl_curl(m: VectorField, mask: DomainMask | None, cfg: SolverConfig):
-    """Solve  curl curl a = curl m  for an edge field; (a, curl a, residual,
-    iterations).
+def _solve_curl_curl(m_box: VectorField, box: tuple[slice, ...], grid: GridSpec,
+                     cfg: SolverConfig):
+    """Solve  curl curl a = curl m  for an edge field of ``grid``, from ``m`` on
+    its support box; (a, curl a, residual, iterations).
 
-    Each component of the source curl m is built on the mask's box.  The
+    Each component of the source curl m is built on the box.  The
     direct solve takes one transform solve per component, and its true
     residual ||b - curl curl a|| / ||b|| is summed one component at a time,
     each component of b rebuilt on the box, so only ``a`` and ``curl a``
     are held.  Plain CG runs on the concatenated components.
     """
-    grid = m.grid
-    m_box, box = _on_box(m, mask)
     if cfg.preconditioner == "none":
         shapes = edge_shapes(grid)
         splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
@@ -380,8 +363,7 @@ def solve_vector_potential_gauged(m: VectorField, mask: DomainMask | None,
     rounding.  The ``curl a`` of the residual check is returned, and the
     energy 1/2 ||curl a - m||^2 is summed one component at a time.
     """
-    _validate_source(m, mask)
-    a, curl_a, res, iters = _solve_curl_curl(m, mask, cfg)
+    a, curl_a, res, iters = _solve_curl_curl(*_checked_on_box(m, mask), m.grid, cfg)
     div_norm = norm(div(a))
     # 0.5 * inner(curl_a - m, curl_a - m) bit for bit, one component at a time
     d2 = sum(_sq(ca - mc) for ca, mc in zip(curl_a.components, m.components))
@@ -453,12 +435,13 @@ def dense_oracle_energy(m: VectorField, mask: DomainMask | None) -> float:
 
 def _unit_charges(mask: DomainMask) -> list[np.ndarray]:
     """The charges -div(e_i Chi), i = x, y, z, of a nonempty mask, built on the
-    mask's cached box (``DomainMask.box_mask()``) and embedded in zeros: the
-    full-grid build bit for bit, at the box's cost."""
-    box_mask = mask.box_mask()
+    support box of its indicator and embedded in zeros: the full-grid build
+    bit for bit, at the box's cost."""
+    box = support_box(mask.grid.shape, mask.indicator)
+    box_mask = DomainMask(mask.grid.sub_grid(box), mask.indicator[box])
     return [_charge(masked_cell_to_faces(
         CellVectorField.constant(box_mask.grid, e, box_mask), box_mask),
-        mask.box, mask.grid.shape) for e in np.eye(3)]
+        box, mask.grid.shape) for e in np.eye(3)]
 
 
 def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,
@@ -469,7 +452,7 @@ def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,
     Summation by parts, <grad u, v> = -<u, div v>, is exact on the grid, so it
     equals the cell pairing <u_j, rho_i>/|Omega| with the surface charge
     rho_i = -div(e_i Chi), the right-hand side of column i's checked solve; no
-    field h is built, and each rho_i only on the mask's box.  N is symmetric
+    field h is built, and each rho_i only on the mask's support box.  N is symmetric
     up to solver tolerance and its trace is 1 up to discretization error.
     """
     if not isinstance(geom, Ellipsoid):

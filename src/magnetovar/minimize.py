@@ -64,6 +64,8 @@ class MinimizeConfig:
                 raise GridError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not (0.0 < self.backtrack < 1.0):
             raise GridError("backtracking factor must lie in (0, 1)")
+        if self.max_iter < 1:
+            raise GridError("max_iter must be at least 1")
 
 
 @dataclass

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError
+from .grid import nonzero_box
 
 CELL_KINDS = ("dst", "dst", "dst")
 NODE_KINDS = ("dct", "dct", "dct")
@@ -114,21 +115,6 @@ def _axis_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     return _BASIS_CACHE[key]
 
 
-def _nonzero_span(present: np.ndarray) -> slice:
-    hit = np.flatnonzero(present)
-    return slice(int(hit[0]), int(hit[-1]) + 1)
-
-
-def nonzero_box(b: np.ndarray) -> tuple[slice, slice, slice] | None:
-    """The smallest index box holding all nonzeros of the 3-D array ``b``
-    (``-0.0`` counts as zero), or None if there are none."""
-    present12 = np.any(b, axis=0)
-    if not present12.any():
-        return None
-    return (_nonzero_span(np.any(b, axis=(1, 2))), _nonzero_span(present12.any(axis=1)),
-            _nonzero_span(present12.any(axis=0)))
-
-
 def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str]) -> np.ndarray:
     """Direct solve of the separable 7-point operator with per-axis ends.
 
@@ -144,8 +130,8 @@ def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str]) -> np.
     6:185, 1964); each axis costs matrix products whose speed does not
     depend on whether its length has large prime factors.  The forward
     products read only the index box that holds ``b``'s nonzeros
-    (``nonzero_box``; for ``-div m`` or ``curl m`` of a mask-supported
-    ``m``, about the mask's box): axis 0 first, written into the result,
+    (``grid.nonzero_box``; for ``-div m`` or ``curl m``, about the support
+    box of ``m``): axis 0 first, written into the result,
     then slab by slab axes 2 and 1, the division by the eigenvalues and
     the inverse along axes 1 and 2; last, the inverse along axis 0 runs in
     place on blocks of ``_COLUMN_BLOCK`` columns.  The result is the only

@@ -175,6 +175,9 @@ def test_non_finite_or_out_of_range_sizes_are_config_errors(tmp_path, capsys, co
     ("shell.level = -1", "shell.level"),
     ("geometry.extents = 1 1", "geometry.extents"),
     ("minimize.max_iter = 1.5", "minimize.max_iter"),
+    ("minimize.max_iter = -3", "minimize.max_iter"),
+    ("solver.max_iter = 0", "solver.max_iter"),
+    ("shell.t_nodes = 1", "shell.t_nodes"),
 ])
 def test_bad_value_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, key):
     # oracle reads none of these keys, but every value is parsed with the file

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnetovar.errors import GridError, SupportError
 from magnetovar.grid import (Box, DomainMask, Ellipsoid, GridSpec, Shell,
-                             build_mask, grid_for_geometry)
+                             build_mask, face_shapes, grid_for_geometry, grow_box,
+                             nonzero_box, support_box)
 from magnetovar.shell import make_sphere_mesh
 
 
@@ -111,3 +114,74 @@ def test_mask_indicator_is_read_only_and_face_scales_cached():
     assert mask.face_scale(0)[2, 1, 2] == 1.0
     # faces of the padding layer touch no domain cell
     assert mask.face_scale(0)[0, 0, 0] == 0.0
+
+
+# nonzero entries of every kind: NaN and inf count as nonzero, -0.0 does not
+NONZEROS = np.array([np.nan, np.inf, -np.inf, 1.5, -2.0, 5e-324])
+
+
+def _sparse(shape, fill, single, rng):
+    """Zeros of both signs, with NONZEROS on a ``fill`` fraction of entries,
+    or on one random entry with ``single``."""
+    b = rng.choice([0.0, -0.0], shape)
+    if single and b.size:
+        b[tuple(int(rng.integers(0, k)) for k in shape)] = rng.choice(NONZEROS)
+    elif not single:
+        hit = rng.random(shape) < fill
+        b[hit] = rng.choice(NONZEROS, int(hit.sum()))
+    return b
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(shape=st.tuples(*[st.integers(0, 5)] * 3),
+       fill=st.sampled_from([0.0, 0.05, 0.5, 1.0]), single=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_nonzero_box_is_the_span_of_the_nonzero_indices(shape, fill, single, seed):
+    # empty arrays, sides 1-2, single entries and boxes touching the edges;
+    # the reference is np.nonzero's min and max per axis
+    b = _sparse(shape, fill, single, np.random.default_rng(seed))
+    idx = np.nonzero(b)
+    want = (None if idx[0].size == 0
+            else tuple(slice(int(i.min()), int(i.max()) + 1) for i in idx))
+    assert nonzero_box(b) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(cells=st.tuples(*[st.integers(2, 5)] * 3),
+       fill=st.sampled_from([0.0, 0.05, 0.5, 1.0]), single=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_support_box_holds_every_nonzero_face_with_both_its_cells(cells, fill, single,
+                                                                  seed):
+    grid = GridSpec(*cells, h=0.3, origin=(0.1, -2.0, 0.7))
+    rng = np.random.default_rng(seed)
+    mask = DomainMask(grid, (rng.random(cells) < 0.5).astype(float))
+    faces = [_sparse(shape, fill, single, rng) for shape in face_shapes(grid)]
+    box = support_box(cells, *faces)
+    if not any(np.count_nonzero(f) for f in faces):
+        assert box == tuple(slice(0, n) for n in cells)
+    assert all(0 <= s.start and s.start + 2 <= s.stop <= n for s, n in zip(box, cells))
+    sub = grid.sub_grid(box)
+    assert sub.pad == 0 and sub.shape == tuple(s.stop - s.start for s in box)
+    for d, s in enumerate(box):
+        assert abs(sub.cell_centers()[d][0] - grid.cell_centers()[d][s.start]) < 1e-12
+    boxed = DomainMask(sub, mask.indicator[box])
+    for axis, f in enumerate(faces):
+        on_box = grow_box(box, axis)
+        assert np.count_nonzero(f[on_box]) == np.count_nonzero(f)
+        hit = f[on_box] != 0
+        assert np.array_equal(boxed.face_count(axis)[hit], mask.face_count(axis)[on_box][hit])
+
+
+def test_support_box_of_a_mask_grows_its_cells_by_one_clipped_to_the_grid():
+    grid = GridSpec(6, 5, 4, h=0.5)
+    ind = np.zeros(grid.shape)
+    ind[0, 2, 1:3] = 1.0
+    ind[3, 3, 2] = 1.0
+    assert support_box(grid.shape, DomainMask(grid, ind).indicator) == (
+        slice(0, 5), slice(1, 5), slice(0, 4))
+    assert support_box(grid.shape, np.zeros(grid.shape)) == (
+        slice(0, 6), slice(0, 5), slice(0, 4))
+    # the last x-face counts as the last cell: two cells, not one
+    fx = np.zeros(face_shapes(grid)[0])
+    fx[6, 0, 3] = -1.0
+    assert support_box(grid.shape, fx) == (slice(4, 6), slice(0, 2), slice(2, 4))

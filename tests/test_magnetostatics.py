@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from magnetovar.errors import ConvergenceError, GridError, SupportError
 from magnetovar.grid import (EDGE, FACE, CellVectorField, DomainMask, Ellipsoid,
                              GridSpec, ScalarField, VectorField, build_mask,
-                             grid_for_geometry)
+                             grid_for_geometry, support_box)
 from magnetovar.magnetostatics import (DENSE_UNKNOWN_CAP, SolverConfig, _unit_charges,
                                        demag_tensor,
                                        dense_oracle_energy, ellipsoid_demag_factors,
@@ -23,7 +23,7 @@ from magnetovar.magnetostatics import (DENSE_UNKNOWN_CAP, SolverConfig, _unit_ch
                                        solve_vector_potential_gauged,
                                        solve_vector_potential_unconstrained,
                                        stray_field)
-from magnetovar import poisson
+from magnetovar import magnetostatics, poisson
 from magnetovar.operators import (check_supported, curl, div, grad, inner,
                                   masked_cell_to_faces, norm)
 from magnetovar.testfields import TestFieldSpec, gradient_bump, random_masked
@@ -402,12 +402,11 @@ def test_source_validation():
 
 
 def test_source_validation_on_the_box_keeps_the_full_checks_errors():
-    # m is checked on the mask's box when it vanishes off it; any failure
-    # falls back to the full-grid checks, whose errors name the same
-    # component and face
+    # m is checked on its support box; a failure there raises the full-grid
+    # checks' errors, which name the same component and face
     grid, mask = ball_mask(8)
-    box = mask.box
-    corner = tuple(s.start for s in box)  # a face of the box off the support
+    # a face of the mask's support box off the support
+    corner = tuple(s.start for s in support_box(grid.shape, mask.indicator))
     assert mask.face_count(0)[corner] == 0 and mask.face_count(1)[0, 0, 0] == 0
     clean = random_masked(3, mask)
 
@@ -494,6 +493,28 @@ def test_three_routes_take_eight_transform_solves_and_one_neumann_solve(monkeypa
     for route in ROUTE_PEAK_FACES:
         route(m, mask, CFG)
     assert counts == {"transform_solve": 8, "solve_poisson_neumann": 1}
+
+
+@pytest.mark.parametrize("masked", [True, False], ids=["mask", "no-mask"])
+def test_each_route_finds_one_support_box(monkeypatch, masked):
+    # the box is found once per call and every check and source reads it:
+    # a second scan of m, or a fast path with a full-grid fallback, fails here
+    grid, mask = ball_mask(8)
+    m = random_masked(4, mask)
+    calls = []
+
+    def counted(*args, _real=magnetostatics.support_box):
+        calls.append(1)
+        return _real(*args)
+
+    monkeypatch.setattr(magnetostatics, "support_box", counted)
+    for route in list(ROUTE_PEAK_FACES) + [magnetostatics.minimize_V]:
+        calls.clear()
+        route(m, mask if masked else None, CFG)
+        assert len(calls) == 1, route.__name__
+    calls.clear()
+    demag_tensor(Ellipsoid(1.0, 1.0, 1.0), grid, CFG, mask=mask if masked else None)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("other", [dict(h=2.0 / 9), dict(pad=3)], ids=["same-shape-other-h",

@@ -35,6 +35,8 @@ def test_config_validation():
         MinimizeConfig(step=-1.0)
     with pytest.raises(GridError):
         MinimizeConfig(backtrack=1.5)
+    with pytest.raises(GridError, match="max_iter"):
+        MinimizeConfig(max_iter=0)
 
 
 def test_fixed_a_stray_energy_is_functional_V_bit_for_bit():

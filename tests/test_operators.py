@@ -9,7 +9,7 @@ from magnetovar.grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask
                              Ellipsoid, GridSpec, ScalarField, VectorField,
                              build_mask, face_shapes)
 from magnetovar.errors import GridError, SupportError
-from magnetovar.magnetostatics import _charge, _curl_source, _on_box
+from magnetovar.magnetostatics import _charge, _checked_on_box, _curl_source
 from magnetovar.operators import (_pad_diff, _pair_sum_pad, check_supported, curl,
                                   curl_component, div, grad, grad_component, grad_node,
                                   grad_norm_sq, inner, masked_cell_to_faces,
@@ -460,28 +460,41 @@ def test_check_supported_flags_exactly_faces_touching_no_cell(
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
-@given(fill=st.floats(0.0, 1.0), touch=st.booleans(), neg_zero=st.booleans(), **GRIDS)
+@given(fill=st.floats(0.0, 1.0), touch=st.booleans(), neg_zero=st.booleans(),
+       masked=st.booleans(), **GRIDS)
 def test_box_built_sources_equal_full_grid_sources(sides, two_axis, pad, fill, touch,
-                                                   neg_zero, seed):
-    # -div m and curl m built on the mask's box and embedded in zeros, as the
-    # routes build them; with touch and pad 0 the grown box is clipped at the
-    # grid's edge, with fill 0 the mask is empty and the box is the grid.
+                                                   neg_zero, masked, seed):
+    # -div m and curl m built on the support box of m and embedded in zeros,
+    # as the routes build them.  With a mask, m fills the mask's support; with
+    # touch and pad 0 the grown box is clipped at the grid's edge, with fill 0
+    # the mask is empty and the box is the grid.  With no mask, each component
+    # is random on an arbitrary box of its own (the whole array with touch;
+    # a box on the last face only is clipped to the last two cells).
     # With neg_zero the faces off the support hold -0.0, whose signs the
     # full-grid build can carry into some of its zeros: zeros then compare
     # by value, every other entry bit for bit.
     grid, n = _grid_with_a_side_of_2(sides, two_axis, pad)
     rng = np.random.default_rng(seed)
-    mask = _random_mask(grid, n, pad, fill, rng)
-    if touch:
-        ind = mask.indicator.copy()
-        ind[pad, pad, pad] = ind[tuple(pad + k - 1 for k in n)] = 1.0
-        mask = DomainMask(grid, ind)
     off = -0.0 if neg_zero else 0.0
-    m = VectorField(grid, *(np.where(mask.face_count(axis) > 0, rng.standard_normal(shape),
-                                     off)
-                            for axis, shape in enumerate(face_shapes(grid))),
-                    staggering=FACE)
-    m_box, box = _on_box(m, mask)
+    if masked:
+        mask = _random_mask(grid, n, pad, fill, rng)
+        if touch:
+            ind = mask.indicator.copy()
+            ind[pad, pad, pad] = ind[tuple(pad + k - 1 for k in n)] = 1.0
+            mask = DomainMask(grid, ind)
+        comps = [np.where(mask.face_count(axis) > 0, rng.standard_normal(shape), off)
+                 for axis, shape in enumerate(face_shapes(grid))]
+    else:
+        mask, comps = None, []
+        for shape in face_shapes(grid):
+            lo = [0 if touch else int(rng.integers(0, k)) for k in shape]
+            part = tuple(slice(a, k if touch else int(rng.integers(a + 1, k + 1)))
+                         for a, k in zip(lo, shape))
+            comp = np.full(shape, off)
+            comp[part] = rng.standard_normal(comp[part].shape)
+            comps.append(comp)
+    m = VectorField(grid, *comps, staggering=FACE)
+    m_box, box = _checked_on_box(m, mask)
     pairs = [(_charge(m_box, box, grid.shape), -div(m).data)]
     pairs += [(_curl_source(m_box, box, c, grid), curl_component(m, c)) for c in range(3)]
     for got, want in pairs:
