@@ -111,7 +111,7 @@ KEYS = {
     "shell.n_major": (_int_at_least(3), 64), "shell.n_minor": (_int_at_least(3), 32),
     "shell.m0": (str, "uniform_z"), "shell.eps_list": (_floats, (0.2, 0.1, 0.05)),
     "shell.cells_per_thickness": (float, 4.0), "shell.pad_ratio": (float, 0.5),
-    "shell.t_nodes": (_int_at_least(2), 4), "shell.delta": (float, None),
+    "shell.delta": (float, None),
     "validate.ball_cells": (_int_at_least(1), 16), "validate.pad_ratio": (float, 3.0),
     "oracle.ball_cells": (_int_at_least(1), 12), "dump.fields": (_bool, True),
 }
@@ -387,8 +387,7 @@ def cmd_shell_study(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     eps_list = cfg["shell.eps_list"]
     policy = sh.ShellGridPolicy(cells_per_thickness=cfg["shell.cells_per_thickness"],
                                 pad_ratio=cfg["shell.pad_ratio"])
-    rows = sh.convergence_study(mesh, m0_fn, eps_list, solver, policy,
-                                n_t=cfg["shell.t_nodes"])
+    rows = sh.convergence_study(mesh, m0_fn, eps_list, solver, policy)
 
     write_csv(out.path("shell_study.csv"),
               ["eps", "exchange", "stray_scaled", "total", "limit", "gap"],

@@ -6,6 +6,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -64,13 +65,16 @@ def write_legacy_vector_dump(path: Path, m: CellVectorField) -> None:
 
 
 class OutputTracker:
-    """Creates files under one directory; removes them all if a run fails."""
+    """Creates files under one directory; removes them all if a run fails,
+    and the directory too if it made it and nothing else is in it."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
         self.created: list[Path] = []
+        self.made_dir = False
 
     def prepare(self):
+        self.made_dir = not self.out_dir.exists()
         self.out_dir.mkdir(parents=True, exist_ok=True)
         probe = self.out_dir / ".write_probe"
         probe.write_text("")
@@ -83,8 +87,8 @@ class OutputTracker:
 
     def discard_partial(self):
         for p in self.created:
-            try:
-                if p.exists():
-                    p.unlink()
-            except OSError:
-                pass
+            with suppress(OSError):
+                p.unlink(missing_ok=True)
+        if self.made_dir:
+            with suppress(OSError):
+                self.out_dir.rmdir()  # only if nothing else was written there

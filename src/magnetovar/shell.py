@@ -8,7 +8,8 @@ provides
 
 * the metric factors of that parametrization (volume Jacobian and the two
   tangential gradient scalings),
-* the scaled Dirichlet energy of fields on the shell,
+* the scaled Dirichlet energy of the thickness-independent extension of
+  a surface field, in closed form across the thickness,
 * the limit surface functional: tangential Dirichlet energy plus the
   shape-anisotropy penalty (m . n)^2,
 * the explicit piecewise-linear profile family and the potential pairs
@@ -125,6 +126,8 @@ class SurfaceMesh:
 
 def make_sphere_mesh(radius: float = 1.0, level: int = 3) -> SurfaceMesh:
     """Icosphere: subdivided icosahedron reprojected onto the sphere."""
+    if not 0.0 < radius < np.inf:
+        raise GridError(f"radius must be positive and finite, got {radius}")
     if level < 0:
         raise GridError(f"level must be at least 0, got {level}")
     phi = (1.0 + np.sqrt(5.0)) / 2.0
@@ -179,8 +182,9 @@ def make_sphere_mesh(radius: float = 1.0, level: int = 3) -> SurfaceMesh:
 def make_torus_mesh(r_major: float = 2.0, r_minor: float = 0.5,
                     n_major: int = 64, n_minor: int = 32) -> SurfaceMesh:
     """Structured triangulation of a torus with analytic frame data."""
-    if r_minor >= r_major:
-        raise GridError("torus needs r_minor < r_major")
+    for name, r, top in (("r_major", r_major, np.inf), ("r_minor", r_minor, r_major)):
+        if not 0.0 < r < top:
+            raise GridError(f"{name} must lie in (0, {top}), got {r}")
     for name, n in (("n_major", n_major), ("n_minor", n_minor)):
         if n < 3:
             raise GridError(f"{name} must be at least 3, got {n}")
@@ -327,85 +331,44 @@ def limit_energy(m0: np.ndarray, mesh: SurfaceMesh) -> float:
 
 
 # ---------------------------------------------------------------------------
-# shell fields and the scaled Dirichlet energy
+# the scaled Dirichlet energy of the extruded field
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ShellField:
-    """Unit vectors sampled at (vertex, t-node); t-nodes are Gauss points."""
+def _thickness_integral(a, b):
+    """Exact int_{-1}^{1} (1 + b t)/(1 + a t) dt for |a| < 1, arrays broadcast:
+    the thickness integral of h_i^2 sqrt(g) at a = eps kappa_i, b = eps kappa_j.
 
-    mesh: SurfaceMesh
-    t_nodes: np.ndarray       # (Q,)
-    t_weights: np.ndarray     # (Q,)
-    values: np.ndarray        # (V, Q, 3)
-
-    @staticmethod
-    def from_profile(mesh: SurfaceMesh, fn, n_t: int = 4) -> "ShellField":
-        """Sample fn(vertex_points, t) -> (V, 3) at Gauss-Legendre t-nodes."""
-        if n_t < 2:
-            raise GridError("need at least 2 thickness nodes")
-        nodes, weights = np.polynomial.legendre.leggauss(n_t)
-        vals = np.stack([fn(mesh.vertices, t) for t in nodes], axis=1)
-        return ShellField(mesh, nodes, weights, vals)
-
-    @staticmethod
-    def t_independent(mesh: SurfaceMesh, m0: np.ndarray, n_t: int = 4) -> "ShellField":
-        return ShellField.from_profile(mesh, lambda pts, t: m0, n_t=n_t)
-
-    def check_unit(self, tol: float = 1e-9):
-        n = np.linalg.norm(self.values, axis=2)
-        worst = float(np.abs(n - 1.0).max())
-        if worst > tol:
-            raise GridError(f"shell field norm deviates by {worst:.2e}")
-
-
-def _t_derivative_matrix(nodes: np.ndarray) -> np.ndarray:
-    """Finite-difference differentiation across the (nonuniform) t-nodes."""
-    q = len(nodes)
-    D = np.zeros((q, q))
-    for i in range(q):
-        if i == 0:
-            D[0, 0] = -1.0 / (nodes[1] - nodes[0])
-            D[0, 1] = 1.0 / (nodes[1] - nodes[0])
-        elif i == q - 1:
-            D[i, i - 1] = -1.0 / (nodes[i] - nodes[i - 1])
-            D[i, i] = 1.0 / (nodes[i] - nodes[i - 1])
-        else:
-            hm = nodes[i] - nodes[i - 1]
-            hp = nodes[i + 1] - nodes[i]
-            D[i, i - 1] = -hp / (hm * (hm + hp))
-            D[i, i] = (hp - hm) / (hm * hp)
-            D[i, i + 1] = hm / (hp * (hm + hp))
-    return D
-
-
-def shell_dirichlet_energy(m: ShellField, eps: float) -> float:
-    """Scaled Dirichlet energy of a shell field.
-
-    Tangential part: sum of the two principal-direction derivatives scaled
-    by the metric coefficients; thickness part carries the 1/eps^2
-    penalty.  Quadrature: per-triangle midpoint in the surface, Gauss in t.
+    It is 2 + (a - b) G(a), so exactly 2 for a == b, with
+    G(a) = 2 (atanh(a) - a)/a^2 = 2 sum_{k>=1} a^(2k-1)/(2k+1).  Below
+    |a| = 0.1, where the closed form cancels, G is the series to k = 8
+    (truncation under 2e-17 relative).
     """
-    mesh = m.mesh
-    if len(m.t_nodes) < 2:
-        raise GridError("need at least 2 thickness nodes")
+    a = np.asarray(a, dtype=float)
+    small = np.abs(a) < 0.1
+    a_far = np.where(small, 0.5, a)
+    closed = 2.0 * (np.arctanh(a_far) - a_far) / a_far ** 2
+    series = 2.0 * sum(a ** (2 * k - 1) / (2 * k + 1) for k in range(8, 0, -1))
+    return 2.0 + (a - b) * np.where(small, series, closed)
+
+
+def shell_dirichlet_energy(m0: np.ndarray, mesh: SurfaceMesh, eps: float) -> float:
+    """Scaled Dirichlet energy of the extension m0(project(x)) of a vertex field.
+
+    Since d_t m = 0, each triangle's squared P1 derivatives along tau1 and
+    tau2 carry the exact thickness integral of their metric weight
+    h_i^2 sqrt(g), at the triangle's mean curvatures.
+    """
+    if m0.shape != (mesh.n_vertices, 3):
+        raise GridError("m0 must be a per-vertex 3-vector field")
     if eps >= mesh.min_curvature_radius():
         raise GridError("half-thickness violates the tubular condition")
-    tris = mesh.triangles
     areas, t1, t2, k1, k2 = _triangle_frame(mesh)
-    Dt = _t_derivative_matrix(m.t_nodes)
-    dmdt = np.einsum("qr,vrc->vqc", Dt, m.values)
-
-    total = 0.0
-    for q, (t, w) in enumerate(zip(m.t_nodes, m.t_weights)):
-        grads = _p1_gradients(mesh, m.values[:, q, :])     # (T, 3, 3)
-        d1 = np.einsum("tcx,tx->tc", grads, t1)
-        d2 = np.einsum("tcx,tx->tc", grads, t2)
-        sg, h1, h2 = _metric_arrays(k1, k2, t, eps)
-        tang = h1 ** 2 * np.sum(d1 ** 2, axis=1) + h2 ** 2 * np.sum(d2 ** 2, axis=1)
-        dt2 = _tri_vertex_mean(np.sum(dmdt[:, q, :] ** 2, axis=1), tris)
-        total += w * float(np.sum(areas * sg * (tang + dt2 / eps ** 2)))
-    return 0.5 * total
+    grads = _p1_gradients(mesh, m0)                       # (T, 3, 3)
+    d1 = np.sum(np.einsum("tcx,tx->tc", grads, t1) ** 2, axis=1)
+    d2 = np.sum(np.einsum("tcx,tx->tc", grads, t2) ** 2, axis=1)
+    a1, a2 = eps * k1, eps * k2
+    tang = _thickness_integral(a1, a2) * d1 + _thickness_integral(a2, a1) * d2
+    return 0.5 * float(np.sum(areas * tang))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -616,8 +579,7 @@ class ShellStudyRow:
 
 def convergence_study(mesh: SurfaceMesh, m0_fn: FieldFn, eps_list,
                       cfg: SolverConfig,
-                      policy: ShellGridPolicy = ShellGridPolicy(),
-                      n_t: int = 4) -> list[ShellStudyRow]:
+                      policy: ShellGridPolicy = ShellGridPolicy()) -> list[ShellStudyRow]:
     """Tabulated approach of the scaled shell energies to the limit functional.
 
     Each row: scaled Dirichlet energy of the thickness-independent
@@ -626,10 +588,9 @@ def convergence_study(mesh: SurfaceMesh, m0_fn: FieldFn, eps_list,
     """
     m0 = sample_on_vertices(mesh, m0_fn)
     lim = limit_energy(m0, mesh)
-    mfield = ShellField.t_independent(mesh, m0, n_t=n_t)
     rows = []
     for eps in eps_list:
-        ex = shell_dirichlet_energy(mfield, eps)
+        ex = shell_dirichlet_energy(m0, mesh, eps)
         st = shell_stray_energy_scaled(mesh, m0_fn, eps, cfg, policy)
         total = ex + st
         rows.append(ShellStudyRow(eps=float(eps), exchange=ex, stray_scaled=st,

@@ -156,11 +156,16 @@ def test_solve_rejects_non_finite_material_and_minimizer_values(tmp_path, capsys
     ("shell-study", "shell_sphere", "shell.level = -1", "shell.level"),
     ("shell-study", "shell_sphere", "shell.surface = torus\nshell.n_major = 2", "shell.n_major"),
     ("shell-study", "shell_sphere", "shell.surface = torus\nshell.n_minor = 2", "shell.n_minor"),
+    ("shell-study", "shell_sphere", "shell.radius = nan", "radius"),
+    ("shell-study", "shell_sphere", "shell.radius = inf", "radius"),
+    ("shell-study", "shell_sphere", "shell.surface = torus\nshell.r_major = nan", "r_major"),
+    ("shell-study", "shell_sphere", "shell.surface = torus\nshell.r_minor = -0.5", "r_minor"),
 ])
 def test_non_finite_or_out_of_range_sizes_are_config_errors(tmp_path, capsys, command,
                                                             base, lines, quantity):
     # each used to end in a traceback (exit 1), in an all-NaN demag.csv (grid.h = inf)
-    # or in a study of another mesh (shell.level = -1 built the level-0 icosahedron)
+    # or in a study of another mesh (shell.level = -1 built the level-0 icosahedron);
+    # shell.r_minor = -0.5 was reported as a tubular-condition error
     root = Path(__file__).resolve().parent.parent
     body = (root / "configs" / f"{base}.cfg").read_text() + lines + "\n"
     cfg = write_cfg(tmp_path, "c.cfg", body)
@@ -177,7 +182,7 @@ def test_non_finite_or_out_of_range_sizes_are_config_errors(tmp_path, capsys, co
     ("minimize.max_iter = 1.5", "minimize.max_iter"),
     ("minimize.max_iter = -3", "minimize.max_iter"),
     ("solver.max_iter = 0", "solver.max_iter"),
-    ("shell.t_nodes = 1", "shell.t_nodes"),
+    ("shell.n_minor = 2", "shell.n_minor"),
 ])
 def test_bad_value_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, key):
     # oracle reads none of these keys, but every value is parsed with the file
@@ -320,6 +325,27 @@ shell.delta = 5.0
     assert not (out / "shell_study.csv").exists()
 
 
+def test_failed_run_removes_the_output_directory_it_made(tmp_path):
+    # solver.tol is range-checked only when demag builds its solver config,
+    # after the output directory is made
+    root = Path(__file__).resolve().parent.parent
+    body = (root / "configs" / "demag_sphere.cfg").read_text() + "solver.tol = 0.5\n"
+    cfg = write_cfg(tmp_path, "d.cfg", body)
+    out = tmp_path / "new" / "out"
+    assert main(["demag", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    # a directory that existed before the run stays, with what was in it
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("x")
+    assert main(["demag", "--config", cfg, "--out", str(kept)]) == EXIT_CONFIG
+    assert sorted(p.name for p in kept.iterdir()) == ["notes.txt"]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["demag", "--config", cfg, "--out", str(empty)]) == EXIT_CONFIG
+    assert empty.is_dir()
+
+
 def test_absurd_tolerance_is_clamped_with_warning(tmp_path, monkeypatch):
     from magnetovar import cli
     path = write_cfg(tmp_path, "t.cfg", BASE + "solver.tol = 1\nvalidate.ball_cells = 4\n")
@@ -346,6 +372,15 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         RunConfig.load(path)
     assert main(["oracle", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "solver.tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_removed_thickness_nodes_key_is_unknown(tmp_path, capsys):
+    # the shell exchange integrates the thickness exactly; no node count is read
+    path = write_cfg(tmp_path, "old.cfg", BASE + "shell.t_nodes = 4\n")
+    assert main(["shell-study", "--config", path, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    assert "unknown key 'shell.t_nodes'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,5 +1,7 @@
 """Shell geometry, metric factors, limit functional, and recovery bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,11 +32,19 @@ def test_meshes_are_closed_and_unit_normals():
 
 @pytest.mark.parametrize("build, name", [
     (lambda: sh.make_sphere_mesh(1.0, level=-1), "level"),
+    (lambda: sh.make_sphere_mesh(float("nan")), "radius"),
+    (lambda: sh.make_sphere_mesh(float("inf")), "radius"),
+    (lambda: sh.make_sphere_mesh(0.0), "radius"),
+    (lambda: sh.make_torus_mesh(float("nan"), 0.5), "r_major"),
+    (lambda: sh.make_torus_mesh(float("inf"), 0.5), "r_major"),
+    (lambda: sh.make_torus_mesh(2.0, -0.5), "r_minor"),
+    (lambda: sh.make_torus_mesh(2.0, 2.5), r"r_minor must lie in \(0, 2.0\)"),
     (lambda: sh.make_torus_mesh(2.0, 0.5, n_major=2, n_minor=24), "n_major"),
     (lambda: sh.make_torus_mesh(2.0, 0.5, n_major=48, n_minor=2), "n_minor"),
 ])
 def test_mesh_builders_reject_bad_sizes(build, name):
-    # range(-1) used to leave the level-0 icosahedron; n < 3 gave degenerate tori
+    # range(-1) used to leave the level-0 icosahedron; n < 3 gave degenerate tori;
+    # a NaN or infinite radius failed later in the grid builder with a traceback
     with pytest.raises(GridError, match=name):
         build()
 
@@ -76,11 +86,10 @@ def test_metric_factors_midsurface_and_errors():
     assert np.all(sqrt_g == 1.0) and np.all(h1 == 1.0) and np.all(h2 == 1.0)
     # half-thickness at or beyond the minimal curvature radius (1 on the
     # unit sphere) violates the tubular condition
-    f = sh.ShellField.t_independent(
-        SPHERE, sh.sample_on_vertices(SPHERE, sh.uniform_field((0, 0, 1))))
+    m0 = sh.sample_on_vertices(SPHERE, sh.uniform_field((0, 0, 1)))
     for eps in (1.0, 1.5):
         with pytest.raises(GridError, match="tubular"):
-            sh.shell_dirichlet_energy(f, eps)
+            sh.shell_dirichlet_energy(m0, SPHERE, eps)
         with pytest.raises(GridError, match="tubular"):
             sh.Shell(SPHERE, eps)
 
@@ -120,8 +129,59 @@ def test_limit_energy_mesh_refinement_second_order():
 
 def test_shell_dirichlet_constant_field_zero():
     m0 = sh.sample_on_vertices(SPHERE, sh.uniform_field((0, 0, 1)))
-    f = sh.ShellField.t_independent(SPHERE, m0)
-    assert sh.shell_dirichlet_energy(f, 0.1) < 1e-20
+    assert sh.shell_dirichlet_energy(m0, SPHERE, 0.1) == 0.0
+
+
+def test_shell_dirichlet_rejects_bad_m0_shape():
+    m0 = sh.sample_on_vertices(SPHERE, sh.uniform_field((0, 0, 1)))
+    for bad in (m0[:-1], m0[:, :2], m0[:, None, :]):
+        with pytest.raises(GridError, match="per-vertex"):
+            sh.shell_dirichlet_energy(bad, SPHERE, 0.1)
+
+
+@pytest.mark.parametrize("a", [-0.9, -0.5, -0.1, -0.05, -1e-12, 0.0, 1e-12, 0.007,
+                               0.0999999, 0.1, 0.3, 0.9])
+def test_thickness_integral_matches_gauss(a):
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    b = np.concatenate([np.linspace(-0.9, 0.9, 37), [0.0, 1e-12, -1e-12]])
+    want = [np.sum(weights * (1 + bj * nodes) / (1 + a * nodes)) for bj in b]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sh._thickness_integral(np.full_like(b, a), b)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert sh._thickness_integral(a, a) == 2.0
+
+
+def test_shell_dirichlet_equals_gauss_in_thickness_on_torus():
+    # the closed form against a 16-node Gauss sum of the metric weights
+    m0 = sh.sample_on_vertices(TORUS, sh.toroidal_field())
+    areas, t1, t2, k1, k2 = sh._triangle_frame(TORUS)
+    grads = sh._p1_gradients(TORUS, m0)
+    d1 = np.sum(np.einsum("tcx,tx->tc", grads, t1) ** 2, axis=1)
+    d2 = np.sum(np.einsum("tcx,tx->tc", grads, t2) ** 2, axis=1)
+    for eps in (0.2, 0.1, 0.05):
+        gauss = 0.0
+        for t, w in zip(*np.polynomial.legendre.leggauss(16)):
+            sg, h1, h2 = sh._metric_arrays(k1, k2, t, eps)
+            gauss += 0.5 * w * np.sum(areas * sg * (h1 ** 2 * d1 + h2 ** 2 * d2))
+        closed = sh.shell_dirichlet_energy(m0, TORUS, eps)
+        assert abs(closed - gauss) <= 1e-13 * gauss
+
+
+def test_torus_exchange_oracle_second_order():
+    # the toroidal field on the torus shell (R, r) has the exact scaled exchange
+    # 2 pi^2 [sqrt(R^2 - (r - eps)^2) - sqrt(R^2 - (r + eps)^2)] / eps
+    R, r, eps = 2.0, 0.5, 0.2
+    exact = 2 * np.pi ** 2 * (np.sqrt(R ** 2 - (r - eps) ** 2)
+                              - np.sqrt(R ** 2 - (r + eps) ** 2)) / eps
+    assert abs(exact - 10.2518141) < 1e-7
+    errs = []
+    for n_major, n_minor in ((32, 16), (64, 32)):
+        mesh = sh.make_torus_mesh(R, r, n_major, n_minor)
+        m0 = sh.sample_on_vertices(mesh, sh.toroidal_field())
+        errs.append(abs(sh.shell_dirichlet_energy(m0, mesh, eps) - exact) / exact)
+    assert errs[0] / errs[1] >= 3.5
+    assert errs[1] < 2e-3
 
 
 def test_shell_dirichlet_t_independent_tends_to_surface_dirichlet():
@@ -129,41 +189,17 @@ def test_shell_dirichlet_t_independent_tends_to_surface_dirichlet():
     # part thickness-independent and equal to the surface Dirichlet energy
     mesh = sh.make_sphere_mesh(1.0, level=3)
     m0 = sh.sample_on_vertices(mesh, sh.hedgehog_field())
-    f = sh.ShellField.t_independent(mesh, m0)
-    vals = [sh.shell_dirichlet_energy(f, eps) for eps in (0.2, 0.1, 0.05)]
+    vals = [sh.shell_dirichlet_energy(m0, mesh, eps) for eps in (0.2, 0.1, 0.05)]
     target = 8 * np.pi
     assert abs(vals[0] - vals[2]) < 1e-10 * target
     assert abs(vals[2] - target) / target < 0.02
     # torus: curvatures differ, so the value is thickness-dependent and
     # approaches the surface Dirichlet energy from the metric expansion
     mt = sh.sample_on_vertices(TORUS, sh.toroidal_field())
-    ft = sh.ShellField.t_independent(TORUS, mt)
     surface = sh.limit_energy(mt, TORUS)  # anisotropy part is exactly zero
-    gaps = [abs(sh.shell_dirichlet_energy(ft, eps) - surface)
+    gaps = [abs(sh.shell_dirichlet_energy(mt, TORUS, eps) - surface)
             for eps in (0.2, 0.1, 0.05)]
     assert gaps[2] < gaps[0]
-
-
-def test_shell_dirichlet_thickness_penalty_scales():
-    # fields varying only across the thickness pay the inverse-square cost
-    def fn(pts, t):
-        out = np.zeros((len(pts), 3))
-        out[:, 0] = np.cos(0.5 * t)
-        out[:, 1] = np.sin(0.5 * t)
-        out[:, 2] = 0.0
-        return out
-    f = sh.ShellField.from_profile(SPHERE, fn, n_t=6)
-    e1 = sh.shell_dirichlet_energy(f, 0.2)
-    e2 = sh.shell_dirichlet_energy(f, 0.1)
-    assert e2 / e1 > 3.0
-
-
-def test_shell_field_validation():
-    m0 = sh.sample_on_vertices(SPHERE, sh.uniform_field((0, 0, 1)))
-    f = sh.ShellField.t_independent(SPHERE, m0)
-    f.check_unit()
-    with pytest.raises(GridError):
-        sh.ShellField.t_independent(SPHERE, m0, n_t=1)
 
 
 def test_eta_profile_values():
@@ -284,7 +320,7 @@ def test_convergence_study_rows():
     mesh = sh.make_sphere_mesh(1.0, level=3)
     rows = sh.convergence_study(mesh, sh.uniform_field((0, 0, 1)), [0.2, 0.1], CFG)
     assert len(rows) == 2
-    assert rows[0].exchange < 1e-15 and rows[1].exchange < 1e-15
+    assert rows[0].exchange == 0.0 and rows[1].exchange == 0.0
     assert rows[1].gap < rows[0].gap
     assert sh.convergence_study(mesh, sh.uniform_field((0, 0, 1)), [], CFG) == []
 
