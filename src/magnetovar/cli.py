@@ -118,8 +118,8 @@ KEYS = {
 
 
 class RunConfig:
-    """A config file's values, parsed and checked by their ``KEYS`` parsers;
-    ``cfg[key]`` falls back to the key's default."""
+    """A config file's values, parsed and checked by their ``KEYS`` parsers
+    and the objects built from them; ``cfg[key]`` falls back to its default."""
 
     def __init__(self, values: dict):
         self.values = values
@@ -148,6 +148,10 @@ class RunConfig:
         if cfg["config_version"] != CONFIG_VERSION:
             raise ConfigError(f"{p}: config_version must be {CONFIG_VERSION}, "
                               f"got {cfg['config_version']}")
+        try:  # their constructors hold the float ranges, whatever the command
+            build_geometry(cfg), build_material(cfg), build_minimize_config(cfg)
+        except MagnetovarError as exc:
+            raise ConfigError(f"{p}: {exc}") from exc
         return cfg
 
     def __getitem__(self, key):
@@ -168,12 +172,13 @@ def build_solver_config(cfg: RunConfig, tol: float | None = None) -> SolverConfi
 
 
 def build_geometry(cfg: RunConfig):
+    """The configured shape; both are built, so every geometry key is checked."""
     kind = cfg["geometry.kind"]
-    if kind == "ellipsoid":
-        return Ellipsoid(cfg["geometry.a"], cfg["geometry.b"], cfg["geometry.c"])
-    if kind == "box":
-        return Box(cfg["geometry.extents"])
-    raise ConfigError(f"unknown geometry.kind {kind!r}")
+    if kind not in ("ellipsoid", "box"):
+        raise ConfigError(f"unknown geometry.kind {kind!r}")
+    shapes = {"ellipsoid": Ellipsoid(cfg["geometry.a"], cfg["geometry.b"], cfg["geometry.c"]),
+              "box": Box(cfg["geometry.extents"])}
+    return shapes[kind]
 
 
 def build_material(cfg: RunConfig) -> MaterialParams:

@@ -124,8 +124,9 @@ def zeeman_energy(m: CellVectorField, params: MaterialParams,
 def stray_energy(m: CellVectorField, mask: DomainMask, cfg: SolverConfig):
     """Stray term of the cell magnetization: solve + pairing on faces.
 
-    Returns (energy, solution); energy = 1/2 ||grad u||^2, which agrees
-    with -1/2 <h, m> at the solver tolerance.
+    Returns (energy, solution); energy = 1/2 <u, -div m> on the face field,
+    which is -1/2 <h, m> by summation by parts and agrees with
+    1/2 ||grad u||^2 at the solver tolerance.
     """
     mf = masked_cell_to_faces(m, mask)
     sol = solve_scalar_potential(mf, mask, cfg)

@@ -4,8 +4,8 @@ For a magnetization ``m`` on faces (extended by zero outside the padded
 box) the stray-field energy is computed three ways:
 
 * scalar route: maximize  W(m, u) = <grad u, m> - 1/2 ||grad u||^2  over
-  cell potentials; the optimum solves the discrete Poisson problem and the
-  energy is 1/2 ||grad u||^2;
+  cell potentials; the optimum solves the discrete Poisson problem
+  -div grad u = rho = -div m, and the energy is 1/2 <u, rho>;
 * gauged route: minimize  V_curl(m, a) = 1/2 ||curl a - m||^2  over edge
   potentials.  The source curl m is divergence-free because the discrete
   divergence annihilates the discrete curl exactly, and on divergence-free
@@ -18,7 +18,9 @@ box) the stray-field energy is computed three ways:
   V(m, a) = 1/2 ||D a||^2 + 1/2 ||m||^2 - <m, curl a>,
   which decouples into componentwise Poisson solves; the divergence-free
   (Coulomb) representative of the minimizing gauge class is recovered by a
-  single auxiliary Poisson solve and returned.
+  single auxiliary Poisson solve and returned.  At the minimum
+  ||D a||^2 = <m, curl a>, so the energy is 1/2 ||m||^2 - 1/2 <m, curl a>:
+  each solved energy is half the pairing of the potential with its source.
 
 Each route finds the support box of ``m`` once (``grid.support_box``:
 its nonzeros grown by one cell), checks ``m`` there and builds its sources
@@ -40,8 +42,7 @@ from .grid import (CELL, EDGE, FACE, CellVectorField, DomainMask, Ellipsoid,
                    GridSpec, ScalarField, VectorField, build_mask, edge_shapes,
                    grow_box, support_box)
 from .operators import (check_supported, curl, curl_component, div, grad,
-                        grad_component, grad_norm_sq, inner, masked_cell_to_faces,
-                        norm)
+                        grad_norm_sq, inner, masked_cell_to_faces, norm)
 from . import poisson
 
 DENSE_UNKNOWN_CAP = 32768
@@ -69,9 +70,9 @@ class SolverConfig:
 
 @dataclass
 class StrayFieldSolution:
-    """Scalar-route solution; the field ``h = -grad u`` is built each time it
-    is read, not stored, so a caller that needs only the energy holds no face
-    field."""
+    """Scalar-route solution; ``energy`` is 1/2 <u, rho>.  The field
+    ``h = -grad u`` is built each time it is read, not stored, so a caller
+    that needs only the energy holds no face field."""
 
     u: ScalarField
     energy: float
@@ -171,16 +172,15 @@ def solve_scalar_potential(m: VectorField, mask: DomainMask | None,
                            cfg: SolverConfig) -> StrayFieldSolution:
     """Scalar-potential route: discrete weak Poisson problem for u.
 
-    ``u`` maximizes W(m, .) over the cell potential space; ``h = -grad u``
-    and ``energy = 1/2 ||grad u||^2``, summed one face component at a time
-    (equal to ``0.5 * inner(h, h)`` bit for bit; no gradient is kept).
+    ``u`` maximizes W(m, .) over the cell potential space and ``h = -grad u``;
+    ``energy = 1/2 <u, rho>``, rho = -div m the right-hand side, summed on the
+    box off which rho is zero (1/2 ||grad u||^2 up to the solve's residual).
     """
-    rhs = _charge(*_checked_on_box(m, mask), m.grid.shape)
+    m_box, box = _checked_on_box(m, mask)
+    rhs = _charge(m_box, box, m.grid.shape)
     u_data, res, iters = _cell_poisson(rhs, m.grid, cfg)
-    del rhs
-    u = ScalarField(m.grid, u_data, CELL)
-    g2 = sum(_sq(grad_component(u, axis)) for axis in range(3))
-    return StrayFieldSolution(u=u, energy=0.5 * (g2 * m.grid.cell_volume),
+    energy = 0.5 * float(np.vdot(u_data[box], rhs[box])) * m.grid.cell_volume
+    return StrayFieldSolution(u=ScalarField(m.grid, u_data, CELL), energy=energy,
                               residual=res, iterations=iters)
 
 
@@ -190,34 +190,13 @@ def functional_W(m: VectorField, u: ScalarField) -> float:
     return inner(g, m) - 0.5 * inner(g, g)
 
 
-def pair_m_curl_a(m: VectorField, curl_a_component) -> float:
-    """<m, curl a>, summed as ``inner`` sums it: one full-grid product per
-    component, in component order.  ``curl_a_component(c)`` returns component
-    ``c`` of curl a, or an array equal to it wherever ``m``'s component is
-    nonzero: the other products are zeros, so the sum is the same bit for
-    bit.  ``functional_V`` and the minimizer's fixed-``a`` energy both sum
-    it here."""
-    return sum(float(np.vdot(mc, curl_a_component(c)))
-               for c, mc in enumerate(m.components)) * m.grid.cell_volume
-
-
-def functional_V(m: VectorField, a: VectorField,
-                 box: tuple[slice, ...] | None = None) -> float:
-    """Unconstrained trial functional (full difference-gradient stiffness);
-    <m, curl a> reads curl a on the faces of ``box``, a cell box off whose
-    faces ``m`` vanishes (its support box if not given)."""
+def functional_V(m: VectorField, a: VectorField) -> float:
+    """Unconstrained trial functional (full difference-gradient stiffness)."""
     if a.staggering != EDGE:
         raise GridError("vector potential must be edge-staggered")
     if m.staggering != FACE:
         raise GridError("magnetization must be face-staggered")
-    box = support_box(m.grid.shape, *m.components) if box is None else box
-
-    def curl_a_on_m(c):  # zero off the box's faces
-        faces = grow_box(box, c)
-        return _embed(curl_component(a, c, faces), m.components[c].shape, faces)
-
-    m_curl_a = pair_m_curl_a(m, curl_a_on_m)
-    return 0.5 * grad_norm_sq(a) + 0.5 * inner(m, m) - m_curl_a
+    return 0.5 * grad_norm_sq(a) + 0.5 * inner(m, m) - inner(m, curl(a))
 
 
 def functional_V_curl(m: VectorField, a: VectorField) -> float:
@@ -256,44 +235,38 @@ def minimize_V(m: VectorField, mask: DomainMask | None, cfg: SolverConfig):
 
     Returns (a, worst residual, total iterations); ``a`` is not gauged.
     """
-    return _minimize_V(*_checked_on_box(m, mask), m.grid, cfg)
-
-
-def _minimize_V(m_box: VectorField, box: tuple[slice, ...], grid: GridSpec,
-                cfg: SolverConfig):
-    """``minimize_V`` on ``grid`` from ``m`` on its checked support box."""
+    m_box, box = _checked_on_box(m, mask)
     comps = []
     res_max, iters_total = 0.0, 0
     for c in range(3):
-        x, res, iters = poisson.solve_poisson(_curl_source(m_box, box, c, grid), grid.h,
+        x, res, iters = poisson.solve_poisson(_curl_source(m_box, box, c, m.grid), m.grid.h,
                                               cfg.tol, cfg.max_iter, cfg.preconditioner)
         comps.append(x)
         res_max = max(res_max, res)
         iters_total += iters
-    return VectorField(grid, *comps, staggering=EDGE), res_max, iters_total
+    return VectorField(m.grid, *comps, staggering=EDGE), res_max, iters_total
 
 
 def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None,
                                          cfg: SolverConfig) -> VectorPotentialSolution:
     """Minimize V(m, .): componentwise Poisson solves with source curl m.
 
-    ``energy`` is the minimum of V.  The returned potential is the
-    divergence-free representative of the minimizing gauge class (obtained
-    by one auxiliary Poisson solve), so the Coulomb gauge holds to solver
-    tolerance on the truncated grid as well.
+    The returned potential is the divergence-free representative of the
+    minimizing gauge class (obtained by one auxiliary Poisson solve), so the
+    Coulomb gauge holds to solver tolerance on the truncated grid as well.
+    ``energy``, the minimum of V, is 1/2 ||m||^2 - 1/2 <m, curl a> with the
+    returned ``curl a`` (||D a||^2 = <m, curl a> at a minimizer, and the
+    projection changes curl a only by rounding).
     """
-    m_box, box = _checked_on_box(m, mask)
-    a_min, res_max, iters_total = _minimize_V(m_box, box, m.grid, cfg)
-    energy = functional_V(m, a_min, box)
+    a_min, res_max, iters_total = minimize_V(m, mask, cfg)
     a_star, res_p, iters_p = project_divergence_free(a_min, cfg)
     del a_min
-    res_max = max(res_max, res_p)
-    iters_total += iters_p
     div_norm = norm(div(a_star))
     curl_a = curl(a_star)
     return VectorPotentialSolution(a=a_star, curl_a=curl_a, div_norm=div_norm,
-                                   energy=energy, residual=res_max,
-                                   iterations=iters_total)
+                                   energy=0.5 * inner(m, m) - 0.5 * inner(m, curl_a),
+                                   residual=max(res_max, res_p),
+                                   iterations=iters_total + iters_p)
 
 
 _EDGE_KINDS = tuple(tuple("dst" if axis == c else "dct" for axis in range(3))

@@ -37,7 +37,7 @@ from .errors import ConvergenceError, GridError
 from .grid import EDGE, CellVectorField, DomainMask, VectorField
 from .energy import (ALL_TERMS, MaterialParams, anisotropy_energy, effective_field,
                      exchange_energy, total_energy, zeeman_energy)
-from .magnetostatics import SolverConfig, minimize_V, pair_m_curl_a
+from .magnetostatics import SolverConfig, minimize_V
 from .operators import (curl, grad_norm_sq, inner, masked_cell_to_faces,
                         masked_faces_to_cell_adjoint)
 
@@ -203,7 +203,8 @@ def _fixed_a_energy(a: VectorField, params: MaterialParams, mask: DomainMask,
     Returns (energy, curl a), where energy(m) = local terms + V(face m, a).
     The m-independent parts of V, 1/2 ||D a||^2 and curl a, are computed
     once here; the stray part is ``functional_V(face m, a)`` bit for bit
-    (the same terms in the same order, <m, curl a> from ``pair_m_curl_a``).
+    (the same terms in the same order).  ``a`` may be the caller's start
+    ``a0``, not a minimizer, so 1/2 ||D a||^2 is not replaced by a pairing.
     """
     if a.staggering != EDGE:
         raise GridError("vector potential must be edge-staggered")
@@ -212,8 +213,7 @@ def _fixed_a_energy(a: VectorField, params: MaterialParams, mask: DomainMask,
 
     def energy(m: CellVectorField) -> float:
         mf = masked_cell_to_faces(m, mask)
-        total = (half_da2 + 0.5 * inner(mf, mf)
-                 - pair_m_curl_a(mf, lambda c: curl_a.components[c]))
+        total = half_da2 + 0.5 * inner(mf, mf) - inner(mf, curl_a)
         if "exchange" in terms:
             total += exchange_energy(m, mask, check_norm=False)
         if "anisotropy" in terms:

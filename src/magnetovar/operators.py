@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridError, SupportError
 from .grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask,
-                   ScalarField, VectorField, grow_box)
+                   ScalarField, VectorField)
 
 
 def _pad_diff(a: np.ndarray, axis: int) -> np.ndarray:
@@ -78,25 +78,13 @@ def div(v: VectorField) -> ScalarField:
     return ScalarField(v.grid, data, centering=CELL if face else NODE)
 
 
-def curl_component(v: VectorField, c: int, box: tuple[slice, ...] | None = None) -> np.ndarray:
+def curl_component(v: VectorField, c: int) -> np.ndarray:
     """Component ``c`` of ``curl(v)``, bit for bit, without the other two:
-    d_j v_k - d_k v_j with (c, j, k) cyclic.
-
-    For an edge field, ``box`` (an index box of the face component) gives
-    the component on that box only, bit for bit, at the box's cost.
-    """
+    d_j v_k - d_k v_j with (c, j, k) cyclic."""
     j, k = (c + 1) % 3, (c + 2) % 3
-    vk, vj = v.components[k], v.components[j]
-    if v.staggering == FACE:
-        if box is not None:
-            raise GridError("a box restricts only the curl of an edge field")
-        diff = _pad_diff
-    else:
-        diff = np.diff
-        if box is not None:
-            vk, vj = vk[grow_box(box, j)], vj[grow_box(box, k)]
-    out = diff(vk, axis=j)
-    out -= diff(vj, axis=k)
+    diff = _pad_diff if v.staggering == FACE else np.diff
+    out = diff(v.components[k], axis=j)
+    out -= diff(v.components[j], axis=k)
     out /= v.grid.h
     return out
 

@@ -61,14 +61,6 @@ class SurfaceMesh:
             raise GridError(f"mesh kind must be sphere or torus, got {self.kind!r}")
 
     @property
-    def mean_curvature(self) -> np.ndarray:
-        return 0.5 * (self.kappa1 + self.kappa2)
-
-    @property
-    def gauss_curvature(self) -> np.ndarray:
-        return self.kappa1 * self.kappa2
-
-    @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 

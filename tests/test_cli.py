@@ -193,6 +193,26 @@ def test_bad_value_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, key)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, quantity", [
+    ("minimize.step = -1", "step"),
+    ("minimize.backtrack = 1.5", "backtracking factor"),
+    ("material.q = -3", "quality factor Q"),
+    ("material.easy_axis = 0 0 2", "easy_axis"),
+    ("geometry.a = 0", "semi-axes"),
+    ("geometry.kind = box\ngeometry.a = 0", "semi-axes"),
+    ("geometry.extents = 1 -1 1", "extents"),
+])
+def test_bad_float_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, quantity):
+    # oracle reads none of these keys; the objects built from them check their
+    # ranges while the file is read, before the output directory is made
+    cfg = write_cfg(tmp_path, "o.cfg", BASE + "oracle.ball_cells = 8\n" + line + "\n")
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "o.cfg: " in err and quantity in err
+    assert not out.exists()
+
+
 def test_bad_seed_is_config_error(tmp_path, capsys):
     # read with the config, before the output directory is made
     cfg = write_cfg(tmp_path, "s.cfg", "config_version = 1\nseed = abc\n")

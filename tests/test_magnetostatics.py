@@ -17,8 +17,8 @@ from magnetovar.magnetostatics import (DENSE_UNKNOWN_CAP, SolverConfig, _unit_ch
                                        dense_oracle_energy, ellipsoid_demag_factors,
                                        functional_V, functional_V_curl, functional_W,
                                        helmholtz_orthogonality_defect,
-                                       helmholtz_residual, rayleigh_quotient,
-                                       reciprocity_gap,
+                                       helmholtz_residual, minimize_V,
+                                       rayleigh_quotient, reciprocity_gap,
                                        solve_scalar_potential,
                                        solve_vector_potential_gauged,
                                        solve_vector_potential_unconstrained,
@@ -449,7 +449,32 @@ def test_h_is_built_on_access_and_not_stored():
     h = sol.h
     for hc, gc in zip(h.components, g.components):
         assert hc.tobytes() == (-gc).tobytes()
-    assert sol.energy == 0.5 * inner(h, h)
+
+
+@pytest.mark.parametrize("preconditioner, rel", [("dst", 1e-12), ("none", CFG.tol)])
+def test_scalar_energy_pairing_is_the_field_energy(preconditioner, rel):
+    # 1/2 <u, -div m> = 1/2 ||grad u||^2 by summation by parts, up to the residual
+    grid, mask = ball_mask(8)
+    cfg = SolverConfig(tol=CFG.tol, preconditioner=preconditioner)
+    for seed in range(2):
+        sol = solve_scalar_potential(random_masked(seed, mask), mask, cfg)
+        h = sol.h
+        want = 0.5 * inner(h, h)
+        assert abs(sol.energy - want) <= rel * want
+
+
+@pytest.mark.parametrize("preconditioner, rel", [("dst", 1e-12), ("none", CFG.tol)])
+def test_unconstrained_energy_pairing_is_the_functional_at_its_minimizer(preconditioner,
+                                                                         rel):
+    # 1/2 ||m||^2 - 1/2 <m, curl a*> = V(m, a_min): ||D a||^2 = <m, curl a> at the
+    # minimizer, and the projection changes curl a by rounding only
+    grid, mask = ball_mask(8)
+    cfg = SolverConfig(tol=CFG.tol, preconditioner=preconditioner)
+    for seed in range(2):
+        m = random_masked(seed, mask)
+        sol = solve_vector_potential_unconstrained(m, mask, cfg)
+        want = functional_V(m, minimize_V(m, mask, cfg)[0])
+        assert abs(sol.energy - want) <= rel * want
 
 
 # Peak bytes a route allocates above its inputs, in face fields (one

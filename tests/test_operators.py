@@ -541,10 +541,3 @@ def test_operator_identities_on_random_grids(sides, two_axis, pad, seed):
         c, d = curl(f), div(f)
         lhs = grad_norm_sq(f)
         assert abs(lhs - inner(c, c) - inner(d, d)) <= 1e-10 * lhs
-    # an edge field's curl on an index box of each face component, bit for bit
-    for c, full in enumerate(curl(w).components):
-        lo = [int(rng.integers(0, n)) for n in full.shape]
-        box = tuple(slice(a, int(rng.integers(a + 1, n + 1))) for a, n in zip(lo, full.shape))
-        assert _same_bits(curl_component(w, c, box), full[box])
-    with pytest.raises(GridError, match="edge field"):
-        curl_component(v, 0, box)

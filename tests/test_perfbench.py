@@ -40,3 +40,14 @@ def test_threeway_workload_runs_and_checks_routes():
     assert out.returncode == 0, out.stderr
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0
+
+
+def test_cli_workload_runs_and_checks_csvs():
+    # the workload loads every config in configs/ and runs each command as its
+    # own process, checking the CSVs it writes
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "cli",
+                          "--seconds", "1", "--trace", "0"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    summary = json.loads(out.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0

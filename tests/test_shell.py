@@ -329,9 +329,7 @@ def test_metric_factor_linear_deviation_bound():
     # the factors deviate from 1 at most linearly in the half-thickness,
     # with a constant controlled by the curvature scales
     eps = 0.05
-    kmax = max(np.abs(TORUS.kappa1).max(), np.abs(TORUS.kappa2).max(),
-               np.abs(TORUS.mean_curvature).max(),
-               np.abs(TORUS.gauss_curvature).max())
+    kmax = max(np.abs(TORUS.kappa1).max(), np.abs(TORUS.kappa2).max())
     worst_sg, worst_h = 0.0, 0.0
     for t in (-1.0, -0.5, 0.5, 1.0):
         sg, h1, h2 = sh._metric_arrays(TORUS.kappa1, TORUS.kappa2, t, eps)
