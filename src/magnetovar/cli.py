@@ -148,8 +148,9 @@ class RunConfig:
         if cfg["config_version"] != CONFIG_VERSION:
             raise ConfigError(f"{p}: config_version must be {CONFIG_VERSION}, "
                               f"got {cfg['config_version']}")
-        try:  # their constructors hold the float ranges, whatever the command
-            build_geometry(cfg), build_material(cfg), build_minimize_config(cfg)
+        try:  # the objects built from the keys hold their ranges, whatever the command
+            grid_for_geometry(build_geometry(cfg), cfg["grid.h"], cfg["grid.pad_ratio"])
+            validate_grid(cfg), build_material(cfg), build_minimize_config(cfg)
         except MagnetovarError as exc:
             raise ConfigError(f"{p}: {exc}") from exc
         return cfg
@@ -195,6 +196,14 @@ def build_minimize_config(cfg: RunConfig) -> MinimizeConfig:
         max_iter=cfg["minimize.max_iter"])
 
 
+def validate_grid(cfg: RunConfig) -> GridSpec:
+    """``validate``'s grid around the unit ball.  Its generous padding puts
+    the unconstrained route's truncation below the cross-solver agreement
+    threshold at this coarse resolution."""
+    return grid_for_geometry(Ellipsoid(1.0, 1.0, 1.0), 2.0 / cfg["validate.ball_cells"],
+                             cfg["validate.pad_ratio"])
+
+
 def build_mesh(cfg: RunConfig) -> sh.SurfaceMesh:
     surface = cfg["shell.surface"]
     if surface == "sphere":
@@ -232,12 +241,8 @@ def _validate_rows(cfg: RunConfig, seed: int):
         tol = 1e-8
     solver = build_solver_config(cfg, tol)
 
-    n_ball = cfg["validate.ball_cells"]
-    geom = Ellipsoid(1.0, 1.0, 1.0)
-    # generous padding: the unconstrained-route truncation must sit below
-    # the cross-solver agreement threshold at this coarse resolution
-    grid = grid_for_geometry(geom, 2.0 / n_ball, cfg["validate.pad_ratio"])
-    mask = build_mask(geom, grid)
+    grid = validate_grid(cfg)
+    mask = build_mask(Ellipsoid(1.0, 1.0, 1.0), grid)
     rng = np.random.default_rng(seed)
 
     # discrete identities on random fields

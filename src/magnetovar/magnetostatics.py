@@ -45,6 +45,9 @@ from .operators import (check_supported, curl, curl_component, div, grad,
                         grad_norm_sq, inner, masked_cell_to_faces, norm)
 from . import poisson
 
+# The dense oracle's size cap.  Its factor sweeps the longest axis, so at the
+# cap a plane holds at most 32768^(2/3) = 1024 cells, and it stores at most
+# n/2 + 1 plane inverses for n planes: 17 of 8 MB each on a 32^3 grid.
 DENSE_UNKNOWN_CAP = 32768
 
 
@@ -398,7 +401,7 @@ def helmholtz_orthogonality_defect(m: VectorField, sol_u: StrayFieldSolution,
 
 
 def dense_oracle_energy(m: VectorField, mask: DomainMask | None) -> float:
-    """Stray energy by explicit assembly and direct factorization.
+    """Stray energy by direct block factorization of the cell operator.
 
     Independent of the transform and CG solves; limited to
     ``DENSE_UNKNOWN_CAP`` cell unknowns.

@@ -16,9 +16,9 @@ applied by matrix products (box-restricted forward, in-place inverse), and
 runs slab by slab along axis 0, each slab with a one-plane halo, so every
 slab of ``A x`` is the full apply's bit for bit and the check's temporaries
 are one slab of ``_SLAB_BYTES``, not arrays of the grid's size.  Plain
-conjugate gradients (``pcg``) and the dense LU factorization remain as
-independent oracles; the LU oracle is the only code here that needs SciPy,
-and it imports it on first use, so the fast path runs on numpy alone.
+conjugate gradients (``pcg``) and a dense block factorization of the
+operator (``dense_poisson_solver``) remain as independent oracles.  All of
+it runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def checked_solve(apply_op, b: np.ndarray, inverse, tol: float, max_iter: int,
     """Solve  A x = b  to true relative residual ``tol``.
 
     ``preconditioner = "dst"`` applies the direct ``inverse`` (a transform
-    solve, or the dense LU oracle's) once and checks the true residual over
+    solve, or the dense oracle's) once and checks the true residual over
     the full grid, slab by slab (``stencil_residual_norm``: ``apply_op`` is
     a 7-point stencil); ``"none"`` runs plain CG, the independent oracle.
     Returns (x, residual, iterations); raises ConvergenceError with the
@@ -303,41 +303,70 @@ def pcg(apply_op, b: np.ndarray, tol: float, max_iter: int):
 
 
 # ---------------------------------------------------------------------------
-# dense route: explicit assembly and direct factorization
+# dense route: block factorization of the assembled operator
 # ---------------------------------------------------------------------------
 
-def assemble_laplacian(shape, h: float):
-    """Explicit sparse (CSR) matrix of the Dirichlet 7-point operator."""
-    from scipy import sparse
-
-    n1, n2, n3 = shape
-
-    def lap1(n):
-        return sparse.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
-                            offsets=[-1, 0, 1], format="csr")
-
-    eye = [sparse.identity(n, format="csr") for n in shape]
-    A = (sparse.kron(sparse.kron(lap1(n1), eye[1]), eye[2])
-         + sparse.kron(sparse.kron(eye[0], lap1(n2)), eye[2])
-         + sparse.kron(sparse.kron(eye[0], eye[1]), lap1(n3)))
-    return (A / (h * h)).tocsr()
+def _second_difference(n: int) -> np.ndarray:
+    """The 1-D second difference with zero ghosts, tridiag(-1, 2, -1)."""
+    return 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
 
 
 _DENSE_CACHE: dict[tuple, object] = {}  # the latest factor only
 
 
 def dense_poisson_solver(shape, h: float):
-    """LU-factorized direct solver for small lattices (independent oracle).
+    """Direct solver of ``laplace_apply`` by block factorization (independent
+    oracle): ``solve(flat) -> flat`` on C-ordered vectors of ``shape``.
 
-    A is symmetric: minimum degree on A^T + A with diagonal pivots fills L + U
-    with 2.6 M nonzeros on a 22^3 lattice, SuperLU's default COLAMD 6.0 M.
+    The operator is block tridiagonal along the longest axis: every plane
+    has the same block ``D = kron(T1, I) + kron(I, T2) + 2 I`` (``T`` the
+    1-D second differences of the two shorter axes) and neighbouring planes
+    couple by ``-I``.  Block elimination from an end (Meurant, SIAM J.
+    Matrix Anal. Appl. 13:707, 1992) has the pivots ``S_0 = D``,
+    ``S_k = D - S_{k-1}^{-1}``; the box is mirror-symmetric, so elimination
+    from the other end has the same pivots.  The factorization runs from
+    both ends to the middle plane ``c = n // 2`` of the ``n`` planes and
+    keeps ``c`` pivot inverses and the inverse of the middle plane's Schur
+    complement; a solve runs forward from both ends to the middle plane,
+    then back out to both ends.
     """
-    from scipy.sparse.linalg import splu
-
     key = (tuple(shape), float(h))
     if key not in _DENSE_CACHE:
         _DENSE_CACHE.clear()
-        _DENSE_CACHE[key] = splu(assemble_laplacian(shape, h).tocsc(),
-                                 permc_spec="MMD_AT_PLUS_A",
-                                 options={"SymmetricMode": True}).solve
+        _DENSE_CACHE[key] = _block_factor(*key)
     return _DENSE_CACHE[key]
+
+
+def _block_factor(shape: tuple[int, int, int], h: float):
+    axis = int(np.argmax(shape))
+    n = shape[axis]
+    p, q = (shape[a] for a in range(3) if a != axis)
+    d = np.kron(_second_difference(p), np.eye(q))
+    d += np.kron(np.eye(p), _second_difference(q))
+    d.flat[::p * q + 1] += 2.0
+    c = n // 2
+    inv: list[np.ndarray] = []
+    for _ in range(c):
+        inv.append(np.linalg.inv(d - inv[-1] if inv else d))
+    for length in (c, n - 1 - c):  # planes eliminated from each end
+        if length:
+            d -= inv[length - 1]
+    mid = np.linalg.inv(d)
+
+    def solve(flat: np.ndarray) -> np.ndarray:
+        x = np.moveaxis(flat.reshape(shape) * (h * h), axis, 0).reshape(n, p * q)
+        ends = (x[:c], x[:c:-1])  # each ordered from its end toward plane c
+        for side in ends:
+            for k in range(1, len(side)):
+                side[k] += inv[k - 1] @ side[k - 1]
+            if len(side):
+                x[c] += inv[len(side) - 1] @ side[-1]
+        x[c] = mid @ x[c]
+        for side in ends:
+            nxt = x[c]
+            for k in reversed(range(len(side))):
+                side[k] = inv[k] @ (side[k] + nxt)
+                nxt = side[k]
+        return np.moveaxis(x.reshape(n, p, q), 0, axis).ravel()
+
+    return solve

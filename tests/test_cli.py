@@ -201,6 +201,9 @@ def test_bad_value_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, key)
     ("geometry.a = 0", "semi-axes"),
     ("geometry.kind = box\ngeometry.a = 0", "semi-axes"),
     ("geometry.extents = 1 -1 1", "extents"),
+    ("grid.h = -1", "grid spacing h"),
+    ("grid.pad_ratio = inf", "pad_ratio"),
+    ("validate.pad_ratio = nan", "pad_ratio"),
 ])
 def test_bad_float_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, quantity):
     # oracle reads none of these keys; the objects built from them check their
@@ -449,16 +452,14 @@ import json, sys
 from magnetovar.cli import main
 work, report = sys.argv[1], {}
 for cmd in ("demag", "solve", "shell-study", "oracle"):
-    if cmd == "oracle":
-        report["scipy_before_oracle"] = sorted(m for m in sys.modules if m.startswith("scipy"))
     report[cmd] = main([cmd, "--config", f"{work}/{cmd}.cfg", "--out", f"{work}/{cmd}"])
-report["oracle_loads_lu"] = "scipy.sparse.linalg" in sys.modules
+report["scipy"] = sorted(m for m in sys.modules if m.startswith("scipy"))
 print(json.dumps(report))
 """
 
 
-def test_commands_run_without_scipy_except_oracle(tmp_path):
-    # every command but the dense LU oracle runs on numpy alone; this runs
+def test_commands_run_without_scipy(tmp_path):
+    # every command, the dense oracle included, runs on numpy alone; this runs
     # in a fresh interpreter because the test process has SciPy loaded
     root = Path(__file__).resolve().parent.parent
     configs = {"demag": ("demag_sphere", "grid.h = 0.25\n"), "solve": ("solve_zeeman", ""),
@@ -474,5 +475,4 @@ def test_commands_run_without_scipy_except_oracle(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert [report[cmd] for cmd in configs] == [EXIT_OK] * 4
-    assert report["scipy_before_oracle"] == []
-    assert report["oracle_loads_lu"]
+    assert report["scipy"] == []

@@ -369,7 +369,7 @@ def test_dense_oracle_matches_iterative():
 
 
 def test_dense_oracle_solution_is_residual_checked(monkeypatch):
-    # the LU result is checked by the same true-residual code as the transform solve
+    # the dense oracle's result is checked by the same true-residual code as the transform solve
     from magnetovar import poisson
     dense = poisson.dense_poisson_solver
 

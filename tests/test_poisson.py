@@ -2,7 +2,6 @@
 
 import itertools
 import tracemalloc
-import typing
 
 import numpy as np
 import pytest
@@ -96,8 +95,6 @@ def test_axis_basis_matches_scipy_transforms(kind, n):
     transform = fft.dst if kind == "dst" else fft.dct
     ref = transform(np.eye(n), type=1 if kind == "dst" else 2, norm="ortho", axis=0).T
     assert np.abs(poisson._axis_basis(n, kind)[0] - ref).max() <= 2e-15
-    # no annotation may name a SciPy module, which poisson imports only lazily
-    typing.get_type_hints(poisson.assemble_laplacian)
 
 
 def test_axis_basis_rejects_unknown_kind():
@@ -248,6 +245,34 @@ def test_dense_cache_keeps_latest_factor_only():
     for shape in ((4, 5, 6), (5, 4, 3)):
         poisson.dense_poisson_solver(shape, 0.2)
     assert list(poisson._DENSE_CACHE) == [((5, 4, 3), 0.2)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(shape=st.tuples(*[st.integers(1, 9)] * 3), h=st.floats(0.05, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dense_solver_inverts_laplace_apply(shape, h, seed):
+    # any axis may be the longest (the sweep axis), of odd or even length,
+    # and 1-wide axes leave 1-wide planes or a single plane
+    b = random_rhs(shape, seed)
+    u = poisson.dense_poisson_solver(shape, h)(b.ravel()).reshape(shape)
+    res = np.linalg.norm(b - poisson.laplace_apply(u, h)) / np.linalg.norm(b)
+    assert res <= 1e-13
+    ref = poisson.transform_solve(b, h, poisson.CELL_KINDS)
+    assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_dense_factor_sweeps_the_longest_axis():
+    # a sweep along axis 0 would invert 1600 x 1600 planes (20 MB each);
+    # along axis 1 each stored inverse is 80 x 80
+    poisson._DENSE_CACHE.clear()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        poisson.dense_poisson_solver((2, 40, 40), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_pcg_routes_agree():
