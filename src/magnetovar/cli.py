@@ -151,6 +151,7 @@ class RunConfig:
         try:  # the objects built from the keys hold their ranges, whatever the command
             grid_for_geometry(build_geometry(cfg), cfg["grid.h"], cfg["grid.pad_ratio"])
             validate_grid(cfg), build_material(cfg), build_minimize_config(cfg)
+            build_shell_policy(cfg)
         except MagnetovarError as exc:
             raise ConfigError(f"{p}: {exc}") from exc
         return cfg
@@ -194,6 +195,11 @@ def build_minimize_config(cfg: RunConfig) -> MinimizeConfig:
         backtrack=cfg["minimize.backtrack"],
         grad_tol=cfg["minimize.grad_tol"],
         max_iter=cfg["minimize.max_iter"])
+
+
+def build_shell_policy(cfg: RunConfig) -> sh.ShellGridPolicy:
+    return sh.ShellGridPolicy(cells_per_thickness=cfg["shell.cells_per_thickness"],
+                              pad_ratio=cfg["shell.pad_ratio"])
 
 
 def validate_grid(cfg: RunConfig) -> GridSpec:
@@ -393,25 +399,16 @@ def cmd_solve(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
 def cmd_shell_study(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     solver = build_solver_config(cfg)
     mesh = build_mesh(cfg)
-    m0_fn = field_by_name(cfg["shell.m0"])
-    eps_list = cfg["shell.eps_list"]
-    policy = sh.ShellGridPolicy(cells_per_thickness=cfg["shell.cells_per_thickness"],
-                                pad_ratio=cfg["shell.pad_ratio"])
-    rows = sh.convergence_study(mesh, m0_fn, eps_list, solver, policy)
-
+    rows = sh.convergence_study(mesh, field_by_name(cfg["shell.m0"]),
+                                cfg["shell.eps_list"], solver,
+                                build_shell_policy(cfg), cfg["shell.delta"])
     write_csv(out.path("shell_study.csv"),
               ["eps", "exchange", "stray_scaled", "total", "limit", "gap"],
               [[r.eps, r.exchange, r.stray_scaled, r.total, r.limit, r.gap]
                for r in rows])
-    delta = cfg["shell.delta"]
-    m0 = sh.sample_on_vertices(mesh, m0_fn)
-    bound_rows = []
-    for eps in eps_list:
-        lo = sh.recovery_lower_bound(m0, mesh, eps, delta)
-        hi = sh.recovery_upper_bound(m0, mesh, eps, delta)
-        bound_rows.append([eps, lo, hi])
     write_csv(out.path("recovery_bounds.csv"),
-              ["eps", "lower_bound", "upper_bound"], bound_rows)
+              ["eps", "lower_bound", "upper_bound"],
+              [[r.eps, r.lower, r.upper] for r in rows])
     for r in rows:
         print(f"eps {r.eps:g}: total {r.total:.6f} limit {r.limit:.6f} "
               f"gap {r.gap:.6f}")

@@ -22,6 +22,7 @@ CELL = "cell"
 NODE = "node"
 
 MIN_PAD_CELLS = 2  # fewest padding layers per side, whatever the padding ratio
+MAX_CELLS = int(np.iinfo(np.intp).max)  # most cells an array axis can index
 
 
 def _check_spacing(h: float):
@@ -50,6 +51,9 @@ class GridSpec:
             raise GridError("need at least 2 interior cells per direction")
         if self.pad < 0:
             raise GridError("pad must be nonnegative")
+        if max(self.shape) > MAX_CELLS:
+            raise GridError(f"grid spacing h = {self.h} gives more than {MAX_CELLS} "
+                            f"cells along an axis")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -507,9 +511,12 @@ def grid_for_geometry(geom: Geometry, h: float, pad_ratio: float = 1.0) -> GridS
     lo, hi = geom.bounds()
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     diameter = 2.0 * geom.bounding_radius()
-    n = np.maximum(np.ceil((hi - lo) / h - 1e-9).astype(int), 2)
-    pad = max(int(np.ceil(pad_ratio * diameter / h)), MIN_PAD_CELLS)
+    with np.errstate(over="ignore"):  # an overflowing count is inf, capped below
+        counts = np.ceil(np.append((hi - lo) / h - 1e-9, pad_ratio * diameter / h))
+    # exact ints, not a wrapping cast: at most MAX_CELLS + 1, which GridSpec rejects
+    *n, pad = (int(min(c, MAX_CELLS + 1.0)) for c in counts)
+    n, pad = [max(k, 2) for k in n], max(pad, MIN_PAD_CELLS)
     center = (lo + hi) / 2.0
-    half = h * (n / 2.0 + pad)
+    half = h * (np.array(n, dtype=float) / 2.0 + pad)
     origin = tuple(center - half)
-    return GridSpec(int(n[0]), int(n[1]), int(n[2]), h, origin=origin, pad=pad)
+    return GridSpec(n[0], n[1], n[2], h, origin=origin, pad=pad)

@@ -164,9 +164,8 @@ def _cell_poisson(b: np.ndarray, grid: GridSpec, cfg: SolverConfig):
             raise GridError(
                 f"dense backend limited to {DENSE_UNKNOWN_CAP} unknowns, got {b.size}"
             )
-        solve = poisson.dense_poisson_solver(b.shape, grid.h)
         return poisson.checked_solve(lambda x: poisson.laplace_apply(x, grid.h), b,
-                                     lambda r: solve(r.ravel()).reshape(r.shape),
+                                     poisson.dense_poisson_solver(b.shape, grid.h),
                                      cfg.tol, cfg.max_iter, "dst")
     return poisson.solve_poisson(b, grid.h, cfg.tol, cfg.max_iter, cfg.preconditioner)
 

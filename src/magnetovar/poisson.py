@@ -316,7 +316,7 @@ _DENSE_CACHE: dict[tuple, object] = {}  # the latest factor only
 
 def dense_poisson_solver(shape, h: float):
     """Direct solver of ``laplace_apply`` by block factorization (independent
-    oracle): ``solve(flat) -> flat`` on C-ordered vectors of ``shape``.
+    oracle): ``solve(b) -> x`` on C-contiguous arrays of ``shape``.
 
     The operator is block tridiagonal along the longest axis: every plane
     has the same block ``D = kron(T1, I) + kron(I, T2) + 2 I`` (``T`` the
@@ -353,8 +353,8 @@ def _block_factor(shape: tuple[int, int, int], h: float):
             d -= inv[length - 1]
     mid = np.linalg.inv(d)
 
-    def solve(flat: np.ndarray) -> np.ndarray:
-        x = np.moveaxis(flat.reshape(shape) * (h * h), axis, 0).reshape(n, p * q)
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.moveaxis(b * (h * h), axis, 0).reshape(n, p * q)
         ends = (x[:c], x[:c:-1])  # each ordered from its end toward plane c
         for side in ends:
             for k in range(1, len(side)):
@@ -367,6 +367,6 @@ def _block_factor(shape: tuple[int, int, int], h: float):
             for k in reversed(range(len(side))):
                 side[k] = inv[k] @ (side[k] + nxt)
                 nxt = side[k]
-        return np.moveaxis(x.reshape(n, p, q), 0, axis).ravel()
+        return np.ascontiguousarray(np.moveaxis(x.reshape(n, p, q), 0, axis))
 
     return solve

@@ -404,7 +404,8 @@ def default_delta(mesh: SurfaceMesh) -> float:
 
 def _checked_delta(mesh: SurfaceMesh, eps: float, delta: float | None) -> float:
     """The matching radius (``default_delta`` if None), checked against the
-    tubular bound and the half-thickness."""
+    tubular bound and the half-thickness, which ``Shell`` checks first."""
+    Shell(mesh, eps)
     delta = default_delta(mesh) if delta is None else delta
     if delta >= mesh.min_curvature_radius():
         raise GridError("delta violates the tubular condition")
@@ -424,71 +425,62 @@ def _t_pieces(eps: float, delta: float, n_gauss: int = 6):
     return pieces
 
 
+def _thickness_moments(k1, k2, eps: float, delta: float):
+    """Per-triangle thickness integrals at curvatures ``k1``, ``k2`` (Gauss
+    rule of ``_t_pieces``) that both trial energies are made of; with sg the
+    volume Jacobian, h_i the tangential scalings and eta the profile,
+    (P, T1, T2) = int_{|t|<1} sg (1, eps eta h1, eps eta h2) and
+    (Q1, Q2, S) = int sg ((eps eta h1)^2, (eps eta h2)^2, eta'^2) over its support."""
+    P = T1 = T2 = Q1 = Q2 = S = 0.0
+    for piece, (nodes, weights) in enumerate(_t_pieces(eps, delta)):
+        sg, h1, h2 = _metric_arrays(k1, k2, nodes[:, None], eps)   # (nodes, T)
+        e1, e2 = (eps * eta_profile(nodes, eps, delta)[:, None] * h for h in (h1, h2))
+        Q1, Q2 = Q1 + weights @ (sg * e1 ** 2), Q2 + weights @ (sg * e2 ** 2)
+        S = S + weights @ (sg * eta_profile_slope_sq(nodes, eps, delta)[:, None])
+        if piece == 1:  # the shell itself, |t| < 1
+            P, T1, T2 = weights @ sg, weights @ (sg * e1), weights @ (sg * e2)
+    return P, T1, T2, Q1, Q2, S
+
+
 def recovery_lower_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
                          delta: float | None = None) -> float:
     """Scalar-trial value: a rigorous lower bound for the scaled stray energy.
 
     Evaluates the maximization functional at the profile potential
-    (thickness integrals piecewise-exact, surface integrals midpoint rule).
+    (thickness integrals ``_thickness_moments``, surface integrals midpoint rule).
     """
-    delta = _checked_delta(mesh, eps, delta)
     tris = mesh.triangles
     areas, t1, t2, k1, k2 = _triangle_frame(mesh)
+    P, T1, T2, Q1, Q2, S = _thickness_moments(k1, k2, eps, _checked_delta(mesh, eps, delta))
     phi = np.sum(m0 * mesh.normals, axis=1)
-    phi2_tri = _tri_vertex_mean(phi ** 2, tris)
+    phi2 = _tri_vertex_mean(phi ** 2, tris)
     gphi = _p1_gradients(mesh, phi)                      # (T, 3)
     m0t = _tri_vertex_mean(m0, tris)
     d1, d2 = np.einsum("tx,tx->t", gphi, t1), np.einsum("tx,tx->t", gphi, t2)
     m1, m2 = np.einsum("tx,tx->t", m0t, t1), np.einsum("tx,tx->t", m0t, t2)
-
-    first = 0.0   # pairing of the trial gradient with the shell field
-    second = 0.0  # half the squared trial gradient over the extended shell
-    for nodes, weights in _t_pieces(eps, delta):
-        eta = eta_profile(nodes, eps, delta)
-        etap2 = eta_profile_slope_sq(nodes, eps, delta)
-        for t, w, et, ep2 in zip(nodes, weights, eta, etap2):
-            sg, h1, h2 = _metric_arrays(k1, k2, t, eps)
-            if abs(t) < 1.0:
-                tang_pair = eps * et * (h1 * d1 * m1 + h2 * d2 * m2)
-                first += w * float(np.sum(areas * sg * (tang_pair
-                                                        + np.sqrt(ep2) * phi2_tri)))
-            grad2 = (eps * et) ** 2 * (h1 ** 2 * d1 ** 2 + h2 ** 2 * d2 ** 2)
-            second += w * float(np.sum(areas * sg * (grad2 + ep2 * phi2_tri)))
-    return first - 0.5 * second
+    pairing = T1 * d1 * m1 + T2 * d2 * m2 + P * phi2
+    gradient_sq = Q1 * d1 ** 2 + Q2 * d2 ** 2 + S * phi2
+    return float(np.sum(areas * (pairing - 0.5 * gradient_sq)))
 
 
 def recovery_upper_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
                          delta: float | None = None) -> float:
-    """Vector-trial value: a rigorous upper bound for the scaled stray energy."""
-    delta = _checked_delta(mesh, eps, delta)
+    """Vector-trial value: a rigorous upper bound for the scaled stray energy,
+    the minimization functional at the profile potential (m0 x n) eta(t)."""
     tris = mesh.triangles
     areas, t1, t2, k1, k2 = _triangle_frame(mesh)
+    P, T1, T2, Q1, Q2, S = _thickness_moments(k1, k2, eps, _checked_delta(mesh, eps, delta))
     w_field = np.cross(m0, mesh.normals)                  # m0 x n per vertex
-    wsq_tri = _tri_vertex_mean(np.sum(w_field ** 2, axis=1), tris)
+    wsq = _tri_vertex_mean(np.sum(w_field ** 2, axis=1), tris)
     gw = _p1_gradients(mesh, w_field)                     # (T, 3, 3)
     m0t = _tri_vertex_mean(m0, tris)
     dw1 = np.einsum("tcx,tx->tc", gw, t1)                 # d(w)/d tau1
     dw2 = np.einsum("tcx,tx->tc", gw, t2)
-    curl1 = np.cross(t1, dw1)                             # tau_i x d_tau_i w
-    curl2 = np.cross(t2, dw2)
-    c1 = np.einsum("tc,tc->t", curl1, m0t)
-    c2 = np.einsum("tc,tc->t", curl2, m0t)
-    dw1_sq = np.sum(dw1 ** 2, axis=1)
-    dw2_sq = np.sum(dw2 ** 2, axis=1)
-
-    value = 0.0
-    for nodes, weights in _t_pieces(eps, delta):
-        eta = eta_profile(nodes, eps, delta)
-        etap2 = eta_profile_slope_sq(nodes, eps, delta)
-        for t, w, et, ep2 in zip(nodes, weights, eta, etap2):
-            sg, h1, h2 = _metric_arrays(k1, k2, t, eps)
-            if abs(t) < 1.0:
-                # 1/2 |m|^2 - curl_eps(a) . m against the shell field
-                pair = (np.sqrt(ep2) * wsq_tri + eps * et * (h1 * c1 + h2 * c2))
-                value += w * float(np.sum(areas * sg * (0.5 - pair)))
-            grad2 = (eps * et) ** 2 * (h1 ** 2 * dw1_sq + h2 ** 2 * dw2_sq)
-            value += 0.5 * w * float(np.sum(areas * sg * (grad2 + ep2 * wsq_tri)))
-    return value
+    c1 = np.einsum("tc,tc->t", np.cross(t1, dw1), m0t)   # (tau_i x d_tau_i w) . m0
+    c2 = np.einsum("tc,tc->t", np.cross(t2, dw2), m0t)
+    shell = P * (0.5 - wsq) - T1 * c1 - T2 * c2
+    gradient_sq = Q1 * np.sum(dw1 ** 2, axis=1) + Q2 * np.sum(dw2 ** 2, axis=1) + S * wsq
+    return float(np.sum(areas * (shell + 0.5 * gradient_sq)))
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +498,9 @@ class ShellGridPolicy:
     pad_ratio: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.cells_per_thickness < np.inf:
-            raise GridError(f"cells_per_thickness must be positive and finite, "
-                            f"got {self.cells_per_thickness}")
+        if not MIN_CELLS_ACROSS <= self.cells_per_thickness < np.inf:
+            raise GridError(f"cells_per_thickness must be finite and at least "
+                            f"{MIN_CELLS_ACROSS}, got {self.cells_per_thickness}")
 
     def spacing(self, eps: float) -> float:
         return 2.0 * eps / self.cells_per_thickness
@@ -540,20 +532,14 @@ def shell_magnetization(mesh: SurfaceMesh, m0_fn: FieldFn, eps: float,
 
 def shell_stray_energy_scaled(mesh: SurfaceMesh, m0_fn: FieldFn, eps: float,
                               cfg: SolverConfig,
-                              policy: ShellGridPolicy = ShellGridPolicy(),
-                              grid: GridSpec | None = None) -> float:
-    """Stray energy of the extruded shell field divided by the half-thickness.
+                              policy: ShellGridPolicy = ShellGridPolicy()) -> float:
+    """Stray energy of the extruded shell field divided by the half-thickness,
+    on the grid ``policy`` sizes for ``eps``.
 
     The normalization matches the thin-shell scaling in which the limit is
     the surface integral of (m0 . n)^2.
     """
-    if grid is None:
-        h = policy.spacing(eps)
-        grid = grid_for_geometry(Shell(mesh, eps), h, policy.pad_ratio)
-    if 2.0 * eps < MIN_CELLS_ACROSS * grid.h:
-        raise GridError(
-            f"shell of thickness {2 * eps} is thinner than "
-            f"{MIN_CELLS_ACROSS} cells at spacing {grid.h}")
+    grid = grid_for_geometry(Shell(mesh, eps), policy.spacing(eps), policy.pad_ratio)
     m = shell_magnetization(mesh, m0_fn, eps, grid)
     sol = solve_scalar_potential(m, None, cfg)
     return sol.energy / eps
@@ -567,24 +553,32 @@ class ShellStudyRow:
     total: float
     limit: float
     gap: float
+    lower: float
+    upper: float
 
 
 def convergence_study(mesh: SurfaceMesh, m0_fn: FieldFn, eps_list,
                       cfg: SolverConfig,
-                      policy: ShellGridPolicy = ShellGridPolicy()) -> list[ShellStudyRow]:
+                      policy: ShellGridPolicy = ShellGridPolicy(),
+                      delta: float | None = None) -> list[ShellStudyRow]:
     """Tabulated approach of the scaled shell energies to the limit functional.
 
     Each row: scaled Dirichlet energy of the thickness-independent
     extension, scaled stray energy from the 3D solve, their sum, the limit
-    value, and the gap |total - limit|.
+    value, the gap |total - limit|, and the recovery bounds on the scaled
+    stray energy at matching radius ``delta``, computed before that eps's
+    3D solve (a ``delta`` out of range fails there, not after the solve).
     """
     m0 = sample_on_vertices(mesh, m0_fn)
     lim = limit_energy(m0, mesh)
     rows = []
     for eps in eps_list:
+        lower = recovery_lower_bound(m0, mesh, eps, delta)
+        upper = recovery_upper_bound(m0, mesh, eps, delta)
         ex = shell_dirichlet_energy(m0, mesh, eps)
         st = shell_stray_energy_scaled(mesh, m0_fn, eps, cfg, policy)
         total = ex + st
         rows.append(ShellStudyRow(eps=float(eps), exchange=ex, stray_scaled=st,
-                                  total=total, limit=lim, gap=abs(total - lim)))
+                                  total=total, limit=lim, gap=abs(total - lim),
+                                  lower=lower, upper=upper))
     return rows

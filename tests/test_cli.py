@@ -202,8 +202,10 @@ def test_bad_value_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, key)
     ("geometry.kind = box\ngeometry.a = 0", "semi-axes"),
     ("geometry.extents = 1 -1 1", "extents"),
     ("grid.h = -1", "grid spacing h"),
+    ("grid.h = 1e-300", "grid spacing h"),
     ("grid.pad_ratio = inf", "pad_ratio"),
     ("validate.pad_ratio = nan", "pad_ratio"),
+    ("shell.cells_per_thickness = 2", "cells_per_thickness"),
 ])
 def test_bad_float_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, quantity):
     # oracle reads none of these keys; the objects built from them check their
@@ -340,12 +342,33 @@ shell.m0 = uniform_z
 shell.eps_list = 0.2 0.1
 shell.delta = 5.0
 """)
-    # delta beyond the tubular bound makes the bounds step fail after the
-    # study table was already written; the partial table must be removed
+    # delta beyond the tubular bound fails at the first row's bounds, before
+    # any solve or write; the output directory the run made goes too
     out = tmp_path / "out"
     code = main(["shell-study", "--config", cfg, "--out", str(out)])
     assert code == EXIT_CONFIG
-    assert not (out / "shell_study.csv").exists()
+    assert not out.exists()
+
+    # a failed second write removes the table the first one wrote
+    from magnetovar import cli
+    calls = []
+
+    def failing_second_write(path, header, rows):
+        calls.append(path.name)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", failing_second_write)
+    cfg = write_cfg(tmp_path, "ok.cfg", BASE + """
+shell.surface = sphere
+shell.level = 2
+shell.eps_list = 0.2
+""")
+    out = tmp_path / "out2"
+    assert main(["shell-study", "--config", cfg, "--out", str(out)]) == EXIT_IO
+    assert calls == ["shell_study.csv", "recovery_bounds.csv"]
+    assert not (out / "shell_study.csv").exists() and not out.exists()
 
 
 def test_failed_run_removes_the_output_directory_it_made(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnetovar.errors import GridError, SupportError
-from magnetovar.grid import (Box, DomainMask, Ellipsoid, GridSpec, Shell,
+from magnetovar.grid import (MAX_CELLS, Box, DomainMask, Ellipsoid, GridSpec, Shell,
                              build_mask, face_shapes, grid_for_geometry, grow_box,
                              nonzero_box, support_box)
 from magnetovar.shell import make_sphere_mesh
@@ -19,6 +19,18 @@ def test_gridspec_invariants():
         GridSpec(1, 4, 4, 0.1)
     with pytest.raises(GridError):
         GridSpec(4, 4, 4, 0.1, pad=-1)
+    # a padded axis an array index cannot count, also when only the padding
+    # takes it there
+    GridSpec(MAX_CELLS - 2, 2, 2, 0.1, pad=1)
+    with pytest.raises(GridError, match="grid spacing h = 0.1"):
+        GridSpec(MAX_CELLS - 1, 2, 2, 0.1, pad=1)
+
+
+@pytest.mark.parametrize("h", [1e-300, 5e-324])
+def test_grid_for_geometry_rejects_uncountable_spacing(h):
+    # the counts overflow a C integer (1e-300) or a float (5e-324)
+    with pytest.raises(GridError, match="grid spacing h"):
+        grid_for_geometry(Ellipsoid(1.0, 1.0, 1.0), h)
 
 
 def test_centered_cube_geometry():

@@ -254,7 +254,7 @@ def test_dense_solver_inverts_laplace_apply(shape, h, seed):
     # any axis may be the longest (the sweep axis), of odd or even length,
     # and 1-wide axes leave 1-wide planes or a single plane
     b = random_rhs(shape, seed)
-    u = poisson.dense_poisson_solver(shape, h)(b.ravel()).reshape(shape)
+    u = poisson.dense_poisson_solver(shape, h)(b)
     res = np.linalg.norm(b - poisson.laplace_apply(u, h)) / np.linalg.norm(b)
     assert res <= 1e-13
     ref = poisson.transform_solve(b, h, poisson.CELL_KINDS)
@@ -280,8 +280,7 @@ def test_pcg_routes_agree():
     h = 0.15
     u_dst, r1, _ = poisson.solve_poisson(b, h, 1e-10, 100, "dst")
     u_cg, r2, _ = poisson.solve_poisson(b, h, 1e-10, 5000, "none")
-    dense = poisson.dense_poisson_solver(b.shape, h)
-    u_dense = dense(b.ravel()).reshape(b.shape)
+    u_dense = poisson.dense_poisson_solver(b.shape, h)(b)
     assert r1 <= 1e-10 and r2 <= 1e-10
     scale = np.abs(u_dense).max()
     assert np.abs(u_dst - u_dense).max() < 1e-8 * scale

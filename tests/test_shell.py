@@ -230,6 +230,75 @@ def test_eta_tail_identity():
     assert abs(total - 2.0 * (1 + eps / (delta - eps))) < 1e-12
 
 
+K1 = np.array([1.0, 2.0, -1.5, 0.0, 3.0])
+K2 = np.array([1.0, -0.5, 3.0, 0.7, 0.0])
+
+
+@pytest.mark.parametrize("eps, delta", [(0.1, 0.3), (0.02, 0.25)])
+def test_thickness_moments_closed_forms(eps, delta):
+    # P, T_i and S have polynomial integrands, which the Gauss rule integrates
+    # exactly; the odd terms in t cancel
+    P, T1, T2, Q1, Q2, S = sh._thickness_moments(K1, K2, eps, delta)
+    G, R = K1 * K2, delta / eps
+    exact = dict(P=2 + 2 / 3 * eps ** 2 * G,
+                 T1=2 / 3 * eps ** 2 * K2, T2=2 / 3 * eps ** 2 * K1,
+                 S=2 + 2 / 3 * eps ** 2 * G + (eps / (delta - eps)) ** 2
+                 * 2 * ((R - 1) + eps ** 2 * G * (R ** 3 - 1) / 3))
+    for name, got in dict(P=P, T1=T1, T2=T2, S=S).items():
+        np.testing.assert_allclose(got, exact[name], rtol=1e-14, atol=1e-14, err_msg=name)
+    # equal curvatures: sg h_i^2 = 1, so Q_i = int (eps eta)^2 = 2/3 eps delta
+    umbilic = K1[:2]
+    for Q in sh._thickness_moments(umbilic, umbilic, eps, delta)[3:5]:
+        np.testing.assert_allclose(Q, 2 / 3 * eps * delta, rtol=1e-14, atol=1e-14)
+
+
+def _bounds_node_by_node(m0, mesh, eps, delta):
+    """Both recovery bounds summed node by node across the thickness: the
+    reference for the summation order of the thickness table."""
+    tris = mesh.triangles
+    areas, t1, t2, k1, k2 = sh._triangle_frame(mesh)
+    m0t = sh._tri_vertex_mean(m0, tris)
+    phi = np.sum(m0 * mesh.normals, axis=1)
+    phi2 = sh._tri_vertex_mean(phi ** 2, tris)
+    gphi = sh._p1_gradients(mesh, phi)
+    w = np.cross(m0, mesh.normals)
+    wsq = sh._tri_vertex_mean(np.sum(w ** 2, axis=1), tris)
+    gw = sh._p1_gradients(mesh, w)
+    d = [np.einsum("tx,tx->t", gphi, tau) for tau in (t1, t2)]
+    m = [np.einsum("tx,tx->t", m0t, tau) for tau in (t1, t2)]
+    dw = [np.einsum("tcx,tx->tc", gw, tau) for tau in (t1, t2)]
+    c = [np.einsum("tc,tc->t", np.cross(tau, g), m0t) for tau, g in zip((t1, t2), dw)]
+    dw_sq = [np.sum(g ** 2, axis=1) for g in dw]
+    lower = upper = 0.0
+    for nodes, weights in sh._t_pieces(eps, delta):
+        for t, wt in zip(nodes, weights):
+            sg, h1, h2 = sh._metric_arrays(k1, k2, t, eps)
+            e = eps * sh.eta_profile(t, eps, delta)
+            slope_sq = sh.eta_profile_slope_sq(t, eps, delta)
+            inside = abs(t) < 1.0
+            pair = e * (h1 * d[0] * m[0] + h2 * d[1] * m[1]) + phi2
+            grad_sq = e ** 2 * (h1 ** 2 * d[0] ** 2 + h2 ** 2 * d[1] ** 2) + slope_sq * phi2
+            lower += wt * np.sum(areas * sg * (inside * pair - 0.5 * grad_sq))
+            shell = 0.5 - wsq - e * (h1 * c[0] + h2 * c[1])
+            grad_sq = e ** 2 * (h1 ** 2 * dw_sq[0] + h2 ** 2 * dw_sq[1]) + slope_sq * wsq
+            upper += wt * np.sum(areas * sg * (inside * shell + 0.5 * grad_sq))
+    return lower, upper
+
+
+@pytest.mark.parametrize("mesh, m0_fn, eps, delta", [
+    (SPHERE, sh.uniform_field((0, 0, 1)), 0.1, 0.7),
+    (SPHERE, sh.uniform_field((0.3, 0.4, 0.866)), 0.05, 0.3),
+    (TORUS, sh.toroidal_field(), 0.2, 0.35),
+    (TORUS, sh.uniform_field((0.3, 0.4, 0.866)), 0.1, 0.2),
+], ids=["sphere-z", "sphere-tilted", "torus-toroidal", "torus-tilted"])
+def test_recovery_bounds_match_node_by_node_sums(mesh, m0_fn, eps, delta):
+    m0 = sh.sample_on_vertices(mesh, m0_fn)
+    got = (sh.recovery_lower_bound(m0, mesh, eps, delta),
+           sh.recovery_upper_bound(m0, mesh, eps, delta))
+    for value, ref in zip(got, _bounds_node_by_node(m0, mesh, eps, delta)):
+        assert abs(value - ref) <= 1e-13 * (abs(ref) + 1)
+
+
 def test_recovery_bounds_check_eps_and_delta():
     m0 = sh.sample_on_vertices(SPHERE, sh.uniform_field((0, 0, 1)))
     for bound in (sh.recovery_lower_bound, sh.recovery_upper_bound):
@@ -309,20 +378,35 @@ def test_shell_magnetization_matches_full_grid_sampling(mesh, m0_fn, eps, pad_ra
 
 
 def test_shell_resolution_guard():
-    mesh = SPHERE
-    grid = sh.grid_for_geometry(sh.Shell(mesh, 0.05), 0.06, 0.3)
-    with pytest.raises(GridError):
-        sh.shell_stray_energy_scaled(mesh, sh.uniform_field((0, 0, 1)), 0.05, CFG,
-                                     grid=grid)
+    # the policy's spacing 2 eps / c gives at least MIN_CELLS_ACROSS cells
+    # across the shell, so fewer are rejected when the policy is built
+    assert sh.ShellGridPolicy(sh.MIN_CELLS_ACROSS).spacing(0.3) == pytest.approx(0.2)
+    for c in (2.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(GridError, match="cells_per_thickness"):
+            sh.ShellGridPolicy(cells_per_thickness=c)
 
 
 def test_convergence_study_rows():
     mesh = sh.make_sphere_mesh(1.0, level=3)
+    m0 = sh.sample_on_vertices(mesh, sh.uniform_field((0, 0, 1)))
     rows = sh.convergence_study(mesh, sh.uniform_field((0, 0, 1)), [0.2, 0.1], CFG)
     assert len(rows) == 2
     assert rows[0].exchange == 0.0 and rows[1].exchange == 0.0
     assert rows[1].gap < rows[0].gap
+    for r in rows:  # the rows carry the recovery bounds at the default delta
+        assert r.lower == sh.recovery_lower_bound(m0, mesh, r.eps)
+        assert r.upper == sh.recovery_upper_bound(m0, mesh, r.eps)
+        assert r.lower <= r.stray_scaled <= r.upper
     assert sh.convergence_study(mesh, sh.uniform_field((0, 0, 1)), [], CFG) == []
+
+
+def test_convergence_study_checks_delta_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the bounds were checked")
+
+    monkeypatch.setattr(sh, "shell_stray_energy_scaled", no_solve)
+    with pytest.raises(GridError, match="tubular"):
+        sh.convergence_study(SPHERE, sh.uniform_field((0, 0, 1)), [0.2], CFG, delta=5.0)
 
 
 def test_metric_factor_linear_deviation_bound():
