@@ -10,6 +10,7 @@ outside the outermost layer of degrees of freedom.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,6 +180,23 @@ class VectorField:
         return VectorField(self.grid, self.x.copy(), self.y.copy(), self.z.copy(),
                            self.staggering)
 
+    def on_box(self, box: tuple[slice, ...]) -> "VectorField":
+        """The face field on the faces of the cell ``box``: a view, on the
+        box's ``sub_grid``."""
+        if self.staggering != FACE:
+            raise GridError("only a face field is restricted to a box")
+        return VectorField(self.grid.sub_grid(box),
+                           *(comp[grow_box(box, axis)] for axis, comp in enumerate(self.components)),
+                           staggering=FACE)
+
+    def embedded(self, grid: GridSpec, box: tuple[slice, ...]) -> "VectorField":
+        """This face field of ``grid.sub_grid(box)`` on the box's faces, in zeros
+        of ``grid``: the field itself when the box is the whole grid."""
+        return VectorField(grid, *(embed(comp, shape, grow_box(box, axis))
+                                   for axis, (comp, shape)
+                                   in enumerate(zip(self.components, face_shapes(grid)))),
+                           staggering=self.staggering)
+
     def scaled(self, c: float) -> "VectorField":
         return VectorField(self.grid, c * self.x, c * self.y, c * self.z, self.staggering)
 
@@ -228,6 +246,15 @@ class CellVectorField:
     def copy(self) -> "CellVectorField":
         return CellVectorField(self.grid, self.data.copy())
 
+    def on_box(self, box: tuple[slice, ...]) -> "CellVectorField":
+        """The field on the cells of ``box``: a view, on the box's ``sub_grid``."""
+        return CellVectorField(self.grid.sub_grid(box), self.data[(slice(None), *box)])
+
+    def embedded(self, grid: GridSpec, box: tuple[slice, ...]) -> "CellVectorField":
+        """This field of ``grid.sub_grid(box)`` on the box's cells, in zeros of
+        ``grid``: the field itself when the box is the whole grid."""
+        return CellVectorField(grid, embed(self.data, (3, *grid.shape), (slice(None), *box)))
+
     def pointwise_norm(self) -> np.ndarray:
         return np.sqrt(np.sum(self.data ** 2, axis=0))
 
@@ -245,6 +272,16 @@ def grow_box(box: tuple[slice, ...], *axes: int) -> tuple[slice, ...]:
     edges along ``c`` are ``box`` grown along the two other axes."""
     return tuple(slice(s.start, s.stop + 1) if axis in axes else s
                  for axis, s in enumerate(box))
+
+
+def embed(part: np.ndarray, shape: tuple[int, ...], box: tuple[slice, ...]) -> np.ndarray:
+    """``part`` placed on ``box`` in zeros of ``shape``; ``part`` itself when
+    it already has that shape."""
+    if part.shape == shape:
+        return part
+    out = np.zeros(shape)
+    out[box] = part
+    return out
 
 
 def _nonzero_span(present: np.ndarray) -> slice:
@@ -299,7 +336,7 @@ class Box:
                 & (np.abs(z - c[2]) <= e[2] / 2))
 
     def bounding_radius(self):
-        return float(np.linalg.norm(np.asarray(self.extents) / 2))
+        return math.hypot(*(e / 2 for e in self.extents))  # scaled: no overflow warning
 
     def bounds(self):
         c, e = np.asarray(self.center), np.asarray(self.extents)
@@ -414,6 +451,10 @@ class DomainMask:
                 raise SupportError("mask extends into the padding region")
         self.cell_count = int(self.indicator.sum())
         self.indicator.setflags(write=False)
+
+    def on_box(self, box: tuple[slice, ...]) -> "DomainMask":
+        """The mask on the cells of the index ``box``, on the box's ``sub_grid``."""
+        return DomainMask(self.grid.sub_grid(box), self.indicator[box])
 
     def face_count(self, axis: int) -> np.ndarray:
         """Per face normal to ``axis``: the number of adjacent domain cells.

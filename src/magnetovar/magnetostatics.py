@@ -40,7 +40,7 @@ import numpy as np
 from .errors import GridError, SupportError
 from .grid import (CELL, EDGE, FACE, CellVectorField, DomainMask, Ellipsoid,
                    GridSpec, ScalarField, VectorField, build_mask, edge_shapes,
-                   grow_box, support_box)
+                   embed, grow_box, support_box)
 from .operators import (check_supported, curl, curl_component, div, grad,
                         grad_norm_sq, inner, masked_cell_to_faces, norm)
 from . import poisson
@@ -111,35 +111,23 @@ def _checked_on_box(m: VectorField, mask: DomainMask | None):
     if m.staggering != FACE:
         raise GridError("magnetization must be face-staggered")
     box = support_box(m.grid.shape, *m.components)
-    m_box = VectorField(m.grid.sub_grid(box),
-                        *(comp[grow_box(box, axis)] for axis, comp in enumerate(m.components)),
-                        staggering=FACE)
+    m_box = m.on_box(box)
     if not all(np.isfinite(comp).all() for comp in m_box.components):
         raise GridError("magnetization contains non-finite values")
     if mask is not None:
         mask.check_grid(m.grid)
         try:
-            check_supported(m_box, DomainMask(m_box.grid, mask.indicator[box]))
+            check_supported(m_box, mask.on_box(box))
         except SupportError:
             check_supported(m, mask)
             raise
     return m_box, box
 
 
-def _embed(part: np.ndarray, shape: tuple[int, ...], box: tuple[slice, ...]) -> np.ndarray:
-    """``part`` placed on ``box`` in zeros of ``shape``; ``part`` itself when
-    it already has that shape."""
-    if part.shape == shape:
-        return part
-    out = np.zeros(shape)
-    out[box] = part
-    return out
-
-
 def _charge(m_box: VectorField, box: tuple[slice, ...], shape) -> np.ndarray:
     """-div m on the full grid from ``m`` on ``box``: built on the box, embedded
     in zeros and negated in place, as the full-grid -div is (-0.0 off the box)."""
-    rho = _embed(div(m_box).data, shape, box)
+    rho = embed(div(m_box).data, shape, box)
     return np.negative(rho, out=rho)
 
 
@@ -150,7 +138,7 @@ def _edge_box(box: tuple[slice, ...], c: int) -> tuple[slice, ...]:
 
 def _curl_source(m_box: VectorField, box: tuple[slice, ...], c: int, grid: GridSpec):
     """Component ``c`` of curl m on the full grid, built on the box's edges."""
-    return _embed(curl_component(m_box, c), edge_shapes(grid)[c], _edge_box(box, c))
+    return embed(curl_component(m_box, c), edge_shapes(grid)[c], _edge_box(box, c))
 
 
 def _sq(a: np.ndarray) -> float:
@@ -413,7 +401,7 @@ def _unit_charges(mask: DomainMask) -> list[np.ndarray]:
     support box of its indicator and embedded in zeros: the full-grid build
     bit for bit, at the box's cost."""
     box = support_box(mask.grid.shape, mask.indicator)
-    box_mask = DomainMask(mask.grid.sub_grid(box), mask.indicator[box])
+    box_mask = mask.on_box(box)
     return [_charge(masked_cell_to_faces(
         CellVectorField.constant(box_mask.grid, e, box_mask), box_mask),
         box, mask.grid.shape) for e in np.eye(3)]

@@ -25,6 +25,13 @@ Exl et al., J. Appl. Phys. 115:17D118, 2014).  Where no secant pair with
 first trial is the last accepted step grown by 1 / backtrack, under the
 same cap.  The Armijo test then shrinks the trial by the factor
 ``backtrack`` until it descends, so neither rule breaks monotonicity.
+
+Both schemes iterate on the mask's support box (``grid.support_box``):
+every iterate, trial, tangential field, local energy and field term, and
+the face transfer with its adjoint live on the box's ``sub_grid``.  Only
+the stray solves run on the padded grid, from the face field embedded in
+its zeros (``energy.face_field``); ``m`` goes back to the full grid once,
+at return.
 """
 
 from __future__ import annotations
@@ -34,9 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, GridError
-from .grid import EDGE, CellVectorField, DomainMask, VectorField
+from .grid import EDGE, CellVectorField, DomainMask, VectorField, support_box
 from .energy import (ALL_TERMS, MaterialParams, anisotropy_energy, effective_field,
-                     exchange_energy, total_energy, zeeman_energy)
+                     exchange_energy, face_field, total_energy, zeeman_energy)
 from .magnetostatics import SolverConfig, minimize_V
 from .operators import (curl, grad_norm_sq, inner, masked_cell_to_faces,
                         masked_faces_to_cell_adjoint)
@@ -118,6 +125,15 @@ def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float, cap: float) -> float
     return min(float(np.vdot(s, s)) / sy, cap)
 
 
+def _on_support_box(m0: CellVectorField, mask: DomainMask):
+    """(box, host, mask on the box, ``m0`` on the box normalized on the mask),
+    with ``host = (mask, box)`` as ``energy.face_field`` takes it."""
+    box = support_box(mask.grid.shape, mask.indicator)
+    local = mask.on_box(box)
+    m = CellVectorField(local.grid, _normalize_on_mask(m0.on_box(box).data, local))
+    return box, (mask, box), local, m
+
+
 def _armijo(m: CellVectorField, t: np.ndarray, energy: float, gnorm: float,
             step: float, mask: DomainMask, mcfg: MinimizeConfig, evaluate,
             where: str, iterations: int):
@@ -157,54 +173,57 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
 
     vol = mask.grid.cell_volume
     cap = mcfg.step * STEP_GROWTH_CAP
+    box, host, local, m = _on_support_box(m0, mask)
 
     def evaluate(trial):
-        breakdown = total_energy(trial, params, mask, scfg, terms=terms)
+        breakdown = total_energy(trial, params, local, scfg, terms=terms, host=host)
         return breakdown.total, breakdown.stray_solution
 
-    m = CellVectorField(mask.grid, _normalize_on_mask(m0.data.copy(), mask))
     energy, stray = evaluate(m)
     report.energy_trace.append(energy)
     m_prev = t_prev = None
 
     for it in range(1, mcfg.max_iter + 1):
-        hf = effective_field(m, params, mask, scfg, terms=terms, stray=stray)
-        t = _tangential(hf.data, m.data) * mask.indicator
+        hf = effective_field(m, params, local, scfg, terms=terms, stray=stray, host=host)
+        t = _tangential(hf.data, m.data) * local.indicator
         gnorm = _grad_norm(t, vol)
         report.final_grad_norm = gnorm
         if gnorm <= mcfg.grad_tol:
             report.converged = True
             report.iterations = it - 1
-            return m, report
+            break
         if t_prev is not None:
             step = _bb_step(m.data - m_prev, t_prev - t, step, cap)
         else:
             step = min(mcfg.step,
                        FIRST_ROTATION / float(np.sqrt(np.max(np.sum(t ** 2, axis=0)))))
         trial, e_trial, stray_trial, step = _armijo(
-            m, t, energy, gnorm, step, mask, mcfg, evaluate,
+            m, t, energy, gnorm, step, local, mcfg, evaluate,
             f"at iteration {it}", it)
         m_prev, t_prev = m.data, t
         m, energy, stray = trial, e_trial, stray_trial
         report.energy_trace.append(energy)
         report.iterations = it
         step = min(step / mcfg.backtrack, cap)
-    report.final_grad_norm = _grad_norm(
-        _tangential(effective_field(m, params, mask, scfg, terms=terms,
-                                    stray=stray).data, m.data) * mask.indicator, vol)
-    report.converged = report.final_grad_norm <= mcfg.grad_tol
-    return m, report
+    else:
+        report.final_grad_norm = _grad_norm(
+            _tangential(effective_field(m, params, local, scfg, terms=terms, stray=stray,
+                                        host=host).data, m.data) * local.indicator, vol)
+        report.converged = report.final_grad_norm <= mcfg.grad_tol
+    return m.embedded(mask.grid, box), report
 
 
 def _fixed_a_energy(a: VectorField, params: MaterialParams, mask: DomainMask,
-                    terms=ALL_TERMS):
+                    terms=ALL_TERMS, host=None):
     """The product-space functional as a function of m at fixed ``a``.
 
     Returns (energy, curl a), where energy(m) = local terms + V(face m, a).
     The m-independent parts of V, 1/2 ||D a||^2 and curl a, are computed
     once here; the stray part is ``functional_V(face m, a)`` bit for bit
-    (the same terms in the same order).  ``a`` may be the caller's start
-    ``a0``, not a minimizer, so 1/2 ||D a||^2 is not replaced by a pairing.
+    (the same terms in the same order, summed over the full grid's faces:
+    ``m`` may live on a box, see ``energy.face_field`` for ``host``).
+    ``a`` may be the caller's start ``a0``, not a minimizer, so
+    1/2 ||D a||^2 is not replaced by a pairing.
     """
     if a.staggering != EDGE:
         raise GridError("vector potential must be edge-staggered")
@@ -212,7 +231,7 @@ def _fixed_a_energy(a: VectorField, params: MaterialParams, mask: DomainMask,
     curl_a = curl(a)
 
     def energy(m: CellVectorField) -> float:
-        mf = masked_cell_to_faces(m, mask)
+        mf = face_field(m, mask, host)
         total = half_da2 + 0.5 * inner(mf, mf) - inner(mf, curl_a)
         if "exchange" in terms:
             total += exchange_energy(m, mask, check_norm=False)
@@ -225,9 +244,10 @@ def _fixed_a_energy(a: VectorField, params: MaterialParams, mask: DomainMask,
     return energy, curl_a
 
 
-def _a_step(m: CellVectorField, mask: DomainMask, scfg: SolverConfig) -> VectorField:
-    """Exact minimizer of the unconstrained stray functional for fixed m."""
-    return minimize_V(masked_cell_to_faces(m, mask), mask, scfg)[0]
+def _a_step(m: CellVectorField, mask: DomainMask, host, scfg: SolverConfig) -> VectorField:
+    """Exact minimizer of the unconstrained stray functional for fixed m, on
+    the full grid of ``host = (full-grid mask, box)``."""
+    return minimize_V(face_field(m, mask, host), host[0], scfg)[0]
 
 
 def minimize_joint(m0: CellVectorField, a0: VectorField | None,
@@ -254,34 +274,34 @@ def minimize_joint(m0: CellVectorField, a0: VectorField | None,
     vol = mask.grid.cell_volume
     cap = mcfg.step * STEP_GROWTH_CAP
     local_terms = tuple(t for t in terms if t != "stray")
-    m = CellVectorField(mask.grid, _normalize_on_mask(m0.data.copy(), mask))
+    box, host, local, m = _on_support_box(m0, mask)
     a = a0 if a0 is not None else VectorField.zeros(mask.grid, EDGE)
-    energy = _fixed_a_energy(a, params, mask, terms)[0](m)
+    energy = _fixed_a_energy(a, params, local, terms, host)[0](m)
     report.energy_trace.append(energy)
     step = mcfg.step
     total_m_steps = 0
 
     for sweep in range(1, mcfg.max_iter + 1):
-        a = _a_step(m, mask, scfg)
-        joint, curl_a = _fixed_a_energy(a, params, mask, terms)
+        a = _a_step(m, local, host, scfg)
+        joint, curl_a = _fixed_a_energy(a, params, local, terms, host)
         energy = joint(m)
         report.energy_trace.append(energy)
 
-        curl_a_cells = masked_faces_to_cell_adjoint(curl_a, mask)
+        curl_a_cells = masked_faces_to_cell_adjoint(curl_a.on_box(box), local)
         gnorm = None
         m_prev = t_prev = None  # the secant pair is taken within one sweep
         for _ in range(m_steps_per_sweep):
-            hf = effective_field(m, params, mask, scfg, terms=local_terms)
-            mf_cells = masked_faces_to_cell_adjoint(masked_cell_to_faces(m, mask), mask)
-            hf.data += (curl_a_cells.data - mf_cells.data) * mask.indicator
-            t = _tangential(hf.data, m.data) * mask.indicator
+            hf = effective_field(m, params, local, scfg, terms=local_terms)
+            mf_cells = masked_faces_to_cell_adjoint(masked_cell_to_faces(m, local), local)
+            hf.data += (curl_a_cells.data - mf_cells.data) * local.indicator
+            t = _tangential(hf.data, m.data) * local.indicator
             gnorm = _grad_norm(t, vol)
             if gnorm <= mcfg.grad_tol:
                 break
             if t_prev is not None:
                 step = _bb_step(m.data - m_prev, t_prev - t, step, cap)
             trial, energy, _, step = _armijo(
-                m, t, energy, gnorm, step, mask, mcfg,
+                m, t, energy, gnorm, step, local, mcfg,
                 lambda trial: (joint(trial), None),
                 f"in joint sweep {sweep}", total_m_steps)
             m_prev, t_prev = m.data, t
@@ -293,13 +313,13 @@ def minimize_joint(m0: CellVectorField, a0: VectorField | None,
         report.final_grad_norm = gnorm if gnorm is not None else float("nan")
         if gnorm is not None and gnorm <= mcfg.grad_tol:
             # converged only if the potential is also stationary
-            a_new = _a_step(m, mask, scfg)
-            e_new = _fixed_a_energy(a_new, params, mask, terms)[0](m)
+            a_new = _a_step(m, local, host, scfg)
+            e_new = _fixed_a_energy(a_new, params, local, terms, host)[0](m)
             if abs(e_new - energy) <= max(abs(energy), 1.0) * 10 * scfg.tol:
                 a = a_new
                 report.energy_trace.append(e_new)
                 report.converged = True
-                return m, a, report
+                break
             a, energy = a_new, e_new
             report.energy_trace.append(energy)
-    return m, a, report
+    return m.embedded(mask.grid, box), a, report

@@ -403,10 +403,13 @@ def default_delta(mesh: SurfaceMesh) -> float:
 
 
 def _checked_delta(mesh: SurfaceMesh, eps: float, delta: float | None) -> float:
-    """The matching radius (``default_delta`` if None), checked against the
-    tubular bound and the half-thickness, which ``Shell`` checks first."""
+    """The matching radius (``default_delta`` if None), checked to be positive
+    and finite, then against the tubular bound and the half-thickness, which
+    ``Shell`` checks first."""
     Shell(mesh, eps)
     delta = default_delta(mesh) if delta is None else delta
+    if not 0.0 < delta < np.inf:
+        raise GridError(f"delta must be positive and finite, got {delta}")
     if delta >= mesh.min_curvature_radius():
         raise GridError("delta violates the tubular condition")
     if eps >= delta:

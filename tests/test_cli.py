@@ -206,6 +206,8 @@ def test_bad_value_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, key)
     ("grid.pad_ratio = inf", "pad_ratio"),
     ("validate.pad_ratio = nan", "pad_ratio"),
     ("shell.cells_per_thickness = 2", "cells_per_thickness"),
+    # the box's bounding radius must not overflow (a RuntimeWarning) first
+    ("geometry.kind = box\ngeometry.extents = 1e308 1 1", "cells along an axis"),
 ])
 def test_bad_float_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, quantity):
     # oracle reads none of these keys; the objects built from them check their
@@ -322,6 +324,17 @@ shell.eps_list = 0.2 0.1
                for r in rows])
     assert (out1 / "shell_study.csv").read_bytes() == \
         (tmp_path / "study.csv").read_bytes()
+
+
+@pytest.mark.parametrize("delta", ["nan", "-1", "inf"])
+def test_shell_study_bad_delta_is_named(tmp_path, capsys, delta):
+    # nan passes every ordering check, so the range is checked first, by name
+    cfg = write_cfg(tmp_path, "sh.cfg", BASE + "shell.surface = sphere\nshell.level = 1\n"
+                    f"shell.eps_list = 0.2\nshell.delta = {delta}\n")
+    out = tmp_path / "out"
+    assert main(["shell-study", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"delta must be positive and finite, got {float(delta)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_output_dir_exits_4(tmp_path):

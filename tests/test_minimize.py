@@ -6,7 +6,7 @@ import pytest
 from magnetovar.energy import MaterialParams, total_energy
 from magnetovar.errors import GridError
 from magnetovar.grid import (Box, CellVectorField, DomainMask, Ellipsoid, GridSpec,
-                             build_mask, grid_for_geometry)
+                             build_mask, grid_for_geometry, support_box)
 from magnetovar.magnetostatics import (SolverConfig, functional_V, minimize_V,
                                        solve_vector_potential_unconstrained)
 from magnetovar.minimize import (MinimizeConfig, _fixed_a_energy, minimize_joint,
@@ -267,6 +267,8 @@ def test_first_trial_bounds_rotation_and_saves_trials(monkeypatch):
     monkeypatch.setattr(minimize, "total_energy", recorded_energy)
     counts = {}
     theta = minimize.FIRST_ROTATION
+    # the trials live on the mask's support box
+    inside = mask.on_box(support_box(grid.shape, mask.indicator)).indicator > 0
     for cap in (theta, np.inf):
         monkeypatch.setattr(minimize, "FIRST_ROTATION", cap)
         trials.clear()
@@ -274,7 +276,62 @@ def test_first_trial_bounds_rotation_and_saves_trials(monkeypatch):
         assert rep.iterations == 1 and rep.energy_trace[1] <= rep.energy_trace[0]
         counts[cap] = len(trials) - 1
         if cap == theta:
-            cos_turn = np.sum(trials[0] * trials[1], axis=0)[mask.indicator > 0]
+            cos_turn = np.sum(trials[0] * trials[1], axis=0)[inside]
             assert np.arccos(np.clip(cos_turn, -1.0, 1.0)).max() <= np.arctan(cap) + 1e-12
     assert counts[np.inf] == 7
     assert counts[theta] < counts[np.inf]
+
+
+def off_centre_box_setup():
+    # a 6 x 4 x 3-cell box away from the grid's centre, so its support box
+    # is neither centred nor cubic
+    grid = GridSpec.centered_box((12, 10, 8), 0.25, pad=3)
+    return grid, build_mask(Box((1.25, 1.0, 0.75), center=(0.5, -0.25, 0.375)), grid)
+
+
+def run_scheme(scheme, m0, params, mask, mcfg):
+    """(m, a, report); ``a`` is None for the reduced scheme."""
+    if scheme == "reduced":
+        m, rep = minimize_m(m0, params, mask, mcfg, CFG)
+        return m, None, rep
+    return minimize_joint(m0, None, params, mask, mcfg, CFG, m_steps_per_sweep=4)
+
+
+@pytest.mark.parametrize("scheme", ["reduced", "joint"])
+def test_schemes_pass_support_box_fields_to_local_terms(monkeypatch, scheme):
+    from magnetovar import energy, minimize
+    grid, mask = ball_setup(8)
+    box = support_box(grid.shape, mask.indicator)
+    box_shape = (3, *(s.stop - s.start for s in box))
+    assert box_shape[1:] != grid.shape
+    shapes = []
+    exchange = energy.exchange_energy
+
+    def spied(m, *args, **kwargs):
+        shapes.append(m.data.shape)
+        return exchange(m, *args, **kwargs)
+
+    monkeypatch.setattr(energy, "exchange_energy", spied)
+    monkeypatch.setattr(minimize, "exchange_energy", spied)
+    run_scheme(scheme, tilted_uniform(mask, (0.3, 0.15, 0.94)), MaterialParams(Q=0.1),
+               mask, MinimizeConfig(grad_tol=1e-4, max_iter=3, step=0.5))
+    assert shapes and set(shapes) == {box_shape}
+
+
+@pytest.mark.parametrize("scheme", ["reduced", "joint"])
+@pytest.mark.parametrize("setup", [ball_setup, off_centre_box_setup])
+def test_returned_m_is_unit_on_mask_and_matches_last_trace_energy(scheme, setup):
+    grid, mask = setup()
+    params = MaterialParams(Q=0.2, h_applied=(0.05, 0.0, 0.1))
+    m, a, rep = run_scheme(scheme, tilted_uniform(mask, (0.3, 0.15, 0.94)), params, mask,
+                           MinimizeConfig(grad_tol=1e-4, max_iter=4, step=0.5))
+    assert m.grid == grid
+    inside = mask.bool_array
+    assert np.all(m.data[:, ~inside] == 0.0)
+    assert np.abs(m.pointwise_norm()[inside] - 1.0).max() < 1e-13
+    # the trace ends at the scheme's energy of the returned fields, evaluated
+    # here on the full grid: the reduced energy, or the product functional
+    # at the returned potential
+    e = (total_energy(m, params, mask, CFG).total if a is None
+         else _fixed_a_energy(a, params, mask)[0](m))
+    assert abs(rep.energy_trace[-1] - e) <= 1e-12 * abs(e)
