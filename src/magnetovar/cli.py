@@ -189,12 +189,16 @@ def build_material(cfg: RunConfig) -> MaterialParams:
 
 
 def build_minimize_config(cfg: RunConfig) -> MinimizeConfig:
-    return MinimizeConfig(
+    mcfg = MinimizeConfig(
         method=cfg["minimize.method"],
         step=cfg["minimize.step"],
         backtrack=cfg["minimize.backtrack"],
         grad_tol=cfg["minimize.grad_tol"],
         max_iter=cfg["minimize.max_iter"])
+    if mcfg.method == "joint_alternating" and "stray" not in cfg["minimize.terms"]:
+        raise ConfigError("minimize.method = joint_alternating needs 'stray' in "
+                          "minimize.terms")
+    return mcfg
 
 
 def build_shell_policy(cfg: RunConfig) -> sh.ShellGridPolicy:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError
-from .grid import CellVectorField, DomainMask, VectorField
+from .grid import CellVectorField, DomainMask
 from .magnetostatics import SolverConfig, StrayFieldSolution, solve_scalar_potential
 from .operators import masked_cell_to_faces, masked_faces_to_cell_adjoint
 
@@ -121,27 +121,15 @@ def zeeman_energy(m: CellVectorField, params: MaterialParams,
     return -float((proj * mask.indicator).sum()) * m.grid.cell_volume
 
 
-def face_field(m: CellVectorField, mask: DomainMask, host=None) -> VectorField:
-    """The face field the stray solves take: ``masked_cell_to_faces(m, mask)``.
-
-    ``host = (full-grid mask, box)`` says that ``m`` and ``mask`` live on the
-    box's ``sub_grid``: the face field is then embedded in zeros of the full
-    grid, where the solves run.
-    """
-    mf = masked_cell_to_faces(m, mask)
-    return mf if host is None else mf.embedded(host[0].grid, host[1])
-
-
-def stray_energy(m: CellVectorField, mask: DomainMask, cfg: SolverConfig, host=None):
+def stray_energy(m: CellVectorField, mask: DomainMask, cfg: SolverConfig):
     """Stray term of the cell magnetization: solve + pairing on faces.
 
     Returns (energy, solution); energy = 1/2 <u, -div m> on the face field,
     which is -1/2 <h, m> by summation by parts and agrees with
-    1/2 ||grad u||^2 at the solver tolerance.  The solve runs on the full
-    grid (see ``face_field`` for ``host``).
+    1/2 ||grad u||^2 at the solver tolerance.  On a sub grid the solve runs
+    on its root, where ``u`` lives.
     """
-    sol = solve_scalar_potential(face_field(m, mask, host),
-                                 mask if host is None else host[0], cfg)
+    sol = solve_scalar_potential(masked_cell_to_faces(m, mask), mask, cfg)
     return sol.energy, sol
 
 
@@ -157,13 +145,12 @@ def _check_terms(terms):
 
 
 def total_energy(m: CellVectorField, params: MaterialParams, mask: DomainMask,
-                 cfg: SolverConfig, *, terms=ALL_TERMS, host=None) -> EnergyBreakdown:
+                 cfg: SolverConfig, *, terms=ALL_TERMS) -> EnergyBreakdown:
     """Selected terms of the energy; the stray term runs the field solver.
 
     ``terms`` restricts the functional (single-term studies such as
-    Zeeman-only relaxations); omitted terms report exactly zero.  With
-    ``host`` (see ``face_field``) the local terms run on the box and only
-    the stray solve on the full grid.
+    Zeeman-only relaxations); omitted terms report exactly zero.  On a sub
+    grid the local terms run on it and only the stray solve on its root.
     """
     terms = _check_terms(terms)
     check_unit_norm(m, mask)
@@ -171,7 +158,7 @@ def total_energy(m: CellVectorField, params: MaterialParams, mask: DomainMask,
     an = (anisotropy_energy(m, params, mask, check_norm=False)
           if "anisotropy" in terms else 0.0)
     ze = zeeman_energy(m, params, mask, check_norm=False) if "zeeman" in terms else 0.0
-    st, sol = (stray_energy(m, mask, cfg, host)
+    st, sol = (stray_energy(m, mask, cfg)
                if ("stray" in terms and not mask.is_empty()) else (0.0, None))
     return EnergyBreakdown(exchange=ex, anisotropy=an, zeeman=ze, stray=st,
                            stray_solution=sol)
@@ -179,7 +166,7 @@ def total_energy(m: CellVectorField, params: MaterialParams, mask: DomainMask,
 
 def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask,
                     cfg: SolverConfig, *, terms=ALL_TERMS,
-                    stray: StrayFieldSolution | None = None, host=None) -> CellVectorField:
+                    stray: StrayFieldSolution | None = None) -> CellVectorField:
     """Negative variational derivative of the total energy per unit volume.
 
     Exchange: neighbor Laplacian restricted to domain bonds; anisotropy:
@@ -188,8 +175,7 @@ def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask
     directional-derivative test in the suite pins the exactness of this
     gradient.  ``stray`` is the solution of ``m``'s own stray-field problem,
     if the caller already has it (``total_energy(m, ...).stray_solution``);
-    otherwise the stray term solves it.  With ``host`` (see ``face_field``)
-    the demagnetizing field is read back on the box's faces.
+    otherwise the stray term solves it; its field is read on the mask's grid.
     """
     terms = _check_terms(terms)
     grid = m.grid
@@ -219,8 +205,7 @@ def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask
     field_cells = CellVectorField(grid, data * ind)
     if "stray" in terms and not mask.is_empty():
         if stray is None:
-            stray = stray_energy(m, mask, cfg, host)[1]
-        h = stray.h if host is None else stray.h.on_box(host[1])
-        hd = masked_faces_to_cell_adjoint(h, mask)
+            stray = stray_energy(m, mask, cfg)[1]
+        hd = masked_faces_to_cell_adjoint(stray.h.on_grid(mask.grid), mask)
         field_cells.data += hd.data * ind
     return field_cells

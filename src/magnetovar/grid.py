@@ -45,6 +45,7 @@ class GridSpec:
     h: float
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
     pad: int = 0
+    host: tuple["GridSpec", tuple[int, int, int]] | None = None  # see sub_grid
 
     def __post_init__(self):
         _check_spacing(self.h)
@@ -92,10 +93,24 @@ class GridSpec:
         return lo, hi
 
     def sub_grid(self, box: tuple[slice, ...]) -> "GridSpec":
-        """The ``pad = 0`` grid of the cells of the index ``box``."""
-        lo = np.array([s.start for s in box])
+        """The ``pad = 0`` grid of the cells of the index ``box``; its ``host`` is
+        (the ``root`` it is cut from, the root index of its first cell)."""
+        root, offset = self.host or (self, (0, 0, 0))
+        lo = tuple(o + s.start for o, s in zip(offset, box))
         return GridSpec(*(s.stop - s.start for s in box), self.h,
-                        origin=tuple(np.asarray(self.origin) + self.h * lo))
+                        origin=tuple(np.asarray(root.origin) + self.h * np.array(lo)),
+                        host=(root, lo))
+
+    @property
+    def root(self) -> "GridSpec":
+        """The grid this one is cut from, or this grid if it has no host."""
+        return self if self.host is None else self.host[0]
+
+    @property
+    def box(self) -> tuple[slice, slice, slice]:
+        """The cells of this grid as an index box of its ``root``."""
+        offset = (0, 0, 0) if self.host is None else self.host[1]
+        return tuple(slice(o, o + n) for o, n in zip(offset, self.shape))
 
     @staticmethod
     def centered_cube(n: int, h: float, pad: int = 0) -> "GridSpec":
@@ -180,22 +195,15 @@ class VectorField:
         return VectorField(self.grid, self.x.copy(), self.y.copy(), self.z.copy(),
                            self.staggering)
 
-    def on_box(self, box: tuple[slice, ...]) -> "VectorField":
-        """The face field on the faces of the cell ``box``: a view, on the
-        box's ``sub_grid``."""
-        if self.staggering != FACE:
-            raise GridError("only a face field is restricted to a box")
-        return VectorField(self.grid.sub_grid(box),
-                           *(comp[grow_box(box, axis)] for axis, comp in enumerate(self.components)),
-                           staggering=FACE)
-
-    def embedded(self, grid: GridSpec, box: tuple[slice, ...]) -> "VectorField":
-        """This face field of ``grid.sub_grid(box)`` on the box's faces, in zeros
-        of ``grid``: the field itself when the box is the whole grid."""
-        return VectorField(grid, *(embed(comp, shape, grow_box(box, axis))
-                                   for axis, (comp, shape)
-                                   in enumerate(zip(self.components, face_shapes(grid)))),
-                           staggering=self.staggering)
+    def on_grid(self, grid: GridSpec) -> "VectorField":
+        """This face field on ``grid``, its own grid or a sub grid of it: the
+        field itself, or a view of it on the faces of the sub grid's cells."""
+        if grid == self.grid:
+            return self
+        if self.staggering != FACE or grid.root != self.grid:
+            raise GridError("only a face field is read on a sub grid of its grid")
+        return VectorField(grid, *(comp[grow_box(grid.box, axis)]
+                                   for axis, comp in enumerate(self.components)))
 
     def scaled(self, c: float) -> "VectorField":
         return VectorField(self.grid, c * self.x, c * self.y, c * self.z, self.staggering)
@@ -250,10 +258,12 @@ class CellVectorField:
         """The field on the cells of ``box``: a view, on the box's ``sub_grid``."""
         return CellVectorField(self.grid.sub_grid(box), self.data[(slice(None), *box)])
 
-    def embedded(self, grid: GridSpec, box: tuple[slice, ...]) -> "CellVectorField":
-        """This field of ``grid.sub_grid(box)`` on the box's cells, in zeros of
-        ``grid``: the field itself when the box is the whole grid."""
-        return CellVectorField(grid, embed(self.data, (3, *grid.shape), (slice(None), *box)))
+    def embedded(self) -> "CellVectorField":
+        """This field on its grid's ``root``, in zeros off its ``box``: the
+        field's data itself when the box is the whole root."""
+        root = self.grid.root
+        return CellVectorField(root, embed(self.data, (3, *root.shape),
+                                           (slice(None), *self.grid.box)))
 
     def pointwise_norm(self) -> np.ndarray:
         return np.sqrt(np.sum(self.data ** 2, axis=0))
@@ -515,7 +525,7 @@ class DomainMask:
         """Raise GridError, naming what differs, unless the mask is on ``grid``."""
         if self.grid != grid:
             diff = ", ".join(f"{name} {getattr(self.grid, name)} != {getattr(grid, name)}"
-                             for name in ("nx", "ny", "nz", "h", "origin", "pad")
+                             for name in ("nx", "ny", "nz", "h", "origin", "pad", "host")
                              if getattr(self.grid, name) != getattr(grid, name))
             raise GridError(f"mask is on another grid (mask vs field): {diff}")
 

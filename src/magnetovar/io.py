@@ -51,13 +51,9 @@ def write_legacy_vector_dump(path: Path, m: CellVectorField) -> None:
     """
     grid = m.grid
     n1, n2, n3 = grid.shape
-    ox = grid.origin[0] + 0.5 * grid.h
-    oy = grid.origin[1] + 0.5 * grid.h
-    oz = grid.origin[2] + 0.5 * grid.h
-    head = LEGACY_HEADER_TEMPLATE.format(
-        nx=n1, ny=n2, nz=n3,
-        ox=FLOAT_FORMAT % ox, oy=FLOAT_FORMAT % oy, oz=FLOAT_FORMAT % oz,
-        h=FLOAT_FORMAT % grid.h, count=n1 * n2 * n3)
+    ox, oy, oz = (FLOAT_FORMAT % (o + 0.5 * grid.h) for o in grid.origin)
+    head = LEGACY_HEADER_TEMPLATE.format(nx=n1, ny=n2, nz=n3, ox=ox, oy=oy, oz=oz,
+                                         h=FLOAT_FORMAT % grid.h, count=n1 * n2 * n3)
     # structured-points order: x varies fastest, then y, then z
     flat = m.data.transpose(3, 2, 1, 0).reshape(-1, 3)
     body = "\n".join(" ".join(FLOAT_FORMAT % v for v in row) for row in flat)

@@ -22,10 +22,11 @@ box) the stray-field energy is computed three ways:
   ||D a||^2 = <m, curl a>, so the energy is 1/2 ||m||^2 - 1/2 <m, curl a>:
   each solved energy is half the pairing of the potential with its source.
 
-Each route finds the support box of ``m`` once (``grid.support_box``:
-its nonzeros grown by one cell), checks ``m`` there and builds its sources
-``-div m`` and ``curl m`` there only, embedded in zeros; the checked
-solves and their true residuals still run on the whole grid.
+Each route reads ``m`` on a box: its sub grid's (``GridSpec.sub_grid``), or
+else the support box it finds once (``grid.support_box``: the nonzeros
+grown by one cell).  It checks ``m`` there and builds ``-div m`` and
+``curl m`` there only, embedded in zeros of the root grid, where the
+checked solves, their true residuals, ``u`` and ``a`` live.
 
 By construction W(m, u) <= V_curl(m, a) <= V(m, a) holds for *every*
 discrete trial pair, so the duality sandwich is exact in floating point.
@@ -100,34 +101,40 @@ class VectorPotentialSolution:
     iterations: int
 
 
-def _checked_on_box(m: VectorField, mask: DomainMask | None):
-    """(``m`` on its ``support_box``, a view on a ``pad = 0`` grid, the box);
-    raises unless ``m`` is a finite face field supported on ``mask``.
-
-    Every nonzero, non-finite values included, lies on the box, so the checks
-    read it only, in order: finiteness, the mask's grid, the support on the
-    box's mask.  A support failure raises ``check_supported``'s full-grid
-    error, which names the component and face."""
+def _checked_on_box(m: VectorField, mask: DomainMask | None) -> VectorField:
+    """``m`` on a sub grid of its solves' grid: ``m`` itself if it has a host,
+    else ``m`` on its ``support_box``, which holds every nonzero, non-finite
+    values included.  The checks read the box only, in order: finiteness,
+    the mask's grid, the support on the box's mask (a failure raises
+    ``check_supported``'s error on all of ``m``, naming component and face),
+    and zeros on each side of the box with root cells beyond it, past which
+    -div m would reach (always so on a support box, grown by one cell)."""
     if m.staggering != FACE:
         raise GridError("magnetization must be face-staggered")
-    box = support_box(m.grid.shape, *m.components)
-    m_box = m.on_box(box)
+    m_box = m if m.grid.host else m.on_grid(
+        m.grid.sub_grid(support_box(m.grid.shape, *m.components)))
     if not all(np.isfinite(comp).all() for comp in m_box.components):
         raise GridError("magnetization contains non-finite values")
     if mask is not None:
         mask.check_grid(m.grid)
         try:
-            check_supported(m_box, mask.on_box(box))
+            check_supported(m_box, mask if m_box is m else mask.on_box(m_box.grid.box))
         except SupportError:
             check_supported(m, mask)
             raise
-    return m_box, box
+    for axis, (comp, side, n) in enumerate(zip(m_box.components, m_box.grid.box,
+                                               m_box.grid.root.shape)):
+        ends = [end for end, beyond in ((0, side.start > 0), (-1, side.stop < n)) if beyond]
+        if np.any(np.take(comp, ends, axis=axis)):
+            raise SupportError(f"magnetization component {'xyz'[axis]} is nonzero on a "
+                               f"side of its sub grid with cells of the grid beyond it")
+    return m_box
 
 
-def _charge(m_box: VectorField, box: tuple[slice, ...], shape) -> np.ndarray:
-    """-div m on the full grid from ``m`` on ``box``: built on the box, embedded
-    in zeros and negated in place, as the full-grid -div is (-0.0 off the box)."""
-    rho = embed(div(m_box).data, shape, box)
+def _charge(m_box: VectorField) -> np.ndarray:
+    """-div m on the root of ``m_box``'s sub grid: built on the box, embedded in
+    zeros and negated in place, as the root's -div is (-0.0 off the box)."""
+    rho = embed(div(m_box).data, m_box.grid.root.shape, m_box.grid.box)
     return np.negative(rho, out=rho)
 
 
@@ -136,9 +143,11 @@ def _edge_box(box: tuple[slice, ...], c: int) -> tuple[slice, ...]:
     return grow_box(box, *(axis for axis in range(3) if axis != c))
 
 
-def _curl_source(m_box: VectorField, box: tuple[slice, ...], c: int, grid: GridSpec):
-    """Component ``c`` of curl m on the full grid, built on the box's edges."""
-    return embed(curl_component(m_box, c), edge_shapes(grid)[c], _edge_box(box, c))
+def _curl_source(m_box: VectorField, c: int):
+    """Component ``c`` of curl m on the root of the sub grid of ``m_box``,
+    built on the box's edges."""
+    return embed(curl_component(m_box, c), edge_shapes(m_box.grid.root)[c],
+                 _edge_box(m_box.grid.box, c))
 
 
 def _sq(a: np.ndarray) -> float:
@@ -166,11 +175,12 @@ def solve_scalar_potential(m: VectorField, mask: DomainMask | None,
     ``energy = 1/2 <u, rho>``, rho = -div m the right-hand side, summed on the
     box off which rho is zero (1/2 ||grad u||^2 up to the solve's residual).
     """
-    m_box, box = _checked_on_box(m, mask)
-    rhs = _charge(m_box, box, m.grid.shape)
-    u_data, res, iters = _cell_poisson(rhs, m.grid, cfg)
-    energy = 0.5 * float(np.vdot(u_data[box], rhs[box])) * m.grid.cell_volume
-    return StrayFieldSolution(u=ScalarField(m.grid, u_data, CELL), energy=energy,
+    m_box = _checked_on_box(m, mask)
+    grid, box = m_box.grid.root, m_box.grid.box
+    rhs = _charge(m_box)
+    u_data, res, iters = _cell_poisson(rhs, grid, cfg)
+    energy = 0.5 * float(np.vdot(u_data[box], rhs[box])) * grid.cell_volume
+    return StrayFieldSolution(u=ScalarField(grid, u_data, CELL), energy=energy,
                               residual=res, iterations=iters)
 
 
@@ -225,16 +235,16 @@ def minimize_V(m: VectorField, mask: DomainMask | None, cfg: SolverConfig):
 
     Returns (a, worst residual, total iterations); ``a`` is not gauged.
     """
-    m_box, box = _checked_on_box(m, mask)
+    m_box = _checked_on_box(m, mask)
     comps = []
     res_max, iters_total = 0.0, 0
     for c in range(3):
-        x, res, iters = poisson.solve_poisson(_curl_source(m_box, box, c, m.grid), m.grid.h,
+        x, res, iters = poisson.solve_poisson(_curl_source(m_box, c), m.grid.h,
                                               cfg.tol, cfg.max_iter, cfg.preconditioner)
         comps.append(x)
         res_max = max(res_max, res)
         iters_total += iters
-    return VectorField(m.grid, *comps, staggering=EDGE), res_max, iters_total
+    return VectorField(m_box.grid.root, *comps, staggering=EDGE), res_max, iters_total
 
 
 def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None,
@@ -254,7 +264,8 @@ def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None
     div_norm = norm(div(a_star))
     curl_a = curl(a_star)
     return VectorPotentialSolution(a=a_star, curl_a=curl_a, div_norm=div_norm,
-                                   energy=0.5 * inner(m, m) - 0.5 * inner(m, curl_a),
+                                   energy=0.5 * inner(m, m)
+                                   - 0.5 * inner(m, curl_a.on_grid(m.grid)),
                                    residual=max(res_max, res_p),
                                    iterations=iters_total + iters_p)
 
@@ -263,17 +274,15 @@ _EDGE_KINDS = tuple(tuple("dst" if axis == c else "dct" for axis in range(3))
                     for c in range(3))
 
 
-def _solve_curl_curl(m_box: VectorField, box: tuple[slice, ...], grid: GridSpec,
-                     cfg: SolverConfig):
-    """Solve  curl curl a = curl m  for an edge field of ``grid``, from ``m`` on
-    its support box; (a, curl a, residual, iterations).
-
-    Each component of the source curl m is built on the box.  The
-    direct solve takes one transform solve per component, and its true
-    residual ||b - curl curl a|| / ||b|| is summed one component at a time,
-    each component of b rebuilt on the box, so only ``a`` and ``curl a``
-    are held.  Plain CG runs on the concatenated components.
+def _solve_curl_curl(m_box: VectorField, cfg: SolverConfig):
+    """Solve  curl curl a = curl m  on the root of ``m_box``'s sub grid;
+    (a, curl a, residual, iterations).  Each component of curl m is built on
+    the box.  The direct solve takes one transform solve per component, and
+    its true residual ||b - curl curl a|| / ||b|| is summed one component at
+    a time, each component of b rebuilt on the box, so only ``a`` and
+    ``curl a`` are held.  Plain CG runs on the concatenated components.
     """
+    grid, box = m_box.grid.root, m_box.grid.box
     if cfg.preconditioner == "none":
         shapes = edge_shapes(grid)
         splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
@@ -286,7 +295,7 @@ def _solve_curl_curl(m_box: VectorField, box: tuple[slice, ...], grid: GridSpec,
         def flat(f):
             return np.concatenate([c.ravel() for c in f.components])
 
-        b = np.concatenate([_curl_source(m_box, box, c, grid).ravel() for c in range(3)])
+        b = np.concatenate([_curl_source(m_box, c).ravel() for c in range(3)])
         x, res, iters = poisson.pcg(lambda v: flat(curl(curl(field(v)))), b,
                                     cfg.tol, cfg.max_iter)
         a = field(x)
@@ -295,8 +304,7 @@ def _solve_curl_curl(m_box: VectorField, box: tuple[slice, ...], grid: GridSpec,
     if bnorm == 0.0:
         a = VectorField.zeros(grid, EDGE)
         return a, curl(a), 0.0, 0
-    a = VectorField(grid, *(poisson.transform_solve(_curl_source(m_box, box, c, grid),
-                                                    grid.h, k)
+    a = VectorField(grid, *(poisson.transform_solve(_curl_source(m_box, c), grid.h, k)
                             for c, k in enumerate(_EDGE_KINDS)), staggering=EDGE)
     curl_a = curl(a)
     r2 = 0.0
@@ -326,12 +334,18 @@ def solve_vector_potential_gauged(m: VectorField, mask: DomainMask | None,
     rounding.  The ``curl a`` of the residual check is returned, and the
     energy 1/2 ||curl a - m||^2 is summed one component at a time.
     """
-    a, curl_a, res, iters = _solve_curl_curl(*_checked_on_box(m, mask), m.grid, cfg)
+    m_box = _checked_on_box(m, mask)
+    a, curl_a, res, iters = _solve_curl_curl(m_box, cfg)
     div_norm = norm(div(a))
-    # 0.5 * inner(curl_a - m, curl_a - m) bit for bit, one component at a time
-    d2 = sum(_sq(ca - mc) for ca, mc in zip(curl_a.components, m.components))
+    # 0.5 * inner(curl_a - m, curl_a - m) on the root, one component at a time
+    # (bit for bit on a full-grid m: off its box m is zero and ca - 0 = ca)
+    d2 = 0.0
+    for axis, (ca, mc) in enumerate(zip(curl_a.components, m_box.components)):
+        d = ca.copy()
+        d[grow_box(m_box.grid.box, axis)] -= mc
+        d2 += _sq(d)
     return VectorPotentialSolution(a=a, curl_a=curl_a, div_norm=div_norm,
-                                   energy=0.5 * (d2 * m.grid.cell_volume),
+                                   energy=0.5 * (d2 * a.grid.cell_volume),
                                    residual=res, iterations=iters)
 
 
@@ -400,11 +414,9 @@ def _unit_charges(mask: DomainMask) -> list[np.ndarray]:
     """The charges -div(e_i Chi), i = x, y, z, of a nonempty mask, built on the
     support box of its indicator and embedded in zeros: the full-grid build
     bit for bit, at the box's cost."""
-    box = support_box(mask.grid.shape, mask.indicator)
-    box_mask = mask.on_box(box)
+    box_mask = mask.on_box(support_box(mask.grid.shape, mask.indicator))
     return [_charge(masked_cell_to_faces(
-        CellVectorField.constant(box_mask.grid, e, box_mask), box_mask),
-        box, mask.grid.shape) for e in np.eye(3)]
+        CellVectorField.constant(box_mask.grid, e, box_mask), box_mask)) for e in np.eye(3)]
 
 
 def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,

@@ -29,9 +29,9 @@ same cap.  The Armijo test then shrinks the trial by the factor
 Both schemes iterate on the mask's support box (``grid.support_box``):
 every iterate, trial, tangential field, local energy and field term, and
 the face transfer with its adjoint live on the box's ``sub_grid``.  Only
-the stray solves run on the padded grid, from the face field embedded in
-its zeros (``energy.face_field``); ``m`` goes back to the full grid once,
-at return.
+the stray solves run on the padded grid, the sub grid's root, where ``u``,
+``a`` and ``curl a`` live, read back on the box with ``on_grid``; ``m``
+goes back to the full grid once, at return (``embedded``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ConvergenceError, GridError
 from .grid import EDGE, CellVectorField, DomainMask, VectorField, support_box
 from .energy import (ALL_TERMS, MaterialParams, anisotropy_energy, effective_field,
-                     exchange_energy, face_field, total_energy, zeeman_energy)
+                     exchange_energy, total_energy, zeeman_energy)
 from .magnetostatics import SolverConfig, minimize_V
 from .operators import (curl, grad_norm_sq, inner, masked_cell_to_faces,
                         masked_faces_to_cell_adjoint)
@@ -126,12 +126,10 @@ def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float, cap: float) -> float
 
 
 def _on_support_box(m0: CellVectorField, mask: DomainMask):
-    """(box, host, mask on the box, ``m0`` on the box normalized on the mask),
-    with ``host = (mask, box)`` as ``energy.face_field`` takes it."""
+    """(mask on its support box, ``m0`` on the box normalized on that mask)."""
     box = support_box(mask.grid.shape, mask.indicator)
     local = mask.on_box(box)
-    m = CellVectorField(local.grid, _normalize_on_mask(m0.on_box(box).data, local))
-    return box, (mask, box), local, m
+    return local, CellVectorField(local.grid, _normalize_on_mask(m0.on_box(box).data, local))
 
 
 def _armijo(m: CellVectorField, t: np.ndarray, energy: float, gnorm: float,
@@ -164,19 +162,15 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
     ConvergenceError if backtracking cannot produce descent (step underflow
     before reaching grad_tol).
     """
-    report = MinimizeReport(iterations=0)
     if mask.is_empty():
-        report.converged = True
-        report.final_grad_norm = 0.0
-        report.energy_trace.append(0.0)
-        return m0.copy(), report
-
+        return m0.copy(), MinimizeReport(0, [0.0], final_grad_norm=0.0, converged=True)
+    report = MinimizeReport(iterations=0)
     vol = mask.grid.cell_volume
     cap = mcfg.step * STEP_GROWTH_CAP
-    box, host, local, m = _on_support_box(m0, mask)
+    local, m = _on_support_box(m0, mask)
 
     def evaluate(trial):
-        breakdown = total_energy(trial, params, local, scfg, terms=terms, host=host)
+        breakdown = total_energy(trial, params, local, scfg, terms=terms)
         return breakdown.total, breakdown.stray_solution
 
     energy, stray = evaluate(m)
@@ -184,7 +178,7 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
     m_prev = t_prev = None
 
     for it in range(1, mcfg.max_iter + 1):
-        hf = effective_field(m, params, local, scfg, terms=terms, stray=stray, host=host)
+        hf = effective_field(m, params, local, scfg, terms=terms, stray=stray)
         t = _tangential(hf.data, m.data) * local.indicator
         gnorm = _grad_norm(t, vol)
         report.final_grad_norm = gnorm
@@ -207,31 +201,30 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
         step = min(step / mcfg.backtrack, cap)
     else:
         report.final_grad_norm = _grad_norm(
-            _tangential(effective_field(m, params, local, scfg, terms=terms, stray=stray,
-                                        host=host).data, m.data) * local.indicator, vol)
+            _tangential(effective_field(m, params, local, scfg, terms=terms,
+                                        stray=stray).data, m.data) * local.indicator, vol)
         report.converged = report.final_grad_norm <= mcfg.grad_tol
-    return m.embedded(mask.grid, box), report
+    return m.embedded(), report
 
 
 def _fixed_a_energy(a: VectorField, params: MaterialParams, mask: DomainMask,
-                    terms=ALL_TERMS, host=None):
+                    terms=ALL_TERMS):
     """The product-space functional as a function of m at fixed ``a``.
 
-    Returns (energy, curl a), where energy(m) = local terms + V(face m, a).
-    The m-independent parts of V, 1/2 ||D a||^2 and curl a, are computed
-    once here; the stray part is ``functional_V(face m, a)`` bit for bit
-    (the same terms in the same order, summed over the full grid's faces:
-    ``m`` may live on a box, see ``energy.face_field`` for ``host``).
-    ``a`` may be the caller's start ``a0``, not a minimizer, so
-    1/2 ||D a||^2 is not replaced by a pairing.
+    Returns (energy, curl a on the mask's grid), where energy(m) = local
+    terms + V(face m, a).  The m-independent parts of V, 1/2 ||D a||^2 and
+    curl a, are computed once here; the stray part is the terms of
+    ``functional_V(face m, a)`` in its order, the pairing summed on the mask's
+    grid (bit for bit if ``a`` is on it too).  ``a`` may be the caller's start
+    ``a0``, not a minimizer, so 1/2 ||D a||^2 is not replaced by a pairing.
     """
     if a.staggering != EDGE:
         raise GridError("vector potential must be edge-staggered")
     half_da2 = 0.5 * grad_norm_sq(a)
-    curl_a = curl(a)
+    curl_a = curl(a).on_grid(mask.grid)
 
     def energy(m: CellVectorField) -> float:
-        mf = face_field(m, mask, host)
+        mf = masked_cell_to_faces(m, mask)
         total = half_da2 + 0.5 * inner(mf, mf) - inner(mf, curl_a)
         if "exchange" in terms:
             total += exchange_energy(m, mask, check_norm=False)
@@ -244,10 +237,10 @@ def _fixed_a_energy(a: VectorField, params: MaterialParams, mask: DomainMask,
     return energy, curl_a
 
 
-def _a_step(m: CellVectorField, mask: DomainMask, host, scfg: SolverConfig) -> VectorField:
+def _a_step(m: CellVectorField, mask: DomainMask, scfg: SolverConfig) -> VectorField:
     """Exact minimizer of the unconstrained stray functional for fixed m, on
-    the full grid of ``host = (full-grid mask, box)``."""
-    return minimize_V(face_field(m, mask, host), host[0], scfg)[0]
+    the root of the mask's grid."""
+    return minimize_V(masked_cell_to_faces(m, mask), mask, scfg)[0]
 
 
 def minimize_joint(m0: CellVectorField, a0: VectorField | None,
@@ -260,34 +253,31 @@ def minimize_joint(m0: CellVectorField, a0: VectorField | None,
     ``m_steps_per_sweep`` projected-gradient steps on the magnetization at
     fixed potential (the stray part of the field is then local:
     curl a - m pulled back to cells).  The joint energy trace is monotone.
-    Returns (m, a, MinimizeReport).
+    Returns (m, a, MinimizeReport).  ``terms`` must hold the stray term.
     """
-    report = MinimizeReport(iterations=0)
+    if "stray" not in terms:
+        raise GridError("joint_alternating minimizes over the stray term's potential: "
+                        "terms must include 'stray'")
+    a = a0 if a0 is not None else VectorField.zeros(mask.grid.root, EDGE)
     if mask.is_empty():
-        report.converged = True
-        report.final_grad_norm = 0.0
-        report.energy_trace.append(0.0)
-        if a0 is None:
-            a0 = VectorField.zeros(mask.grid, EDGE)
-        return m0.copy(), a0, report
-
+        return m0.copy(), a, MinimizeReport(0, [0.0], final_grad_norm=0.0, converged=True)
+    report = MinimizeReport(iterations=0)
     vol = mask.grid.cell_volume
     cap = mcfg.step * STEP_GROWTH_CAP
     local_terms = tuple(t for t in terms if t != "stray")
-    box, host, local, m = _on_support_box(m0, mask)
-    a = a0 if a0 is not None else VectorField.zeros(mask.grid, EDGE)
-    energy = _fixed_a_energy(a, params, local, terms, host)[0](m)
+    local, m = _on_support_box(m0, mask)
+    energy = _fixed_a_energy(a, params, local, terms)[0](m)
     report.energy_trace.append(energy)
     step = mcfg.step
     total_m_steps = 0
 
     for sweep in range(1, mcfg.max_iter + 1):
-        a = _a_step(m, local, host, scfg)
-        joint, curl_a = _fixed_a_energy(a, params, local, terms, host)
+        a = _a_step(m, local, scfg)
+        joint, curl_a = _fixed_a_energy(a, params, local, terms)
         energy = joint(m)
         report.energy_trace.append(energy)
 
-        curl_a_cells = masked_faces_to_cell_adjoint(curl_a.on_box(box), local)
+        curl_a_cells = masked_faces_to_cell_adjoint(curl_a, local)
         gnorm = None
         m_prev = t_prev = None  # the secant pair is taken within one sweep
         for _ in range(m_steps_per_sweep):
@@ -313,8 +303,8 @@ def minimize_joint(m0: CellVectorField, a0: VectorField | None,
         report.final_grad_norm = gnorm if gnorm is not None else float("nan")
         if gnorm is not None and gnorm <= mcfg.grad_tol:
             # converged only if the potential is also stationary
-            a_new = _a_step(m, local, host, scfg)
-            e_new = _fixed_a_energy(a_new, params, local, terms, host)[0](m)
+            a_new = _a_step(m, local, scfg)
+            e_new = _fixed_a_energy(a_new, params, local, terms)[0](m)
             if abs(e_new - energy) <= max(abs(energy), 1.0) * 10 * scfg.tol:
                 a = a_new
                 report.energy_trace.append(e_new)
@@ -322,4 +312,4 @@ def minimize_joint(m0: CellVectorField, a0: VectorField | None,
                 break
             a, energy = a_new, e_new
             report.energy_trace.append(energy)
-    return m.embedded(mask.grid, box), a, report
+    return m.embedded(), a, report

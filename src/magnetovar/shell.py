@@ -32,6 +32,8 @@ from .magnetostatics import SolverConfig, solve_scalar_potential
 
 FieldFn = Callable[[np.ndarray], np.ndarray]
 
+MAX_TRIANGLES = 2 ** 20  # most triangles a mesh may have: a level-7 icosphere has 327,680
+
 
 # ---------------------------------------------------------------------------
 # parametric surface meshes
@@ -122,6 +124,8 @@ def make_sphere_mesh(radius: float = 1.0, level: int = 3) -> SurfaceMesh:
         raise GridError(f"radius must be positive and finite, got {radius}")
     if level < 0:
         raise GridError(f"level must be at least 0, got {level}")
+    if 20 * 4 ** min(level, 16) > MAX_TRIANGLES:  # 4^16 > the cap: no huge power is formed
+        raise GridError(f"icosphere level {level} gives more than {MAX_TRIANGLES} triangles")
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
@@ -180,6 +184,9 @@ def make_torus_mesh(r_major: float = 2.0, r_minor: float = 0.5,
     for name, n in (("n_major", n_major), ("n_minor", n_minor)):
         if n < 3:
             raise GridError(f"{name} must be at least 3, got {n}")
+    if 2 * n_major * n_minor > MAX_TRIANGLES:
+        raise GridError(f"torus n_major {n_major}, n_minor {n_minor} gives more than "
+                        f"{MAX_TRIANGLES} triangles")
     u = 2 * np.pi * np.arange(n_major) / n_major
     v = 2 * np.pi * np.arange(n_minor) / n_minor
     U, Vv = np.meshgrid(u, v, indexing="ij")

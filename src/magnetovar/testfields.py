@@ -66,9 +66,7 @@ def _check_support(spec: TestFieldSpec, grid: GridSpec):
 
 
 def _xi(spec: TestFieldSpec, x, y, z):
-    xi = [np.full_like(x, spec.xi_const[0]),
-          np.full_like(x, spec.xi_const[1]),
-          np.full_like(x, spec.xi_const[2])]
+    xi = [np.full_like(x, c) for c in spec.xi_const]
     if spec.xi_quad is not None:
         Q = np.asarray(spec.xi_quad, dtype=float)
         pos = (x, y, z)
@@ -87,10 +85,7 @@ def solenoidal_bump(spec: TestFieldSpec, grid: GridSpec) -> VectorField:
     comps = []
     for axis in range(3):
         coords = grid.face_centers(axis)
-        x, y, z = np.meshgrid(*coords, indexing="ij")
-        x = x - spec.center[0]
-        y = y - spec.center[1]
-        z = z - spec.center[2]
+        x, y, z = (a - c for a, c in zip(np.meshgrid(*coords, indexing="ij"), spec.center))
         r = np.sqrt(x * x + y * y + z * z)
         rho = smooth_cutoff(r, spec.r0)
         xi = _xi(spec, x, y, z)
@@ -107,11 +102,8 @@ def gradient_bump(spec: TestFieldSpec, grid: GridSpec) -> VectorField:
     negative up to solver tolerance, saturating the unit operator norm.
     """
     _check_support(spec, grid)
-    xs, ys, zs = grid.cell_centers()
-    x, y, z = np.meshgrid(xs, ys, zs, indexing="ij")
-    x = x - spec.center[0]
-    y = y - spec.center[1]
-    z = z - spec.center[2]
+    x, y, z = (a - c for a, c in zip(np.meshgrid(*grid.cell_centers(), indexing="ij"),
+                                     spec.center))
     r2 = x * x + y * y + z * z
     v = np.exp(-r2 / spec.sigma ** 2) * smooth_cutoff(np.sqrt(r2), spec.r0)
     return grad(ScalarField(grid, v, CELL))

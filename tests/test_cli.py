@@ -160,6 +160,11 @@ def test_solve_rejects_non_finite_material_and_minimizer_values(tmp_path, capsys
     ("shell-study", "shell_sphere", "shell.radius = inf", "radius"),
     ("shell-study", "shell_sphere", "shell.surface = torus\nshell.r_major = nan", "r_major"),
     ("shell-study", "shell_sphere", "shell.surface = torus\nshell.r_minor = -0.5", "r_minor"),
+    # 20 4^12 triangles; 2 * 10^5 * 10^5 = 2e10 triangles: neither mesh is built
+    ("shell-study", "shell_sphere", "shell.level = 12", "icosphere level 12 gives more"),
+    ("shell-study", "shell_sphere",
+     "shell.surface = torus\nshell.n_major = 100000\nshell.n_minor = 100000",
+     "torus n_major 100000, n_minor 100000 gives more"),
 ])
 def test_non_finite_or_out_of_range_sizes_are_config_errors(tmp_path, capsys, command,
                                                             base, lines, quantity):
@@ -217,6 +222,18 @@ def test_bad_float_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, quan
     assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "o.cfg: " in err and quantity in err
+    assert not out.exists()
+
+
+def test_joint_method_without_stray_exits_2_at_load(tmp_path, capsys):
+    # the joint scheme's potential is the stray term's variable
+    root = Path(__file__).resolve().parent.parent
+    body = ((root / "configs" / "solve_zeeman.cfg").read_text()
+            + "minimize.method = joint_alternating\n")
+    cfg = write_cfg(tmp_path, "j.cfg", body)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "j.cfg: minimize.method = joint_alternating needs 'stray'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -278,6 +295,26 @@ minimize.terms = zeeman
     assert dump[0] == "# vtk DataFile Version 2.0"
     assert dump[3] == "DATASET STRUCTURED_POINTS"
     assert dump[8].startswith("VECTORS m double")
+
+
+@pytest.mark.parametrize("method", ["projected_gradient", "joint_alternating"])
+def test_solve_with_stray_term_is_deterministic(tmp_path, method):
+    # two runs with the same seed write byte-identical CSVs
+    cfg = write_cfg(tmp_path, "s.cfg", BASE + f"""
+grid.h = 0.25
+grid.pad_ratio = 0.5
+material.q = 0.1
+minimize.method = {method}
+minimize.max_iter = 4
+minimize.terms = exchange anisotropy stray
+dump.fields = false
+""")
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    for out in (out1, out2):
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    for name in ("trace.csv", "summary.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert len((out1 / "trace.csv").read_text().splitlines()) > 3
 
 
 def test_shell_study_command(tmp_path):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnetovar.errors import GridError, SupportError
-from magnetovar.grid import (MAX_CELLS, Box, DomainMask, Ellipsoid, GridSpec, Shell,
-                             build_mask, face_shapes, grid_for_geometry, grow_box,
-                             nonzero_box, support_box)
+from magnetovar.grid import (EDGE, FACE, MAX_CELLS, Box, CellVectorField, DomainMask,
+                             Ellipsoid, GridSpec, Shell, VectorField, build_mask,
+                             face_shapes, grid_for_geometry, grow_box, nonzero_box,
+                             support_box)
 from magnetovar.shell import make_sphere_mesh
 
 
@@ -182,6 +183,51 @@ def test_support_box_holds_every_nonzero_face_with_both_its_cells(cells, fill, s
         assert np.count_nonzero(f[on_box]) == np.count_nonzero(f)
         hit = f[on_box] != 0
         assert np.array_equal(boxed.face_count(axis)[hit], mask.face_count(axis)[on_box][hit])
+
+
+def test_a_sub_grid_knows_its_root_and_its_box():
+    grid = GridSpec.centered_box((6, 5, 4), 0.25, pad=2)
+    assert grid.root is grid and grid.box == tuple(slice(0, n) for n in grid.shape)
+    box = (slice(1, 7), slice(2, 8), slice(0, 5))
+    sub = grid.sub_grid(box)
+    assert sub.root == grid and sub.box == box and sub.pad == 0
+    # a sub grid of a sub grid records the root and its box there
+    inner = (slice(1, 3), slice(0, 4), slice(2, 5))
+    subsub = sub.sub_grid(inner)
+    assert subsub.root == grid
+    assert subsub == grid.sub_grid((slice(2, 4), slice(2, 6), slice(2, 5)))
+    rng = np.random.default_rng(0)
+    m = CellVectorField(grid, rng.standard_normal((3, *grid.shape)))
+    back = m.on_box(box).embedded()
+    assert back.grid == grid
+    assert np.array_equal(back.data[(slice(None), *box)], m.data[(slice(None), *box)])
+    back.data[(slice(None), *box)] = 0.0
+    assert not back.data.any()
+    assert m.embedded().data is m.data
+    f = VectorField(grid, *(rng.standard_normal(s) for s in face_shapes(grid)), staggering=FACE)
+    assert f.on_grid(grid) is f
+    on_sub = f.on_grid(sub)
+    assert on_sub.grid == sub
+    assert all(np.array_equal(part, comp[grow_box(box, axis)])
+               for axis, (part, comp) in enumerate(zip(on_sub.components, f.components)))
+    # a field is not read on a grid it does not hold (its root, another grid),
+    # nor an edge field on a sub grid
+    for field, other in ((on_sub, grid), (f, GridSpec.centered_box((6, 5, 4), 0.25, pad=1)),
+                         (VectorField.zeros(grid, EDGE), sub)):
+        with pytest.raises(GridError, match="only a face field is read on a sub grid"):
+            field.on_grid(other)
+
+
+def test_check_grid_names_the_host_when_only_it_differs():
+    grid = GridSpec.centered_cube(6, 0.5, pad=2)
+    box = (slice(1, 9), slice(2, 8), slice(0, 10))
+    sub = grid.sub_grid(box)
+    mask = DomainMask(sub, np.zeros(sub.shape))
+    standalone = GridSpec(*sub.shape[:3], sub.h, origin=sub.origin)
+    mask.check_grid(sub)
+    with pytest.raises(GridError) as err:
+        mask.check_grid(standalone)
+    assert str(err.value) == f"mask is on another grid (mask vs field): host {sub.host} != None"
 
 
 def test_support_box_of_a_mask_grows_its_cells_by_one_clipped_to_the_grid():

@@ -520,12 +520,18 @@ def test_three_routes_take_eight_transform_solves_and_one_neumann_solve(monkeypa
     assert counts == {"transform_solve": 8, "solve_poisson_neumann": 1}
 
 
-@pytest.mark.parametrize("masked", [True, False], ids=["mask", "no-mask"])
-def test_each_route_finds_one_support_box(monkeypatch, masked):
+@pytest.mark.parametrize("case", ["mask", "no-mask", "sub-grid"])
+def test_each_route_finds_one_support_box(monkeypatch, case):
     # the box is found once per call and every check and source reads it:
-    # a second scan of m, or a fast path with a full-grid fallback, fails here
+    # a second scan of m, or a fast path with a full-grid fallback, fails here.
+    # A field on a sub grid is on its box already, so it is not scanned.
     grid, mask = ball_mask(8)
     m = random_masked(4, mask)
+    scans = 1
+    if case == "sub-grid":
+        box = support_box(grid.shape, mask.indicator)
+        mask = mask.on_box(box)
+        m, scans = m.on_grid(mask.grid), 0
     calls = []
 
     def counted(*args, _real=magnetostatics.support_box):
@@ -533,13 +539,69 @@ def test_each_route_finds_one_support_box(monkeypatch, masked):
         return _real(*args)
 
     monkeypatch.setattr(magnetostatics, "support_box", counted)
-    for route in list(ROUTE_PEAK_FACES) + [magnetostatics.minimize_V]:
+    for route in list(ROUTE_PEAK_FACES) + [minimize_V]:
         calls.clear()
-        route(m, mask if masked else None, CFG)
-        assert len(calls) == 1, route.__name__
-    calls.clear()
-    demag_tensor(Ellipsoid(1.0, 1.0, 1.0), grid, CFG, mask=mask if masked else None)
-    assert len(calls) == 1
+        route(m, None if case == "no-mask" else mask, CFG)
+        assert len(calls) == scans, route.__name__
+    if case != "sub-grid":
+        calls.clear()
+        demag_tensor(Ellipsoid(1.0, 1.0, 1.0), grid, CFG,
+                     mask=mask if case == "mask" else None)
+        assert len(calls) == 1
+
+
+def _route_energy(route, m, mask, m_full, cfg=CFG):
+    """(energy, the grid of u or a) of ``route`` on ``m``; ``minimize_V``'s
+    energy is V(m_full, a) at its ``a``, ``m_full`` being ``m`` on the root."""
+    if route is minimize_V:
+        a = route(m, mask, cfg)[0]
+        return functional_V(m_full, a), a.grid
+    sol = route(m, mask, cfg)
+    return sol.energy, (sol.u if route is solve_scalar_potential else sol.a).grid
+
+
+@pytest.mark.parametrize("route", list(ROUTE_PEAK_FACES) + [minimize_V],
+                         ids=lambda r: r.__name__)
+@pytest.mark.parametrize("preconditioner", ["dst", "none"])
+def test_routes_on_a_sub_grid_give_the_full_grid_energy(route, preconditioner):
+    # the routes solve a sub-grid field on its root: the energy of the field
+    # placed back in zeros of the root, to rounding, with u and a on the root
+    grid, mask = ball_mask(8)
+    cfg = dataclasses.replace(CFG, preconditioner=preconditioner)
+    m = random_masked(4, mask)
+    box = support_box(grid.shape, mask.indicator)
+    full = _route_energy(route, m, mask, m, cfg)[0]
+    sub_mask = mask.on_box(box)
+    sub, on = _route_energy(route, m.on_grid(sub_mask.grid), sub_mask, m, cfg)
+    assert on == grid
+    assert abs(sub - full) <= 1e-13 * full
+
+
+@pytest.mark.parametrize("route", list(ROUTE_PEAK_FACES) + [minimize_V],
+                         ids=lambda r: r.__name__)
+def test_a_sub_grid_field_must_vanish_on_its_inner_sides(route):
+    # -div m of a field nonzero on a side of its box with root cells beyond
+    # reaches past the box: every route refuses it, naming the component.
+    # On the mask's cells' own box the field is nonzero on every side.
+    grid, mask = ball_mask(8)
+    tight = tuple(slice(s.start + 1, s.stop - 1)
+                  for s in support_box(grid.shape, mask.indicator))
+    m = uniform_ball_m(mask, (1, 0, 0))
+    with pytest.raises(SupportError, match="component x is nonzero on a side"):
+        route(m.on_grid(grid.sub_grid(tight)), mask.on_box(tight), CFG)
+    m_y = VectorField.zeros(grid, FACE)
+    m_y.y[4, 3, 4] = 1.0
+    with pytest.raises(SupportError, match="component y is nonzero on a side"):
+        route(m_y.on_grid(grid.sub_grid((slice(2, 6), slice(3, 6), slice(2, 6)))), None, CFG)
+    # a side on the root's edge has no cells beyond: the field is accepted,
+    # and its energy is the full-grid field's
+    m_edge = VectorField.zeros(grid, FACE)
+    m_edge.x[0, 3, 4] = 1.0
+    m_edge.z[1, 3, 4] = -0.5
+    edge_box = (slice(0, 3), slice(2, 5), slice(3, 6))
+    full = _route_energy(route, m_edge, None, m_edge)[0]
+    sub = _route_energy(route, m_edge.on_grid(grid.sub_grid(edge_box)), None, m_edge)[0]
+    assert full > 0 and abs(sub - full) <= 1e-13 * full
 
 
 @pytest.mark.parametrize("other", [dict(h=2.0 / 9), dict(pad=3)], ids=["same-shape-other-h",

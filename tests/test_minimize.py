@@ -222,6 +222,54 @@ def test_reduced_minimizer_solves_once_per_trial(monkeypatch):
     assert rep.converged
 
 
+def test_minimizer_trials_make_no_support_box_scan(monkeypatch):
+    # the iterates live on a sub grid, so every stray solve finds its box on
+    # the face field's grid: no route scans a face field for it
+    from magnetovar import magnetostatics
+    grid, mask = ball_setup(8)
+    scans = []
+    real = magnetostatics.support_box
+
+    def counted(*args):
+        scans.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(magnetostatics, "support_box", counted)
+    m0 = tilted_uniform(mask, (0.3, 0.15, 0.94))
+    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=4, step=0.5)
+    _, rep = minimize_m(m0, MaterialParams(), mask, mcfg, CFG)
+    _, _, rep_joint = minimize_joint(m0, None, MaterialParams(), mask, mcfg, CFG,
+                                     m_steps_per_sweep=3)
+    assert rep.iterations > 0 and rep_joint.iterations > 0
+    assert scans == []
+
+
+@pytest.mark.parametrize("scheme", ["reduced", "joint"])
+def test_a_sub_grid_mask_gives_the_full_grid_run_on_its_root(scheme):
+    # the mask's support box is the same box of the root either way, so the
+    # runs are the same; m (and a) come back on the root
+    grid, mask = ball_setup(8)
+    box = (slice(3, 21),) * 3
+    m0 = tilted_uniform(mask, (0.3, 0.15, 0.94))
+    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=3, step=0.5)
+    m, a, rep = run_scheme(scheme, m0, MaterialParams(), mask, mcfg)
+    m_sub, a_sub, rep_sub = run_scheme(scheme, m0.on_box(box), MaterialParams(),
+                                       mask.on_box(box), mcfg)
+    assert rep_sub.energy_trace == rep.energy_trace
+    assert m_sub.grid == grid and np.array_equal(m_sub.data, m.data)
+    assert a is None or (a_sub.grid == grid and np.array_equal(a_sub.x, a.x))
+
+
+def test_joint_scheme_needs_the_stray_term():
+    # its potential is the stray term's variable: without "stray" it used to
+    # minimize Zeeman + stray while reporting the Zeeman energy's name
+    grid, mask = ball_setup(8)
+    m0 = random_unit_magnetization(1, mask)
+    with pytest.raises(GridError, match="stray"):
+        minimize_joint(m0, None, MaterialParams(h_applied=(0.0, 0.0, 0.5)), mask,
+                       MinimizeConfig(max_iter=5), CFG, terms=("zeeman",))
+
+
 def test_bb_step_rule():
     from magnetovar.minimize import _bb_step
     s = np.array([1.0, 2.0])

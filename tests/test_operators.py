@@ -494,9 +494,9 @@ def test_box_built_sources_equal_full_grid_sources(sides, two_axis, pad, fill, t
             comp[part] = rng.standard_normal(comp[part].shape)
             comps.append(comp)
     m = VectorField(grid, *comps, staggering=FACE)
-    m_box, box = _checked_on_box(m, mask)
-    pairs = [(_charge(m_box, box, grid.shape), -div(m).data)]
-    pairs += [(_curl_source(m_box, box, c, grid), curl_component(m, c)) for c in range(3)]
+    m_box = _checked_on_box(m, mask)
+    pairs = [(_charge(m_box), -div(m).data)]
+    pairs += [(_curl_source(m_box, c), curl_component(m, c)) for c in range(3)]
     for got, want in pairs:
         assert _same_bits(got + 0.0, want + 0.0) if neg_zero else _same_bits(got, want)
 

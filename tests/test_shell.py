@@ -49,6 +49,21 @@ def test_mesh_builders_reject_bad_sizes(build, name):
         build()
 
 
+def test_mesh_builders_cap_the_triangle_count_before_building(monkeypatch):
+    # a level-12 icosphere would need 20 4^12 = 335,544,320 triangles and a
+    # torus of 10^5 x 10^5 quads 2e10: each is refused before any array exists
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a mesh array was built")
+
+    monkeypatch.setattr(np, "meshgrid", unbuilt)
+    monkeypatch.setattr(np.linalg, "norm", unbuilt)
+    with pytest.raises(GridError, match="icosphere level 12 gives more than 1048576"):
+        sh.make_sphere_mesh(1.0, level=12)
+    with pytest.raises(GridError, match="torus n_major 100000, n_minor 100000"):
+        sh.make_torus_mesh(2.0, 0.5, n_major=100000, n_minor=100000)
+    assert 20 * 4 ** 7 <= sh.MAX_TRIANGLES < 20 * 4 ** 8
+
+
 def test_unknown_mesh_kind_is_rejected():
     with pytest.raises(GridError, match="plane"):
         sh.SurfaceMesh("plane", SPHERE.vertices, SPHERE.triangles, SPHERE.normals,
