@@ -8,7 +8,7 @@ Commands:
 * ``demag``        demagnetizing tensor of the configured ellipsoid;
 * ``solve``        energy minimization (reduced or joint method);
 * ``shell-study``  thin-shell convergence table;
-* ``oracle``       dense-factorization cross-check of the iterative solver.
+* ``oracle``       dense-factorization cross-check of the configured solver.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 solver
 non-convergence, 4 I/O error.  Outputs are CSV tables (17 significant
@@ -100,7 +100,7 @@ KEYS = {
     "material.q": (float, 0.0), "material.easy_axis": (_vec3, (0.0, 0.0, 1.0)),
     "material.h_applied": (_vec3, (0.0, 0.0, 0.0)),
     "solver.tol": (float, 1e-8), "solver.max_iter": (_int_at_least(1), 20000),
-    "solver.backend": (str, "iterative"), "solver.preconditioner": (str, "dst"),
+    "solver.method": (str, "direct"),
     "minimize.method": (str, "projected_gradient"), "minimize.step": (float, 0.25),
     "minimize.backtrack": (float, 0.5), "minimize.grad_tol": (float, 1e-4),
     "minimize.max_iter": (_int_at_least(1), 500), "minimize.terms": (_words, ALL_TERMS),
@@ -168,8 +168,7 @@ def build_solver_config(cfg: RunConfig, tol: float | None = None) -> SolverConfi
     return SolverConfig(
         tol=cfg["solver.tol"] if tol is None else tol,
         max_iter=cfg["solver.max_iter"],
-        backend=cfg["solver.backend"],
-        preconditioner=cfg["solver.preconditioner"],
+        method=cfg["solver.method"],
     )
 
 
@@ -425,6 +424,8 @@ def cmd_shell_study(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
 
 def cmd_oracle(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     solver = build_solver_config(cfg)
+    if solver.method == "dense":
+        raise ConfigError("oracle checks solver.method against dense: set direct or cg")
     n_ball = cfg["oracle.ball_cells"]
     geom = Ellipsoid(1.0, 1.0, 1.0)
     grid = grid_for_geometry(geom, 2.0 / n_ball, 0.8)

@@ -11,7 +11,7 @@ box) the stray-field energy is computed three ways:
   divergence annihilates the discrete curl exactly, and on divergence-free
   fields curl-curl equals the edge vector Laplacian, whose exact mixed
   sine/cosine inverse solves the normal equations directly;
-  ``preconditioner = none`` runs plain CG on them instead.  Either solve
+  ``method = "cg"`` runs plain CG on them instead.  Either solve
   lands in the divergence-free subspace to rounding, so its ``a`` is
   returned as it is (``div_norm`` reports how far off it is);
 * unconstrained route: minimize
@@ -26,7 +26,8 @@ Each route reads ``m`` on a box: its sub grid's (``GridSpec.sub_grid``), or
 else the support box it finds once (``grid.support_box``: the nonzeros
 grown by one cell).  It checks ``m`` there and builds ``-div m`` and
 ``curl m`` there only, embedded in zeros of the root grid, where the
-checked solves, their true residuals, ``u`` and ``a`` live.
+checked solves, their true residuals, ``u`` and ``a`` live.  Every zero-ghost
+solve picks its inverse by ``SolverConfig.method`` in ``poisson.solve_poisson``.
 
 By construction W(m, u) <= V_curl(m, a) <= V(m, a) holds for *every*
 discrete trial pair, so the duality sandwich is exact in floating point.
@@ -46,30 +47,23 @@ from .operators import (check_supported, curl, curl_component, div, grad,
                         grad_norm_sq, inner, masked_cell_to_faces, norm)
 from . import poisson
 
-# The dense oracle's size cap.  Its factor sweeps the longest axis, so at the
-# cap a plane holds at most 32768^(2/3) = 1024 cells, and it stores at most
-# n/2 + 1 plane inverses for n planes: 17 of 8 MB each on a 32^3 grid.
-DENSE_UNKNOWN_CAP = 32768
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Linear-solver policy shared by all field solves."""
+    """Linear-solver policy shared by all field solves.  ``method``: ``"direct"``,
+    ``"cg"`` or ``"dense"`` (zero-ghost lattices only: no curl-curl or node solve)."""
 
     tol: float = 1e-8
     max_iter: int = 20000
-    backend: str = "iterative"
-    preconditioner: str = "dst"
+    method: str = "direct"
 
     def __post_init__(self):
         if not (0.0 < self.tol <= 1e-2):
             raise GridError(f"tol must lie in (0, 1e-2], got {self.tol}")
         if self.max_iter < 1:
             raise GridError("max_iter must be at least 1")
-        if self.backend not in ("iterative", "dense_oracle"):
-            raise GridError(f"unknown backend {self.backend!r}")
-        if self.preconditioner not in ("dst", "none"):
-            raise GridError(f"unknown preconditioner {self.preconditioner!r}")
+        if self.method not in poisson.METHODS:
+            raise GridError(f"unknown solver method {self.method!r}")
 
 
 @dataclass
@@ -155,18 +149,6 @@ def _sq(a: np.ndarray) -> float:
     return float(np.vdot(a, a))
 
 
-def _cell_poisson(b: np.ndarray, grid: GridSpec, cfg: SolverConfig):
-    if cfg.backend == "dense_oracle":
-        if b.size > DENSE_UNKNOWN_CAP:
-            raise GridError(
-                f"dense backend limited to {DENSE_UNKNOWN_CAP} unknowns, got {b.size}"
-            )
-        return poisson.checked_solve(lambda x: poisson.laplace_apply(x, grid.h), b,
-                                     poisson.dense_poisson_solver(b.shape, grid.h),
-                                     cfg.tol, cfg.max_iter, "dst")
-    return poisson.solve_poisson(b, grid.h, cfg.tol, cfg.max_iter, cfg.preconditioner)
-
-
 def solve_scalar_potential(m: VectorField, mask: DomainMask | None,
                            cfg: SolverConfig) -> StrayFieldSolution:
     """Scalar-potential route: discrete weak Poisson problem for u.
@@ -178,7 +160,8 @@ def solve_scalar_potential(m: VectorField, mask: DomainMask | None,
     m_box = _checked_on_box(m, mask)
     grid, box = m_box.grid.root, m_box.grid.box
     rhs = _charge(m_box)
-    u_data, res, iters = _cell_poisson(rhs, grid, cfg)
+    u_data, res, iters = poisson.solve_poisson(rhs, grid.h, cfg.tol, cfg.max_iter,
+                                               cfg.method)
     energy = 0.5 * float(np.vdot(u_data[box], rhs[box])) * grid.cell_volume
     return StrayFieldSolution(u=ScalarField(grid, u_data, CELL), energy=energy,
                               residual=res, iterations=iters)
@@ -219,7 +202,7 @@ def project_divergence_free(a: VectorField, cfg: SolverConfig):
         return a, 0.0, 0
     # div(grad_node p) is the no-flux node Laplacian; kill div a with its inverse
     p, res, iters = poisson.solve_poisson_neumann(d, a.grid.h, cfg.tol,
-                                                  cfg.max_iter, cfg.preconditioner)
+                                                  cfg.max_iter, cfg.method)
     del d
     comps = []
     for axis, comp in enumerate(a.components):
@@ -240,7 +223,7 @@ def minimize_V(m: VectorField, mask: DomainMask | None, cfg: SolverConfig):
     res_max, iters_total = 0.0, 0
     for c in range(3):
         x, res, iters = poisson.solve_poisson(_curl_source(m_box, c), m.grid.h,
-                                              cfg.tol, cfg.max_iter, cfg.preconditioner)
+                                              cfg.tol, cfg.max_iter, cfg.method)
         comps.append(x)
         res_max = max(res_max, res)
         iters_total += iters
@@ -282,8 +265,10 @@ def _solve_curl_curl(m_box: VectorField, cfg: SolverConfig):
     a time, each component of b rebuilt on the box, so only ``a`` and
     ``curl a`` are held.  Plain CG runs on the concatenated components.
     """
+    if cfg.method == "dense":
+        raise GridError("solver method 'dense' has no curl-curl solve")
     grid, box = m_box.grid.root, m_box.grid.box
-    if cfg.preconditioner == "none":
+    if cfg.method == "cg":
         shapes = edge_shapes(grid)
         splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
 
@@ -296,8 +281,8 @@ def _solve_curl_curl(m_box: VectorField, cfg: SolverConfig):
             return np.concatenate([c.ravel() for c in f.components])
 
         b = np.concatenate([_curl_source(m_box, c).ravel() for c in range(3)])
-        x, res, iters = poisson.pcg(lambda v: flat(curl(curl(field(v)))), b,
-                                    cfg.tol, cfg.max_iter)
+        x, res, iters = poisson.cg(lambda v: flat(curl(curl(field(v)))), b,
+                                   cfg.tol, cfg.max_iter)
         a = field(x)
         return a, curl(a), res, iters
     bnorm = poisson.rhs_norm(*(curl_component(m_box, c) for c in range(3)))
@@ -321,13 +306,13 @@ def solve_vector_potential_gauged(m: VectorField, mask: DomainMask | None,
     """Minimize V_curl(m, .) over the discrete divergence-free subspace.
 
     Solves the curl-curl normal equations  curl curl a = curl m  for the
-    three edge components.  With ``preconditioner = "dst"`` the solve is the
+    three edge components.  With ``method = "direct"`` the solve is the
     direct inverse of ``curl curl - grad_node div``, per edge component
     DST-I along its own axis and DCT-II along the two node axes
     (``poisson.transform_solve``); the right-hand side is divergence-free
     by the exact discrete identity, and there that operator equals
     curl-curl, which the true-residual check confirms.
-    ``preconditioner = "none"`` runs plain CG, whose iterates stay in the
+    ``method = "cg"`` runs plain CG, whose iterates stay in the
     range of curl, so in the divergence-free subspace.  Either way ``a``
     lands there to rounding (``div_norm`` = ||div a|| reports it), so no
     projection follows: one would cost a node solve and change only
@@ -405,9 +390,9 @@ def dense_oracle_energy(m: VectorField, mask: DomainMask | None) -> float:
     """Stray energy by direct block factorization of the cell operator.
 
     Independent of the transform and CG solves; limited to
-    ``DENSE_UNKNOWN_CAP`` cell unknowns.
+    ``poisson.DENSE_UNKNOWN_CAP`` cell unknowns.
     """
-    return solve_scalar_potential(m, mask, SolverConfig(backend="dense_oracle")).energy
+    return solve_scalar_potential(m, mask, SolverConfig(method="dense")).energy
 
 
 def _unit_charges(mask: DomainMask) -> list[np.ndarray]:
@@ -441,7 +426,7 @@ def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,
     charges = _unit_charges(mask)
     N = np.empty((3, 3))
     for j in range(3):
-        u = _cell_poisson(charges[j], grid, cfg)[0]
+        u = poisson.solve_poisson(charges[j], grid.h, cfg.tol, cfg.max_iter, cfg.method)[0]
         for i in range(3):
             N[i, j] = np.vdot(u, charges[i]) * grid.cell_volume / vol
         del u

@@ -15,21 +15,28 @@ applied by matrix products (box-restricted forward, in-place inverse), and
 (the true residual ``||b - A x|| / ||b||`` over the full grid).  The apply
 runs slab by slab along axis 0, each slab with a one-plane halo, so every
 slab of ``A x`` is the full apply's bit for bit and the check's temporaries
-are one slab of ``_SLAB_BYTES``, not arrays of the grid's size.  Plain
-conjugate gradients (``pcg``) and a dense block factorization of the
-operator (``dense_poisson_solver``) remain as independent oracles.  All of
-it runs on numpy alone.
+are one slab of ``_SLAB_BYTES``, not arrays of the grid's size.  A solve's
+``method`` picks its inverse: ``"direct"`` the transform solve, ``"cg"``
+plain conjugate gradients (``cg``) or ``"dense"`` a block factorization of
+the zero-ghost operator (``dense_poisson_solver``); the last two are
+independent oracles.  All of it runs on numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, GridError
 from .grid import nonzero_box
 
 CELL_KINDS = ("dst", "dst", "dst")
 NODE_KINDS = ("dct", "dct", "dct")
+METHODS = ("direct", "cg", "dense")
+
+# The dense factorization's size cap.  It sweeps the longest axis, so at the
+# cap a plane holds at most 32768^(2/3) = 1024 unknowns, and it stores at most
+# n/2 + 1 plane inverses for n planes: 17 of 8 MB each on a 32^3 lattice.
+DENSE_UNKNOWN_CAP = 32768
 
 
 def __getattr__(name: str):
@@ -212,20 +219,20 @@ def confirm_direct(res: float, tol: float) -> float:
 
 
 def checked_solve(apply_op, b: np.ndarray, inverse, tol: float, max_iter: int,
-                  preconditioner: str):
+                  method: str):
     """Solve  A x = b  to true relative residual ``tol``.
 
-    ``preconditioner = "dst"`` applies the direct ``inverse`` (a transform
-    solve, or the dense oracle's) once and checks the true residual over
-    the full grid, slab by slab (``stencil_residual_norm``: ``apply_op`` is
-    a 7-point stencil); ``"none"`` runs plain CG, the independent oracle.
+    ``method = "cg"`` runs plain CG; ``"direct"`` and ``"dense"`` apply the
+    direct ``inverse`` (a transform solve, or the dense factorization) once
+    and check the true residual over the full grid, slab by slab
+    (``stencil_residual_norm``: ``apply_op`` is a 7-point stencil).
     Returns (x, residual, iterations); raises ConvergenceError with the
     residual and the iteration count if ``tol`` is not met.
     """
-    if preconditioner == "none":
-        return pcg(apply_op, b, tol=tol, max_iter=max_iter)
-    if preconditioner != "dst":
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
+    if method == "cg":
+        return cg(apply_op, b, tol=tol, max_iter=max_iter)
+    if method not in METHODS:
+        raise ValueError(f"unknown solve method {method!r}")
     bnorm = rhs_norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0, 0
@@ -234,30 +241,33 @@ def checked_solve(apply_op, b: np.ndarray, inverse, tol: float, max_iter: int,
 
 
 def solve_poisson_neumann(b: np.ndarray, h: float, tol: float, max_iter: int,
-                          preconditioner: str = "dst"):
+                          method: str = "direct"):
     """Zero-mean solve of the no-flux node Poisson problem.
 
     The right-hand side must have (numerically) zero sum; this is exact for
-    divergences of edge fields.
+    divergences of edge fields.  ``method = "dense"`` raises GridError.
     """
+    if method == "dense":
+        raise GridError("solver method 'dense' has no no-flux node solve")
     return checked_solve(lambda x: neumann_laplace_apply(x, h), b - b.mean(),
                          lambda r: transform_solve(r, h, NODE_KINDS),
-                         tol, max_iter, preconditioner)
+                         tol, max_iter, method)
 
 
 def solve_poisson(b: np.ndarray, h: float, tol: float, max_iter: int,
-                  preconditioner: str = "dst"):
-    """Solve  -Laplacian(u) = b  to true relative residual ``tol``.
+                  method: str = "direct"):
+    """Solve  -Laplacian(u) = b  (zero ghosts) by ``method`` to true relative
+    residual ``tol``.
 
     Returns (u, residual, iterations).  Raises ConvergenceError if the
     residual target is not met.
     """
-    return checked_solve(lambda x: laplace_apply(x, h), b,
-                         lambda r: transform_solve(r, h, CELL_KINDS),
-                         tol, max_iter, preconditioner)
+    inverse = (dense_poisson_solver(b.shape, h) if method == "dense"
+               else lambda r: transform_solve(r, h, CELL_KINDS))
+    return checked_solve(lambda x: laplace_apply(x, h), b, inverse, tol, max_iter, method)
 
 
-def pcg(apply_op, b: np.ndarray, tol: float, max_iter: int):
+def cg(apply_op, b: np.ndarray, tol: float, max_iter: int):
     """Plain conjugate gradients for an SPD (or consistent SPSD) system.
 
     Convergence is declared on the true relative residual ||b - A x|| / ||b||:
@@ -316,7 +326,8 @@ _DENSE_CACHE: dict[tuple, object] = {}  # the latest factor only
 
 def dense_poisson_solver(shape, h: float):
     """Direct solver of ``laplace_apply`` by block factorization (independent
-    oracle): ``solve(b) -> x`` on C-contiguous arrays of ``shape``.
+    oracle): ``solve(b) -> x`` on C-contiguous arrays of ``shape``; GridError,
+    before any factoring, above ``DENSE_UNKNOWN_CAP`` unknowns.
 
     The operator is block tridiagonal along the longest axis: every plane
     has the same block ``D = kron(T1, I) + kron(I, T2) + 2 I`` (``T`` the
@@ -330,6 +341,9 @@ def dense_poisson_solver(shape, h: float):
     complement; a solve runs forward from both ends to the middle plane,
     then back out to both ends.
     """
+    unknowns = int(np.prod(shape))
+    if unknowns > DENSE_UNKNOWN_CAP:
+        raise GridError(f"solver method 'dense': {unknowns} unknowns exceed {DENSE_UNKNOWN_CAP}")
     key = (tuple(shape), float(h))
     if key not in _DENSE_CACHE:
         _DENSE_CACHE.clear()

@@ -173,7 +173,7 @@ def test_c06_reciprocity_and_operator_norm():
     # dense route on a 12^3 ball under the unknown cap
     small = grid_for_geometry(geom, 2.0 / 12, pad_ratio=0.8)
     small_mask = build_mask(geom, small)
-    dense_cfg = SolverConfig(tol=1e-8, backend="dense_oracle")
+    dense_cfg = SolverConfig(tol=1e-8, method="dense")
     worst_dense = max(
         reciprocity_gap(random_masked(2 * k, small_mask),
                         random_masked(2 * k + 1, small_mask),

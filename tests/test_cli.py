@@ -257,6 +257,16 @@ def test_oracle_beyond_dense_cap_is_config_error(tmp_path, capsys):
     assert not (out / "oracle.csv").exists()
 
 
+def test_oracle_refuses_the_dense_method(tmp_path, capsys):
+    # the oracle's reference is the dense factorization: checked against
+    # itself, its gap would be 0 by construction
+    cfg = write_cfg(tmp_path, "d.cfg", BASE + "solver.method = dense\n")
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "solver.method" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_demag_requires_ellipsoid(tmp_path):
     cfg = write_cfg(tmp_path, "d.cfg", BASE + "geometry.kind = box\n")
     assert main(["demag", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -471,12 +481,15 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_removed_thickness_nodes_key_is_unknown(tmp_path, capsys):
+@pytest.mark.parametrize("line, command", [
     # the shell exchange integrates the thickness exactly; no node count is read
-    path = write_cfg(tmp_path, "old.cfg", BASE + "shell.t_nodes = 4\n")
-    assert main(["shell-study", "--config", path, "--out", str(tmp_path / "o")]) \
-        == EXIT_CONFIG
-    assert "unknown key 'shell.t_nodes'" in capsys.readouterr().err
+    ("shell.t_nodes = 4", "shell-study"),
+    # solver.method replaced both
+    ("solver.backend = iterative", "oracle"), ("solver.preconditioner = dst", "demag")])
+def test_removed_key_is_unknown(tmp_path, capsys, line, command):
+    path = write_cfg(tmp_path, "old.cfg", BASE + line + "\n")
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"unknown key '{line.split()[0]}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

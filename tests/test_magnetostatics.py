@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from magnetovar.errors import ConvergenceError, GridError, SupportError
 from magnetovar.grid import (EDGE, FACE, CellVectorField, DomainMask, Ellipsoid,
                              GridSpec, ScalarField, VectorField, build_mask,
-                             grid_for_geometry, support_box)
-from magnetovar.magnetostatics import (DENSE_UNKNOWN_CAP, SolverConfig, _unit_charges,
+                             edge_shapes, grid_for_geometry, support_box)
+from magnetovar.magnetostatics import (SolverConfig, _unit_charges,
                                        demag_tensor,
                                        dense_oracle_energy, ellipsoid_demag_factors,
                                        functional_V, functional_V_curl, functional_W,
                                        helmholtz_orthogonality_defect,
                                        helmholtz_residual, minimize_V,
+                                       project_divergence_free,
                                        rayleigh_quotient, reciprocity_gap,
                                        solve_scalar_potential,
                                        solve_vector_potential_gauged,
@@ -118,14 +119,14 @@ def test_gauged_route_matches_scalar():
 
 @pytest.mark.parametrize("grid", [GridSpec(2, 5, 7, 0.3),
                                   GridSpec.centered_box((6, 4, 5), 0.25, pad=2)])
-def test_gauged_transform_preconditioner_matches_plain_cg(grid):
+def test_gauged_direct_solve_matches_plain_cg(grid):
     rng = np.random.default_rng(8)
     m = VectorField.zeros(grid, FACE)
     for c in m.components:
         c[:] = rng.standard_normal(c.shape)
     fast = solve_vector_potential_gauged(m, None, SolverConfig(tol=1e-12))
     plain = solve_vector_potential_gauged(
-        m, None, SolverConfig(tol=1e-12, preconditioner="none"))
+        m, None, SolverConfig(tol=1e-12, method="cg"))
     assert fast.iterations <= 3
     assert abs(fast.energy - plain.energy) <= 1e-10 * plain.energy
     # not re-projected: both solves land in the divergence-free subspace
@@ -195,7 +196,7 @@ def test_reciprocity_dense_oracle():
     grid = grid_for_geometry(geom, 2.0 / 12, 0.8)
     assert grid.n_cells <= 32768
     mask = build_mask(geom, grid)
-    cfg = SolverConfig(tol=1e-8, backend="dense_oracle")
+    cfg = SolverConfig(tol=1e-8, method="dense")
     m1, m2 = random_masked(6, mask), random_masked(7, mask)
     assert reciprocity_gap(m1, m2, mask, cfg) < 1e-10
 
@@ -251,8 +252,8 @@ def test_demag_tensor_sphere():
 
 
 @pytest.mark.parametrize("pad_ratio", [0.5, 0.8])
-@pytest.mark.parametrize("preconditioner", ["dst", "none"])
-def test_demag_tensor_matches_face_pairing(pad_ratio, preconditioner):
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_demag_tensor_matches_face_pairing(pad_ratio, method):
     # reference: the face pairing -<h(e_j Chi), e_i Chi>/|Omega| of the field
     # solve, which the cell-charge pairing <u_j, -div(e_i Chi)>/|Omega| equals
     # by exact summation by parts
@@ -260,7 +261,7 @@ def test_demag_tensor_matches_face_pairing(pad_ratio, preconditioner):
     grid = grid_for_geometry(geom, 0.2, pad_ratio)
     assert len(set(grid.shape)) == 3
     mask = build_mask(geom, grid)
-    cfg = SolverConfig(tol=1e-8, preconditioner=preconditioner)
+    cfg = SolverConfig(tol=1e-8, method=method)
     units = [uniform_ball_m(mask, e) for e in np.eye(3)]
     hs = [solve_scalar_potential(unit, mask, cfg).h for unit in units]
     N_ref = np.array([[-inner(hs[j], units[i]) for j in range(3)]
@@ -300,8 +301,8 @@ def test_box_built_charges_equal_full_grid_charges(sides, two_axis, pad, h, fill
 def test_demag_tensor_dense_oracle_matches_iterative():
     geom = Ellipsoid(1.0, 0.7, 0.5)
     grid = grid_for_geometry(geom, 0.2, 0.8)
-    assert np.prod(grid.shape) <= DENSE_UNKNOWN_CAP
-    N_dense = demag_tensor(geom, grid, SolverConfig(backend="dense_oracle"))
+    assert np.prod(grid.shape) <= poisson.DENSE_UNKNOWN_CAP
+    N_dense = demag_tensor(geom, grid, SolverConfig(method="dense"))
     N = demag_tensor(geom, grid, CFG)
     assert np.abs(N_dense - N).max() <= 1e-10 * np.abs(N).max()
 
@@ -451,11 +452,11 @@ def test_h_is_built_on_access_and_not_stored():
         assert hc.tobytes() == (-gc).tobytes()
 
 
-@pytest.mark.parametrize("preconditioner, rel", [("dst", 1e-12), ("none", CFG.tol)])
-def test_scalar_energy_pairing_is_the_field_energy(preconditioner, rel):
+@pytest.mark.parametrize("method, rel", [("direct", 1e-12), ("cg", CFG.tol)])
+def test_scalar_energy_pairing_is_the_field_energy(method, rel):
     # 1/2 <u, -div m> = 1/2 ||grad u||^2 by summation by parts, up to the residual
     grid, mask = ball_mask(8)
-    cfg = SolverConfig(tol=CFG.tol, preconditioner=preconditioner)
+    cfg = SolverConfig(tol=CFG.tol, method=method)
     for seed in range(2):
         sol = solve_scalar_potential(random_masked(seed, mask), mask, cfg)
         h = sol.h
@@ -463,13 +464,12 @@ def test_scalar_energy_pairing_is_the_field_energy(preconditioner, rel):
         assert abs(sol.energy - want) <= rel * want
 
 
-@pytest.mark.parametrize("preconditioner, rel", [("dst", 1e-12), ("none", CFG.tol)])
-def test_unconstrained_energy_pairing_is_the_functional_at_its_minimizer(preconditioner,
-                                                                         rel):
+@pytest.mark.parametrize("method, rel", [("direct", 1e-12), ("cg", CFG.tol)])
+def test_unconstrained_energy_pairing_is_the_functional_at_its_minimizer(method, rel):
     # 1/2 ||m||^2 - 1/2 <m, curl a*> = V(m, a_min): ||D a||^2 = <m, curl a> at the
     # minimizer, and the projection changes curl a by rounding only
     grid, mask = ball_mask(8)
-    cfg = SolverConfig(tol=CFG.tol, preconditioner=preconditioner)
+    cfg = SolverConfig(tol=CFG.tol, method=method)
     for seed in range(2):
         m = random_masked(seed, mask)
         sol = solve_vector_potential_unconstrained(m, mask, cfg)
@@ -562,12 +562,12 @@ def _route_energy(route, m, mask, m_full, cfg=CFG):
 
 @pytest.mark.parametrize("route", list(ROUTE_PEAK_FACES) + [minimize_V],
                          ids=lambda r: r.__name__)
-@pytest.mark.parametrize("preconditioner", ["dst", "none"])
-def test_routes_on_a_sub_grid_give_the_full_grid_energy(route, preconditioner):
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_routes_on_a_sub_grid_give_the_full_grid_energy(route, method):
     # the routes solve a sub-grid field on its root: the energy of the field
     # placed back in zeros of the root, to rounding, with u and a on the root
     grid, mask = ball_mask(8)
-    cfg = dataclasses.replace(CFG, preconditioner=preconditioner)
+    cfg = dataclasses.replace(CFG, method=method)
     m = random_masked(4, mask)
     box = support_box(grid.shape, mask.indicator)
     full = _route_energy(route, m, mask, m, cfg)[0]
@@ -626,13 +626,46 @@ def test_solver_config_validation():
     with pytest.raises(GridError):
         SolverConfig(max_iter=0)
     with pytest.raises(GridError):
-        SolverConfig(backend="magic")
+        SolverConfig(method="magic")
+    with pytest.raises(ValueError, match="unknown solve method 'magic'"):
+        poisson.solve_poisson(np.ones((2, 2, 2)), 0.1, 1e-8, 10, "magic")
+
+
+@pytest.mark.parametrize("method, rel", [("dense", 1e-10), ("cg", CFG.tol)])
+def test_each_method_agrees_with_direct_or_names_itself(method, rel):
+    # the zero-ghost solves (cells, edge components) run under every method and
+    # agree with the direct solves; the curl-curl and node solves have no dense
+    # factorization, so the gauged route and the projection refuse it by name
+    geom = Ellipsoid(1.0, 1.0, 1.0)
+    grid, mask = ball_mask(8, 0.8)
+    assert max(np.prod(s) for s in edge_shapes(grid)) <= poisson.DENSE_UNKNOWN_CAP
+    cfg = SolverConfig(tol=CFG.tol, method=method)
+    m = random_masked(5, mask)
+    e = solve_scalar_potential(m, mask, CFG).energy
+    assert abs(solve_scalar_potential(m, mask, cfg).energy - e) <= rel * e
+    N = demag_tensor(geom, grid, CFG, mask=mask)
+    assert np.abs(demag_tensor(geom, grid, cfg, mask=mask) - N).max() <= rel * np.abs(N).max()
+    a = minimize_V(m, mask, CFG)[0]
+    v = functional_V(m, a)
+    assert abs(functional_V(m, minimize_V(m, mask, cfg)[0]) - v) <= rel * v
+    vector_routes = (solve_vector_potential_gauged, solve_vector_potential_unconstrained)
+    if method == "dense":
+        assert norm(div(a)) > 0  # the projection has a node solve to make
+        for route in vector_routes:
+            with pytest.raises(GridError, match="'dense'"):
+                route(m, mask, cfg)
+        with pytest.raises(GridError, match="'dense'"):
+            project_divergence_free(a, cfg)
+    else:
+        for route in vector_routes:
+            want = route(m, mask, CFG).energy
+            assert abs(route(m, mask, cfg).energy - want) <= rel * want
 
 
 def test_nonconvergence_carries_residual():
     grid, mask = ball_mask(10, 1.0)
     m = random_masked(0, mask)
-    cfg = SolverConfig(tol=1e-8, max_iter=2, preconditioner="none")
+    cfg = SolverConfig(tol=1e-8, max_iter=2, method="cg")
     with pytest.raises(ConvergenceError) as info:
         solve_scalar_potential(m, mask, cfg)
     assert info.value.residual > 0

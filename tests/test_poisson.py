@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnetovar import poisson
-from magnetovar.errors import ConvergenceError
+from magnetovar.errors import ConvergenceError, GridError
 from magnetovar.grid import EDGE, GridSpec, VectorField
 from magnetovar.operators import curl, div, grad_node
 
@@ -261,6 +261,20 @@ def test_dense_solver_inverts_laplace_apply(shape, h, seed):
     assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_dense_solver_refuses_a_shape_over_the_cap_before_factoring(monkeypatch):
+    factored = []
+    monkeypatch.setattr(poisson, "_block_factor", lambda *key: factored.append(key))
+    poisson._DENSE_CACHE.clear()
+    with pytest.raises(GridError, match="'dense': 32769 unknowns exceed 32768"):
+        poisson.dense_poisson_solver((9, 11, 331), 0.1)
+    with pytest.raises(GridError, match="'dense'"):
+        poisson.solve_poisson(np.zeros((33, 32, 32)), 0.1, 1e-8, 10, "dense")
+    assert not factored and not poisson._DENSE_CACHE
+    poisson.dense_poisson_solver((32, 32, 32), 0.1)  # at the cap it factors
+    assert factored == [((32, 32, 32), 0.1)]
+    poisson._DENSE_CACHE.clear()
+
+
 def test_dense_factor_sweeps_the_longest_axis():
     # a sweep along axis 0 would invert 1600 x 1600 planes (20 MB each);
     # along axis 1 each stored inverse is 80 x 80
@@ -275,11 +289,11 @@ def test_dense_factor_sweeps_the_longest_axis():
     assert peak < 2 << 20
 
 
-def test_pcg_routes_agree():
+def test_cg_routes_agree():
     b = random_rhs((8, 8, 8), 2)
     h = 0.15
-    u_dst, r1, _ = poisson.solve_poisson(b, h, 1e-10, 100, "dst")
-    u_cg, r2, _ = poisson.solve_poisson(b, h, 1e-10, 5000, "none")
+    u_dst, r1, _ = poisson.solve_poisson(b, h, 1e-10, 100, "direct")
+    u_cg, r2, _ = poisson.solve_poisson(b, h, 1e-10, 5000, "cg")
     u_dense = poisson.dense_poisson_solver(b.shape, h)(b)
     assert r1 <= 1e-10 and r2 <= 1e-10
     scale = np.abs(u_dense).max()
@@ -287,15 +301,15 @@ def test_pcg_routes_agree():
     assert np.abs(u_cg - u_dense).max() < 1e-8 * scale
 
 
-def test_pcg_zero_rhs():
+def test_cg_zero_rhs():
     u, res, it = poisson.solve_poisson(np.zeros((5, 5, 5)), 0.1, 1e-8, 10)
     assert np.all(u == 0) and res == 0.0 and it == 0
 
 
-def test_pcg_raises_on_iteration_cap():
+def test_cg_raises_on_iteration_cap():
     b = random_rhs((12, 12, 12), 3)
     with pytest.raises(ConvergenceError) as info:
-        poisson.solve_poisson(b, 0.1, 1e-12, 2, "none")
+        poisson.solve_poisson(b, 0.1, 1e-12, 2, "cg")
     assert info.value.residual is not None
 
 
@@ -308,44 +322,44 @@ def test_neumann_solver_kills_mean_free_rhs():
 
 
 @pytest.mark.parametrize("neumann", [False, True])
-@pytest.mark.parametrize("preconditioner", ["dst", "none"])
-def test_returned_residual_is_true_residual(neumann, preconditioner):
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_returned_residual_is_true_residual(neumann, method):
     b = random_rhs((10, 6, 8), 5)
     if neumann:
         b -= b.mean()
         solve, apply_op = poisson.solve_poisson_neumann, poisson.neumann_laplace_apply
     else:
         solve, apply_op = poisson.solve_poisson, poisson.laplace_apply
-    u, res, _ = solve(b, 0.1, 1e-13, 5000, preconditioner)
+    u, res, _ = solve(b, 0.1, 1e-13, 5000, method)
     if neumann:
         b = b - b.mean()  # the solve removes the (rounding) mean again
     true = np.linalg.norm(b - apply_op(u, 0.1)) / np.linalg.norm(b)
     assert res == true and res <= 1e-13
 
 
-def test_pcg_declares_convergence_on_true_residual():
+def test_cg_declares_convergence_on_true_residual():
     # the recursively updated residual drifts below the attainable accuracy
     b = random_rhs((40, 20, 30), 6)
     apply_op = lambda x: poisson.laplace_apply(x, 0.1)
     with pytest.raises(ConvergenceError) as info:
-        poisson.pcg(apply_op, b, tol=1e-18, max_iter=400)
+        poisson.cg(apply_op, b, tol=1e-18, max_iter=400)
     true = info.value.residual
     assert 1e-17 < true < 1e-13 and info.value.iterations == 400
 
 
-def test_pcg_rejects_non_finite_rhs_at_once():
+def test_cg_rejects_non_finite_rhs_at_once():
     calls = []
     b = random_rhs((6, 6, 6), 7)
     b[2, 3, 1] = np.nan
     with pytest.raises(ConvergenceError, match="not finite") as info:
-        poisson.pcg(lambda x: calls.append(1) or x, b, tol=1e-8, max_iter=20000)
+        poisson.cg(lambda x: calls.append(1) or x, b, tol=1e-8, max_iter=20000)
     assert info.value.iterations == 0 and not calls
     with pytest.raises(ConvergenceError, match="not finite"):
-        poisson.solve_poisson(b, 0.1, 1e-8, 20000, "dst")
+        poisson.solve_poisson(b, 0.1, 1e-8, 20000, "direct")
 
 
-def test_pcg_breakdown_reports_iteration_and_cause():
+def test_cg_breakdown_reports_iteration_and_cause():
     b = random_rhs((4, 4, 4), 8)
     with pytest.raises(ConvergenceError, match="broke down") as info:
-        poisson.pcg(lambda x: -x, b, tol=1e-8, max_iter=20000)
+        poisson.cg(lambda x: -x, b, tol=1e-8, max_iter=20000)
     assert info.value.iterations == 1 and info.value.residual == 1.0
