@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError
-from .grid import CellVectorField, DomainMask
+from .grid import CellVectorField, DomainMask, VectorField
 from .magnetostatics import SolverConfig, StrayFieldSolution, solve_scalar_potential
 from .operators import masked_cell_to_faces, masked_faces_to_cell_adjoint
 
@@ -121,15 +121,19 @@ def zeeman_energy(m: CellVectorField, params: MaterialParams,
     return -float((proj * mask.indicator).sum()) * m.grid.cell_volume
 
 
-def stray_energy(m: CellVectorField, mask: DomainMask, cfg: SolverConfig):
+def stray_energy(m: CellVectorField, mask: DomainMask, cfg: SolverConfig,
+                 faces: VectorField | None = None):
     """Stray term of the cell magnetization: solve + pairing on faces.
 
     Returns (energy, solution); energy = 1/2 <u, -div m> on the face field,
     which is -1/2 <h, m> by summation by parts and agrees with
     1/2 ||grad u||^2 at the solver tolerance.  On a sub grid the solve runs
-    on its root, where ``u`` lives.
+    on its root, where ``u`` lives.  ``faces`` is ``masked_cell_to_faces(m,
+    mask)``, if the caller has it.
     """
-    sol = solve_scalar_potential(masked_cell_to_faces(m, mask), mask, cfg)
+    if faces is None:
+        faces = masked_cell_to_faces(m, mask)
+    sol = solve_scalar_potential(faces, mask, cfg)
     return sol.energy, sol
 
 
@@ -144,21 +148,33 @@ def _check_terms(terms):
     return terms
 
 
+def local_energies(m: CellVectorField, params: MaterialParams, mask: DomainMask,
+                   terms=ALL_TERMS) -> tuple[float, float, float]:
+    """(exchange, anisotropy, zeeman) of a unit field, 0.0 for a term not in
+    ``terms``; the unit length is not checked."""
+    return ((exchange_energy(m, mask, check_norm=False) if "exchange" in terms else 0.0),
+            (anisotropy_energy(m, params, mask, check_norm=False)
+             if "anisotropy" in terms else 0.0),
+            (zeeman_energy(m, params, mask, check_norm=False) if "zeeman" in terms else 0.0))
+
+
 def total_energy(m: CellVectorField, params: MaterialParams, mask: DomainMask,
-                 cfg: SolverConfig, *, terms=ALL_TERMS) -> EnergyBreakdown:
+                 cfg: SolverConfig, *, terms=ALL_TERMS,
+                 local: tuple[float, float, float] | None = None,
+                 faces: VectorField | None = None) -> EnergyBreakdown:
     """Selected terms of the energy; the stray term runs the field solver.
 
     ``terms`` restricts the functional (single-term studies such as
     Zeeman-only relaxations); omitted terms report exactly zero.  On a sub
     grid the local terms run on it and only the stray solve on its root.
+    ``local`` (``local_energies(m, params, mask, terms)``) and ``faces``
+    (``masked_cell_to_faces(m, mask)``) are computed here unless the caller
+    has them.
     """
     terms = _check_terms(terms)
     check_unit_norm(m, mask)
-    ex = exchange_energy(m, mask, check_norm=False) if "exchange" in terms else 0.0
-    an = (anisotropy_energy(m, params, mask, check_norm=False)
-          if "anisotropy" in terms else 0.0)
-    ze = zeeman_energy(m, params, mask, check_norm=False) if "zeeman" in terms else 0.0
-    st, sol = (stray_energy(m, mask, cfg)
+    ex, an, ze = local_energies(m, params, mask, terms) if local is None else local
+    st, sol = (stray_energy(m, mask, cfg, faces)
                if ("stray" in terms and not mask.is_empty()) else (0.0, None))
     return EnergyBreakdown(exchange=ex, anisotropy=an, zeeman=ze, stray=st,
                            stray_solution=sol)
@@ -166,16 +182,16 @@ def total_energy(m: CellVectorField, params: MaterialParams, mask: DomainMask,
 
 def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask,
                     cfg: SolverConfig, *, terms=ALL_TERMS,
-                    stray: StrayFieldSolution | None = None) -> CellVectorField:
+                    stray_h: VectorField | None = None) -> CellVectorField:
     """Negative variational derivative of the total energy per unit volume.
 
     Exchange: neighbor Laplacian restricted to domain bonds; anisotropy:
     Q (m.e) e; Zeeman: h_a; stray: the demagnetizing field pulled back to
     cells through the adjoint of the face transfer.  The finite-difference
     directional-derivative test in the suite pins the exactness of this
-    gradient.  ``stray`` is the solution of ``m``'s own stray-field problem,
-    if the caller already has it (``total_energy(m, ...).stray_solution``);
-    otherwise the stray term solves it; its field is read on the mask's grid.
+    gradient.  ``stray_h`` is the stray field of ``m`` on the mask's grid, if
+    the caller already has it (``total_energy(m, ...).stray_solution.h(mask.grid)``);
+    otherwise the stray term solves for it.
     """
     terms = _check_terms(terms)
     grid = m.grid
@@ -204,8 +220,8 @@ def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask
 
     field_cells = CellVectorField(grid, data * ind)
     if "stray" in terms and not mask.is_empty():
-        if stray is None:
-            stray = stray_energy(m, mask, cfg)[1]
-        hd = masked_faces_to_cell_adjoint(stray.h.on_grid(mask.grid), mask)
+        if stray_h is None:
+            stray_h = stray_energy(m, mask, cfg)[1].h(mask.grid)
+        hd = masked_faces_to_cell_adjoint(stray_h, mask)
         field_cells.data += hd.data * ind
     return field_cells

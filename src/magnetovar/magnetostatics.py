@@ -69,20 +69,33 @@ class SolverConfig:
 @dataclass
 class StrayFieldSolution:
     """Scalar-route solution; ``energy`` is 1/2 <u, rho>.  The field
-    ``h = -grad u`` is built each time it is read, not stored, so a caller
-    that needs only the energy holds no face field."""
+    ``h = -grad u`` is built each time it is read (``h``), not stored, so a
+    caller that needs only the energy holds no face field."""
 
     u: ScalarField
     energy: float
     residual: float
     iterations: int
 
-    @property
-    def h(self) -> VectorField:
-        h = grad(self.u)
-        for comp in h.components:
-            np.negative(comp, out=comp)
-        return h
+    def h(self, grid: GridSpec | None = None) -> VectorField:
+        """The field -grad u on the faces of ``grid``: the grid of ``u`` (the
+        default) or a sub grid of it.  It is built from ``u`` on the grid's
+        cells and one cell beyond each side that has one, so on a sub grid it
+        is the root's field there, bit for bit, at the sub grid's cost."""
+        root = self.u.grid
+        grid = root if grid is None else grid
+        if grid.root != root:
+            raise GridError("h is read on the grid of u or on a sub grid of it")
+        halo = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, n))
+                     for s, n in zip(grid.box, root.shape))
+        g = grad(ScalarField(root.sub_grid(halo), self.u.data[halo]))
+        cells = tuple(slice(s.start - o.start, s.stop - o.start)
+                      for s, o in zip(grid.box, halo))
+        comps = []
+        for axis, comp in enumerate(g.components):
+            comp = comp[grow_box(cells, axis)]
+            comps.append(np.negative(comp, out=comp))
+        return VectorField(grid, *comps)
 
 
 @dataclass
@@ -239,8 +252,10 @@ def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None
     Coulomb gauge holds to solver tolerance on the truncated grid as well.
     ``energy``, the minimum of V, is 1/2 ||m||^2 - 1/2 <m, curl a> with the
     returned ``curl a`` (||D a||^2 = <m, curl a> at a minimizer, and the
-    projection changes curl a only by rounding).
+    projection changes curl a only by rounding).  ``method = "dense"`` raises
+    GridError before any solve: the projection's node solve has no dense inverse.
     """
+    poisson.refuse_dense(cfg.method, "no-flux node")
     a_min, res_max, iters_total = minimize_V(m, mask, cfg)
     a_star, res_p, iters_p = project_divergence_free(a_min, cfg)
     del a_min
@@ -265,8 +280,7 @@ def _solve_curl_curl(m_box: VectorField, cfg: SolverConfig):
     a time, each component of b rebuilt on the box, so only ``a`` and
     ``curl a`` are held.  Plain CG runs on the concatenated components.
     """
-    if cfg.method == "dense":
-        raise GridError("solver method 'dense' has no curl-curl solve")
+    poisson.refuse_dense(cfg.method, "curl-curl")
     grid, box = m_box.grid.root, m_box.grid.box
     if cfg.method == "cg":
         shapes = edge_shapes(grid)
@@ -336,7 +350,7 @@ def solve_vector_potential_gauged(m: VectorField, mask: DomainMask | None,
 
 def stray_field(m: VectorField, mask: DomainMask | None, cfg: SolverConfig) -> VectorField:
     """The field operator: m -> h_m (face-staggered, linear to solver tol)."""
-    return solve_scalar_potential(m, mask, cfg).h
+    return solve_scalar_potential(m, mask, cfg).h()
 
 
 def reciprocity_gap(m: VectorField, m2: VectorField, mask: DomainMask | None,

@@ -26,6 +26,30 @@ first trial is the last accepted step grown by 1 / backtrack, under the
 same cap.  The Armijo test then shrinks the trial by the factor
 ``backtrack`` until it descends, so neither rule breaks monotonicity.
 
+``minimize_m`` skips the stray solve of a trial that the scalar principle
+proves the Armijo test would reject.  For every cell potential u,
+
+    W(m', u) = <grad u, face m'> - 1/2 ||grad u||^2 <= E_s(m').
+
+With u the iterate's potential, B(m') = local terms(m') + W(m', u) bounds
+the trial's energy from below.  Its pairing, -<u, div face m'>, is summed
+on the box, and 1/2 ||grad u||^2 once per iteration on the padded grid.  A
+solved trial energy is within
+
+    1/2 tol h^3 |rho'| |face m'| / sqrt(lambda_min)
+
+of the exact one, with |.| the arrays' Euclidean norms, tol = ``solver.tol``
+and rho' = -div face m': the residual is at most tol |rho'|, and
+|u*| <= |face m'| / sqrt(lambda_min) because <u*, rho'> = 2 E_s(m') / h^3 <=
+|face m'|^2 (lambda_min from ``poisson.smallest_eigenvalue``).  A trial is
+rejected without a solve only if B exceeds the threshold by this margin
+plus the rounding of an n-term sum (n eps times the terms' magnitudes, n
+three times the padded grid's cells).  The solved energy would then exceed
+the threshold too, so the accepted trials, the iterates and the traces are
+those of solving every trial.  A trial that is solved computes its local
+terms and face transfer once, for the bound and the solve.
+``minimize_joint`` makes no solve in its line search.
+
 Both schemes iterate on the mask's support box (``grid.support_box``):
 every iterate, trial, tangential field, local energy and field term, and
 the face transfer with its adjoint live on the box's ``sub_grid``.  Only
@@ -42,11 +66,12 @@ import numpy as np
 
 from .errors import ConvergenceError, GridError
 from .grid import EDGE, CellVectorField, DomainMask, VectorField, support_box
-from .energy import (ALL_TERMS, MaterialParams, anisotropy_energy, effective_field,
-                     exchange_energy, total_energy, zeeman_energy)
-from .magnetostatics import SolverConfig, minimize_V
-from .operators import (curl, grad_norm_sq, inner, masked_cell_to_faces,
+from .energy import (ALL_TERMS, MaterialParams, effective_field, local_energies,
+                     total_energy)
+from .magnetostatics import SolverConfig, StrayFieldSolution, minimize_V
+from .operators import (curl, div, grad_norm_sq, inner, masked_cell_to_faces,
                         masked_faces_to_cell_adjoint)
+from .poisson import smallest_eigenvalue
 
 DESCENT_SLACK = 1e-12
 ARMIJO_C = 0.1
@@ -137,14 +162,16 @@ def _armijo(m: CellVectorField, t: np.ndarray, energy: float, gnorm: float,
             where: str, iterations: int):
     """Backtrack from ``step`` until m <- normalize(m + step t) descends enough.
 
-    ``evaluate(trial)`` returns (energy, by-product).  Returns the accepted
+    ``evaluate(trial, threshold)`` returns (energy, by-product); the trial is
+    accepted if its energy is at most ``threshold``.  Returns the accepted
     (trial, energy, by-product, step); raises ConvergenceError after
     ``mcfg.max_backtracks`` rejected trials.
     """
     for _ in range(mcfg.max_backtracks):
         trial = CellVectorField(mask.grid, _normalize_on_mask(m.data + step * t, mask))
-        e_trial, extra = evaluate(trial)
-        if e_trial <= energy - ARMIJO_C * step * gnorm ** 2 + DESCENT_SLACK:
+        threshold = energy - ARMIJO_C * step * gnorm ** 2 + DESCENT_SLACK
+        e_trial, extra = evaluate(trial, threshold)
+        if e_trial <= threshold:
             return trial, e_trial, extra, step
         step *= mcfg.backtrack
     raise ConvergenceError(
@@ -153,12 +180,49 @@ def _armijo(m: CellVectorField, t: np.ndarray, energy: float, gnorm: float,
         residual=gnorm, iterations=iterations)
 
 
+class _TrialBound:
+    """The scalar principle's lower bound on the energy of one iteration's
+    trials (see the module docstring), from ``stray``, the solution of the
+    iterate's stray problem.
+
+    ``h`` is the iterate's stray field -grad u on the mask's grid, built once
+    on the padded grid, whose ||h||^2 the bound needs; the effective field
+    reads it too.  ``rejects(local, faces, threshold)`` takes a trial's
+    ``local_energies`` and face transfer and is True only when the trial's
+    solved energy would exceed ``threshold``; it makes no solve.
+    """
+
+    def __init__(self, stray: StrayFieldSolution, mask: DomainMask, tol: float):
+        root = stray.u.grid
+        h_root = stray.h()
+        self.h = h_root.on_grid(mask.grid)
+        self.half_h2 = 0.5 * inner(h_root, h_root)
+        self.u = stray.u.data[mask.grid.box]
+        self.norm_u = float(np.sqrt(np.vdot(self.u, self.u)))
+        self.inv_sqrt_lam = 1.0 / np.sqrt(smallest_eigenvalue(root.shape, root.h))
+        self.vol, self.tol = root.cell_volume, tol
+        self.ulps = 3 * root.n_cells * np.finfo(float).eps  # an n-term sum's rounding
+
+    def rejects(self, local, faces: VectorField, threshold: float) -> bool:
+        d = div(faces).data  # -rho' on the box; zero off it
+        pairing = self.vol * float(np.vdot(self.u, d))  # -<grad u, face m'>
+        bound = sum(local) - pairing - self.half_h2
+        norm_d = float(np.sqrt(np.vdot(d, d)))
+        norm_f = float(np.sqrt(sum(float(np.vdot(c, c)) for c in faces.components)))
+        solve = self.vol * norm_d * norm_f * self.inv_sqrt_lam  # 2 |e - E_s| / tol
+        scale = (sum(map(abs, local)) + self.vol * self.norm_u * norm_d
+                 + 2.0 * self.half_h2 + solve + abs(threshold))
+        return bound > threshold + 0.5 * self.tol * solve + self.ulps * scale
+
+
 def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
                mcfg: MinimizeConfig, scfg: SolverConfig, *, terms=ALL_TERMS):
     """Projected gradient descent on the reduced energy over unit fields.
 
-    Each trial costs one stray solve; the accepted trial's solution also
-    gives the next gradient.  Returns (m, MinimizeReport).  Raises
+    Each trial costs at most one stray solve: a trial that the scalar
+    principle's bound proves too high is rejected without one (see the
+    module docstring); the accepted trial's solution also gives the next
+    gradient.  Returns (m, MinimizeReport).  Raises
     ConvergenceError if backtracking cannot produce descent (step underflow
     before reaching grad_tol).
     """
@@ -169,16 +233,27 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
     cap = mcfg.step * STEP_GROWTH_CAP
     local, m = _on_support_box(m0, mask)
 
-    def evaluate(trial):
-        breakdown = total_energy(trial, params, local, scfg, terms=terms)
+    def solved(trial, **known):
+        breakdown = total_energy(trial, params, local, scfg, terms=terms, **known)
         return breakdown.total, breakdown.stray_solution
 
-    energy, stray = evaluate(m)
+    def evaluate(trial, threshold):
+        if bound is None:  # no stray solve to save
+            return solved(trial)
+        energies = local_energies(trial, params, local, terms)
+        faces = masked_cell_to_faces(trial, local)
+        if bound.rejects(energies, faces, threshold):
+            return np.inf, None
+        return solved(trial, local=energies, faces=faces)
+
+    energy, stray = solved(m)
     report.energy_trace.append(energy)
     m_prev = t_prev = None
 
     for it in range(1, mcfg.max_iter + 1):
-        hf = effective_field(m, params, local, scfg, terms=terms, stray=stray)
+        bound = None if stray is None else _TrialBound(stray, local, scfg.tol)
+        hf = effective_field(m, params, local, scfg, terms=terms,
+                             stray_h=None if bound is None else bound.h)
         t = _tangential(hf.data, m.data) * local.indicator
         gnorm = _grad_norm(t, vol)
         report.final_grad_norm = gnorm
@@ -202,7 +277,9 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
     else:
         report.final_grad_norm = _grad_norm(
             _tangential(effective_field(m, params, local, scfg, terms=terms,
-                                        stray=stray).data, m.data) * local.indicator, vol)
+                                        stray_h=None if stray is None
+                                        else stray.h(local.grid)).data,
+                        m.data) * local.indicator, vol)
         report.converged = report.final_grad_norm <= mcfg.grad_tol
     return m.embedded(), report
 
@@ -226,12 +303,8 @@ def _fixed_a_energy(a: VectorField, params: MaterialParams, mask: DomainMask,
     def energy(m: CellVectorField) -> float:
         mf = masked_cell_to_faces(m, mask)
         total = half_da2 + 0.5 * inner(mf, mf) - inner(mf, curl_a)
-        if "exchange" in terms:
-            total += exchange_energy(m, mask, check_norm=False)
-        if "anisotropy" in terms:
-            total += anisotropy_energy(m, params, mask, check_norm=False)
-        if "zeeman" in terms:
-            total += zeeman_energy(m, params, mask, check_norm=False)
+        for term in local_energies(m, params, mask, terms):
+            total += term
         return total
 
     return energy, curl_a
@@ -292,7 +365,7 @@ def minimize_joint(m0: CellVectorField, a0: VectorField | None,
                 step = _bb_step(m.data - m_prev, t_prev - t, step, cap)
             trial, energy, _, step = _armijo(
                 m, t, energy, gnorm, step, local, mcfg,
-                lambda trial: (joint(trial), None),
+                lambda trial, threshold: (joint(trial), None),
                 f"in joint sweep {sweep}", total_m_steps)
             m_prev, t_prev = m.data, t
             m = trial

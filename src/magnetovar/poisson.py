@@ -10,7 +10,10 @@ diagonal in a separable basis: per axis, type-I sines for zero ghosts and
 type-II cosines for mirrored ends.  ``transform_solve`` inverts any of
 them directly with one cached dense orthonormal eigenbasis per axis
 length and end condition, built from its closed-form sines or cosines and
-applied by matrix products (box-restricted forward, in-place inverse), and
+applied by matrix products: the forward ones read the source's box, the
+axis-1/2 ones run on slabs of axis-0 planes with temporaries of a few
+``_TRANSFORM_SLAB_BYTES``, and the inverse along axis 0 runs in place, so
+the result is the solve's only full-grid array.
 ``checked_solve`` confirms each such solve with one apply of the operator
 (the true residual ``||b - A x|| / ||b||`` over the full grid).  The apply
 runs slab by slab along axis 0, each slab with a one-plane halo, so every
@@ -89,6 +92,11 @@ _BASIS_CACHE: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
 
 _COLUMN_BLOCK = 256  # columns per block of the in-place axis-0 products
 _SLAB_BYTES = 1 << 20  # bytes of b per slab of a residual check
+# bytes of the result per slab of a transform solve's axis-1/2 products, whose
+# temporaries are a few slabs.  Timed from 16 KiB to 1 MiB on 24^3 to 48^3
+# grids, 64 KiB was the best or within 12 % of it on each; 1 MiB took 1.7
+# times as long on 36^3, where its temporaries leave the cache.
+_TRANSFORM_SLAB_BYTES = 1 << 16
 
 
 def _axis_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -122,6 +130,12 @@ def _axis_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     return _BASIS_CACHE[key]
 
 
+def smallest_eigenvalue(shape: tuple[int, int, int], h: float) -> float:
+    """The smallest eigenvalue of ``laplace_apply`` on a lattice of ``shape``:
+    the sum of each axis's lowest ``"dst"`` eigenvalue, over h^2."""
+    return sum(float(_axis_basis(n, "dst")[1][0]) for n in shape) / (h * h)
+
+
 def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str]) -> np.ndarray:
     """Direct solve of the separable 7-point operator with per-axis ends.
 
@@ -138,31 +152,38 @@ def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str]) -> np.
     depend on whether its length has large prime factors.  The forward
     products read only the index box that holds ``b``'s nonzeros
     (``grid.nonzero_box``; for ``-div m`` or ``curl m``, about the support
-    box of ``m``): axis 0 first, written into the result,
-    then slab by slab axes 2 and 1, the division by the eigenvalues and
-    the inverse along axes 1 and 2; last, the inverse along axis 0 runs in
-    place on blocks of ``_COLUMN_BLOCK`` columns.  The result is the only
+    box of ``m``).  Axis 0 goes first, as one product written into the
+    result's memory (row ``i`` holds plane ``i``'s box).  Then slabs of
+    axis-0 planes, each of about ``_TRANSFORM_SLAB_BYTES`` of the result,
+    run axes 2 and 1, the division by the eigenvalues and the inverse along
+    axes 1 and 2 as stacked products, and write their planes of the result;
+    the temporaries are a few slabs.  Last, the inverse along axis 0 runs
+    in place on blocks of ``_COLUMN_BLOCK`` columns.  The result is the only
     full-grid array allocated.
     """
     box = nonzero_box(b)
     if box is None:
         return np.zeros(b.shape)
     s0, s1, s2 = box
+    n0 = b.shape[0]
+    k12 = (s1.stop - s1.start, s2.stop - s2.start)
     hh = h * h
     (q0, lam0), (q1, lam1), (q2, lam2) = (_axis_basis(n, k) for n, k in zip(b.shape, kinds))
     coef = np.empty(b.shape)
-    q0_in, q1_in, q2_in, q2_out = q0[s0].T, q1[s1].T, q2[s2], q2.T
-    for j in range(s1.start, s1.stop):
-        np.matmul(q0_in, b[s0, j, s2], out=coef[:, j, s2])
+    flat = coef.reshape(n0, -1)
+    fwd = flat[:, :k12[0] * k12[1]]  # axis 0 done: plane i's box, row i
+    np.matmul(q0[s0].T, b[s0, s1, s2].reshape(-1, fwd.shape[1]), out=fwd)
+    q1_in, q2_in, q2_out = q1[s1].T, q2[s2], q2.T
     lam12 = (lam1[:, None] + lam2[None, :]) / hh
-    for i, lam in enumerate(lam0 / hh):
-        slab = q1_in @ (coef[i, s1, s2] @ q2_in)
-        denom = lam + lam12
-        if denom[0, 0] == 0.0:
-            denom[0, 0] = np.inf  # all-cosine constant mode: zero-mean solution
+    planes = max(1, _TRANSFORM_SLAB_BYTES // coef[0].nbytes)
+    for lo in range(0, n0, planes):
+        hi = min(lo + planes, n0)
+        slab = q1_in @ (fwd[lo:hi].reshape(hi - lo, *k12) @ q2_in)
+        denom = (lam0[lo:hi] / hh)[:, None, None] + lam12
+        if denom[0, 0, 0] == 0.0:
+            denom[0, 0, 0] = np.inf  # all-cosine constant mode: zero-mean solution
         slab /= denom
-        np.matmul(q1 @ slab, q2_out, out=coef[i])
-    flat = coef.reshape(b.shape[0], -1)
+        np.matmul(q1 @ slab, q2_out, out=coef[lo:hi])
     for start in range(0, flat.shape[1], _COLUMN_BLOCK):
         cols = flat[:, start:start + _COLUMN_BLOCK]
         cols[...] = q0 @ cols
@@ -240,6 +261,14 @@ def checked_solve(apply_op, b: np.ndarray, inverse, tol: float, max_iter: int,
     return x, confirm_direct(stencil_residual_norm(apply_op, x, b) / bnorm, tol), 1
 
 
+def refuse_dense(method: str, solve: str):
+    """Raise GridError if ``method`` is ``"dense"``: the dense factorization
+    inverts the zero-ghost cell operator only, so the no-flux node and the
+    curl-curl solves have no dense inverse.  ``solve`` names the refused one."""
+    if method == "dense":
+        raise GridError(f"solver method 'dense' has no {solve} solve")
+
+
 def solve_poisson_neumann(b: np.ndarray, h: float, tol: float, max_iter: int,
                           method: str = "direct"):
     """Zero-mean solve of the no-flux node Poisson problem.
@@ -247,8 +276,7 @@ def solve_poisson_neumann(b: np.ndarray, h: float, tol: float, max_iter: int,
     The right-hand side must have (numerically) zero sum; this is exact for
     divergences of edge fields.  ``method = "dense"`` raises GridError.
     """
-    if method == "dense":
-        raise GridError("solver method 'dense' has no no-flux node solve")
+    refuse_dense(method, "no-flux node")
     return checked_solve(lambda x: neumann_laplace_apply(x, h), b - b.mean(),
                          lambda r: transform_solve(r, h, NODE_KINDS),
                          tol, max_iter, method)

@@ -198,5 +198,5 @@ def test_stray_term_equivalence():
     m = random_unit_magnetization(9, mask)
     e, sol = stray_energy(m, mask, CFG)
     mf = masked_cell_to_faces(m, mask)
-    pairing = -0.5 * inner(sol.h, mf)
+    pairing = -0.5 * inner(sol.h(), mf)
     assert abs(e - pairing) <= 1e-6 * max(abs(e), 1e-12)

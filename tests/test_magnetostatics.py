@@ -47,7 +47,7 @@ def test_zero_magnetization():
     grid, mask = ball_mask(8)
     sol = solve_scalar_potential(VectorField.zeros(grid, FACE), mask, CFG)
     assert sol.energy == 0.0
-    assert norm(sol.h) == 0.0
+    assert norm(sol.h()) == 0.0
 
 
 def test_gradient_field_case():
@@ -57,7 +57,7 @@ def test_gradient_field_case():
     sol = solve_scalar_potential(m, None, CFG)
     half_msq = 0.5 * inner(m, m)
     assert abs(sol.energy - half_msq) / half_msq < 1e-6
-    assert norm(sol.h + m) / norm(m) < 1e-6
+    assert norm(sol.h() + m) / norm(m) < 1e-6
 
 
 def test_uniform_ball_demag_energy():
@@ -73,10 +73,10 @@ def test_scalar_solution_diagnostics():
     m = random_masked(3, mask)
     sol = solve_scalar_potential(m, mask, CFG)
     # h is a gradient, so its curl vanishes identically
-    c = curl(sol.h)
+    c = curl(sol.h())
     assert max(np.abs(x).max() for x in c.components) < 1e-10
     # div b = div(h + m) at residual level
-    assert norm(div(sol.h + m)) <= 10 * CFG.tol * norm(div(m)) + 1e-12
+    assert norm(div(sol.h() + m)) <= 10 * CFG.tol * norm(div(m)) + 1e-12
     # optimality: W at the solution equals the energy
     assert abs(functional_W(m, sol.u) - sol.energy) < 1e-9 * max(sol.energy, 1.0)
 
@@ -263,7 +263,7 @@ def test_demag_tensor_matches_face_pairing(pad_ratio, method):
     mask = build_mask(geom, grid)
     cfg = SolverConfig(tol=1e-8, method=method)
     units = [uniform_ball_m(mask, e) for e in np.eye(3)]
-    hs = [solve_scalar_potential(unit, mask, cfg).h for unit in units]
+    hs = [solve_scalar_potential(unit, mask, cfg).h() for unit in units]
     N_ref = np.array([[-inner(hs[j], units[i]) for j in range(3)]
                       for i in range(3)]) / mask.volume
     N = demag_tensor(geom, grid, cfg, mask=mask)
@@ -447,9 +447,21 @@ def test_h_is_built_on_access_and_not_stored():
     assert "h" not in {f.name for f in dataclasses.fields(sol)}
     assert "h" not in vars(sol)
     g = grad(sol.u)
-    h = sol.h
+    h = sol.h()
     for hc, gc in zip(h.components, g.components):
         assert hc.tobytes() == (-gc).tobytes()
+    # on a sub grid, from u on its cells and a one-cell halo: the root's field
+    # there bit for bit, inside the root, at its ends and off-centre
+    assert grid.shape == (24, 24, 24)
+    for box in ((slice(5, 17),) * 3, (slice(0, 9), slice(3, 24), slice(13, 24)),
+                (slice(0, 24),) * 3):
+        sub = grid.sub_grid(box)
+        on_sub = sol.h(sub)
+        assert on_sub.grid == sub
+        for got, want in zip(on_sub.components, h.on_grid(sub).components):
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(GridError):
+        sol.h(GridSpec.centered_cube(4, grid.h))
 
 
 @pytest.mark.parametrize("method, rel", [("direct", 1e-12), ("cg", CFG.tol)])
@@ -459,7 +471,7 @@ def test_scalar_energy_pairing_is_the_field_energy(method, rel):
     cfg = SolverConfig(tol=CFG.tol, method=method)
     for seed in range(2):
         sol = solve_scalar_potential(random_masked(seed, mask), mask, cfg)
-        h = sol.h
+        h = sol.h()
         want = 0.5 * inner(h, h)
         assert abs(sol.energy - want) <= rel * want
 
@@ -660,6 +672,27 @@ def test_each_method_agrees_with_direct_or_names_itself(method, rel):
         for route in vector_routes:
             want = route(m, mask, CFG).energy
             assert abs(route(m, mask, cfg).energy - want) <= rel * want
+
+
+def test_node_and_curl_curl_refusals_factor_nothing(monkeypatch):
+    # the unconstrained route refuses 'dense' before minimize_V's three edge
+    # factorizations, as the gauged route and the projection refuse it before
+    # any solve: no dense factorization is ever built
+    grid, mask = ball_mask(8, 0.8)
+    m = random_masked(5, mask)
+    a = minimize_V(m, mask, CFG)[0]
+    factored = []
+    monkeypatch.setattr(poisson, "dense_poisson_solver",
+                        lambda *args: factored.append(args))
+    cfg = SolverConfig(tol=CFG.tol, method="dense")
+    for refuse in (lambda: solve_vector_potential_unconstrained(m, mask, cfg),
+                   lambda: solve_vector_potential_gauged(m, mask, cfg),
+                   lambda: project_divergence_free(a, cfg),
+                   lambda: poisson.solve_poisson_neumann(div(a).data, grid.h, CFG.tol,
+                                                         CFG.max_iter, "dense")):
+        with pytest.raises(GridError, match="'dense'"):
+            refuse()
+    assert factored == []
 
 
 def test_nonconvergence_carries_residual():

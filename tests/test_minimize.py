@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from magnetovar.energy import MaterialParams, total_energy
+from magnetovar.energy import ALL_TERMS, MaterialParams, total_energy
 from magnetovar.errors import GridError
 from magnetovar.grid import (Box, CellVectorField, DomainMask, Ellipsoid, GridSpec,
                              build_mask, grid_for_geometry, support_box)
@@ -305,14 +305,14 @@ def test_first_trial_bounds_rotation_and_saves_trials(monkeypatch):
     grid, mask = ball_setup(16)
     m0 = tilted_uniform(mask, (0.3, 0.15, 0.94))
     mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=1, step=0.5)
-    energy = minimize.total_energy
-    trials = []
+    retract = minimize._normalize_on_mask
+    trials = []  # the start, then every trial, rejected without a solve or not
 
-    def recorded_energy(m, *args, **kwargs):
-        trials.append(m.data.copy())
-        return energy(m, *args, **kwargs)
+    def recorded_retraction(*args):
+        trials.append(retract(*args))
+        return trials[-1]
 
-    monkeypatch.setattr(minimize, "total_energy", recorded_energy)
+    monkeypatch.setattr(minimize, "_normalize_on_mask", recorded_retraction)
     counts = {}
     theta = minimize.FIRST_ROTATION
     # the trials live on the mask's support box
@@ -347,7 +347,7 @@ def run_scheme(scheme, m0, params, mask, mcfg):
 
 @pytest.mark.parametrize("scheme", ["reduced", "joint"])
 def test_schemes_pass_support_box_fields_to_local_terms(monkeypatch, scheme):
-    from magnetovar import energy, minimize
+    from magnetovar import energy
     grid, mask = ball_setup(8)
     box = support_box(grid.shape, mask.indicator)
     box_shape = (3, *(s.stop - s.start for s in box))
@@ -359,8 +359,7 @@ def test_schemes_pass_support_box_fields_to_local_terms(monkeypatch, scheme):
         shapes.append(m.data.shape)
         return exchange(m, *args, **kwargs)
 
-    monkeypatch.setattr(energy, "exchange_energy", spied)
-    monkeypatch.setattr(minimize, "exchange_energy", spied)
+    monkeypatch.setattr(energy, "exchange_energy", spied)  # both schemes call it there
     run_scheme(scheme, tilted_uniform(mask, (0.3, 0.15, 0.94)), MaterialParams(Q=0.1),
                mask, MinimizeConfig(grad_tol=1e-4, max_iter=3, step=0.5))
     assert shapes and set(shapes) == {box_shape}
@@ -383,3 +382,95 @@ def test_returned_m_is_unit_on_mask_and_matches_last_trace_energy(scheme, setup)
     e = (total_energy(m, params, mask, CFG).total if a is None
          else _fixed_a_energy(a, params, mask)[0](m))
     assert abs(rep.energy_trace[-1] - e) <= 1e-12 * abs(e)
+
+
+def spy_certified(monkeypatch, cfg):
+    """Record (solved energy, threshold) of every trial the reduced scheme
+    rejects without a solve; the solved energy is the one ``total_energy``
+    would report under ``cfg``, the local terms plus the stray solve of the
+    trial's faces."""
+    from magnetovar import minimize
+    from magnetovar.magnetostatics import solve_scalar_potential
+    certified = []
+    rejects = minimize._TrialBound.rejects
+
+    def spied(self, local, faces, threshold):
+        rejected = rejects(self, local, faces, threshold)
+        if rejected:
+            certified.append((sum(local) + solve_scalar_potential(faces, None, cfg).energy,
+                              threshold))
+        return rejected
+
+    monkeypatch.setattr(minimize._TrialBound, "rejects", spied)
+    return certified
+
+
+def without_certification(monkeypatch):
+    from magnetovar import minimize
+    monkeypatch.setattr(minimize._TrialBound, "rejects", lambda self, *args: False)
+
+
+def shell_setup():
+    from magnetovar.grid import Shell
+    from magnetovar.shell import make_sphere_mesh
+    geom = Shell(make_sphere_mesh(1.0, level=2), 0.2)
+    grid = grid_for_geometry(geom, 0.1, pad_ratio=0.25)
+    return grid, build_mask(geom, grid)
+
+
+def assert_same_runs(got, want):
+    (m, rep), (m_ref, rep_ref) = got, want
+    assert rep.iterations == rep_ref.iterations and rep.converged == rep_ref.converged
+    assert rep.energy_trace == rep_ref.energy_trace
+    assert rep.final_grad_norm == rep_ref.final_grad_norm
+    assert m.data.tobytes() == m_ref.data.tobytes()
+
+
+@pytest.mark.parametrize("case", ["ball-all-terms-random", "shell-tilted"])
+def test_certified_rejections_are_solved_rejections(monkeypatch, case):
+    # the scalar principle's bound rejects trials without a solve; each one it
+    # rejects, solved, misses the Armijo threshold, and the run is the
+    # uncertified run: trace, iterates, gradient norm and m bit for bit
+    if case == "ball-all-terms-random":
+        grid, mask = ball_setup(8)
+        params = MaterialParams(Q=0.1, h_applied=(0.0, 0.0, 0.3))
+        m0, terms, max_iter = random_unit_magnetization(3, mask), ALL_TERMS, 150
+    else:
+        grid, mask = shell_setup()
+        params = MaterialParams()
+        m0 = tilted_uniform(mask, (0.3, 0.15, 0.94))
+        terms, max_iter = ("exchange", "stray"), 40
+    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=max_iter, step=0.5)
+    with monkeypatch.context() as patch:
+        certified = spy_certified(patch, CFG)
+        got = minimize_m(m0, params, mask, mcfg, CFG, terms=terms)
+    assert certified and all(e_solved > threshold for e_solved, threshold in certified)
+    without_certification(monkeypatch)
+    assert_same_runs(got, minimize_m(m0, params, mask, mcfg, CFG, terms=terms))
+
+
+@pytest.mark.parametrize("method, tol, max_iter", [("cg", 1e-8, 25), ("dense", 1e-8, 25),
+                                                   ("direct", 1e-3, 150)])
+def test_certification_leaves_iterates_unchanged_for_each_method(monkeypatch, method, tol,
+                                                                 max_iter):
+    # the margin is the solve's own error bound, so it holds for every method;
+    # it grows with solver.tol, so a loose tolerance certifies fewer of the
+    # small rejections near convergence (the direct solves' residuals, and so
+    # the runs, do not depend on it)
+    grid, mask = ball_setup(8)
+    params = MaterialParams(Q=0.1, h_applied=(0.0, 0.0, 0.3))
+    m0 = random_unit_magnetization(3, mask)
+    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=max_iter, step=0.5)
+    counts = {}
+    for cfg in (SolverConfig(tol=1e-8), SolverConfig(tol=tol, method=method)):
+        with monkeypatch.context() as patch:
+            certified = spy_certified(patch, cfg)
+            got = minimize_m(m0, params, mask, mcfg, cfg)
+        assert all(e_solved > threshold for e_solved, threshold in certified)
+        counts[cfg] = len(certified)
+        with monkeypatch.context() as patch:
+            without_certification(patch)
+            assert_same_runs(got, minimize_m(m0, params, mask, mcfg, cfg))
+    direct, other = counts.values()
+    assert direct > 0
+    assert (other < direct) if tol > 1e-8 else (other > 0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from magnetovar import poisson
 from magnetovar.errors import ConvergenceError, GridError
-from magnetovar.grid import EDGE, GridSpec, VectorField
+from magnetovar.grid import EDGE, GridSpec, VectorField, nonzero_box
 from magnetovar.operators import curl, div, grad_node
 
 
@@ -159,6 +159,62 @@ def test_transform_solve_allocates_about_one_output(kinds):
         tracemalloc.stop()
     assert u.nbytes == b.nbytes
     assert peak < 1.5 * b.nbytes
+
+
+def per_plane_transform_solve(b, h, kinds):
+    """The transform solve with the axis-1/2 products run one axis-0 plane at
+    a time and the forward axis-0 product one axis-1 index at a time: the
+    reference for the slab-batched products."""
+    box = nonzero_box(b)
+    if box is None:
+        return np.zeros(b.shape)
+    s0, s1, s2 = box
+    (q0, lam0), (q1, lam1), (q2, lam2) = (poisson._axis_basis(n, k)
+                                          for n, k in zip(b.shape, kinds))
+    coef = np.empty(b.shape)
+    for j in range(s1.start, s1.stop):
+        coef[:, j, s2] = q0[s0].T @ b[s0, j, s2]
+    lam12 = (lam1[:, None] + lam2[None, :]) / (h * h)
+    for i, lam in enumerate(lam0 / (h * h)):
+        plane = q1[s1].T @ (coef[i, s1, s2] @ q2[s2])
+        denom = lam + lam12
+        if denom[0, 0] == 0.0:
+            denom[0, 0] = np.inf
+        plane /= denom
+        coef[i] = (q1 @ plane) @ q2.T
+    flat = coef.reshape(b.shape[0], -1)
+    flat[...] = q0 @ flat
+    return coef
+
+
+SLAB_KINDS = [poisson.CELL_KINDS, poisson.NODE_KINDS, ("dst", "dct", "dct")]
+
+
+@pytest.mark.parametrize("kinds", SLAB_KINDS, ids="-".join)
+@pytest.mark.parametrize("planes", [0.5, 1, 4, 5, 6, 12, 30])
+@pytest.mark.parametrize("box", [(slice(0, 12), slice(0, 9), slice(0, 7)),
+                                 (slice(2, 7), slice(5, 9), slice(0, 3))],
+                         ids=["full", "off-centre"])
+def test_slab_batched_transform_solve_matches_per_plane(monkeypatch, kinds, planes, box):
+    # 12 planes in slabs of 1 (also for a budget under one plane), 4 and 6
+    # (n0 a multiple of the slab), 5 (not) or one slab (12 and more planes);
+    # the source fills the grid or an off-centre box touching two faces
+    shape = (12, 9, 7)
+    monkeypatch.setattr(poisson, "_TRANSFORM_SLAB_BYTES", int(planes * 8 * 9 * 7))
+    b = np.zeros(shape)
+    values = random_rhs(b[box].shape, 21)
+    b[box] = values - values.mean() if "dst" not in kinds else values
+    want = per_plane_transform_solve(b, 0.3, kinds)
+    got = poisson.transform_solve(b, 0.3, kinds)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_smallest_eigenvalue_is_the_operators():
+    shape, h = (3, 4, 5), 0.7
+    n = int(np.prod(shape))
+    a = np.stack([poisson.laplace_apply(e.reshape(shape), h).ravel() for e in np.eye(n)])
+    assert poisson.smallest_eigenvalue(shape, h) == pytest.approx(
+        np.linalg.eigvalsh(a).min(), rel=1e-12)
 
 
 APPLIES = [poisson.laplace_apply, poisson.neumann_laplace_apply]
