@@ -182,16 +182,16 @@ def total_energy(m: CellVectorField, params: MaterialParams, mask: DomainMask,
 
 def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask,
                     cfg: SolverConfig, *, terms=ALL_TERMS,
-                    stray_h: VectorField | None = None) -> CellVectorField:
+                    stray: StrayFieldSolution | None = None) -> CellVectorField:
     """Negative variational derivative of the total energy per unit volume.
 
     Exchange: neighbor Laplacian restricted to domain bonds; anisotropy:
     Q (m.e) e; Zeeman: h_a; stray: the demagnetizing field pulled back to
     cells through the adjoint of the face transfer.  The finite-difference
     directional-derivative test in the suite pins the exactness of this
-    gradient.  ``stray_h`` is the stray field of ``m`` on the mask's grid, if
-    the caller already has it (``total_energy(m, ...).stray_solution.h(mask.grid)``);
-    otherwise the stray term solves for it.
+    gradient.  ``stray`` is the solution of ``m``'s own stray-field problem,
+    if the caller already has it (``total_energy(m, ...).stray_solution``);
+    otherwise the stray term solves it; its field is read on the mask's grid.
     """
     terms = _check_terms(terms)
     grid = m.grid
@@ -220,8 +220,8 @@ def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask
 
     field_cells = CellVectorField(grid, data * ind)
     if "stray" in terms and not mask.is_empty():
-        if stray_h is None:
-            stray_h = stray_energy(m, mask, cfg)[1].h(mask.grid)
-        hd = masked_faces_to_cell_adjoint(stray_h, mask)
+        if stray is None:
+            stray = stray_energy(m, mask, cfg)[1]
+        hd = masked_faces_to_cell_adjoint(stray.h(mask.grid), mask)
         field_cells.data += hd.data * ind
     return field_cells

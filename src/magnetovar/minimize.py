@@ -33,8 +33,8 @@ proves the Armijo test would reject.  For every cell potential u,
 
 With u the iterate's potential, B(m') = local terms(m') + W(m', u) bounds
 the trial's energy from below.  Its pairing, -<u, div face m'>, is summed
-on the box, and 1/2 ||grad u||^2 once per iteration on the padded grid.  A
-solved trial energy is within
+on the box, and 1/2 ||grad u||^2 once per iteration on the padded grid,
+one gradient component at a time.  A solved trial energy is within
 
     1/2 tol h^3 |rho'| |face m'| / sqrt(lambda_min)
 
@@ -69,8 +69,8 @@ from .grid import EDGE, CellVectorField, DomainMask, VectorField, support_box
 from .energy import (ALL_TERMS, MaterialParams, effective_field, local_energies,
                      total_energy)
 from .magnetostatics import SolverConfig, StrayFieldSolution, minimize_V
-from .operators import (curl, div, grad_norm_sq, inner, masked_cell_to_faces,
-                        masked_faces_to_cell_adjoint)
+from .operators import (curl, div, grad_component, grad_norm_sq, inner,
+                        masked_cell_to_faces, masked_faces_to_cell_adjoint)
 from .poisson import smallest_eigenvalue
 
 DESCENT_SLACK = 1e-12
@@ -185,22 +185,25 @@ class _TrialBound:
     trials (see the module docstring), from ``stray``, the solution of the
     iterate's stray problem.
 
-    ``h`` is the iterate's stray field -grad u on the mask's grid, built once
-    on the padded grid, whose ||h||^2 the bound needs; the effective field
-    reads it too.  ``rejects(local, faces, threshold)`` takes a trial's
-    ``local_energies`` and face transfer and is True only when the trial's
-    solved energy would exceed ``threshold``; it makes no solve.
+    It holds a copy of ``u`` on the mask's box and ||grad u||^2, summed on
+    the padded grid one gradient component at a time, so it keeps no
+    padded-grid array alive.  ``rejects(local, faces, threshold)`` takes a
+    trial's ``local_energies`` and face transfer and is True only when the
+    trial's solved energy would exceed ``threshold``; it makes no solve.
     """
 
     def __init__(self, stray: StrayFieldSolution, mask: DomainMask, tol: float):
         root = stray.u.grid
-        h_root = stray.h()
-        self.h = h_root.on_grid(mask.grid)
-        self.half_h2 = 0.5 * inner(h_root, h_root)
-        self.u = stray.u.data[mask.grid.box]
+        self.vol, self.tol = root.cell_volume, tol
+        h2 = 0.0
+        for axis in range(3):
+            g = grad_component(stray.u, axis)
+            h2 += float(np.vdot(g, g))
+            del g
+        self.half_h2 = 0.5 * (h2 * self.vol)  # 0.5 * inner(h, h), bit for bit
+        self.u = stray.u.data[mask.grid.box].copy()  # not a view: u's grid is the root
         self.norm_u = float(np.sqrt(np.vdot(self.u, self.u)))
         self.inv_sqrt_lam = 1.0 / np.sqrt(smallest_eigenvalue(root.shape, root.h))
-        self.vol, self.tol = root.cell_volume, tol
         self.ulps = 3 * root.n_cells * np.finfo(float).eps  # an n-term sum's rounding
 
     def rejects(self, local, faces: VectorField, threshold: float) -> bool:
@@ -252,8 +255,7 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
 
     for it in range(1, mcfg.max_iter + 1):
         bound = None if stray is None else _TrialBound(stray, local, scfg.tol)
-        hf = effective_field(m, params, local, scfg, terms=terms,
-                             stray_h=None if bound is None else bound.h)
+        hf = effective_field(m, params, local, scfg, terms=terms, stray=stray)
         t = _tangential(hf.data, m.data) * local.indicator
         gnorm = _grad_norm(t, vol)
         report.final_grad_norm = gnorm
@@ -277,9 +279,7 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
     else:
         report.final_grad_norm = _grad_norm(
             _tangential(effective_field(m, params, local, scfg, terms=terms,
-                                        stray_h=None if stray is None
-                                        else stray.h(local.grid)).data,
-                        m.data) * local.indicator, vol)
+                                        stray=stray).data, m.data) * local.indicator, vol)
         report.converged = report.final_grad_norm <= mcfg.grad_tol
     return m.embedded(), report
 

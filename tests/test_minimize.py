@@ -1,5 +1,7 @@
 """Sphere-constrained minimization: descent, constraints, and analytic minima."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -474,3 +476,26 @@ def test_certification_leaves_iterates_unchanged_for_each_method(monkeypatch, me
     direct, other = counts.values()
     assert direct > 0
     assert (other < direct) if tol > 1e-8 else (other > 0)
+
+
+def test_line_search_holds_no_padded_face_field():
+    # the ball 8 cells across on a 40^3 grid, 98% padding.  The peak, in cell
+    # arrays of the padded grid, is the iterate's u (1) and a trial's scalar
+    # route (3 at most, its u included), or the iterate's u and the returned
+    # full-grid m (3).  A kept padded-grid field -grad u (3) or the previous
+    # iterate's u (1) shows here.
+    grid, mask = ball_setup(8, 2.0)
+    assert grid.shape == (40, 40, 40)
+    m0 = random_unit_magnetization(1, mask)
+    mcfg = MinimizeConfig(grad_tol=1e-12, max_iter=2)
+    minimize_m(m0, MaterialParams(), mask, mcfg, CFG)  # builds the cached bases
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _, rep = minimize_m(m0, MaterialParams(), mask, mcfg, CFG)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 2
+    assert peak < 5.0 * 8 * grid.n_cells
