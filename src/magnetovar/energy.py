@@ -92,7 +92,12 @@ def exchange_energy(m: CellVectorField, mask: DomainMask, *,
     total = 0.0
     for axis in range(3):
         d = np.diff(m.data, axis=1 + axis)
-        total += float(np.sum(bonds[axis] * np.sum(d * d, axis=0)))
+        d *= d
+        sq = d[0]  # |m_i - m_j|^2 summed over the components into d[0]
+        sq += d[1]
+        sq += d[2]
+        sq *= bonds[axis]
+        total += float(sq.sum())
     return 0.5 * total * h  # (1/h^2) * h^3 = h
 
 

@@ -25,9 +25,12 @@ box) the stray-field energy is computed three ways:
 Each route reads ``m`` on a box: its sub grid's (``GridSpec.sub_grid``), or
 else the support box it finds once (``grid.support_box``: the nonzeros
 grown by one cell).  It checks ``m`` there and builds ``-div m`` and
-``curl m`` there only, embedded in zeros of the root grid, where the
-checked solves, their true residuals, ``u`` and ``a`` live.  Every zero-ghost
-solve picks its inverse by ``SolverConfig.method`` in ``poisson.solve_poisson``.
+``curl m`` there only; each source goes to its solve as its array on its
+box of the root grid (the cells, or a component's edges, of the box).
+Only the CG and dense oracles embed it in zeros.  The solutions ``u`` and
+``a``, and the checked solves' true residuals, live on the whole root
+grid.  Every zero-ghost solve picks its inverse by ``SolverConfig.method``
+in ``poisson.solve_poisson``.
 
 By construction W(m, u) <= V_curl(m, a) <= V(m, a) holds for *every*
 discrete trial pair, so the duality sandwich is exact in floating point.
@@ -139,22 +142,15 @@ def _checked_on_box(m: VectorField, mask: DomainMask | None) -> VectorField:
 
 
 def _charge(m_box: VectorField) -> np.ndarray:
-    """-div m on the root of ``m_box``'s sub grid: built on the box, embedded in
-    zeros and negated in place, as the root's -div is (-0.0 off the box)."""
-    rho = embed(div(m_box).data, m_box.grid.root.shape, m_box.grid.box)
+    """-div m on the cells of ``m_box``'s box, negated in place; off the box the
+    root's -div m is zero."""
+    rho = div(m_box).data
     return np.negative(rho, out=rho)
 
 
 def _edge_box(box: tuple[slice, ...], c: int) -> tuple[slice, ...]:
     """The edges along axis ``c`` of the cell box ``box``."""
     return grow_box(box, *(axis for axis in range(3) if axis != c))
-
-
-def _curl_source(m_box: VectorField, c: int):
-    """Component ``c`` of curl m on the root of the sub grid of ``m_box``,
-    built on the box's edges."""
-    return embed(curl_component(m_box, c), edge_shapes(m_box.grid.root)[c],
-                 _edge_box(m_box.grid.box, c))
 
 
 def _sq(a: np.ndarray) -> float:
@@ -172,10 +168,10 @@ def solve_scalar_potential(m: VectorField, mask: DomainMask | None,
     """
     m_box = _checked_on_box(m, mask)
     grid, box = m_box.grid.root, m_box.grid.box
-    rhs = _charge(m_box)
-    u_data, res, iters = poisson.solve_poisson(rhs, grid.h, cfg.tol, cfg.max_iter,
-                                               cfg.method)
-    energy = 0.5 * float(np.vdot(u_data[box], rhs[box])) * grid.cell_volume
+    rho = _charge(m_box)
+    u_data, res, iters = poisson.solve_poisson(rho, grid.h, cfg.tol, cfg.max_iter,
+                                               cfg.method, grid.shape, box)
+    energy = 0.5 * float(np.vdot(u_data[box], rho)) * grid.cell_volume
     return StrayFieldSolution(u=ScalarField(grid, u_data, CELL), energy=energy,
                               residual=res, iterations=iters)
 
@@ -227,20 +223,23 @@ def project_divergence_free(a: VectorField, cfg: SolverConfig):
 
 def minimize_V(m: VectorField, mask: DomainMask | None, cfg: SolverConfig):
     """A minimizer of V(m, .): componentwise Poisson solves with source curl m,
-    each built on the support box of ``m``, which is checked there.
+    each component built and passed on the edges of the support box of
+    ``m``, which is checked there.
 
     Returns (a, worst residual, total iterations); ``a`` is not gauged.
     """
     m_box = _checked_on_box(m, mask)
+    grid = m_box.grid.root
     comps = []
     res_max, iters_total = 0.0, 0
-    for c in range(3):
-        x, res, iters = poisson.solve_poisson(_curl_source(m_box, c), m.grid.h,
-                                              cfg.tol, cfg.max_iter, cfg.method)
+    for c, shape in enumerate(edge_shapes(grid)):
+        x, res, iters = poisson.solve_poisson(curl_component(m_box, c), grid.h, cfg.tol,
+                                              cfg.max_iter, cfg.method, shape,
+                                              _edge_box(m_box.grid.box, c))
         comps.append(x)
         res_max = max(res_max, res)
         iters_total += iters
-    return VectorField(m_box.grid.root, *comps, staggering=EDGE), res_max, iters_total
+    return VectorField(grid, *comps, staggering=EDGE), res_max, iters_total
 
 
 def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None,
@@ -275,15 +274,16 @@ _EDGE_KINDS = tuple(tuple("dst" if axis == c else "dct" for axis in range(3))
 def _solve_curl_curl(m_box: VectorField, cfg: SolverConfig):
     """Solve  curl curl a = curl m  on the root of ``m_box``'s sub grid;
     (a, curl a, residual, iterations).  Each component of curl m is built on
-    the box.  The direct solve takes one transform solve per component, and
-    its true residual ||b - curl curl a|| / ||b|| is summed one component at
-    a time, each component of b rebuilt on the box, so only ``a`` and
-    ``curl a`` are held.  Plain CG runs on the concatenated components.
+    the box's edges.  The direct solve takes one transform solve per
+    component, each from that box array, and its true residual
+    ||b - curl curl a|| / ||b|| is summed one component at a time, each
+    component of b rebuilt on the box, so only ``a`` and ``curl a`` are held.
+    Plain CG runs on the concatenated components, embedded in zeros.
     """
     poisson.refuse_dense(cfg.method, "curl-curl")
     grid, box = m_box.grid.root, m_box.grid.box
+    shapes = edge_shapes(grid)
     if cfg.method == "cg":
-        shapes = edge_shapes(grid)
         splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
 
         def field(v):
@@ -294,7 +294,8 @@ def _solve_curl_curl(m_box: VectorField, cfg: SolverConfig):
         def flat(f):
             return np.concatenate([c.ravel() for c in f.components])
 
-        b = np.concatenate([_curl_source(m_box, c).ravel() for c in range(3)])
+        b = np.concatenate([embed(curl_component(m_box, c), s, _edge_box(box, c)).ravel()
+                            for c, s in enumerate(shapes)])
         x, res, iters = poisson.cg(lambda v: flat(curl(curl(field(v)))), b,
                                    cfg.tol, cfg.max_iter)
         a = field(x)
@@ -303,8 +304,9 @@ def _solve_curl_curl(m_box: VectorField, cfg: SolverConfig):
     if bnorm == 0.0:
         a = VectorField.zeros(grid, EDGE)
         return a, curl(a), 0.0, 0
-    a = VectorField(grid, *(poisson.transform_solve(_curl_source(m_box, c), grid.h, k)
-                            for c, k in enumerate(_EDGE_KINDS)), staggering=EDGE)
+    a = VectorField(grid, *(poisson.transform_solve(curl_component(m_box, c), grid.h,
+                                                    _EDGE_KINDS[c], shapes[c], _edge_box(box, c))
+                            for c in range(3)), staggering=EDGE)
     curl_a = curl(a)
     r2 = 0.0
     for c in range(3):
@@ -409,12 +411,13 @@ def dense_oracle_energy(m: VectorField, mask: DomainMask | None) -> float:
     return solve_scalar_potential(m, mask, SolverConfig(method="dense")).energy
 
 
-def _unit_charges(mask: DomainMask) -> list[np.ndarray]:
-    """The charges -div(e_i Chi), i = x, y, z, of a nonempty mask, built on the
-    support box of its indicator and embedded in zeros: the full-grid build
-    bit for bit, at the box's cost."""
-    box_mask = mask.on_box(support_box(mask.grid.shape, mask.indicator))
-    return [_charge(masked_cell_to_faces(
+def _unit_charges(mask: DomainMask) -> tuple[tuple[slice, ...], list[np.ndarray]]:
+    """(box, charges): the charges -div(e_i Chi), i = x, y, z, of a nonempty
+    mask on the support box of its indicator, off which they are zero; on the
+    box, the full-grid build bit for bit, at the box's cost."""
+    box = support_box(mask.grid.shape, mask.indicator)
+    box_mask = mask.on_box(box)
+    return box, [_charge(masked_cell_to_faces(
         CellVectorField.constant(box_mask.grid, e, box_mask), box_mask)) for e in np.eye(3)]
 
 
@@ -426,8 +429,11 @@ def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,
     Summation by parts, <grad u, v> = -<u, div v>, is exact on the grid, so it
     equals the cell pairing <u_j, rho_i>/|Omega| with the surface charge
     rho_i = -div(e_i Chi), the right-hand side of column i's checked solve; no
-    field h is built, and each rho_i only on the mask's support box.  N is symmetric
-    up to solver tolerance and its trace is 1 up to discretization error.
+    field h is built.  Each rho_i is built and held on the mask's support box
+    only, off which it is zero: it goes to the solve as that box array, and
+    u_j is paired with it on the box.  One u_j at a time is the only array of
+    the padded grid held.  N is symmetric up to solver tolerance and its trace is 1 up to
+    discretization error.
     """
     if not isinstance(geom, Ellipsoid):
         raise GridError("demagnetizing tensor is defined for ellipsoids")
@@ -437,13 +443,14 @@ def demag_tensor(geom: Ellipsoid, grid: GridSpec, cfg: SolverConfig,
     vol = mask.volume
     if vol == 0.0:
         raise GridError("empty mask")
-    charges = _unit_charges(mask)
+    box, charges = _unit_charges(mask)
     N = np.empty((3, 3))
     for j in range(3):
-        u = poisson.solve_poisson(charges[j], grid.h, cfg.tol, cfg.max_iter, cfg.method)[0]
+        u = poisson.solve_poisson(charges[j], grid.h, cfg.tol, cfg.max_iter, cfg.method,
+                                  grid.shape, box)[0]
+        u = np.ascontiguousarray(u[box])  # frees the padded u
         for i in range(3):
             N[i, j] = np.vdot(u, charges[i]) * grid.cell_volume / vol
-        del u
     return N
 
 

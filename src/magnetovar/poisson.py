@@ -10,19 +10,25 @@ diagonal in a separable basis: per axis, type-I sines for zero ghosts and
 type-II cosines for mirrored ends.  ``transform_solve`` inverts any of
 them directly with one cached dense orthonormal eigenbasis per axis
 length and end condition, built from its closed-form sines or cosines and
-applied by matrix products: the forward ones read the source's box, the
+applied by matrix products.
+
+A right-hand side is passed as its array on an index box of the lattice,
+with the lattice's shape, and is zero off the box; by default the box is
+the whole lattice.  The forward products read the box array, the
 axis-1/2 ones run on slabs of axis-0 planes with temporaries of a few
 ``_TRANSFORM_SLAB_BYTES``, and the inverse along axis 0 runs in place, so
 the result is the solve's only full-grid array.
 ``checked_solve`` confirms each such solve with one apply of the operator
 (the true residual ``||b - A x|| / ||b||`` over the full grid).  The apply
 runs slab by slab along axis 0, each slab with a one-plane halo, so every
-slab of ``A x`` is the full apply's bit for bit and the check's temporaries
-are one slab of ``_SLAB_BYTES``, not arrays of the grid's size.  A solve's
-``method`` picks its inverse: ``"direct"`` the transform solve, ``"cg"``
-plain conjugate gradients (``cg``) or ``"dense"`` a block factorization of
-the zero-ghost operator (``dense_poisson_solver``); the last two are
-independent oracles.  All of it runs on numpy alone.
+slab of ``A x`` is the full apply's bit for bit; ``b`` is subtracted where
+the slab meets its box.  The check's temporaries are one slab of
+``_SLAB_BYTES``, not arrays of the grid's size.  A solve's ``method``
+picks its inverse: ``"direct"`` the transform solve, ``"cg"`` plain
+conjugate gradients (``cg``) or ``"dense"`` a block factorization of the
+zero-ghost operator (``dense_poisson_solver``); the last two are
+independent oracles and read the source embedded in zeros of the lattice,
+made once in ``checked_solve``.  All of it runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, GridError
-from .grid import nonzero_box
+from .grid import embed
 
 CELL_KINDS = ("dst", "dst", "dst")
 NODE_KINDS = ("dct", "dct", "dct")
@@ -136,43 +142,62 @@ def smallest_eigenvalue(shape: tuple[int, int, int], h: float) -> float:
     return sum(float(_axis_basis(n, "dst")[1][0]) for n in shape) / (h * h)
 
 
-def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str]) -> np.ndarray:
+def _whole_box(shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """The index box of the whole lattice of ``shape``."""
+    return tuple(slice(0, n) for n in shape)
+
+
+def _placed(b: np.ndarray, shape, box) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+    """(shape, box) of a right-hand side ``b`` given on the index ``box`` of a
+    lattice of ``shape``: by default the lattice of ``b``'s shape and its
+    whole box.  ValueError if ``b`` does not fill a box inside the lattice."""
+    shape = b.shape if shape is None else tuple(shape)
+    box = _whole_box(shape) if box is None else tuple(box)
+    if (len(box) != len(shape) or b.shape != tuple(s.stop - s.start for s in box)
+            or not all(0 <= s.start <= s.stop <= n for s, n in zip(box, shape))):
+        raise ValueError(f"a source of shape {b.shape} does not fill the box {box} "
+                         f"of a lattice of shape {shape}")
+    return shape, box
+
+
+def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str],
+                    shape: tuple[int, int, int] | None = None,
+                    box: tuple[slice, slice, slice] | None = None) -> np.ndarray:
     """Direct solve of the separable 7-point operator with per-axis ends.
 
     ``kinds[axis]`` is ``"dst"`` for zero ghosts (the stencil of
     ``laplace_apply``) or ``"dct"`` for mirrored ends (the stencil of
     ``neumann_laplace_apply``).  With at least one ``"dst"`` axis the
     operator is nonsingular; with none, constants are its kernel and the
-    zero-mean solution is returned.  ``b`` is not modified.
+    zero-mean solution is returned.  The right-hand side is ``b`` on the
+    index ``box`` of a lattice of ``shape`` and zero off it (by default the
+    box is the whole lattice of ``b``'s shape); the solution is returned on
+    the whole lattice.  ``b`` is not modified.
 
     The operator is the Kronecker sum of 1-D second differences, so it is
     diagonal in the product of their cached dense orthonormal eigenbases
     (the fast diagonalization method: Lynch, Rice & Thomas, Numer. Math.
     6:185, 1964); each axis costs matrix products whose speed does not
     depend on whether its length has large prime factors.  The forward
-    products read only the index box that holds ``b``'s nonzeros
-    (``grid.nonzero_box``; for ``-div m`` or ``curl m``, about the support
-    box of ``m``).  Axis 0 goes first, as one product written into the
-    result's memory (row ``i`` holds plane ``i``'s box).  Then slabs of
-    axis-0 planes, each of about ``_TRANSFORM_SLAB_BYTES`` of the result,
-    run axes 2 and 1, the division by the eigenvalues and the inverse along
+    products read the box array only, with the rows of the bases on the
+    box.  Axis 0 goes first, as one product written into the result's
+    memory (row ``i`` holds plane ``i``'s box).  Then slabs of axis-0
+    planes, each of about ``_TRANSFORM_SLAB_BYTES`` of the result, run
+    axes 2 and 1, the division by the eigenvalues and the inverse along
     axes 1 and 2 as stacked products, and write their planes of the result;
     the temporaries are a few slabs.  Last, the inverse along axis 0 runs
     in place on blocks of ``_COLUMN_BLOCK`` columns.  The result is the only
     full-grid array allocated.
     """
-    box = nonzero_box(b)
-    if box is None:
-        return np.zeros(b.shape)
-    s0, s1, s2 = box
-    n0 = b.shape[0]
-    k12 = (s1.stop - s1.start, s2.stop - s2.start)
+    shape, (s0, s1, s2) = _placed(b, shape, box)
+    n0 = shape[0]
+    k12 = b.shape[1:]
     hh = h * h
-    (q0, lam0), (q1, lam1), (q2, lam2) = (_axis_basis(n, k) for n, k in zip(b.shape, kinds))
-    coef = np.empty(b.shape)
+    (q0, lam0), (q1, lam1), (q2, lam2) = (_axis_basis(n, k) for n, k in zip(shape, kinds))
+    coef = np.empty(shape)
     flat = coef.reshape(n0, -1)
     fwd = flat[:, :k12[0] * k12[1]]  # axis 0 done: plane i's box, row i
-    np.matmul(q0[s0].T, b[s0, s1, s2].reshape(-1, fwd.shape[1]), out=fwd)
+    np.matmul(q0[s0].T, b.reshape(b.shape[0], fwd.shape[1]), out=fwd)
     q1_in, q2_in, q2_out = q1[s1].T, q2[s2], q2.T
     lam12 = (lam1[:, None] + lam2[None, :]) / hh
     planes = max(1, _TRANSFORM_SLAB_BYTES // coef[0].nbytes)
@@ -191,8 +216,8 @@ def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str]) -> np.
 
 
 def rhs_norm(*parts: np.ndarray) -> float:
-    """||b|| for ``b`` the concatenation of ``parts``; raises ConvergenceError
-    if it is not finite."""
+    """||b|| for ``b`` the concatenation of ``parts`` (a source's box arrays:
+    off its box it is zero); raises ConvergenceError if it is not finite."""
     bnorm = float(np.sqrt(sum(float(np.vdot(p, p)) for p in parts)))
     if not np.isfinite(bnorm):
         raise ConvergenceError("right-hand side is not finite",
@@ -205,26 +230,34 @@ def _residual(apply_op, x: np.ndarray, b: np.ndarray, bnorm: float) -> float:
     return float(np.linalg.norm(b - apply_op(x))) / bnorm
 
 
-def stencil_residual_norm(apply_op, x: np.ndarray, b: np.ndarray) -> float:
-    """||b - A x|| over the full grid, summed slab by slab along axis 0.
+def stencil_residual_norm(apply_op, x: np.ndarray, b: np.ndarray,
+                          box: tuple[slice, slice, slice] | None = None) -> float:
+    """||b - A x|| over the full grid of ``x``, summed slab by slab along axis 0;
+    ``b`` is given on the index ``box`` of that grid (by default the whole
+    grid) and is zero off it.
 
     ``apply_op`` is a 7-point stencil such as ``laplace_apply`` or
     ``neumann_laplace_apply``: its value on a plane reads ``x`` on that plane
     and its two neighbours only, and it treats the ends of the array it is
     given as the lattice's ends.  Each slab is applied with a one-plane halo
     on each side that has a neighbour, so every slab of ``A x`` equals the
-    full apply's bit for bit.  A slab holds ``_SLAB_BYTES`` of ``b``, at
-    least one plane, so a grid that fits is one slab and its norm is
+    full apply's bit for bit.  ``b`` is subtracted in place where the slab
+    meets its box, which leaves ``A x - b = -(b - A x)`` exactly: the same
+    squares.  A slab holds ``_SLAB_BYTES`` of planes of the grid, at least
+    one plane, so a grid that fits is one slab and its norm is
     ``np.linalg.norm(b - apply_op(x))`` exactly.
     """
-    n0 = b.shape[0]
-    planes = max(1, _SLAB_BYTES // b[0].nbytes)
+    _, (s0, s1, s2) = _placed(b, x.shape, box)
+    n0 = x.shape[0]
+    planes = max(1, _SLAB_BYTES // x[0].nbytes)
     total = 0.0
     for lo in range(0, n0, planes):
         hi = min(lo + planes, n0)
         start = max(lo - 1, 0)
         r = apply_op(x[start:hi + 1])[lo - start:hi - start]
-        np.subtract(b[lo:hi], r, out=r)
+        first, last = max(lo, s0.start), min(hi, s0.stop)
+        if first < last:
+            r[first - lo:last - lo, s1, s2] -= b[first - s0.start:last - s0.start]
         total += float(np.vdot(r, r))
     return float(np.sqrt(total))
 
@@ -240,25 +273,35 @@ def confirm_direct(res: float, tol: float) -> float:
 
 
 def checked_solve(apply_op, b: np.ndarray, inverse, tol: float, max_iter: int,
-                  method: str):
+                  method: str, shape: tuple[int, int, int] | None = None,
+                  box: tuple[slice, slice, slice] | None = None):
     """Solve  A x = b  to true relative residual ``tol``.
 
-    ``method = "cg"`` runs plain CG; ``"direct"`` and ``"dense"`` apply the
-    direct ``inverse`` (a transform solve, or the dense factorization) once
-    and check the true residual over the full grid, slab by slab
+    ``b`` is the right-hand side on the index ``box`` of a grid of ``shape``
+    and zero off it (by default the whole grid of ``b``'s shape); ``x`` is
+    returned on the whole grid.  ``method = "direct"`` applies
+    ``inverse(b, shape, box)`` (a transform solve) to the box array.  The
+    oracles read ``b`` embedded in zeros of the grid, made here once:
+    ``"cg"`` runs plain CG on it, and ``"dense"`` applies
+    ``inverse(b, shape, box)`` (the dense factorization) to it with the
+    whole grid as its box.  A direct or dense solve is applied once and its
+    true residual checked over the full grid, slab by slab
     (``stencil_residual_norm``: ``apply_op`` is a 7-point stencil).
     Returns (x, residual, iterations); raises ConvergenceError with the
     residual and the iteration count if ``tol`` is not met.
     """
-    if method == "cg":
-        return cg(apply_op, b, tol=tol, max_iter=max_iter)
     if method not in METHODS:
         raise ValueError(f"unknown solve method {method!r}")
+    shape, box = _placed(b, shape, box)
+    if method != "direct":
+        b, box = embed(b, shape, box), _whole_box(shape)
+        if method == "cg":
+            return cg(apply_op, b, tol=tol, max_iter=max_iter)
     bnorm = rhs_norm(b)
     if bnorm == 0.0:
-        return np.zeros_like(b), 0.0, 0
-    x = inverse(b)
-    return x, confirm_direct(stencil_residual_norm(apply_op, x, b) / bnorm, tol), 1
+        return np.zeros(shape), 0.0, 0
+    x = inverse(b, shape, box)
+    return x, confirm_direct(stencil_residual_norm(apply_op, x, b, box) / bnorm, tol), 1
 
 
 def refuse_dense(method: str, solve: str):
@@ -271,28 +314,34 @@ def refuse_dense(method: str, solve: str):
 
 def solve_poisson_neumann(b: np.ndarray, h: float, tol: float, max_iter: int,
                           method: str = "direct"):
-    """Zero-mean solve of the no-flux node Poisson problem.
+    """Zero-mean solve of the no-flux node Poisson problem; ``b`` fills the grid.
 
     The right-hand side must have (numerically) zero sum; this is exact for
     divergences of edge fields.  ``method = "dense"`` raises GridError.
     """
     refuse_dense(method, "no-flux node")
     return checked_solve(lambda x: neumann_laplace_apply(x, h), b - b.mean(),
-                         lambda r: transform_solve(r, h, NODE_KINDS),
+                         lambda r, shape, box: transform_solve(r, h, NODE_KINDS, shape, box),
                          tol, max_iter, method)
 
 
 def solve_poisson(b: np.ndarray, h: float, tol: float, max_iter: int,
-                  method: str = "direct"):
+                  method: str = "direct", shape: tuple[int, int, int] | None = None,
+                  box: tuple[slice, slice, slice] | None = None):
     """Solve  -Laplacian(u) = b  (zero ghosts) by ``method`` to true relative
-    residual ``tol``.
+    residual ``tol``; ``b`` is given on the index ``box`` of a grid of
+    ``shape`` and is zero off it (by default the whole grid of ``b``'s shape).
 
-    Returns (u, residual, iterations).  Raises ConvergenceError if the
-    residual target is not met.
+    Returns (u, residual, iterations), ``u`` on the whole grid.  Raises
+    ConvergenceError if the residual target is not met.
     """
-    inverse = (dense_poisson_solver(b.shape, h) if method == "dense"
-               else lambda r: transform_solve(r, h, CELL_KINDS))
-    return checked_solve(lambda x: laplace_apply(x, h), b, inverse, tol, max_iter, method)
+    shape = b.shape if shape is None else shape
+    dense = dense_poisson_solver(shape, h) if method == "dense" else None
+
+    def inverse(r, shape, box):
+        return transform_solve(r, h, CELL_KINDS, shape, box) if dense is None else dense(r)
+    return checked_solve(lambda x: laplace_apply(x, h), b, inverse, tol, max_iter, method,
+                         shape, box)
 
 
 def cg(apply_op, b: np.ndarray, tol: float, max_iter: int):

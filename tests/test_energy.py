@@ -57,6 +57,20 @@ def test_exchange_single_flip_positive():
     assert exchange_energy(m, mask) > 0.0
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_exchange_equals_the_bond_sum_bit_for_bit(seed):
+    # the in-place squares and sums give the plain expression's value exactly
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(*(int(k) for k in rng.integers(2, 12, 3)), h=float(rng.uniform(0.1, 2.0)))
+    mask = DomainMask(grid, (rng.random(grid.shape) < rng.random()).astype(float))
+    m = random_unit_magnetization(seed, mask)
+    total = 0.0
+    for axis, bond in enumerate(mask.bond_masks()):
+        d = np.diff(m.data, axis=1 + axis)
+        total += float(np.sum(bond * np.sum(d * d, axis=0)))
+    assert exchange_energy(m, mask) == 0.5 * total * grid.h
+
+
 def test_exchange_norm_violation_names_cell():
     grid, mask = ball_setup()
     m = CellVectorField.constant(grid, (0, 0, 1), mask)

@@ -292,10 +292,14 @@ def test_box_built_charges_equal_full_grid_charges(sides, two_axis, pad, h, fill
     ind = np.zeros(grid.shape)
     ind[tuple(slice(pad, pad + k) for k in n)] = inner_cells
     mask = DomainMask(grid, ind)
-    for e, rho in zip(np.eye(3), _unit_charges(mask)):
+    box, charges = _unit_charges(mask)
+    assert box == support_box(grid.shape, mask.indicator)
+    for e, rho in zip(np.eye(3), charges):
         want = -div(masked_cell_to_faces(CellVectorField.constant(grid, e, mask),
                                          mask)).data
-        assert rho.shape == want.shape and rho.tobytes() == want.tobytes()
+        assert rho.shape == want[box].shape and rho.tobytes() == want[box].tobytes()
+        want[box] = 0.0
+        assert not want.any()
 
 
 def test_demag_tensor_dense_oracle_matches_iterative():
@@ -305,6 +309,27 @@ def test_demag_tensor_dense_oracle_matches_iterative():
     N_dense = demag_tensor(geom, grid, SolverConfig(method="dense"))
     N = demag_tensor(geom, grid, CFG)
     assert np.abs(N_dense - N).max() <= 1e-10 * np.abs(N).max()
+
+
+def test_demag_tensor_holds_one_padded_array_at_a_time():
+    # a 2:1:1 ellipsoid at h = 1/12 on a 106 x 82 x 82 grid, 98 % padding: the
+    # charges stay on the mask's support box, so the peak is one u_j and the
+    # solve's slabs; three padded charges and u would read about 4.4
+    geom = Ellipsoid(2.0, 1.0, 1.0)
+    grid = grid_for_geometry(geom, 1.0 / 12, 0.6)
+    assert grid.shape == (106, 82, 82)
+    mask = build_mask(geom, grid)
+    demag_tensor(geom, grid, CFG, mask=mask)  # builds the cached bases
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        N = demag_tensor(geom, grid, CFG, mask=mask)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert abs(np.trace(N) - 1.0) < 0.02
+    assert peak < 2.5 * 8 * grid.n_cells
 
 
 def test_demag_tensor_requires_ellipsoid():

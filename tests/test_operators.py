@@ -9,7 +9,7 @@ from magnetovar.grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask
                              Ellipsoid, GridSpec, ScalarField, VectorField,
                              build_mask, face_shapes)
 from magnetovar.errors import GridError, SupportError
-from magnetovar.magnetostatics import _charge, _checked_on_box, _curl_source
+from magnetovar.magnetostatics import _charge, _checked_on_box, _edge_box
 from magnetovar.operators import (_pad_diff, _pair_sum_pad, check_supported, curl,
                                   curl_component, div, grad, grad_component, grad_node,
                                   grad_norm_sq, inner, masked_cell_to_faces,
@@ -464,10 +464,11 @@ def test_check_supported_flags_exactly_faces_touching_no_cell(
        masked=st.booleans(), **GRIDS)
 def test_box_built_sources_equal_full_grid_sources(sides, two_axis, pad, fill, touch,
                                                    neg_zero, masked, seed):
-    # -div m and curl m built on the support box of m and embedded in zeros,
-    # as the routes build them.  With a mask, m fills the mask's support; with
-    # touch and pad 0 the grown box is clipped at the grid's edge, with fill 0
-    # the mask is empty and the box is the grid.  With no mask, each component
+    # -div m and curl m built on the support box of m, as the routes build and
+    # pass them, equal the full-grid sources on the box, and those vanish off
+    # it.  With a mask, m fills the mask's support; with touch and pad 0 the
+    # grown box is clipped at the grid's edge, with fill 0 the mask is empty
+    # and the box is the grid.  With no mask, each component
     # is random on an arbitrary box of its own (the whole array with touch;
     # a box on the last face only is clipped to the last two cells).
     # With neg_zero the faces off the support hold -0.0, whose signs the
@@ -495,10 +496,16 @@ def test_box_built_sources_equal_full_grid_sources(sides, two_axis, pad, fill, t
             comps.append(comp)
     m = VectorField(grid, *comps, staggering=FACE)
     m_box = _checked_on_box(m, mask)
-    pairs = [(_charge(m_box), -div(m).data)]
-    pairs += [(_curl_source(m_box, c), curl_component(m, c)) for c in range(3)]
-    for got, want in pairs:
-        assert _same_bits(got + 0.0, want + 0.0) if neg_zero else _same_bits(got, want)
+    box = m_box.grid.box
+    pairs = [(_charge(m_box), box, -div(m).data)]
+    pairs += [(curl_component(m_box, c), _edge_box(box, c), curl_component(m, c))
+              for c in range(3)]
+    for got, part, want in pairs:
+        on = want[part]
+        assert _same_bits(got + 0.0, on + 0.0) if neg_zero else _same_bits(got, on)
+        off = want.copy()
+        off[part] = 0.0
+        assert not off.any()
 
 
 def _random_field(grid, staggering, rng, zero_ends=False):

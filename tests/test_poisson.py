@@ -102,24 +102,33 @@ def test_axis_basis_rejects_unknown_kind():
         poisson._axis_basis(4, "fft")
 
 
+FACES = [f"face-{axis}{side}" for axis in range(3) for side in "-+"]
+
+
 def supported_rhs(shape, seed, support, zero_mean):
-    """Random right-hand side that vanishes outside an index box: the whole
-    lattice ("full", touching every face), a random sub-box, one cell, or
-    no cell at all ("zero"); with ``zero_mean`` its values sum to zero."""
+    """(b, box): a random right-hand side ``b`` that vanishes outside the index
+    ``box``: the whole lattice ("full", touching every face), a random
+    sub-box, a random sub-box on one face of the lattice ("face-0-" is on
+    the low face of axis 0), one cell, or a random sub-box of zeros ("zero");
+    with ``zero_mean`` its values sum to zero."""
     rng = np.random.default_rng(seed)
     b = np.zeros(shape)
     if support == "full":
         box = tuple(slice(0, n) for n in shape)
-    elif support == "sub-box":
-        box = tuple(slice(lo, rng.integers(lo + 1, n + 1))
-                    for lo, n in zip(rng.integers(0, shape), shape))
     elif support == "cell":
         box = tuple(slice(i, i + 1) for i in rng.integers(0, shape))
     else:
-        return b
-    values = rng.standard_normal(b[box].shape)
-    b[box] = values - values.mean() if zero_mean else values
-    return b
+        box = [slice(lo, int(rng.integers(lo + 1, n + 1)))
+               for lo, n in zip(rng.integers(0, shape), shape)]
+        if support.startswith("face"):
+            axis, n = int(support[5]), shape[int(support[5])]
+            width = box[axis].stop - box[axis].start
+            box[axis] = slice(0, width) if support[6] == "-" else slice(n - width, n)
+        box = tuple(box)
+    if support != "zero":
+        values = rng.standard_normal(b[box].shape)
+        b[box] = values - values.mean() if zero_mean else values
+    return b, box
 
 
 @pytest.mark.parametrize("kinds", list(itertools.product(("dst", "dct"), repeat=3)),
@@ -127,20 +136,31 @@ def supported_rhs(shape, seed, support, zero_mean):
 @settings(derandomize=True, deadline=None, max_examples=24, database=None)
 @given(shape=st.tuples(*[st.integers(2, 9)] * 3), h=st.floats(0.05, 2.0),
        seed=st.integers(0, 2 ** 32 - 1),
-       support=st.sampled_from(["full", "sub-box", "cell", "zero"]))
+       support=st.sampled_from(["full", "sub-box", *FACES, "cell", "zero"]))
 def test_transform_solve_property(kinds, shape, h, seed, support):
-    # the all-cosine operator maps onto zero-mean fields
-    b = supported_rhs(shape, seed, support, zero_mean="dst" not in kinds)
-    b_in = b.copy()
+    # the all-cosine operator maps onto zero-mean fields.  The source solved
+    # from its box array gives the embedded source's solution
+    b, box = supported_rhs(shape, seed, support, zero_mean="dst" not in kinds)
+    b_in, part = b.copy(), b[box].copy()
     u = poisson.transform_solve(b, h, kinds)
-    assert b.tobytes() == b_in.tobytes()
-    assert u.shape == b.shape and u.dtype == np.float64
+    u_box = poisson.transform_solve(part, h, kinds, shape, box)
+    assert b.tobytes() == b_in.tobytes() and part.tobytes() == b_in[box].tobytes()
+    assert u.shape == u_box.shape == b.shape and u.dtype == u_box.dtype == np.float64
     if not b.any():
-        assert not u.any()
+        assert not u.any() and not u_box.any()
+    assert np.abs(u_box - u).max() <= 1e-15 * np.abs(u).max()
     resid = np.linalg.norm(apply_from_1d_ends(u, h, kinds) - b)
     assert resid <= 1e-12 * np.linalg.norm(b)
     if "dst" not in kinds:
         assert abs(u.sum()) <= 1e-12 * np.abs(u).sum()
+
+
+@pytest.mark.parametrize("box", [(slice(0, 3), slice(1, 4), slice(1, 3)),
+                                 (slice(0, 3), slice(2, 5), slice(0, 1))],
+                         ids=["other-shape", "off-the-lattice"])
+def test_transform_solve_rejects_a_source_off_its_box(box):
+    with pytest.raises(ValueError, match="does not fill the box"):
+        poisson.transform_solve(np.ones((3, 3, 1)), 0.1, poisson.CELL_KINDS, (3, 4, 3), box)
 
 
 @pytest.mark.parametrize("kinds", [poisson.CELL_KINDS, poisson.NODE_KINDS, ("dst", "dct", "dct")],
@@ -270,6 +290,26 @@ def test_slab_applies_equal_the_full_apply_bit_for_bit(monkeypatch, apply_op):
         assert y[lo - start:hi - start].tobytes() == full[lo:hi].tobytes()
 
 
+@pytest.mark.parametrize("apply_op", APPLIES, ids=["laplace", "neumann"])
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(shape=st.tuples(*[st.integers(1, 9)] * 3), planes=st.integers(1, 10),
+       seed=st.integers(0, 2 ** 32 - 1),
+       support=st.sampled_from(["full", "sub-box", *FACES, "cell", "zero"]))
+def test_boxed_residual_equals_the_embedded_bit_for_bit(apply_op, shape, planes, seed,
+                                                        support):
+    # b on its box: A x - b where the slab meets the box is -(b - A x) exactly,
+    # so every slab budget sums the squares of the embedded residual
+    b, box = supported_rhs(shape, seed, support, zero_mean=False)
+    x = random_rhs(shape, seed + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        _budget_planes(mp, shape, planes)
+        got = poisson.stencil_residual_norm(lambda xs: apply_op(xs, 0.3), x, b[box].copy(), box)
+        want = poisson.stencil_residual_norm(lambda xs: apply_op(xs, 0.3), x, b)
+    assert got == want
+    if planes >= shape[0]:
+        assert got == np.linalg.norm(b - apply_op(x, 0.3))
+
+
 def test_grid_within_the_budget_is_one_slab():
     calls = []
     x = np.ones((24, 24, 24))
@@ -355,6 +395,28 @@ def test_cg_routes_agree():
     scale = np.abs(u_dense).max()
     assert np.abs(u_dst - u_dense).max() < 1e-8 * scale
     assert np.abs(u_cg - u_dense).max() < 1e-8 * scale
+
+
+@pytest.mark.parametrize("box", [(slice(0, 4), slice(3, 10), slice(5, 11)),
+                                 (slice(8, 9), slice(0, 10), slice(0, 1))],
+                         ids=["corner", "edge-slab"])
+def test_oracles_agree_with_direct_on_a_boxed_source(box):
+    # cg and the dense factorization read the source embedded in zeros, the
+    # direct solve its box array; the box touches faces of the grid
+    shape, h = (9, 10, 11), 0.15
+    part = random_rhs(tuple(s.stop - s.start for s in box), 17)
+    u, res, _ = poisson.solve_poisson(part, h, 1e-10, 100, "direct", shape, box)
+    assert res <= 1e-10 and u.shape == shape
+    b = np.zeros(shape)
+    b[box] = part
+    assert np.abs(u - poisson.transform_solve(b, h, poisson.CELL_KINDS)).max() <= \
+        1e-15 * np.abs(u).max()
+    scale = np.abs(u).max()
+    for method, iters in (("cg", 5000), ("dense", 1)):
+        x, r, _ = poisson.solve_poisson(part, h, 1e-10, iters, method, shape, box)
+        assert r <= 1e-10 and x.shape == shape
+        assert np.abs(x - u).max() < 1e-8 * scale
+        assert r == np.linalg.norm(b - poisson.laplace_apply(x, h)) / np.linalg.norm(b)
 
 
 def test_cg_zero_rhs():
