@@ -66,11 +66,13 @@ class EnergyBreakdown:
 
 
 def check_unit_norm(m: CellVectorField, mask: DomainMask, tol: float = UNIT_NORM_TOL):
-    """Raise GridError naming the worst cell if |m| != 1 on the mask."""
+    """Raise GridError naming the worst cell if |m| != 1 on the mask, or the
+    first non-finite cell anywhere (off the mask, NaN * 0 poisons the sums)."""
     norms = m.pointwise_norm()
+    norms[np.isinf(norms)] = np.nan  # NaN * 0 is NaN, as inf * 0 but silently
     dev = np.abs(norms - 1.0) * mask.indicator
     worst = float(dev.max())
-    if worst > tol:
+    if not worst <= tol:  # NaN compares False
         idx = np.unravel_index(np.argmax(dev), dev.shape)
         raise GridError(
             f"magnetization norm deviates by {worst:.3e} at cell "
@@ -187,16 +189,17 @@ def total_energy(m: CellVectorField, params: MaterialParams, mask: DomainMask,
 
 def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask,
                     cfg: SolverConfig, *, terms=ALL_TERMS,
-                    stray: StrayFieldSolution | None = None) -> CellVectorField:
+                    h: VectorField | None = None) -> CellVectorField:
     """Negative variational derivative of the total energy per unit volume.
 
     Exchange: neighbor Laplacian restricted to domain bonds; anisotropy:
     Q (m.e) e; Zeeman: h_a; stray: the demagnetizing field pulled back to
     cells through the adjoint of the face transfer.  The finite-difference
     directional-derivative test in the suite pins the exactness of this
-    gradient.  ``stray`` is the solution of ``m``'s own stray-field problem,
-    if the caller already has it (``total_energy(m, ...).stray_solution``);
-    otherwise the stray term solves it; its field is read on the mask's grid.
+    gradient.  ``h`` is that face field on the mask's grid if the caller
+    has it: ``stray_solution.h(mask.grid)`` of ``total_energy(m, ...)``, or,
+    in the vector-potential principle at a fixed potential a, curl a - face
+    m.  Otherwise the stray term solves m's stray-field problem for it.
     """
     terms = _check_terms(terms)
     grid = m.grid
@@ -225,8 +228,7 @@ def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask
 
     field_cells = CellVectorField(grid, data * ind)
     if "stray" in terms and not mask.is_empty():
-        if stray is None:
-            stray = stray_energy(m, mask, cfg)[1]
-        hd = masked_faces_to_cell_adjoint(stray.h(mask.grid), mask)
-        field_cells.data += hd.data * ind
+        if h is None:
+            h = stray_energy(m, mask, cfg)[1].h(mask.grid)
+        field_cells.data += masked_faces_to_cell_adjoint(h, mask).data * ind
     return field_cells

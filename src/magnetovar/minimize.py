@@ -1,19 +1,22 @@
 """Sphere-constrained energy minimization.
 
-Two schemes:
+Two schemes share one projected-gradient loop, ``_descend``: it steps
+m <- normalize(m + step t), t the tangential part of the effective field,
+with an Armijo backtracking line search, so every energy trace is
+nonincreasing and |m| = 1 holds exactly after every step.
 
-* ``minimize_m``: projected gradient descent on the reduced energy.  The
-  update is m <- normalize(m + step * tangential field) with an Armijo
-  backtracking line search, so the energy trace is strictly nonincreasing
-  and the unit-length constraint holds exactly after every iteration.
-* ``minimize_joint``: alternating minimization of the product-space
-  functional (magnetization, vector potential).  The potential step is the
-  exact linear solve of the unconstrained stray functional for fixed m;
-  the magnetization step is projected gradient descent at fixed potential,
-  where the stray contribution to the field is curl a - m on the domain
-  (no linear solves inside the line search).
+* ``minimize_m`` descends on the reduced energy: one call of the loop.
+* ``minimize_joint`` alternates over the product-space functional (m, a).
+  Each sweep solves for the potential exactly at fixed m, then calls the
+  loop at that potential for up to ``M_STEPS_PER_SWEEP`` steps, with the
+  stray field curl a - face m (no solves in its line search).
 
-Both line searches start from the Barzilai-Borwein step <s, s> / <s, y>
+A scheme gives the loop a callable that returns an iterate's effective
+field, its stray part a face field pulled back to cells, and trial
+evaluator.  The loop forms the field of the returned iterate too, so
+``MinimizeReport.final_grad_norm`` is that of the returned fields.
+
+The line search starts from the Barzilai-Borwein step <s, s> / <s, y>
 (Barzilai & Borwein, IMA J. Numer. Anal. 8:141, 1988), with s the last
 change of m and y the matching decrease of the tangential field, capped at
 ``STEP_GROWTH_CAP`` times ``MinimizeConfig.step``.  The first trial of
@@ -24,7 +27,8 @@ Exl et al., J. Appl. Phys. 115:17D118, 2014).  Where no secant pair with
 <s, y> > 0 exists later (and at the first m-step of each joint sweep), the
 first trial is the last accepted step grown by 1 / backtrack, under the
 same cap.  The Armijo test then shrinks the trial by the factor
-``backtrack`` until it descends, so neither rule breaks monotonicity.
+``backtrack`` until it descends, at most ``MAX_BACKTRACKS`` times, so
+neither rule breaks monotonicity.
 
 ``minimize_m`` skips the stray solve of a trial that the scalar principle
 proves the Armijo test would reject.  For every cell potential u,
@@ -48,7 +52,6 @@ three times the padded grid's cells).  The solved energy would then exceed
 the threshold too, so the accepted trials, the iterates and the traces are
 those of solving every trial.  A trial that is solved computes its local
 terms and face transfer once, for the bound and the solve.
-``minimize_joint`` makes no solve in its line search.
 
 Both schemes iterate on the mask's support box (``grid.support_box``):
 every iterate, trial, tangential field, local energy and field term, and
@@ -70,13 +73,15 @@ from .energy import (ALL_TERMS, MaterialParams, effective_field, local_energies,
                      total_energy)
 from .magnetostatics import SolverConfig, StrayFieldSolution, minimize_V
 from .operators import (curl, div, grad_component, grad_norm_sq, inner,
-                        masked_cell_to_faces, masked_faces_to_cell_adjoint)
+                        masked_cell_to_faces)
 from .poisson import smallest_eigenvalue
 
 DESCENT_SLACK = 1e-12
 ARMIJO_C = 0.1
 STEP_GROWTH_CAP = 8.0
 FIRST_ROTATION = 0.05  # the first trial turns no cell by more than atan(this)
+MAX_BACKTRACKS = 40  # rejected trials before the line search gives up
+M_STEPS_PER_SWEEP = 10  # m-steps of one joint sweep at fixed potential
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,6 @@ class MinimizeConfig:
     backtrack: float = 0.5
     grad_tol: float = 1e-4
     max_iter: int = 500
-    max_backtracks: int = 40
 
     def __post_init__(self):
         if self.method not in ("projected_gradient", "joint_alternating"):
@@ -110,14 +114,8 @@ class MinimizeReport:
 
 def random_unit_magnetization(seed: int, mask: DomainMask) -> CellVectorField:
     """Uniform-on-sphere unit vectors per mask cell, deterministic in seed."""
-    rng = np.random.default_rng(seed)
-    grid = mask.grid
-    data = rng.standard_normal((3, *grid.shape))
-    n = np.sqrt(np.sum(data ** 2, axis=0))
-    n[n == 0] = 1.0
-    data /= n
-    data *= mask.indicator
-    return CellVectorField(grid, data)
+    data = np.random.default_rng(seed).standard_normal((3, *mask.grid.shape))
+    return CellVectorField(mask.grid, _normalize_on_mask(data, mask))
 
 
 def _normalize_on_mask(data: np.ndarray, mask: DomainMask) -> np.ndarray:
@@ -131,10 +129,6 @@ def _normalize_on_mask(data: np.ndarray, mask: DomainMask) -> np.ndarray:
 def _tangential(field_data: np.ndarray, m_data: np.ndarray) -> np.ndarray:
     proj = np.sum(field_data * m_data, axis=0)
     return field_data - proj[None] * m_data
-
-
-def _grad_norm(t_data: np.ndarray, vol: float) -> float:
-    return float(np.sqrt(np.sum(t_data ** 2) * vol))
 
 
 def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float, cap: float) -> float:
@@ -157,27 +151,52 @@ def _on_support_box(m0: CellVectorField, mask: DomainMask):
     return local, CellVectorField(local.grid, _normalize_on_mask(m0.on_box(box).data, local))
 
 
-def _armijo(m: CellVectorField, t: np.ndarray, energy: float, gnorm: float,
-            step: float, mask: DomainMask, mcfg: MinimizeConfig, evaluate,
-            where: str, iterations: int):
-    """Backtrack from ``step`` until m <- normalize(m + step t) descends enough.
+def _descend(m: CellVectorField, energy: float, extra, field_at, steps: int,
+             step: float, mask: DomainMask, mcfg: MinimizeConfig,
+             report: MinimizeReport, scheme: str, first_rotation: bool = False):
+    """Up to ``steps`` steps from ``m`` of energy ``energy``, fewer if |t|
+    reaches ``mcfg.grad_tol``; the first trial is ``step``, or the
+    ``FIRST_ROTATION`` rule's.
 
-    ``evaluate(trial, threshold)`` returns (energy, by-product); the trial is
-    accepted if its energy is at most ``threshold``.  Returns the accepted
-    (trial, energy, by-product, step); raises ConvergenceError after
-    ``mcfg.max_backtracks`` rejected trials.
+    ``field_at(m, extra)`` returns m's effective field data and trial
+    evaluator ``evaluate(trial, threshold)`` -> (energy, extra), with
+    ``extra`` what m's evaluation gave; a trial is accepted if its energy
+    is at most ``threshold``.  Steps and energies go into ``report``, and
+    |t| of the returned m.  Returns (m, energy, the next first trial);
+    raises ConvergenceError after ``MAX_BACKTRACKS`` rejected trials.
     """
-    for _ in range(mcfg.max_backtracks):
-        trial = CellVectorField(mask.grid, _normalize_on_mask(m.data + step * t, mask))
-        threshold = energy - ARMIJO_C * step * gnorm ** 2 + DESCENT_SLACK
-        e_trial, extra = evaluate(trial, threshold)
-        if e_trial <= threshold:
-            return trial, e_trial, extra, step
-        step *= mcfg.backtrack
-    raise ConvergenceError(
-        f"line search failed {where}: energy {energy:.6e}, "
-        f"gradient norm {gnorm:.3e}, step {step:.3e}",
-        residual=gnorm, iterations=iterations)
+    cap = mcfg.step * STEP_GROWTH_CAP
+    vol = mask.grid.cell_volume
+    m_prev = t_prev = None  # the secant pair is taken within one call
+    for k in range(steps + 1):
+        field_data, evaluate = field_at(m, extra)
+        t = _tangential(field_data, m.data) * mask.indicator
+        gnorm = report.final_grad_norm = float(np.sqrt(np.sum(t ** 2) * vol))
+        if gnorm <= mcfg.grad_tol or k == steps:
+            break
+        if t_prev is not None:
+            step = _bb_step(m.data - m_prev, t_prev - t, step, cap)
+        elif first_rotation:
+            step = min(mcfg.step,
+                       FIRST_ROTATION / float(np.sqrt(np.max(np.sum(t ** 2, axis=0)))))
+        for _ in range(MAX_BACKTRACKS):
+            trial = CellVectorField(mask.grid, _normalize_on_mask(m.data + step * t, mask))
+            threshold = energy - ARMIJO_C * step * gnorm ** 2 + DESCENT_SLACK
+            e_trial, extra_trial = evaluate(trial, threshold)
+            if e_trial <= threshold:
+                break
+            step *= mcfg.backtrack
+        else:
+            raise ConvergenceError(
+                f"{scheme} line search failed at step {report.iterations + 1}: "
+                f"energy {energy:.6e}, gradient norm {gnorm:.3e}, step {step:.3e}",
+                residual=gnorm, iterations=report.iterations)
+        m_prev, t_prev = m.data, t
+        m, energy, extra = trial, e_trial, extra_trial
+        report.energy_trace.append(energy)
+        report.iterations += 1
+        step = min(step / mcfg.backtrack, cap)
+    return m, energy, step
 
 
 class _TrialBound:
@@ -232,55 +251,32 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
     if mask.is_empty():
         return m0.copy(), MinimizeReport(0, [0.0], final_grad_norm=0.0, converged=True)
     report = MinimizeReport(iterations=0)
-    vol = mask.grid.cell_volume
-    cap = mcfg.step * STEP_GROWTH_CAP
     local, m = _on_support_box(m0, mask)
 
     def solved(trial, **known):
         breakdown = total_energy(trial, params, local, scfg, terms=terms, **known)
         return breakdown.total, breakdown.stray_solution
 
-    def evaluate(trial, threshold):
-        if bound is None:  # no stray solve to save
-            return solved(trial)
-        energies = local_energies(trial, params, local, terms)
-        faces = masked_cell_to_faces(trial, local)
-        if bound.rejects(energies, faces, threshold):
-            return np.inf, None
-        return solved(trial, local=energies, faces=faces)
+    def field_at(m, stray):
+        bound = None if stray is None else _TrialBound(stray, local, scfg.tol)
+
+        def evaluate(trial, threshold):
+            if bound is None:  # no stray solve to save
+                return solved(trial)
+            energies = local_energies(trial, params, local, terms)
+            faces = masked_cell_to_faces(trial, local)
+            if bound.rejects(energies, faces, threshold):
+                return np.inf, None
+            return solved(trial, local=energies, faces=faces)
+
+        h = None if stray is None else stray.h(local.grid)
+        return effective_field(m, params, local, scfg, terms=terms, h=h).data, evaluate
 
     energy, stray = solved(m)
     report.energy_trace.append(energy)
-    m_prev = t_prev = None
-
-    for it in range(1, mcfg.max_iter + 1):
-        bound = None if stray is None else _TrialBound(stray, local, scfg.tol)
-        hf = effective_field(m, params, local, scfg, terms=terms, stray=stray)
-        t = _tangential(hf.data, m.data) * local.indicator
-        gnorm = _grad_norm(t, vol)
-        report.final_grad_norm = gnorm
-        if gnorm <= mcfg.grad_tol:
-            report.converged = True
-            report.iterations = it - 1
-            break
-        if t_prev is not None:
-            step = _bb_step(m.data - m_prev, t_prev - t, step, cap)
-        else:
-            step = min(mcfg.step,
-                       FIRST_ROTATION / float(np.sqrt(np.max(np.sum(t ** 2, axis=0)))))
-        trial, e_trial, stray_trial, step = _armijo(
-            m, t, energy, gnorm, step, local, mcfg, evaluate,
-            f"at iteration {it}", it)
-        m_prev, t_prev = m.data, t
-        m, energy, stray = trial, e_trial, stray_trial
-        report.energy_trace.append(energy)
-        report.iterations = it
-        step = min(step / mcfg.backtrack, cap)
-    else:
-        report.final_grad_norm = _grad_norm(
-            _tangential(effective_field(m, params, local, scfg, terms=terms,
-                                        stray=stray).data, m.data) * local.indicator, vol)
-        report.converged = report.final_grad_norm <= mcfg.grad_tol
+    m = _descend(m, energy, stray, field_at, mcfg.max_iter, mcfg.step, local, mcfg,
+                 report, "reduced", first_rotation=True)[0]
+    report.converged = report.final_grad_norm <= mcfg.grad_tol
     return m.embedded(), report
 
 
@@ -318,15 +314,15 @@ def _a_step(m: CellVectorField, mask: DomainMask, scfg: SolverConfig) -> VectorF
 
 def minimize_joint(m0: CellVectorField, a0: VectorField | None,
                    params: MaterialParams, mask: DomainMask,
-                   mcfg: MinimizeConfig, scfg: SolverConfig,
-                   m_steps_per_sweep: int = 10, *, terms=ALL_TERMS):
-    """Alternating minimization over (m, a).
+                   mcfg: MinimizeConfig, scfg: SolverConfig, *, terms=ALL_TERMS):
+    """Alternating minimization over (m, a), at most ``mcfg.max_iter`` sweeps.
 
-    Each sweep performs one exact potential solve, then up to
-    ``m_steps_per_sweep`` projected-gradient steps on the magnetization at
-    fixed potential (the stray part of the field is then local:
-    curl a - m pulled back to cells).  The joint energy trace is monotone.
-    Returns (m, a, MinimizeReport).  ``terms`` must hold the stray term.
+    Each sweep solves for the potential at the m the last sweep returned,
+    then makes up to ``M_STEPS_PER_SWEEP`` m-steps at that potential.  The
+    run has converged when a sweep takes no m-step, or when its m-steps
+    stop at ``grad_tol`` and the next potential changes the energy by at
+    most 10 ``solver.tol`` relative.  Returns (m, a, MinimizeReport).
+    ``terms`` must hold the stray term.
     """
     if "stray" not in terms:
         raise GridError("joint_alternating minimizes over the stray term's potential: "
@@ -335,54 +331,31 @@ def minimize_joint(m0: CellVectorField, a0: VectorField | None,
     if mask.is_empty():
         return m0.copy(), a, MinimizeReport(0, [0.0], final_grad_norm=0.0, converged=True)
     report = MinimizeReport(iterations=0)
-    vol = mask.grid.cell_volume
-    cap = mcfg.step * STEP_GROWTH_CAP
-    local_terms = tuple(t for t in terms if t != "stray")
     local, m = _on_support_box(m0, mask)
     energy = _fixed_a_energy(a, params, local, terms)[0](m)
     report.energy_trace.append(energy)
     step = mcfg.step
-    total_m_steps = 0
+    stationary = False  # the last sweep's m-steps stopped at grad_tol
 
     for sweep in range(1, mcfg.max_iter + 1):
         a = _a_step(m, local, scfg)
         joint, curl_a = _fixed_a_energy(a, params, local, terms)
-        energy = joint(m)
-        report.energy_trace.append(energy)
+        e_a = joint(m)
+        report.energy_trace.append(e_a)
+        settled = stationary and abs(e_a - energy) <= max(abs(energy), 1.0) * 10 * scfg.tol
 
-        curl_a_cells = masked_faces_to_cell_adjoint(curl_a, local)
-        gnorm = None
-        m_prev = t_prev = None  # the secant pair is taken within one sweep
-        for _ in range(m_steps_per_sweep):
-            hf = effective_field(m, params, local, scfg, terms=local_terms)
-            mf_cells = masked_faces_to_cell_adjoint(masked_cell_to_faces(m, local), local)
-            hf.data += (curl_a_cells.data - mf_cells.data) * local.indicator
-            t = _tangential(hf.data, m.data) * local.indicator
-            gnorm = _grad_norm(t, vol)
-            if gnorm <= mcfg.grad_tol:
-                break
-            if t_prev is not None:
-                step = _bb_step(m.data - m_prev, t_prev - t, step, cap)
-            trial, energy, _, step = _armijo(
-                m, t, energy, gnorm, step, local, mcfg,
-                lambda trial, threshold: (joint(trial), None),
-                f"in joint sweep {sweep}", total_m_steps)
-            m_prev, t_prev = m.data, t
-            m = trial
-            report.energy_trace.append(energy)
-            total_m_steps += 1
-            step = min(step / mcfg.backtrack, cap)
-        report.iterations = total_m_steps
-        report.final_grad_norm = gnorm if gnorm is not None else float("nan")
-        if gnorm is not None and gnorm <= mcfg.grad_tol:
-            # converged only if the potential is also stationary
-            a_new = _a_step(m, local, scfg)
-            e_new = _fixed_a_energy(a_new, params, local, terms)[0](m)
-            if abs(e_new - energy) <= max(abs(energy), 1.0) * 10 * scfg.tol:
-                a = a_new
-                report.energy_trace.append(e_new)
-                report.converged = True
-                break
-            a, energy = a_new, e_new
-            report.energy_trace.append(energy)
+        def field_at(m, _):
+            h = curl_a - masked_cell_to_faces(m, local)
+            return (effective_field(m, params, local, scfg, terms=terms, h=h).data,
+                    lambda trial, threshold: (joint(trial), None))
+
+        steps_before = report.iterations  # settled: the loop only forms |t|
+        m, energy, step = _descend(m, e_a, None, field_at,
+                                   0 if settled else M_STEPS_PER_SWEEP, step, local,
+                                   mcfg, report, f"joint (sweep {sweep})")
+        taken = report.iterations - steps_before
+        if settled or taken == 0:
+            report.converged = True
+            break
+        stationary = taken < M_STEPS_PER_SWEEP
     return m.embedded(), a, report

@@ -359,8 +359,7 @@ def shell_dirichlet_energy(m0: np.ndarray, mesh: SurfaceMesh, eps: float) -> flo
     """
     if m0.shape != (mesh.n_vertices, 3):
         raise GridError("m0 must be a per-vertex 3-vector field")
-    if eps >= mesh.min_curvature_radius():
-        raise GridError("half-thickness violates the tubular condition")
+    Shell(mesh, eps)  # eps positive, finite and within the tubular bound
     areas, t1, t2, k1, k2 = _triangle_frame(mesh)
     grads = _p1_gradients(mesh, m0)                       # (T, 3, 3)
     d1 = np.sum(np.einsum("tcx,tx->tc", grads, t1) ** 2, axis=1)

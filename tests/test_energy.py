@@ -1,5 +1,7 @@
 """Micromagnetic energy terms and the consistency of the effective field."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,23 @@ def test_exchange_norm_violation_names_cell():
     with pytest.raises(GridError) as info:
         exchange_energy(m, mask)
     assert str(i) in str(info.value).replace(", ", ", ")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["on", "off"])
+def test_non_finite_magnetization_names_cell(value, where):
+    # NaN fails every comparison, and off the mask NaN * 0 and inf * 0 are
+    # NaN; a check by "deviation > tol" let both through to the energies
+    grid, mask = ball_setup()
+    m = CellVectorField.constant(grid, (0, 0, 1), mask)
+    i = tuple(s // 2 for s in grid.shape) if where == "on" else (0, 0, 0)
+    assert mask.bool_array[i] == (where == "on")
+    m.data[(0, *i)] = value
+    for evaluate in (lambda: exchange_energy(m, mask),
+                     lambda: total_energy(m, MaterialParams(h_applied=(0.0, 0.0, 0.5)), mask,
+                                          CFG, terms=("exchange", "zeeman"))):
+        with pytest.raises(GridError, match=f"at cell {re.escape(str(i))}"):
+            evaluate()
 
 
 def test_anisotropy_aligned_and_perpendicular():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magnetovar.energy import ALL_TERMS, MaterialParams, total_energy
+from magnetovar.energy import ALL_TERMS, MaterialParams, effective_field, total_energy
 from magnetovar.errors import GridError
 from magnetovar.grid import (Box, CellVectorField, DomainMask, Ellipsoid, GridSpec,
                              build_mask, grid_for_geometry, support_box)
@@ -13,7 +13,7 @@ from magnetovar.magnetostatics import (SolverConfig, functional_V, minimize_V,
                                        solve_vector_potential_unconstrained)
 from magnetovar.minimize import (MinimizeConfig, _fixed_a_energy, minimize_joint,
                                  minimize_m, random_unit_magnetization)
-from magnetovar.operators import masked_cell_to_faces
+from magnetovar.operators import curl, masked_cell_to_faces
 
 CFG = SolverConfig(tol=1e-8)
 
@@ -119,12 +119,13 @@ def test_stray_only_slab_prefers_in_plane():
     assert rep.energy_trace[-1] < rep.energy_trace[0]
 
 
-def test_joint_first_a_step_is_unconstrained_solve():
+def test_joint_first_a_step_is_unconstrained_solve(monkeypatch):
+    from magnetovar import minimize
     grid, mask = ball_setup(12, 1.0)
     m0 = CellVectorField.constant(grid, (0, 0, 1), mask)
     mcfg = MinimizeConfig(grad_tol=1e30, max_iter=1)  # stop right after a-step
-    m, a, rep = minimize_joint(m0, None, MaterialParams(), mask, mcfg, CFG,
-                               m_steps_per_sweep=0)
+    monkeypatch.setattr(minimize, "M_STEPS_PER_SWEEP", 0)
+    m, a, rep = minimize_joint(m0, None, MaterialParams(), mask, mcfg, CFG)
     mf = masked_cell_to_faces(m0, mask)
     ref = solve_vector_potential_unconstrained(mf, mask, CFG).energy
     # the a-step minimizes the same functional the unconstrained solver does
@@ -184,15 +185,71 @@ def test_random_unit_magnetization_determinism():
     assert np.all(a.data[:, ~mask.bool_array] == 0.0)
 
 
-def test_line_search_failure_carries_diagnostics():
+def tangential_norm(m, params, mask, a=None):
+    """|t| of returned fields, recomputed on the full grid: the reduced
+    scheme's, or the joint scheme's at the potential ``a``."""
+    h = None if a is None else curl(a) - masked_cell_to_faces(m, mask)
+    hf = effective_field(m, params, mask, CFG, h=h).data
+    t = (hf - np.sum(hf * m.data, axis=0) * m.data) * mask.indicator
+    return float(np.sqrt(np.sum(t ** 2) * mask.grid.cell_volume))
+
+
+@pytest.mark.parametrize("scheme", ["reduced", "joint"])
+def test_line_search_failure_carries_diagnostics(monkeypatch, scheme):
+    # both schemes fail in the one loop: the error names the scheme and the
+    # step, carries the gradient norm, and counts the completed steps
+    from magnetovar import minimize
     from magnetovar.errors import ConvergenceError
     grid, mask = ball_setup(8)
     params = MaterialParams(h_applied=(0.0, 0.0, 0.5))
     m0 = random_unit_magnetization(3, mask)
-    mcfg = MinimizeConfig(grad_tol=1e-12, max_iter=10, max_backtracks=0)
-    with pytest.raises(ConvergenceError) as info:
-        minimize_m(m0, params, mask, mcfg, CFG, terms=("zeeman",))
-    assert info.value.residual is not None
+    monkeypatch.setattr(minimize, "MAX_BACKTRACKS", 0)
+    with pytest.raises(ConvergenceError, match=f"{scheme}.* at step 1:") as info:
+        run_scheme(scheme, m0, params, mask, MinimizeConfig(grad_tol=1e-12, max_iter=10))
+    a = None if scheme == "reduced" else minimize_V(masked_cell_to_faces(m0, mask), mask,
+                                                    CFG)[0]
+    assert info.value.residual == pytest.approx(tangential_norm(m0, params, mask, a),
+                                                rel=1e-9)
+    assert info.value.iterations == 0
+
+
+def workload_start(mask, seed):
+    """The minimize benchmark's start: a uniform field along a normalized
+    ``default_rng(seed)`` normal draw."""
+    d = np.random.default_rng(seed).standard_normal(3)
+    return tilted_uniform(mask, d / np.linalg.norm(d))
+
+
+def test_joint_final_grad_norm_is_that_of_the_returned_fields():
+    # this run uses up its sweeps; the norm once reported was the last
+    # m-step's start's, at an earlier potential
+    grid, mask = ball_setup(8)
+    params = MaterialParams(Q=0.3, h_applied=(0.1, 0.0, 0.2))
+    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=40, step=0.5)
+    m, a, rep = minimize_joint(workload_start(mask, [1, 0]), None, params, mask, mcfg, CFG)
+    assert not rep.converged
+    assert rep.final_grad_norm == pytest.approx(tangential_norm(m, params, mask, a),
+                                                rel=1e-9)
+
+
+def test_joint_makes_no_a_step_for_an_unchanged_magnetization(monkeypatch):
+    # a sweep whose m-steps stop at grad_tol hands its m to the next sweep's
+    # a-step, which is also the convergence test; it is never solved twice
+    from magnetovar import minimize
+    grid, mask = ball_setup(8)
+    a_step = minimize._a_step
+    seen = []
+
+    def spied(m, *args):
+        seen.append(m.data.copy())
+        return a_step(m, *args)
+
+    monkeypatch.setattr(minimize, "_a_step", spied)
+    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=40, step=0.5)
+    _, _, rep = minimize_joint(workload_start(mask, [1, 1]), None, MaterialParams(), mask,
+                               mcfg, CFG)
+    assert rep.converged and len(seen) > 1
+    assert not any(np.array_equal(prev, m) for prev, m in zip(seen, seen[1:]))
 
 
 def test_reduced_minimizer_solves_once_per_trial(monkeypatch):
@@ -227,7 +284,7 @@ def test_reduced_minimizer_solves_once_per_trial(monkeypatch):
 def test_minimizer_trials_make_no_support_box_scan(monkeypatch):
     # the iterates live on a sub grid, so every stray solve finds its box on
     # the face field's grid: no route scans a face field for it
-    from magnetovar import magnetostatics
+    from magnetovar import magnetostatics, minimize
     grid, mask = ball_setup(8)
     scans = []
     real = magnetostatics.support_box
@@ -240,8 +297,8 @@ def test_minimizer_trials_make_no_support_box_scan(monkeypatch):
     m0 = tilted_uniform(mask, (0.3, 0.15, 0.94))
     mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=4, step=0.5)
     _, rep = minimize_m(m0, MaterialParams(), mask, mcfg, CFG)
-    _, _, rep_joint = minimize_joint(m0, None, MaterialParams(), mask, mcfg, CFG,
-                                     m_steps_per_sweep=3)
+    monkeypatch.setattr(minimize, "M_STEPS_PER_SWEEP", 3)
+    _, _, rep_joint = minimize_joint(m0, None, MaterialParams(), mask, mcfg, CFG)
     assert rep.iterations > 0 and rep_joint.iterations > 0
     assert scans == []
 
@@ -340,11 +397,15 @@ def off_centre_box_setup():
 
 
 def run_scheme(scheme, m0, params, mask, mcfg):
-    """(m, a, report); ``a`` is None for the reduced scheme."""
+    """(m, a, report); ``a`` is None for the reduced scheme, and the joint
+    scheme makes 4 m-steps per sweep."""
+    from magnetovar import minimize
     if scheme == "reduced":
         m, rep = minimize_m(m0, params, mask, mcfg, CFG)
         return m, None, rep
-    return minimize_joint(m0, None, params, mask, mcfg, CFG, m_steps_per_sweep=4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minimize, "M_STEPS_PER_SWEEP", 4)
+        return minimize_joint(m0, None, params, mask, mcfg, CFG)
 
 
 @pytest.mark.parametrize("scheme", ["reduced", "joint"])

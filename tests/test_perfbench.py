@@ -19,6 +19,12 @@ def test_traced_minimize_workload_runs_and_counts_solves():
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0
     assert summary["metrics"]["poisson.solve_calls"]["value"] > 0
+    # the minimizer metrics read spans by name: the joint sweeps count
+    # ``minimize._a_step`` calls and the reduced trials ``energy.total_energy``
+    # calls, so a rename would zero them silently
+    for name in ("minimize.joint_sweeps", "minimize.reduced_iters",
+                 "energy.total_energy_calls"):
+        assert summary["metrics"][name]["value"] > 0, name
 
 
 def test_demag_workload_runs_and_checks_tensor():

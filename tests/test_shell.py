@@ -107,6 +107,10 @@ def test_metric_factors_midsurface_and_errors():
             sh.shell_dirichlet_energy(m0, SPHERE, eps)
         with pytest.raises(GridError, match="tubular"):
             sh.Shell(SPHERE, eps)
+    # and a half-thickness that is not positive and finite
+    for eps in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(GridError, match="positive and finite"):
+            sh.shell_dirichlet_energy(m0, SPHERE, eps)
 
 
 def test_limit_energy_uniform_on_sphere():
