@@ -91,7 +91,7 @@ def _words(s):
 # in the same order.  A default of None means the key is mandatory
 # (config_version) or computed from the mesh (shell.delta, in shell.py).
 KEYS = {
-    "config_version": (_int, None), "seed": (_int, 0),
+    "config_version": (_int, None), "seed": (_int_at_least(0), 0),
     "output.dir": (str, "magnetovar_out"),
     "grid.h": (float, 0.125), "grid.pad_ratio": (float, 1.0),
     "geometry.kind": (str, "ellipsoid"),
@@ -102,8 +102,8 @@ KEYS = {
     "solver.tol": (float, 1e-8), "solver.max_iter": (_int_at_least(1), 20000),
     "solver.method": (str, "direct"),
     "minimize.method": (str, "projected_gradient"), "minimize.step": (float, 0.25),
-    "minimize.backtrack": (float, 0.5), "minimize.grad_tol": (float, 1e-4),
-    "minimize.max_iter": (_int_at_least(1), 500), "minimize.terms": (_words, ALL_TERMS),
+    "minimize.grad_tol": (float, 1e-4), "minimize.max_iter": (_int_at_least(1), 500),
+    "minimize.terms": (_words, ALL_TERMS),
     "solve.init": (str, "random"), "solve.init_direction": (_vec3, (0.0, 0.0, 1.0)),
     "shell.surface": (str, "sphere"), "shell.radius": (float, 1.0),
     "shell.level": (_int_at_least(0), 4),
@@ -112,8 +112,8 @@ KEYS = {
     "shell.m0": (str, "uniform_z"), "shell.eps_list": (_floats, (0.2, 0.1, 0.05)),
     "shell.cells_per_thickness": (float, 4.0), "shell.pad_ratio": (float, 0.5),
     "shell.delta": (float, None),
-    "validate.ball_cells": (_int_at_least(1), 16), "validate.pad_ratio": (float, 3.0),
-    "oracle.ball_cells": (_int_at_least(1), 12), "dump.fields": (_bool, True),
+    "validate.ball_cells": (_int_at_least(2), 16), "validate.pad_ratio": (float, 3.0),
+    "oracle.ball_cells": (_int_at_least(2), 12), "dump.fields": (_bool, True),
 }
 
 
@@ -127,10 +127,12 @@ class RunConfig:
     @staticmethod
     def load(path) -> "RunConfig":
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file {p} does not exist")
+        try:
+            text = p.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {p}: {exc}") from exc
         values = {}
-        for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -191,7 +193,6 @@ def build_minimize_config(cfg: RunConfig) -> MinimizeConfig:
     mcfg = MinimizeConfig(
         method=cfg["minimize.method"],
         step=cfg["minimize.step"],
-        backtrack=cfg["minimize.backtrack"],
         grad_tol=cfg["minimize.grad_tol"],
         max_iter=cfg["minimize.max_iter"])
     if mcfg.method == "joint_alternating" and "stray" not in cfg["minimize.terms"]:
@@ -465,6 +466,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = RunConfig.load(args.config)
+        if args.seed is not None and args.seed < 0:  # checked like the file's seed
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

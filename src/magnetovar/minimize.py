@@ -25,10 +25,9 @@ tangential field: no cell turns by more than atan(FIRST_ROTATION), whatever
 the size of the starting gradient (BB steepest descent for micromagnetics:
 Exl et al., J. Appl. Phys. 115:17D118, 2014).  Where no secant pair with
 <s, y> > 0 exists later (and at the first m-step of each joint sweep), the
-first trial is the last accepted step grown by 1 / backtrack, under the
-same cap.  The Armijo test then shrinks the trial by the factor
-``backtrack`` until it descends, at most ``MAX_BACKTRACKS`` times, so
-neither rule breaks monotonicity.
+first trial is the last accepted step doubled, under the same cap.  The
+Armijo test then halves the trial (``BACKTRACK``) until it descends, at
+most ``MAX_BACKTRACKS`` times, so neither rule breaks monotonicity.
 
 ``minimize_m`` skips the stray solve of a trial that the scalar principle
 proves the Armijo test would reject.  For every cell potential u,
@@ -79,6 +78,7 @@ from .poisson import smallest_eigenvalue
 DESCENT_SLACK = 1e-12
 ARMIJO_C = 0.1
 STEP_GROWTH_CAP = 8.0
+BACKTRACK = 0.5  # Armijo shrink factor; an accepted step grows by 1 / this
 FIRST_ROTATION = 0.05  # the first trial turns no cell by more than atan(this)
 MAX_BACKTRACKS = 40  # rejected trials before the line search gives up
 M_STEPS_PER_SWEEP = 10  # m-steps of one joint sweep at fixed potential
@@ -88,7 +88,6 @@ M_STEPS_PER_SWEEP = 10  # m-steps of one joint sweep at fixed potential
 class MinimizeConfig:
     method: str = "projected_gradient"
     step: float = 0.25
-    backtrack: float = 0.5
     grad_tol: float = 1e-4
     max_iter: int = 500
 
@@ -98,8 +97,6 @@ class MinimizeConfig:
         for name in ("step", "grad_tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise GridError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if not (0.0 < self.backtrack < 1.0):
-            raise GridError("backtracking factor must lie in (0, 1)")
         if self.max_iter < 1:
             raise GridError("max_iter must be at least 1")
 
@@ -162,7 +159,7 @@ def _descend(m: CellVectorField, energy: float, extra, field_at, steps: int,
     evaluator ``evaluate(trial, threshold)`` -> (energy, extra), with
     ``extra`` what m's evaluation gave; a trial is accepted if its energy
     is at most ``threshold``.  Steps and energies go into ``report``, and
-    |t| of the returned m.  Returns (m, energy, the next first trial);
+    |t| of the returned m.  Returns (m, its extra, the next first trial);
     raises ConvergenceError after ``MAX_BACKTRACKS`` rejected trials.
     """
     cap = mcfg.step * STEP_GROWTH_CAP
@@ -185,7 +182,7 @@ def _descend(m: CellVectorField, energy: float, extra, field_at, steps: int,
             e_trial, extra_trial = evaluate(trial, threshold)
             if e_trial <= threshold:
                 break
-            step *= mcfg.backtrack
+            step *= BACKTRACK
         else:
             raise ConvergenceError(
                 f"{scheme} line search failed at step {report.iterations + 1}: "
@@ -195,8 +192,8 @@ def _descend(m: CellVectorField, energy: float, extra, field_at, steps: int,
         m, energy, extra = trial, e_trial, extra_trial
         report.energy_trace.append(energy)
         report.iterations += 1
-        step = min(step / mcfg.backtrack, cap)
-    return m, energy, step
+        step = min(step / BACKTRACK, cap)
+    return m, extra, step
 
 
 class _TrialBound:
@@ -258,11 +255,14 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
         return breakdown.total, breakdown.stray_solution
 
     def field_at(m, stray):
-        bound = None if stray is None else _TrialBound(stray, local, scfg.tol)
+        bound = None  # built at m's first trial: the returned m has none
 
         def evaluate(trial, threshold):
-            if bound is None:  # no stray solve to save
+            nonlocal bound
+            if stray is None:  # no stray solve to save
                 return solved(trial)
+            if bound is None:
+                bound = _TrialBound(stray, local, scfg.tol)
             energies = local_energies(trial, params, local, terms)
             faces = masked_cell_to_faces(trial, local)
             if bound.rejects(energies, faces, threshold):
@@ -284,32 +284,33 @@ def _fixed_a_energy(a: VectorField, params: MaterialParams, mask: DomainMask,
                     terms=ALL_TERMS):
     """The product-space functional as a function of m at fixed ``a``.
 
-    Returns (energy, curl a on the mask's grid), where energy(m) = local
-    terms + V(face m, a).  The m-independent parts of V, 1/2 ||D a||^2 and
-    curl a, are computed once here; the stray part is the terms of
-    ``functional_V(face m, a)`` in its order, the pairing summed on the mask's
-    grid (bit for bit if ``a`` is on it too).  ``a`` may be the caller's start
-    ``a0``, not a minimizer, so 1/2 ||D a||^2 is not replaced by a pairing.
+    Returns (energy, curl a on the mask's grid), where energy(m, mf=None)
+    returns (local terms + V(mf, a), mf), with mf = face m if not given.
+    The m-independent parts of V, 1/2 ||D a||^2 and curl a, are computed
+    once here; the stray part is the terms of ``functional_V(mf, a)`` in its
+    order, the pairing summed on the mask's grid (bit for bit if ``a`` is on
+    it too).  ``a`` may be the caller's start ``a0``, not a minimizer, so
+    1/2 ||D a||^2 is not replaced by a pairing.
     """
     if a.staggering != EDGE:
         raise GridError("vector potential must be edge-staggered")
     half_da2 = 0.5 * grad_norm_sq(a)
     curl_a = curl(a).on_grid(mask.grid)
 
-    def energy(m: CellVectorField) -> float:
-        mf = masked_cell_to_faces(m, mask)
+    def energy(m: CellVectorField, mf=None) -> tuple[float, VectorField]:
+        mf = masked_cell_to_faces(m, mask) if mf is None else mf
         total = half_da2 + 0.5 * inner(mf, mf) - inner(mf, curl_a)
         for term in local_energies(m, params, mask, terms):
             total += term
-        return total
+        return total, mf
 
     return energy, curl_a
 
 
-def _a_step(m: CellVectorField, mask: DomainMask, scfg: SolverConfig) -> VectorField:
-    """Exact minimizer of the unconstrained stray functional for fixed m, on
-    the root of the mask's grid."""
-    return minimize_V(masked_cell_to_faces(m, mask), mask, scfg)[0]
+def _a_step(mf: VectorField, mask: DomainMask, scfg: SolverConfig) -> VectorField:
+    """Exact minimizer of the unconstrained stray functional for the face
+    field ``mf`` of m, on the root of the mask's grid."""
+    return minimize_V(mf, mask, scfg)[0]
 
 
 def minimize_joint(m0: CellVectorField, a0: VectorField | None,
@@ -319,9 +320,9 @@ def minimize_joint(m0: CellVectorField, a0: VectorField | None,
 
     Each sweep solves for the potential at the m the last sweep returned,
     then makes up to ``M_STEPS_PER_SWEEP`` m-steps at that potential.  The
-    run has converged when a sweep takes no m-step, or when its m-steps
-    stop at ``grad_tol`` and the next potential changes the energy by at
-    most 10 ``solver.tol`` relative.  Returns (m, a, MinimizeReport).
+    run has converged when a sweep takes no m-step, that is when |t| at the
+    sweep's potential is at most ``grad_tol``; the returned a is then the
+    a-step of the returned m.  Returns (m, a, MinimizeReport).
     ``terms`` must hold the stray term.
     """
     if "stray" not in terms:
@@ -332,30 +333,25 @@ def minimize_joint(m0: CellVectorField, a0: VectorField | None,
         return m0.copy(), a, MinimizeReport(0, [0.0], final_grad_norm=0.0, converged=True)
     report = MinimizeReport(iterations=0)
     local, m = _on_support_box(m0, mask)
-    energy = _fixed_a_energy(a, params, local, terms)[0](m)
+    energy, faces = _fixed_a_energy(a, params, local, terms)[0](m)
     report.energy_trace.append(energy)
     step = mcfg.step
-    stationary = False  # the last sweep's m-steps stopped at grad_tol
 
     for sweep in range(1, mcfg.max_iter + 1):
-        a = _a_step(m, local, scfg)
+        a = _a_step(faces, local, scfg)
         joint, curl_a = _fixed_a_energy(a, params, local, terms)
-        e_a = joint(m)
-        report.energy_trace.append(e_a)
-        settled = stationary and abs(e_a - energy) <= max(abs(energy), 1.0) * 10 * scfg.tol
+        energy = joint(m, faces)[0]
+        report.energy_trace.append(energy)
 
-        def field_at(m, _):
-            h = curl_a - masked_cell_to_faces(m, local)
+        def field_at(m, mf):
+            h = curl_a - mf
             return (effective_field(m, params, local, scfg, terms=terms, h=h).data,
-                    lambda trial, threshold: (joint(trial), None))
+                    lambda trial, threshold: joint(trial))
 
-        steps_before = report.iterations  # settled: the loop only forms |t|
-        m, energy, step = _descend(m, e_a, None, field_at,
-                                   0 if settled else M_STEPS_PER_SWEEP, step, local,
-                                   mcfg, report, f"joint (sweep {sweep})")
-        taken = report.iterations - steps_before
-        if settled or taken == 0:
+        steps_before = report.iterations
+        m, faces, step = _descend(m, energy, faces, field_at, M_STEPS_PER_SWEEP, step,
+                                  local, mcfg, report, f"joint (sweep {sweep})")
+        if report.iterations == steps_before:
             report.converged = True
             break
-        stationary = taken < M_STEPS_PER_SWEEP
     return m.embedded(), a, report

@@ -153,6 +153,9 @@ def test_solve_rejects_non_finite_material_and_minimizer_values(tmp_path, capsys
     ("shell-study", "shell_sphere", "shell.cells_per_thickness = 0", "cells_per_thickness"),
     ("validate", "default", "validate.ball_cells = 0", "validate.ball_cells"),
     ("oracle", "default", "oracle.ball_cells = 0", "oracle.ball_cells"),
+    # one cell across (spacing 2) puts no cell centre in the ball
+    ("validate", "default", "validate.ball_cells = 1", "validate.ball_cells"),
+    ("oracle", "default", "oracle.ball_cells = 1", "oracle.ball_cells"),
     ("shell-study", "shell_sphere", "shell.level = -1", "shell.level"),
     ("shell-study", "shell_sphere", "shell.surface = torus\nshell.n_major = 2", "shell.n_major"),
     ("shell-study", "shell_sphere", "shell.surface = torus\nshell.n_minor = 2", "shell.n_minor"),
@@ -200,7 +203,6 @@ def test_bad_value_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, key)
 
 @pytest.mark.parametrize("line, quantity", [
     ("minimize.step = -1", "step"),
-    ("minimize.backtrack = 1.5", "backtracking factor"),
     ("material.q = -3", "quality factor Q"),
     ("material.easy_axis = 0 0 2", "easy_axis"),
     ("geometry.a = 0", "semi-axes"),
@@ -244,6 +246,34 @@ def test_bad_seed_is_config_error(tmp_path, capsys):
     assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "'seed'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_entry_point_exits_2_without_traceback_on_unreadable_or_bad_configs(tmp_path):
+    # each case once ended in a traceback with exit 1 (oracle.ball_cells = 1 in an
+    # all-zero oracle.csv and exit 0); none may leave an output directory
+    root = Path(__file__).resolve().parent.parent
+    default = (root / "configs" / "default.cfg").read_text()
+    (tmp_path / "latin1.cfg").write_bytes(b"config_version = 1\n# caf\xe9\n")
+    cases = [
+        ("oracle", BASE + "oracle.ball_cells = 8\nseed = -4\n", [], "'seed'"),
+        ("oracle", default + "oracle.ball_cells = 8\n", ["--seed", "-1"], "--seed"),
+        ("oracle", None, ["--config", str(tmp_path)], str(tmp_path)),
+        ("oracle", None, ["--config", str(tmp_path / "latin1.cfg")], "latin1.cfg"),
+        ("validate", default + "validate.ball_cells = 1\n", [], "validate.ball_cells"),
+        ("oracle", default + "oracle.ball_cells = 1\n", [], "oracle.ball_cells"),
+    ]
+    src = str(Path(magnetovar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for i, (command, body, args, named) in enumerate(cases):
+        if body is not None:
+            args = ["--config", write_cfg(tmp_path, f"c{i}.cfg", body)] + args
+        out = tmp_path / f"out{i}"
+        proc = subprocess.run([sys.executable, "-m", "magnetovar.cli", command, *args,
+                               "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == EXIT_CONFIG, (i, proc.stderr)
+        assert "Traceback" not in proc.stderr and named in proc.stderr, (i, proc.stderr)
+        assert not out.exists(), i
 
 
 def test_oracle_beyond_dense_cap_is_config_error(tmp_path, capsys):
@@ -485,7 +515,9 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     # the shell exchange integrates the thickness exactly; no node count is read
     ("shell.t_nodes = 4", "shell-study"),
     # solver.method replaced both
-    ("solver.backend = iterative", "oracle"), ("solver.preconditioner = dst", "demag")])
+    ("solver.backend = iterative", "oracle"), ("solver.preconditioner = dst", "demag"),
+    # the Armijo factor is the constant minimize.BACKTRACK
+    ("minimize.backtrack = 0.5", "solve")])
 def test_removed_key_is_unknown(tmp_path, capsys, line, command):
     path = write_cfg(tmp_path, "old.cfg", BASE + line + "\n")
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -35,8 +35,8 @@ def test_config_validation():
         MinimizeConfig(method="nonsense")
     with pytest.raises(GridError):
         MinimizeConfig(step=-1.0)
-    with pytest.raises(GridError):
-        MinimizeConfig(backtrack=1.5)
+    with pytest.raises(TypeError, match="backtrack"):  # the constant BACKTRACK now
+        MinimizeConfig(backtrack=0.5)
     with pytest.raises(GridError, match="max_iter"):
         MinimizeConfig(max_iter=0)
 
@@ -54,7 +54,7 @@ def test_fixed_a_stray_energy_is_functional_V_bit_for_bit():
         comp += rng.standard_normal(comp.shape)
     for a in (a_min, a_rand):
         energy, _ = _fixed_a_energy(a, MaterialParams(), mask, terms=("stray",))
-        assert energy(m) == functional_V(mf, a)
+        assert energy(m)[0] == functional_V(mf, a)
 
 
 def test_zeeman_only_reaches_aligned_minimum():
@@ -232,17 +232,48 @@ def test_joint_final_grad_norm_is_that_of_the_returned_fields():
                                                 rel=1e-9)
 
 
+@pytest.mark.parametrize("seed", [[1, 4], [2, 0], [2, 2]])
+def test_joint_converges_only_below_grad_tol_at_the_returned_potential(seed):
+    # these starts once stopped when the last a-step barely moved the energy,
+    # and reported converged at 1.46e-4 to 1.56e-4 against grad_tol 1e-4
+    grid, mask = ball_setup(8)
+    params = MaterialParams()
+    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=40, step=0.5)
+    m, a, rep = minimize_joint(workload_start(mask, seed), None, params, mask, mcfg, CFG)
+    assert rep.final_grad_norm == pytest.approx(tangential_norm(m, params, mask, a),
+                                                rel=1e-9)
+    assert rep.converged and rep.final_grad_norm <= mcfg.grad_tol
+
+
+def test_reduced_minimizer_builds_one_trial_bound_per_iteration(monkeypatch):
+    # each bound serves its iterate's trials; the returned iterate has none
+    from magnetovar import minimize
+    grid, mask = ball_setup(8)
+    init = minimize._TrialBound.__init__
+    built = []
+
+    def spied(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(minimize._TrialBound, "__init__", spied)
+    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=200, step=0.5)
+    _, rep = minimize_m(workload_start(mask, [0, 1]), MaterialParams(), mask, mcfg, CFG)
+    assert rep.converged and len(built) == rep.iterations > 0
+
+
 def test_joint_makes_no_a_step_for_an_unchanged_magnetization(monkeypatch):
-    # a sweep whose m-steps stop at grad_tol hands its m to the next sweep's
-    # a-step, which is also the convergence test; it is never solved twice
+    # a sweep whose m-steps stop at grad_tol hands its m (as its face field)
+    # to the next sweep's a-step, which is also the convergence test; it is
+    # never solved twice
     from magnetovar import minimize
     grid, mask = ball_setup(8)
     a_step = minimize._a_step
     seen = []
 
-    def spied(m, *args):
-        seen.append(m.data.copy())
-        return a_step(m, *args)
+    def spied(mf, *args):
+        seen.append(np.concatenate([c.ravel() for c in mf.components]))
+        return a_step(mf, *args)
 
     monkeypatch.setattr(minimize, "_a_step", spied)
     mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=40, step=0.5)
@@ -339,7 +370,7 @@ def test_bb_step_rule():
 
 
 def test_barzilai_borwein_steps_converge_monotonically():
-    # with growth-by-1/backtrack steps alone the reduced run needs ~110
+    # with doubling first trials alone the reduced run needs ~110
     # iterations on this ball; the BB first trials converge well within 80
     grid, mask = ball_setup(12, 1.0)
     params = MaterialParams()
@@ -443,7 +474,7 @@ def test_returned_m_is_unit_on_mask_and_matches_last_trace_energy(scheme, setup)
     # here on the full grid: the reduced energy, or the product functional
     # at the returned potential
     e = (total_energy(m, params, mask, CFG).total if a is None
-         else _fixed_a_energy(a, params, mask)[0](m))
+         else _fixed_a_energy(a, params, mask)[0](m)[0])
     assert abs(rep.energy_trace[-1] - e) <= 1e-12 * abs(e)
 
 
