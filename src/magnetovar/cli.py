@@ -72,7 +72,10 @@ def _bool(s):
 
 
 def _floats(s):
-    return tuple(float(x) for x in s.split())
+    parts = tuple(float(x) for x in s.split())
+    if not parts:
+        raise ValueError("expected at least one number")
+    return parts
 
 
 def _vec3(s):
@@ -83,7 +86,10 @@ def _vec3(s):
 
 
 def _words(s):
-    return tuple(s.split())
+    parts = tuple(s.split())
+    if not parts:
+        raise ValueError("expected at least one word")
+    return parts
 
 
 # Every key a command reads, with its parser and default; any other key in a

@@ -128,19 +128,15 @@ def zeeman_energy(m: CellVectorField, params: MaterialParams,
     return -float((proj * mask.indicator).sum()) * m.grid.cell_volume
 
 
-def stray_energy(m: CellVectorField, mask: DomainMask, cfg: SolverConfig,
-                 faces: VectorField | None = None):
+def stray_energy(m: CellVectorField, mask: DomainMask, cfg: SolverConfig):
     """Stray term of the cell magnetization: solve + pairing on faces.
 
     Returns (energy, solution); energy = 1/2 <u, -div m> on the face field,
     which is -1/2 <h, m> by summation by parts and agrees with
     1/2 ||grad u||^2 at the solver tolerance.  On a sub grid the solve runs
-    on its root, where ``u`` lives.  ``faces`` is ``masked_cell_to_faces(m,
-    mask)``, if the caller has it.
+    on its root, where ``u`` lives.
     """
-    if faces is None:
-        faces = masked_cell_to_faces(m, mask)
-    sol = solve_scalar_potential(faces, mask, cfg)
+    sol = solve_scalar_potential(masked_cell_to_faces(m, mask), mask, cfg)
     return sol.energy, sol
 
 
@@ -166,22 +162,17 @@ def local_energies(m: CellVectorField, params: MaterialParams, mask: DomainMask,
 
 
 def total_energy(m: CellVectorField, params: MaterialParams, mask: DomainMask,
-                 cfg: SolverConfig, *, terms=ALL_TERMS,
-                 local: tuple[float, float, float] | None = None,
-                 faces: VectorField | None = None) -> EnergyBreakdown:
+                 cfg: SolverConfig, *, terms=ALL_TERMS) -> EnergyBreakdown:
     """Selected terms of the energy; the stray term runs the field solver.
 
     ``terms`` restricts the functional (single-term studies such as
     Zeeman-only relaxations); omitted terms report exactly zero.  On a sub
     grid the local terms run on it and only the stray solve on its root.
-    ``local`` (``local_energies(m, params, mask, terms)``) and ``faces``
-    (``masked_cell_to_faces(m, mask)``) are computed here unless the caller
-    has them.
     """
     terms = _check_terms(terms)
     check_unit_norm(m, mask)
-    ex, an, ze = local_energies(m, params, mask, terms) if local is None else local
-    st, sol = (stray_energy(m, mask, cfg, faces)
+    ex, an, ze = local_energies(m, params, mask, terms)
+    st, sol = (stray_energy(m, mask, cfg)
                if ("stray" in terms and not mask.is_empty()) else (0.0, None))
     return EnergyBreakdown(exchange=ex, anisotropy=an, zeeman=ze, stray=st,
                            stray_solution=sol)

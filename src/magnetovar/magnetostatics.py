@@ -43,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, SupportError
-from .grid import (CELL, EDGE, FACE, CellVectorField, DomainMask, Ellipsoid,
+from .grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask, Ellipsoid,
                    GridSpec, ScalarField, VectorField, build_mask, edge_shapes,
                    embed, grow_box, support_box)
-from .operators import (check_supported, curl, curl_component, div, grad,
+from .operators import (check_supported, curl, curl_component, div, grad, grad_node,
                         grad_norm_sq, inner, masked_cell_to_faces, norm)
 from . import poisson
 
@@ -202,9 +202,9 @@ def functional_V_curl(m: VectorField, a: VectorField) -> float:
 def project_divergence_free(a: VectorField, cfg: SolverConfig):
     """Divergence-free representative of the gauge class of ``a``.
 
-    Solves the node Poisson problem for the gauge scalar and adds its
-    gradient, one component at a time (``a + grad_node(p)`` bit for bit);
-    the curl of the result is unchanged to rounding.  ``a`` is not modified.
+    Solves the node Poisson problem for the gauge scalar p and adds
+    ``grad_node(p)`` into its own arrays; the curl of the result is
+    unchanged to rounding.  ``a`` is not modified.
     """
     d = div(a).data
     if not d.any():
@@ -213,11 +213,8 @@ def project_divergence_free(a: VectorField, cfg: SolverConfig):
     p, res, iters = poisson.solve_poisson_neumann(d, a.grid.h, cfg.tol,
                                                   cfg.max_iter, cfg.method)
     del d
-    comps = []
-    for axis, comp in enumerate(a.components):
-        g = np.diff(p, axis=axis)
-        g /= a.grid.h
-        comps.append(np.add(comp, g, out=g))
+    g = grad_node(ScalarField(a.grid, p, NODE))
+    comps = [np.add(comp, gc, out=gc) for comp, gc in zip(a.components, g.components)]
     return VectorField(a.grid, *comps, staggering=EDGE), res, iters
 
 

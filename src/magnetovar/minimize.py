@@ -14,7 +14,9 @@ nonincreasing and |m| = 1 holds exactly after every step.
 A scheme gives the loop a callable that returns an iterate's effective
 field, its stray part a face field pulled back to cells, and trial
 evaluator.  The loop forms the field of the returned iterate too, so
-``MinimizeReport.final_grad_norm`` is that of the returned fields.
+``MinimizeReport.final_grad_norm`` is that of the returned fields.  Each
+trial of ``minimize_m`` costs one stray solve; the accepted trial's
+solution also gives the next gradient.
 
 The line search starts from the Barzilai-Borwein step <s, s> / <s, y>
 (Barzilai & Borwein, IMA J. Numer. Anal. 8:141, 1988), with s the last
@@ -28,29 +30,6 @@ Exl et al., J. Appl. Phys. 115:17D118, 2014).  Where no secant pair with
 first trial is the last accepted step doubled, under the same cap.  The
 Armijo test then halves the trial (``BACKTRACK``) until it descends, at
 most ``MAX_BACKTRACKS`` times, so neither rule breaks monotonicity.
-
-``minimize_m`` skips the stray solve of a trial that the scalar principle
-proves the Armijo test would reject.  For every cell potential u,
-
-    W(m', u) = <grad u, face m'> - 1/2 ||grad u||^2 <= E_s(m').
-
-With u the iterate's potential, B(m') = local terms(m') + W(m', u) bounds
-the trial's energy from below.  Its pairing, -<u, div face m'>, is summed
-on the box, and 1/2 ||grad u||^2 once per iteration on the padded grid,
-one gradient component at a time.  A solved trial energy is within
-
-    1/2 tol h^3 |rho'| |face m'| / sqrt(lambda_min)
-
-of the exact one, with |.| the arrays' Euclidean norms, tol = ``solver.tol``
-and rho' = -div face m': the residual is at most tol |rho'|, and
-|u*| <= |face m'| / sqrt(lambda_min) because <u*, rho'> = 2 E_s(m') / h^3 <=
-|face m'|^2 (lambda_min from ``poisson.smallest_eigenvalue``).  A trial is
-rejected without a solve only if B exceeds the threshold by this margin
-plus the rounding of an n-term sum (n eps times the terms' magnitudes, n
-three times the padded grid's cells).  The solved energy would then exceed
-the threshold too, so the accepted trials, the iterates and the traces are
-those of solving every trial.  A trial that is solved computes its local
-terms and face transfer once, for the bound and the solve.
 
 Both schemes iterate on the mask's support box (``grid.support_box``):
 every iterate, trial, tangential field, local energy and field term, and
@@ -70,10 +49,8 @@ from .errors import ConvergenceError, GridError
 from .grid import EDGE, CellVectorField, DomainMask, VectorField, support_box
 from .energy import (ALL_TERMS, MaterialParams, effective_field, local_energies,
                      total_energy)
-from .magnetostatics import SolverConfig, StrayFieldSolution, minimize_V
-from .operators import (curl, div, grad_component, grad_norm_sq, inner,
-                        masked_cell_to_faces)
-from .poisson import smallest_eigenvalue
+from .magnetostatics import SolverConfig, minimize_V
+from .operators import curl, grad_norm_sq, inner, masked_cell_to_faces
 
 DESCENT_SLACK = 1e-12
 ARMIJO_C = 0.1
@@ -156,10 +133,10 @@ def _descend(m: CellVectorField, energy: float, extra, field_at, steps: int,
     ``FIRST_ROTATION`` rule's.
 
     ``field_at(m, extra)`` returns m's effective field data and trial
-    evaluator ``evaluate(trial, threshold)`` -> (energy, extra), with
-    ``extra`` what m's evaluation gave; a trial is accepted if its energy
-    is at most ``threshold``.  Steps and energies go into ``report``, and
-    |t| of the returned m.  Returns (m, its extra, the next first trial);
+    evaluator ``evaluate(trial)`` -> (energy, extra), with ``extra`` what
+    m's evaluation gave; a trial is accepted if its energy is at most the
+    Armijo threshold.  Steps and energies go into ``report``, and |t| of
+    the returned m.  Returns (m, its extra, the next first trial);
     raises ConvergenceError after ``MAX_BACKTRACKS`` rejected trials.
     """
     cap = mcfg.step * STEP_GROWTH_CAP
@@ -179,7 +156,7 @@ def _descend(m: CellVectorField, energy: float, extra, field_at, steps: int,
         for _ in range(MAX_BACKTRACKS):
             trial = CellVectorField(mask.grid, _normalize_on_mask(m.data + step * t, mask))
             threshold = energy - ARMIJO_C * step * gnorm ** 2 + DESCENT_SLACK
-            e_trial, extra_trial = evaluate(trial, threshold)
+            e_trial, extra_trial = evaluate(trial)
             if e_trial <= threshold:
                 break
             step *= BACKTRACK
@@ -196,52 +173,12 @@ def _descend(m: CellVectorField, energy: float, extra, field_at, steps: int,
     return m, extra, step
 
 
-class _TrialBound:
-    """The scalar principle's lower bound on the energy of one iteration's
-    trials (see the module docstring), from ``stray``, the solution of the
-    iterate's stray problem.
-
-    It holds a copy of ``u`` on the mask's box and ||grad u||^2, summed on
-    the padded grid one gradient component at a time, so it keeps no
-    padded-grid array alive.  ``rejects(local, faces, threshold)`` takes a
-    trial's ``local_energies`` and face transfer and is True only when the
-    trial's solved energy would exceed ``threshold``; it makes no solve.
-    """
-
-    def __init__(self, stray: StrayFieldSolution, mask: DomainMask, tol: float):
-        root = stray.u.grid
-        self.vol, self.tol = root.cell_volume, tol
-        h2 = 0.0
-        for axis in range(3):
-            g = grad_component(stray.u, axis)
-            h2 += float(np.vdot(g, g))
-            del g
-        self.half_h2 = 0.5 * (h2 * self.vol)  # 0.5 * inner(h, h), bit for bit
-        self.u = stray.u.data[mask.grid.box].copy()  # not a view: u's grid is the root
-        self.norm_u = float(np.sqrt(np.vdot(self.u, self.u)))
-        self.inv_sqrt_lam = 1.0 / np.sqrt(smallest_eigenvalue(root.shape, root.h))
-        self.ulps = 3 * root.n_cells * np.finfo(float).eps  # an n-term sum's rounding
-
-    def rejects(self, local, faces: VectorField, threshold: float) -> bool:
-        d = div(faces).data  # -rho' on the box; zero off it
-        pairing = self.vol * float(np.vdot(self.u, d))  # -<grad u, face m'>
-        bound = sum(local) - pairing - self.half_h2
-        norm_d = float(np.sqrt(np.vdot(d, d)))
-        norm_f = float(np.sqrt(sum(float(np.vdot(c, c)) for c in faces.components)))
-        solve = self.vol * norm_d * norm_f * self.inv_sqrt_lam  # 2 |e - E_s| / tol
-        scale = (sum(map(abs, local)) + self.vol * self.norm_u * norm_d
-                 + 2.0 * self.half_h2 + solve + abs(threshold))
-        return bound > threshold + 0.5 * self.tol * solve + self.ulps * scale
-
-
 def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
                mcfg: MinimizeConfig, scfg: SolverConfig, *, terms=ALL_TERMS):
     """Projected gradient descent on the reduced energy over unit fields.
 
-    Each trial costs at most one stray solve: a trial that the scalar
-    principle's bound proves too high is rejected without one (see the
-    module docstring); the accepted trial's solution also gives the next
-    gradient.  Returns (m, MinimizeReport).  Raises
+    Each trial costs one stray solve; the accepted trial's solution also
+    gives the next gradient.  Returns (m, MinimizeReport).  Raises
     ConvergenceError if backtracking cannot produce descent (step underflow
     before reaching grad_tol).
     """
@@ -250,27 +187,13 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
     report = MinimizeReport(iterations=0)
     local, m = _on_support_box(m0, mask)
 
-    def solved(trial, **known):
-        breakdown = total_energy(trial, params, local, scfg, terms=terms, **known)
+    def solved(trial):
+        breakdown = total_energy(trial, params, local, scfg, terms=terms)
         return breakdown.total, breakdown.stray_solution
 
     def field_at(m, stray):
-        bound = None  # built at m's first trial: the returned m has none
-
-        def evaluate(trial, threshold):
-            nonlocal bound
-            if stray is None:  # no stray solve to save
-                return solved(trial)
-            if bound is None:
-                bound = _TrialBound(stray, local, scfg.tol)
-            energies = local_energies(trial, params, local, terms)
-            faces = masked_cell_to_faces(trial, local)
-            if bound.rejects(energies, faces, threshold):
-                return np.inf, None
-            return solved(trial, local=energies, faces=faces)
-
         h = None if stray is None else stray.h(local.grid)
-        return effective_field(m, params, local, scfg, terms=terms, h=h).data, evaluate
+        return effective_field(m, params, local, scfg, terms=terms, h=h).data, solved
 
     energy, stray = solved(m)
     report.energy_trace.append(energy)
@@ -345,8 +268,7 @@ def minimize_joint(m0: CellVectorField, a0: VectorField | None,
 
         def field_at(m, mf):
             h = curl_a - mf
-            return (effective_field(m, params, local, scfg, terms=terms, h=h).data,
-                    lambda trial, threshold: joint(trial))
+            return effective_field(m, params, local, scfg, terms=terms, h=h).data, joint
 
         steps_before = report.iterations
         m, faces, step = _descend(m, energy, faces, field_at, M_STEPS_PER_SWEEP, step,

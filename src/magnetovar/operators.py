@@ -59,12 +59,12 @@ def grad_node(p: ScalarField) -> VectorField:
     """Edge-centered gradient of a node scalar (gauge transformations)."""
     if p.centering != NODE:
         raise GridError("grad_node expects a node-centered scalar")
-    h = p.grid.h
-    return VectorField(p.grid,
-                       np.diff(p.data, axis=0) / h,
-                       np.diff(p.data, axis=1) / h,
-                       np.diff(p.data, axis=2) / h,
-                       staggering=EDGE)
+    comps = []
+    for axis in range(3):
+        g = np.diff(p.data, axis=axis)
+        g /= p.grid.h
+        comps.append(g)
+    return VectorField(p.grid, *comps, staggering=EDGE)
 
 
 def div(v: VectorField) -> ScalarField:

@@ -136,12 +136,6 @@ def _axis_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     return _BASIS_CACHE[key]
 
 
-def smallest_eigenvalue(shape: tuple[int, int, int], h: float) -> float:
-    """The smallest eigenvalue of ``laplace_apply`` on a lattice of ``shape``:
-    the sum of each axis's lowest ``"dst"`` eigenvalue, over h^2."""
-    return sum(float(_axis_basis(n, "dst")[1][0]) for n in shape) / (h * h)
-
-
 def _whole_box(shape: tuple[int, ...]) -> tuple[slice, ...]:
     """The index box of the whole lattice of ``shape``."""
     return tuple(slice(0, n) for n in shape)

@@ -250,7 +250,8 @@ def test_bad_seed_is_config_error(tmp_path, capsys):
 
 def test_entry_point_exits_2_without_traceback_on_unreadable_or_bad_configs(tmp_path):
     # each case once ended in a traceback with exit 1 (oracle.ball_cells = 1 in an
-    # all-zero oracle.csv and exit 0); none may leave an output directory
+    # all-zero oracle.csv, and an empty list in a run that checks nothing, with
+    # exit 0); none may leave an output directory
     root = Path(__file__).resolve().parent.parent
     default = (root / "configs" / "default.cfg").read_text()
     (tmp_path / "latin1.cfg").write_bytes(b"config_version = 1\n# caf\xe9\n")
@@ -261,6 +262,8 @@ def test_entry_point_exits_2_without_traceback_on_unreadable_or_bad_configs(tmp_
         ("oracle", None, ["--config", str(tmp_path / "latin1.cfg")], "latin1.cfg"),
         ("validate", default + "validate.ball_cells = 1\n", [], "validate.ball_cells"),
         ("oracle", default + "oracle.ball_cells = 1\n", [], "oracle.ball_cells"),
+        ("shell-study", default + "shell.eps_list =\n", [], "shell.eps_list"),
+        ("solve", default + "minimize.terms =\n", [], "minimize.terms"),
     ]
     src = str(Path(magnetovar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magnetovar.energy import ALL_TERMS, MaterialParams, effective_field, total_energy
+from magnetovar.energy import MaterialParams, effective_field, total_energy
 from magnetovar.errors import GridError
 from magnetovar.grid import (Box, CellVectorField, DomainMask, Ellipsoid, GridSpec,
                              build_mask, grid_for_geometry, support_box)
@@ -245,23 +245,6 @@ def test_joint_converges_only_below_grad_tol_at_the_returned_potential(seed):
     assert rep.converged and rep.final_grad_norm <= mcfg.grad_tol
 
 
-def test_reduced_minimizer_builds_one_trial_bound_per_iteration(monkeypatch):
-    # each bound serves its iterate's trials; the returned iterate has none
-    from magnetovar import minimize
-    grid, mask = ball_setup(8)
-    init = minimize._TrialBound.__init__
-    built = []
-
-    def spied(self, *args):
-        built.append(1)
-        init(self, *args)
-
-    monkeypatch.setattr(minimize._TrialBound, "__init__", spied)
-    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=200, step=0.5)
-    _, rep = minimize_m(workload_start(mask, [0, 1]), MaterialParams(), mask, mcfg, CFG)
-    assert rep.converged and len(built) == rep.iterations > 0
-
-
 def test_joint_makes_no_a_step_for_an_unchanged_magnetization(monkeypatch):
     # a sweep whose m-steps stop at grad_tol hands its m (as its face field)
     # to the next sweep's a-step, which is also the convergence test; it is
@@ -284,31 +267,31 @@ def test_joint_makes_no_a_step_for_an_unchanged_magnetization(monkeypatch):
 
 
 def test_reduced_minimizer_solves_once_per_trial(monkeypatch):
-    # one stray solve for the start and one per trial; the accepted trial's
-    # solution also gives the next gradient and the final gradient norm
+    # one energy and one stray solve for the start and for every trial,
+    # accepted or not; the accepted trial's solution also gives the next
+    # gradient and the final gradient norm
     from magnetovar import minimize, poisson
     grid, mask = ball_setup(8)
-    counts = {"solves": 0, "energies": 0}
+    counts = {"solves": 0, "energies": 0, "retractions": 0}
     solve, energy = poisson.solve_poisson, minimize.total_energy
+    retract = minimize._normalize_on_mask  # the start's, then each trial's
 
-    def counted_solve(*args, **kwargs):
-        counts["solves"] += 1
-        return solve(*args, **kwargs)
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
 
-    def counted_energy(*args, **kwargs):
-        counts["energies"] += 1
-        return energy(*args, **kwargs)
-
-    monkeypatch.setattr(poisson, "solve_poisson", counted_solve)
-    monkeypatch.setattr(minimize, "total_energy", counted_energy)
+    monkeypatch.setattr(poisson, "solve_poisson", counted("solves", solve))
+    monkeypatch.setattr(minimize, "total_energy", counted("energies", energy))
+    monkeypatch.setattr(minimize, "_normalize_on_mask", counted("retractions", retract))
     m0 = tilted_uniform(mask, (0.3, 0.15, 0.94))
     for max_iter in (5, 200):  # stopped by the budget, then converged
-        counts.update(solves=0, energies=0)
+        counts.update(solves=0, energies=0, retractions=0)
         _, rep = minimize_m(m0, MaterialParams(), mask,
                             MinimizeConfig(grad_tol=1e-4, max_iter=max_iter, step=0.5), CFG)
-        trials = counts["energies"] - 1
-        assert trials >= rep.iterations > 0
-        assert counts["solves"] == 1 + trials
+        assert counts["retractions"] - 1 > rep.iterations > 0  # some trials backtrack
+        assert counts["energies"] == counts["solves"] == counts["retractions"]
     assert rep.converged
 
 
@@ -396,7 +379,7 @@ def test_first_trial_bounds_rotation_and_saves_trials(monkeypatch):
     m0 = tilted_uniform(mask, (0.3, 0.15, 0.94))
     mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=1, step=0.5)
     retract = minimize._normalize_on_mask
-    trials = []  # the start, then every trial, rejected without a solve or not
+    trials = []  # the start, then every trial
 
     def recorded_retraction(*args):
         trials.append(retract(*args))
@@ -476,98 +459,6 @@ def test_returned_m_is_unit_on_mask_and_matches_last_trace_energy(scheme, setup)
     e = (total_energy(m, params, mask, CFG).total if a is None
          else _fixed_a_energy(a, params, mask)[0](m)[0])
     assert abs(rep.energy_trace[-1] - e) <= 1e-12 * abs(e)
-
-
-def spy_certified(monkeypatch, cfg):
-    """Record (solved energy, threshold) of every trial the reduced scheme
-    rejects without a solve; the solved energy is the one ``total_energy``
-    would report under ``cfg``, the local terms plus the stray solve of the
-    trial's faces."""
-    from magnetovar import minimize
-    from magnetovar.magnetostatics import solve_scalar_potential
-    certified = []
-    rejects = minimize._TrialBound.rejects
-
-    def spied(self, local, faces, threshold):
-        rejected = rejects(self, local, faces, threshold)
-        if rejected:
-            certified.append((sum(local) + solve_scalar_potential(faces, None, cfg).energy,
-                              threshold))
-        return rejected
-
-    monkeypatch.setattr(minimize._TrialBound, "rejects", spied)
-    return certified
-
-
-def without_certification(monkeypatch):
-    from magnetovar import minimize
-    monkeypatch.setattr(minimize._TrialBound, "rejects", lambda self, *args: False)
-
-
-def shell_setup():
-    from magnetovar.grid import Shell
-    from magnetovar.shell import make_sphere_mesh
-    geom = Shell(make_sphere_mesh(1.0, level=2), 0.2)
-    grid = grid_for_geometry(geom, 0.1, pad_ratio=0.25)
-    return grid, build_mask(geom, grid)
-
-
-def assert_same_runs(got, want):
-    (m, rep), (m_ref, rep_ref) = got, want
-    assert rep.iterations == rep_ref.iterations and rep.converged == rep_ref.converged
-    assert rep.energy_trace == rep_ref.energy_trace
-    assert rep.final_grad_norm == rep_ref.final_grad_norm
-    assert m.data.tobytes() == m_ref.data.tobytes()
-
-
-@pytest.mark.parametrize("case", ["ball-all-terms-random", "shell-tilted"])
-def test_certified_rejections_are_solved_rejections(monkeypatch, case):
-    # the scalar principle's bound rejects trials without a solve; each one it
-    # rejects, solved, misses the Armijo threshold, and the run is the
-    # uncertified run: trace, iterates, gradient norm and m bit for bit
-    if case == "ball-all-terms-random":
-        grid, mask = ball_setup(8)
-        params = MaterialParams(Q=0.1, h_applied=(0.0, 0.0, 0.3))
-        m0, terms, max_iter = random_unit_magnetization(3, mask), ALL_TERMS, 150
-    else:
-        grid, mask = shell_setup()
-        params = MaterialParams()
-        m0 = tilted_uniform(mask, (0.3, 0.15, 0.94))
-        terms, max_iter = ("exchange", "stray"), 40
-    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=max_iter, step=0.5)
-    with monkeypatch.context() as patch:
-        certified = spy_certified(patch, CFG)
-        got = minimize_m(m0, params, mask, mcfg, CFG, terms=terms)
-    assert certified and all(e_solved > threshold for e_solved, threshold in certified)
-    without_certification(monkeypatch)
-    assert_same_runs(got, minimize_m(m0, params, mask, mcfg, CFG, terms=terms))
-
-
-@pytest.mark.parametrize("method, tol, max_iter", [("cg", 1e-8, 25), ("dense", 1e-8, 25),
-                                                   ("direct", 1e-3, 150)])
-def test_certification_leaves_iterates_unchanged_for_each_method(monkeypatch, method, tol,
-                                                                 max_iter):
-    # the margin is the solve's own error bound, so it holds for every method;
-    # it grows with solver.tol, so a loose tolerance certifies fewer of the
-    # small rejections near convergence (the direct solves' residuals, and so
-    # the runs, do not depend on it)
-    grid, mask = ball_setup(8)
-    params = MaterialParams(Q=0.1, h_applied=(0.0, 0.0, 0.3))
-    m0 = random_unit_magnetization(3, mask)
-    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=max_iter, step=0.5)
-    counts = {}
-    for cfg in (SolverConfig(tol=1e-8), SolverConfig(tol=tol, method=method)):
-        with monkeypatch.context() as patch:
-            certified = spy_certified(patch, cfg)
-            got = minimize_m(m0, params, mask, mcfg, cfg)
-        assert all(e_solved > threshold for e_solved, threshold in certified)
-        counts[cfg] = len(certified)
-        with monkeypatch.context() as patch:
-            without_certification(patch)
-            assert_same_runs(got, minimize_m(m0, params, mask, mcfg, cfg))
-    direct, other = counts.values()
-    assert direct > 0
-    assert (other < direct) if tol > 1e-8 else (other > 0)
 
 
 def test_line_search_holds_no_padded_face_field():

@@ -229,14 +229,6 @@ def test_slab_batched_transform_solve_matches_per_plane(monkeypatch, kinds, plan
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def test_smallest_eigenvalue_is_the_operators():
-    shape, h = (3, 4, 5), 0.7
-    n = int(np.prod(shape))
-    a = np.stack([poisson.laplace_apply(e.reshape(shape), h).ravel() for e in np.eye(n)])
-    assert poisson.smallest_eigenvalue(shape, h) == pytest.approx(
-        np.linalg.eigvalsh(a).min(), rel=1e-12)
-
-
 APPLIES = [poisson.laplace_apply, poisson.neumann_laplace_apply]
 
 
