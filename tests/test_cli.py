@@ -191,6 +191,8 @@ def test_non_finite_or_out_of_range_sizes_are_config_errors(tmp_path, capsys, co
     ("minimize.max_iter = -3", "minimize.max_iter"),
     ("solver.max_iter = 0", "solver.max_iter"),
     ("shell.n_minor = 2", "shell.n_minor"),
+    ("shell.eps_list =", "shell.eps_list"),  # an empty list once checked nothing
+    ("minimize.terms =", "minimize.terms"),
 ])
 def test_bad_value_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, key):
     # oracle reads none of these keys, but every value is parsed with the file

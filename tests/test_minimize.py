@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magnetovar.energy import MaterialParams, effective_field, total_energy
+from magnetovar.energy import ALL_TERMS, MaterialParams, effective_field, total_energy
 from magnetovar.errors import GridError
 from magnetovar.grid import (Box, CellVectorField, DomainMask, Ellipsoid, GridSpec,
                              build_mask, grid_for_geometry, support_box)
@@ -459,6 +459,129 @@ def test_returned_m_is_unit_on_mask_and_matches_last_trace_energy(scheme, setup)
     e = (total_energy(m, params, mask, CFG).total if a is None
          else _fixed_a_energy(a, params, mask)[0](m)[0])
     assert abs(rep.energy_trace[-1] - e) <= 1e-12 * abs(e)
+
+
+class _StepSpy(float):
+    """``ARMIJO_C`` that records each step it multiplies; the product is a
+    plain float, so the threshold it enters is the unspied one bit for bit."""
+
+    def __new__(cls, value, steps):
+        self = super().__new__(cls, value)
+        self.steps = steps
+        return self
+
+    def __mul__(self, other):
+        self.steps.append(other)
+        return float(self) * other
+
+
+def spy_trials(monkeypatch, mask, params, cfg, terms):
+    """Record (energy, Armijo threshold, iteration) of every trial of the
+    reduced scheme, in order, with the energy ``total_energy`` gives the
+    trial on ``mask``'s full grid as a fourth entry."""
+    from magnetovar import minimize
+    trials, steps, descend = [], [], minimize._descend
+    monkeypatch.setattr(minimize, "ARMIJO_C", _StepSpy(minimize.ARMIJO_C, steps))
+
+    def spied_descend(m, energy, extra, field_at, steps_, step, local, mcfg, report,
+                      *args, **kwargs):
+        def spied_field_at(m, extra):
+            field_data, evaluate = field_at(m, extra)
+
+            def spied_evaluate(trial):
+                e_trial, extra_trial = evaluate(trial)
+                gnorm = report.final_grad_norm
+                threshold = (report.energy_trace[-1] - float(minimize.ARMIJO_C) * steps[-1]
+                             * gnorm ** 2 + minimize.DESCENT_SLACK)
+                alone = total_energy(trial.embedded(), params, mask, cfg, terms=terms).total
+                trials.append((e_trial, threshold, report.iterations, alone))
+                return e_trial, extra_trial
+
+            return field_data, spied_evaluate
+
+        return descend(m, energy, extra, spied_field_at, steps_, step, local, mcfg, report,
+                       *args, **kwargs)
+
+    monkeypatch.setattr(minimize, "_descend", spied_descend)
+    return trials
+
+
+def shell_setup():
+    from magnetovar.grid import Shell
+    from magnetovar.shell import make_sphere_mesh
+    geom = Shell(make_sphere_mesh(1.0, level=2), 0.2)
+    grid = grid_for_geometry(geom, 0.1, pad_ratio=0.25)
+    return grid, build_mask(geom, grid)
+
+
+@pytest.mark.parametrize("case", ["ball-all-terms-random", "shell-tilted"])
+def test_rejected_trials_are_solved_and_miss_the_armijo_threshold(monkeypatch, case):
+    # every trial is solved: its energy is the trial's own, local terms plus
+    # a stray solve; the line search accepts the first trial at or below the
+    # Armijo threshold, and every trial it rejects lies above it
+    if case == "ball-all-terms-random":
+        grid, mask = ball_setup(8)
+        params = MaterialParams(Q=0.1, h_applied=(0.0, 0.0, 0.3))
+        m0, terms, max_iter = random_unit_magnetization(3, mask), ALL_TERMS, 150
+    else:
+        grid, mask = shell_setup()
+        params = MaterialParams()
+        m0 = tilted_uniform(mask, (0.3, 0.15, 0.94))
+        terms, max_iter = ("exchange", "stray"), 40
+    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=max_iter, step=0.5)
+    trials = spy_trials(monkeypatch, mask, params, CFG, terms)
+    _, rep = minimize_m(m0, params, mask, mcfg, CFG, terms=terms)
+    assert rep.iterations > 0 and {k for *_, k, _ in trials} == set(range(rep.iterations))
+    for e_trial, _, _, alone in trials:
+        assert abs(e_trial - alone) <= 1e-12 * abs(alone)
+    rejected = 0
+    for k in range(rep.iterations):
+        group = [(e, threshold) for e, threshold, i, _ in trials if i == k]
+        assert all(e > threshold for e, threshold in group[:-1])
+        assert group[-1][0] <= group[-1][1] and group[-1][0] == rep.energy_trace[k + 1]
+        rejected += len(group) - 1
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("method, tol, max_iter", [("cg", 1e-8, 25), ("dense", 1e-8, 25),
+                                                   ("direct", 1e-3, 150)])
+def test_every_method_solves_every_trial(monkeypatch, method, tol, max_iter):
+    # one solve per trial whatever the method; the direct solve's residual
+    # does not depend on solver.tol, so neither does its run.  The dense
+    # factorization follows the direct run to rounding; CG's residual of up
+    # to 1e-8 moves the trial energies, and its run stays within 1e-6 of the
+    # direct one (5e-8 measured)
+    from magnetovar import minimize, poisson
+    grid, mask = ball_setup(8)
+    params = MaterialParams(Q=0.1, h_applied=(0.0, 0.0, 0.3))
+    m0 = random_unit_magnetization(3, mask)
+    mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=max_iter, step=0.5)
+    m_ref, rep_ref = minimize_m(m0, params, mask, mcfg, CFG)
+    counts = {"solves": 0, "energies": 0, "retractions": 0}
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(poisson, "solve_poisson", counted("solves", poisson.solve_poisson))
+    monkeypatch.setattr(minimize, "total_energy", counted("energies", minimize.total_energy))
+    monkeypatch.setattr(minimize, "_normalize_on_mask",
+                        counted("retractions", minimize._normalize_on_mask))
+    m, rep = minimize_m(m0, params, mask, mcfg, SolverConfig(tol=tol, method=method))
+    assert counts["retractions"] - 1 > rep.iterations > 0
+    assert counts["energies"] == counts["solves"] == counts["retractions"]
+    assert all(b <= a for a, b in zip(rep.energy_trace, rep.energy_trace[1:]))
+    if method == "direct":
+        assert rep.energy_trace == rep_ref.energy_trace
+        assert rep.final_grad_norm == rep_ref.final_grad_norm
+        assert m.data.tobytes() == m_ref.data.tobytes()
+    else:
+        assert rep.iterations == rep_ref.iterations
+        rel = 1e-6 if method == "cg" else 1e-12
+        assert rep.energy_trace == pytest.approx(rep_ref.energy_trace, rel=rel)
+        assert np.abs(m.data - m_ref.data).max() <= rel
 
 
 def test_line_search_holds_no_padded_face_field():
