@@ -56,7 +56,8 @@ def write_legacy_vector_dump(path: Path, m: CellVectorField) -> None:
                                          h=FLOAT_FORMAT % grid.h, count=n1 * n2 * n3)
     # structured-points order: x varies fastest, then y, then z
     flat = m.data.transpose(3, 2, 1, 0).reshape(-1, 3)
-    body = "\n".join(" ".join(FLOAT_FORMAT % v for v in row) for row in flat)
+    line = " ".join([FLOAT_FORMAT] * 3)
+    body = "\n".join(line % (x, y, z) for x, y, z in flat.tolist())
     path.write_text(head + body + "\n")
 
 

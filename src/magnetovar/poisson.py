@@ -15,9 +15,10 @@ applied by matrix products.
 A right-hand side is passed as its array on an index box of the lattice,
 with the lattice's shape, and is zero off the box; by default the box is
 the whole lattice.  The forward products read the box array, the
-axis-1/2 ones run on slabs of axis-0 planes with temporaries of a few
-``_TRANSFORM_SLAB_BYTES``, and the inverse along axis 0 runs in place, so
-the result is the solve's only full-grid array.
+axis-1/2 ones run on slabs of axis-0 planes and the inverse along axis 0
+runs in place on blocks of columns.  One budget sizes both: 1/16 of the
+result, and at least ``_TRANSFORM_SLAB_BYTES``.  The temporaries are a few
+budgets, so the result is the solve's only full-grid array.
 ``checked_solve`` confirms each such solve with one apply of the operator
 (the true residual ``||b - A x|| / ||b||`` over the full grid).  The apply
 runs slab by slab along axis 0, each slab with a one-plane halo, so every
@@ -96,12 +97,13 @@ def neumann_laplace_apply(x: np.ndarray, h: float) -> np.ndarray:
 
 _BASIS_CACHE: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
 
-_COLUMN_BLOCK = 256  # columns per block of the in-place axis-0 products
 _SLAB_BYTES = 1 << 20  # bytes of b per slab of a residual check
-# bytes of the result per slab of a transform solve's axis-1/2 products, whose
-# temporaries are a few slabs.  Timed from 16 KiB to 1 MiB on 24^3 to 48^3
-# grids, 64 KiB was the best or within 12 % of it on each; 1 MiB took 1.7
-# times as long on 36^3, where its temporaries leave the cache.
+# The floor of a transform solve's budget: the bytes of the result per slab
+# of its axis-1/2 products and per column block of its axis-0 inverse.  The
+# budget is 1/16 of the result above 1 MiB, so the products of large lattices
+# are tall enough for every BLAS thread.  Timed from 16 KiB to 1 MiB on 24^3
+# to 48^3 grids, 64 KiB slabs were the best or within 12 % of it on each;
+# 1 MiB took 1.7 times as long on 36^3, where its temporaries leave the cache.
 _TRANSFORM_SLAB_BYTES = 1 << 16
 
 
@@ -175,36 +177,42 @@ def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str],
     depend on whether its length has large prime factors.  The forward
     products read the box array only, with the rows of the bases on the
     box.  Axis 0 goes first, as one product written into the result's
-    memory (row ``i`` holds plane ``i``'s box).  Then slabs of axis-0
-    planes, each of about ``_TRANSFORM_SLAB_BYTES`` of the result, run
-    axes 2 and 1, the division by the eigenvalues and the inverse along
-    axes 1 and 2 as stacked products, and write their planes of the result;
-    the temporaries are a few slabs.  Last, the inverse along axis 0 runs
-    in place on blocks of ``_COLUMN_BLOCK`` columns.  The result is the only
-    full-grid array allocated.
+    memory (row ``i`` holds plane ``i``'s box).  One budget sizes the rest:
+    1/16 of the result's bytes, and at least ``_TRANSFORM_SLAB_BYTES``.
+    Slabs of axis-0 planes, each of about one budget of the result, run
+    axis 2 as one 2-D product, axis 1 as a stacked product, the division by
+    the eigenvalues, and the inverse along axis 1 (stacked) and axis 2 (one
+    2-D product written into their planes of the result); the temporaries
+    are a few slabs.  Last, the inverse along axis 0 runs in place on
+    column blocks of one budget.  The result is the only full-grid array
+    allocated.
     """
     shape, (s0, s1, s2) = _placed(b, shape, box)
-    n0 = shape[0]
-    k12 = b.shape[1:]
+    n0, _, n2 = shape
+    k1, k2 = b.shape[1:]
     hh = h * h
     (q0, lam0), (q1, lam1), (q2, lam2) = (_axis_basis(n, k) for n, k in zip(shape, kinds))
     coef = np.empty(shape)
     flat = coef.reshape(n0, -1)
-    fwd = flat[:, :k12[0] * k12[1]]  # axis 0 done: plane i's box, row i
+    fwd = flat[:, :k1 * k2]  # axis 0 done: plane i's box, row i
     np.matmul(q0[s0].T, b.reshape(b.shape[0], fwd.shape[1]), out=fwd)
     q1_in, q2_in, q2_out = q1[s1].T, q2[s2], q2.T
     lam12 = (lam1[:, None] + lam2[None, :]) / hh
-    planes = max(1, _TRANSFORM_SLAB_BYTES // coef[0].nbytes)
+    budget = max(_TRANSFORM_SLAB_BYTES, coef.nbytes // 16)
+    planes = max(1, budget // coef[0].nbytes)
     for lo in range(0, n0, planes):
         hi = min(lo + planes, n0)
-        slab = q1_in @ (fwd[lo:hi].reshape(hi - lo, *k12) @ q2_in)
+        slab = fwd[lo:hi].reshape((hi - lo) * k1, k2) @ q2_in
+        slab = q1_in @ slab.reshape(hi - lo, k1, n2)
         denom = (lam0[lo:hi] / hh)[:, None, None] + lam12
         if denom[0, 0, 0] == 0.0:
             denom[0, 0, 0] = np.inf  # all-cosine constant mode: zero-mean solution
         slab /= denom
-        np.matmul(q1 @ slab, q2_out, out=coef[lo:hi])
-    for start in range(0, flat.shape[1], _COLUMN_BLOCK):
-        cols = flat[:, start:start + _COLUMN_BLOCK]
+        slab = (q1 @ slab).reshape(-1, n2)
+        np.matmul(slab, q2_out, out=coef[lo:hi].reshape(-1, n2))
+    columns = max(1, budget // (8 * n0))
+    for start in range(0, flat.shape[1], columns):
+        cols = flat[:, start:start + columns]
         cols[...] = q0 @ cols
     return coef
 

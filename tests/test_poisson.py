@@ -163,12 +163,18 @@ def test_transform_solve_rejects_a_source_off_its_box(box):
         poisson.transform_solve(np.ones((3, 3, 1)), 0.1, poisson.CELL_KINDS, (3, 4, 3), box)
 
 
-@pytest.mark.parametrize("kinds", [poisson.CELL_KINDS, poisson.NODE_KINDS, ("dst", "dct", "dct")],
-                         ids="-".join)
-def test_transform_solve_allocates_about_one_output(kinds):
+SLAB_KINDS = [poisson.CELL_KINDS, poisson.NODE_KINDS, ("dst", "dct", "dct")]
+
+
+@pytest.mark.parametrize("kinds, shape", [
+    pytest.param(kinds, shape, id=prefix + "-".join(kinds))
+    for prefix, shape in [("", (60, 50, 40)), ("scaled-", (96, 80, 72))] for kinds in SLAB_KINDS])
+def test_transform_solve_allocates_about_one_output(kinds, shape):
     # the forward products write into the result and the inverse runs in
-    # place, so no second full-grid temporary appears
-    b = random_rhs((60, 50, 40), 9)
+    # place, so no second full-grid temporary appears; the temporaries are
+    # sized by the 64 KiB floor on the first lattice and by 1/16 of the
+    # result on the second
+    b = random_rhs(shape, 9)
     poisson.transform_solve(b, 0.1, kinds)  # builds the cached bases
     tracemalloc.start()
     try:
@@ -179,6 +185,17 @@ def test_transform_solve_allocates_about_one_output(kinds):
         tracemalloc.stop()
     assert u.nbytes == b.nbytes
     assert peak < 1.5 * b.nbytes
+
+
+@pytest.mark.parametrize("kinds", SLAB_KINDS, ids="-".join)
+def test_transform_solve_is_deterministic_above_the_floor(kinds):
+    # the larger products run on every BLAS thread; repeated solves of one
+    # source must still agree bit for bit, so repeated runs write equal CSVs
+    b = random_rhs((96, 80, 72), 4)
+    if "dst" not in kinds:
+        b -= b.mean()
+    assert np.array_equal(poisson.transform_solve(b, 0.1, kinds),
+                          poisson.transform_solve(b, 0.1, kinds))
 
 
 def per_plane_transform_solve(b, h, kinds):
@@ -207,9 +224,6 @@ def per_plane_transform_solve(b, h, kinds):
     return coef
 
 
-SLAB_KINDS = [poisson.CELL_KINDS, poisson.NODE_KINDS, ("dst", "dct", "dct")]
-
-
 @pytest.mark.parametrize("kinds", SLAB_KINDS, ids="-".join)
 @pytest.mark.parametrize("planes", [0.5, 1, 4, 5, 6, 12, 30])
 @pytest.mark.parametrize("box", [(slice(0, 12), slice(0, 9), slice(0, 7)),
@@ -223,6 +237,26 @@ def test_slab_batched_transform_solve_matches_per_plane(monkeypatch, kinds, plan
     monkeypatch.setattr(poisson, "_TRANSFORM_SLAB_BYTES", int(planes * 8 * 9 * 7))
     b = np.zeros(shape)
     values = random_rhs(b[box].shape, 21)
+    b[box] = values - values.mean() if "dst" not in kinds else values
+    want = per_plane_transform_solve(b, 0.3, kinds)
+    got = poisson.transform_solve(b, 0.3, kinds)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kinds", SLAB_KINDS, ids="-".join)
+@pytest.mark.parametrize("box", [(slice(0, 70), slice(0, 51), slice(0, 40)),
+                                 (slice(9, 52), slice(3, 29), slice(17, 40))],
+                         ids=["full", "off-centre"])
+def test_scaled_budget_transform_solve_matches_per_plane(kinds, box):
+    # above 1 MiB the budget is 1/16 of the result: slabs of 4 planes, which
+    # do not divide the 70, and column blocks of 127, which do not divide the
+    # 51 * 40 columns
+    shape = (70, 51, 40)
+    b = np.zeros(shape)
+    budget = b.nbytes // 16
+    assert budget > poisson._TRANSFORM_SLAB_BYTES
+    assert shape[0] % (budget // b[0].nbytes) and b[0].size % (budget // (8 * shape[0]))
+    values = random_rhs(b[box].shape, 22)
     b[box] = values - values.mean() if "dst" not in kinds else values
     want = per_plane_transform_solve(b, 0.3, kinds)
     got = poisson.transform_solve(b, 0.3, kinds)
