@@ -264,10 +264,6 @@ def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None
                                    iterations=iters_total + iters_p)
 
 
-_EDGE_KINDS = tuple(tuple("dst" if axis == c else "dct" for axis in range(3))
-                    for c in range(3))
-
-
 def _solve_curl_curl(m_box: VectorField, cfg: SolverConfig):
     """Solve  curl curl a = curl m  on the root of ``m_box``'s sub grid;
     (a, curl a, residual, iterations).  Each component of curl m is built on
@@ -302,7 +298,8 @@ def _solve_curl_curl(m_box: VectorField, cfg: SolverConfig):
         a = VectorField.zeros(grid, EDGE)
         return a, curl(a), 0.0, 0
     a = VectorField(grid, *(poisson.transform_solve(curl_component(m_box, c), grid.h,
-                                                    _EDGE_KINDS[c], shapes[c], _edge_box(box, c))
+                                                    poisson.EDGE_KINDS[c], shapes[c],
+                                                    _edge_box(box, c))
                             for c in range(3)), staggering=EDGE)
     curl_a = curl(a)
     r2 = 0.0

@@ -1,11 +1,12 @@
 """Matrix-free Poisson solves on the staggered lattices.
 
 Every linear system of the three stray-field routes is a 7-point operator
-on a rectangular lattice: ``laplace_apply`` (zero ghost values, exactly
-``div(grad u)`` on cells or on one edge component array),
-``neumann_laplace_apply`` (mirrored, no-flux ends: ``div(grad_node p)`` on
-nodes), or per edge component the edge vector Laplacian
-``curl curl - grad_node div``, which mixes both kinds of ends.  Each is
+on a rectangular lattice whose ends are, per axis, zero ghost values
+(``"dst"``) or mirrored, no-flux ends (``"dct"``).  ``laplace_apply(x, h,
+kinds)`` is that operator: with ``CELL_KINDS`` exactly ``div(grad u)`` on
+cells or on one edge component array, with ``NODE_KINDS``
+``div(grad_node p)`` on nodes, and with ``EDGE_KINDS[c]`` component ``c``
+of the edge vector Laplacian ``curl curl - grad_node div``.  Each is
 diagonal in a separable basis: per axis, type-I sines for zero ghosts and
 type-II cosines for mirrored ends.  ``transform_solve`` inverts any of
 them directly with one cached dense orthonormal eigenbasis per axis
@@ -19,20 +20,23 @@ axis-1/2 ones run on slabs of axis-0 planes and the inverse along axis 0
 runs in place on blocks of columns.  One budget sizes both: 1/16 of the
 result, and at least ``_TRANSFORM_SLAB_BYTES``.  The temporaries are a few
 budgets, so the result is the solve's only full-grid array.
-``checked_solve`` confirms each such solve with one apply of the operator
-(the true residual ``||b - A x|| / ||b||`` over the full grid).  The apply
-runs slab by slab along axis 0, each slab with a one-plane halo, so every
-slab of ``A x`` is the full apply's bit for bit; ``b`` is subtracted where
-the slab meets its box.  The check's temporaries are one slab of
-``_SLAB_BYTES``, not arrays of the grid's size.  A solve's ``method``
-picks its inverse: ``"direct"`` the transform solve, ``"cg"`` plain
-conjugate gradients (``cg``) or ``"dense"`` a block factorization of the
-zero-ghost operator (``dense_poisson_solver``); the last two are
-independent oracles and read the source embedded in zeros of the lattice,
-made once in ``checked_solve``.  All of it runs on numpy alone.
+``solve_poisson`` confirms each such solve with one apply of
+``laplace_apply`` with the same ends (the true residual
+``||b - A x|| / ||b||`` over the full grid).  The apply runs slab by slab
+along axis 0, each slab with a one-plane halo, so every slab of ``A x`` is
+the full apply's bit for bit; ``b`` is subtracted where the slab meets its
+box.  The check's temporaries are one slab of ``_SLAB_BYTES``, not arrays
+of the grid's size.  A solve's ``method`` picks its inverse: ``"direct"``
+the transform solve, ``"cg"`` plain conjugate gradients (``cg``) or
+``"dense"`` a block factorization of the zero-ghost operator
+(``dense_poisson_solver``); the last two are independent oracles and read
+the source embedded in zeros of the lattice, made once in
+``solve_poisson``.  All of it runs on numpy alone.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +45,9 @@ from .grid import embed
 
 CELL_KINDS = ("dst", "dst", "dst")
 NODE_KINDS = ("dct", "dct", "dct")
+# edge component c: zero ghosts along its own axis, mirrored ends across it
+EDGE_KINDS = tuple(tuple("dst" if axis == c else "dct" for axis in range(3))
+                   for c in range(3))
 METHODS = ("direct", "cg", "dense")
 
 # The dense factorization's size cap.  It sweeps the longest axis, so at the
@@ -59,32 +66,21 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def laplace_apply(x: np.ndarray, h: float) -> np.ndarray:
-    """y = -Laplacian(x) with zero ghosts: SPD on any lattice shape."""
-    y = 6.0 * x
-    y[:-1] -= x[1:]
-    y[1:] -= x[:-1]
-    y[:, :-1] -= x[:, 1:]
-    y[:, 1:] -= x[:, :-1]
-    y[:, :, :-1] -= x[:, :, 1:]
-    y[:, :, 1:] -= x[:, :, :-1]
-    y /= h * h
-    return y
-
-
-def neumann_laplace_apply(x: np.ndarray, h: float) -> np.ndarray:
-    """y = -Laplacian(x) with mirrored (no-flux) boundary on the lattice.
-
-    This is div(grad_node(.)) on the node lattice, whose boundary stencils
-    drop the missing-neighbor terms entirely.  Singular: constants map to 0.
+def laplace_apply(x: np.ndarray, h: float,
+                  kinds: tuple[str, str, str] = CELL_KINDS) -> np.ndarray:
+    """y = -Laplacian(x) on the lattice of ``x`` with per-axis ends:
+    ``kinds[axis]`` is ``"dst"`` for zero ghosts or ``"dct"`` for mirrored
+    (no-flux) ends, whose boundary stencils drop the missing neighbour.
+    SPD with a ``"dst"`` axis; with none it is singular, constants map to 0.
     """
     y = 6.0 * x
-    y[0] -= x[0]
-    y[-1] -= x[-1]
-    y[:, 0] -= x[:, 0]
-    y[:, -1] -= x[:, -1]
-    y[:, :, 0] -= x[:, :, 0]
-    y[:, :, -1] -= x[:, :, -1]
+    for axis, kind in enumerate(kinds):
+        at = (slice(None),) * axis
+        if kind == "dct":
+            y[at + (0,)] -= x[at + (0,)]
+            y[at + (-1,)] -= x[at + (-1,)]
+        elif kind != "dst":
+            raise ValueError(f"unknown transform kind {kind!r}")
     y[:-1] -= x[1:]
     y[1:] -= x[:-1]
     y[:, :-1] -= x[:, 1:]
@@ -161,14 +157,13 @@ def transform_solve(b: np.ndarray, h: float, kinds: tuple[str, str, str],
                     box: tuple[slice, slice, slice] | None = None) -> np.ndarray:
     """Direct solve of the separable 7-point operator with per-axis ends.
 
-    ``kinds[axis]`` is ``"dst"`` for zero ghosts (the stencil of
-    ``laplace_apply``) or ``"dct"`` for mirrored ends (the stencil of
-    ``neumann_laplace_apply``).  With at least one ``"dst"`` axis the
-    operator is nonsingular; with none, constants are its kernel and the
-    zero-mean solution is returned.  The right-hand side is ``b`` on the
-    index ``box`` of a lattice of ``shape`` and zero off it (by default the
-    box is the whole lattice of ``b``'s shape); the solution is returned on
-    the whole lattice.  ``b`` is not modified.
+    The operator is ``laplace_apply(., h, kinds)``: ``kinds[axis]`` is
+    ``"dst"`` for zero ghosts or ``"dct"`` for mirrored ends.  With at
+    least one ``"dst"`` axis it is nonsingular; with none, constants are
+    its kernel and the zero-mean solution is returned.  The right-hand
+    side is ``b`` on the index ``box`` of a lattice of ``shape`` and zero
+    off it (by default the box is the whole lattice of ``b``'s shape); the
+    solution is returned on the whole lattice.  ``b`` is not modified.
 
     The operator is the Kronecker sum of 1-D second differences, so it is
     diagonal in the product of their cached dense orthonormal eigenbases
@@ -238,10 +233,10 @@ def stencil_residual_norm(apply_op, x: np.ndarray, b: np.ndarray,
     ``b`` is given on the index ``box`` of that grid (by default the whole
     grid) and is zero off it.
 
-    ``apply_op`` is a 7-point stencil such as ``laplace_apply`` or
-    ``neumann_laplace_apply``: its value on a plane reads ``x`` on that plane
-    and its two neighbours only, and it treats the ends of the array it is
-    given as the lattice's ends.  Each slab is applied with a one-plane halo
+    ``apply_op`` is a 7-point stencil such as ``laplace_apply`` with any
+    ends: its value on a plane reads ``x`` on that plane and its two
+    neighbours only, and it treats the ends of the array it is given as
+    the lattice's ends.  Each slab is applied with a one-plane halo
     on each side that has a neighbour, so every slab of ``A x`` equals the
     full apply's bit for bit.  ``b`` is subtracted in place where the slab
     meets its box, which leaves ``A x - b = -(b - A x)`` exactly: the same
@@ -274,27 +269,41 @@ def confirm_direct(res: float, tol: float) -> float:
     return res
 
 
-def checked_solve(apply_op, b: np.ndarray, inverse, tol: float, max_iter: int,
-                  method: str, shape: tuple[int, int, int] | None = None,
-                  box: tuple[slice, slice, slice] | None = None):
-    """Solve  A x = b  to true relative residual ``tol``.
+def refuse_dense(method: str, solve: str):
+    """Raise GridError if ``method`` is ``"dense"``: the dense factorization
+    inverts the zero-ghost cell operator only, so solves with mirrored ends
+    (the no-flux node and the curl-curl solves) have no dense inverse.
+    ``solve`` names the refused one."""
+    if method == "dense":
+        raise GridError(f"solver method 'dense' has no {solve} solve")
 
-    ``b`` is the right-hand side on the index ``box`` of a grid of ``shape``
-    and zero off it (by default the whole grid of ``b``'s shape); ``x`` is
-    returned on the whole grid.  ``method = "direct"`` applies
-    ``inverse(b, shape, box)`` (a transform solve) to the box array.  The
-    oracles read ``b`` embedded in zeros of the grid, made here once:
-    ``"cg"`` runs plain CG on it, and ``"dense"`` applies
-    ``inverse(b, shape, box)`` (the dense factorization) to it with the
-    whole grid as its box.  A direct or dense solve is applied once and its
-    true residual checked over the full grid, slab by slab
-    (``stencil_residual_norm``: ``apply_op`` is a 7-point stencil).
-    Returns (x, residual, iterations); raises ConvergenceError with the
-    residual and the iteration count if ``tol`` is not met.
+
+def solve_poisson(b: np.ndarray, h: float, tol: float, max_iter: int,
+                  method: str = "direct", shape: tuple[int, int, int] | None = None,
+                  box: tuple[slice, slice, slice] | None = None,
+                  kinds: tuple[str, str, str] = CELL_KINDS):
+    """Solve  ``laplace_apply(u, h, kinds) = b``  by ``method`` to true
+    relative residual ``tol``; ``b`` is given on the index ``box`` of a grid
+    of ``shape`` and is zero off it (by default the whole grid of ``b``'s
+    shape).  With no ``"dst"`` axis ``b`` must have zero sum.
+
+    ``method = "direct"`` applies ``transform_solve`` to the box array.  The
+    oracles read ``b`` embedded in zeros of the grid: ``"cg"`` runs plain CG
+    on it, and ``"dense"`` applies the dense factorization to it; only the
+    zero-ghost ``CELL_KINDS`` operator has one, so other ends raise
+    GridError before any factoring.  A direct or dense solve is applied once
+    and its true residual checked over the full grid, slab by slab
+    (``stencil_residual_norm``).  Returns (u, residual, iterations), ``u`` on
+    the whole grid; raises ConvergenceError with the residual and the
+    iteration count if ``tol`` is not met.
     """
     if method not in METHODS:
         raise ValueError(f"unknown solve method {method!r}")
     shape, box = _placed(b, shape, box)
+    if kinds != CELL_KINDS:
+        refuse_dense(method, "mirrored-end")
+    dense = dense_poisson_solver(shape, h) if method == "dense" else None
+    apply_op = partial(laplace_apply, h=h, kinds=kinds)
     if method != "direct":
         b, box = embed(b, shape, box), _whole_box(shape)
         if method == "cg":
@@ -302,16 +311,8 @@ def checked_solve(apply_op, b: np.ndarray, inverse, tol: float, max_iter: int,
     bnorm = rhs_norm(b)
     if bnorm == 0.0:
         return np.zeros(shape), 0.0, 0
-    x = inverse(b, shape, box)
+    x = transform_solve(b, h, kinds, shape, box) if dense is None else dense(b)
     return x, confirm_direct(stencil_residual_norm(apply_op, x, b, box) / bnorm, tol), 1
-
-
-def refuse_dense(method: str, solve: str):
-    """Raise GridError if ``method`` is ``"dense"``: the dense factorization
-    inverts the zero-ghost cell operator only, so the no-flux node and the
-    curl-curl solves have no dense inverse.  ``solve`` names the refused one."""
-    if method == "dense":
-        raise GridError(f"solver method 'dense' has no {solve} solve")
 
 
 def solve_poisson_neumann(b: np.ndarray, h: float, tol: float, max_iter: int,
@@ -319,31 +320,10 @@ def solve_poisson_neumann(b: np.ndarray, h: float, tol: float, max_iter: int,
     """Zero-mean solve of the no-flux node Poisson problem; ``b`` fills the grid.
 
     The right-hand side must have (numerically) zero sum; this is exact for
-    divergences of edge fields.  ``method = "dense"`` raises GridError.
+    divergences of edge fields, and its rounding mean is removed here.
+    ``method = "dense"`` raises GridError.
     """
-    refuse_dense(method, "no-flux node")
-    return checked_solve(lambda x: neumann_laplace_apply(x, h), b - b.mean(),
-                         lambda r, shape, box: transform_solve(r, h, NODE_KINDS, shape, box),
-                         tol, max_iter, method)
-
-
-def solve_poisson(b: np.ndarray, h: float, tol: float, max_iter: int,
-                  method: str = "direct", shape: tuple[int, int, int] | None = None,
-                  box: tuple[slice, slice, slice] | None = None):
-    """Solve  -Laplacian(u) = b  (zero ghosts) by ``method`` to true relative
-    residual ``tol``; ``b`` is given on the index ``box`` of a grid of
-    ``shape`` and is zero off it (by default the whole grid of ``b``'s shape).
-
-    Returns (u, residual, iterations), ``u`` on the whole grid.  Raises
-    ConvergenceError if the residual target is not met.
-    """
-    shape = b.shape if shape is None else shape
-    dense = dense_poisson_solver(shape, h) if method == "dense" else None
-
-    def inverse(r, shape, box):
-        return transform_solve(r, h, CELL_KINDS, shape, box) if dense is None else dense(r)
-    return checked_solve(lambda x: laplace_apply(x, h), b, inverse, tol, max_iter, method,
-                         shape, box)
+    return solve_poisson(b - b.mean(), h, tol, max_iter, method, kinds=NODE_KINDS)
 
 
 def cg(apply_op, b: np.ndarray, tol: float, max_iter: int):

@@ -701,11 +701,13 @@ def test_each_method_agrees_with_direct_or_names_itself(method, rel):
 
 def test_node_and_curl_curl_refusals_factor_nothing(monkeypatch):
     # the unconstrained route refuses 'dense' before minimize_V's three edge
-    # factorizations, as the gauged route and the projection refuse it before
-    # any solve: no dense factorization is ever built
+    # factorizations, as the gauged route, the projection and every solve
+    # with mirrored ends refuse it before any solve: no dense factorization
+    # is ever built
     grid, mask = ball_mask(8, 0.8)
     m = random_masked(5, mask)
     a = minimize_V(m, mask, CFG)[0]
+    d = div(a).data
     factored = []
     monkeypatch.setattr(poisson, "dense_poisson_solver",
                         lambda *args: factored.append(args))
@@ -713,11 +715,16 @@ def test_node_and_curl_curl_refusals_factor_nothing(monkeypatch):
     for refuse in (lambda: solve_vector_potential_unconstrained(m, mask, cfg),
                    lambda: solve_vector_potential_gauged(m, mask, cfg),
                    lambda: project_divergence_free(a, cfg),
-                   lambda: poisson.solve_poisson_neumann(div(a).data, grid.h, CFG.tol,
-                                                         CFG.max_iter, "dense")):
+                   lambda: poisson.solve_poisson_neumann(d, grid.h, CFG.tol,
+                                                         CFG.max_iter, "dense"),
+                   lambda: poisson.solve_poisson(d, grid.h, CFG.tol, CFG.max_iter, "dense",
+                                                 kinds=poisson.NODE_KINDS)):
         with pytest.raises(GridError, match="'dense'"):
             refuse()
     assert factored == []
+    # an unknown end kind is refused, not read as zero ghosts
+    with pytest.raises(ValueError, match="unknown transform kind 'dft'"):
+        poisson.laplace_apply(d, grid.h, ("dct", "dft", "dct"))
 
 
 def test_nonconvergence_carries_residual():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from magnetovar import poisson
 from magnetovar.errors import ConvergenceError, GridError
-from magnetovar.grid import EDGE, GridSpec, VectorField, nonzero_box
+from magnetovar.grid import EDGE, NODE, GridSpec, ScalarField, VectorField, nonzero_box
 from magnetovar.operators import curl, div, grad_node
 
 
@@ -18,39 +18,89 @@ def random_rhs(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-@pytest.mark.parametrize("kinds, apply_op", [(poisson.CELL_KINDS, poisson.laplace_apply),
-                                              (poisson.NODE_KINDS, poisson.neumann_laplace_apply)])
+def neumann_laplace_apply(x, h):
+    """The node stencil as it was before ``laplace_apply`` took ``kinds``:
+    the reference its ``NODE_KINDS`` apply must equal bit for bit."""
+    y = 6.0 * x
+    y[0] -= x[0]
+    y[-1] -= x[-1]
+    y[:, 0] -= x[:, 0]
+    y[:, -1] -= x[:, -1]
+    y[:, :, 0] -= x[:, :, 0]
+    y[:, :, -1] -= x[:, :, -1]
+    y[:-1] -= x[1:]
+    y[1:] -= x[:-1]
+    y[:, :-1] -= x[:, 1:]
+    y[:, 1:] -= x[:, :-1]
+    y[:, :, :-1] -= x[:, :, 1:]
+    y[:, :, 1:] -= x[:, :, :-1]
+    y /= h * h
+    return y
+
+
+LATTICE_KINDS = [poisson.CELL_KINDS, poisson.NODE_KINDS, *poisson.EDGE_KINDS]
+LATTICE_IDS = ["cell", "node", "edge-x", "edge-y", "edge-z"]
+EDGE_GRIDS = [GridSpec(2, 5, 7, 0.3), GridSpec(6, 2, 3, 0.25, pad=1), GridSpec(3, 4, 2, 1.0)]
+
+
+@pytest.mark.parametrize("kinds", LATTICE_KINDS, ids=LATTICE_IDS)
 @pytest.mark.parametrize("shape", [(9, 10, 11), (2, 5, 7), (6, 2, 3)])
-def test_transform_solve_inverts_cell_and_node_operators(kinds, apply_op, shape):
+def test_transform_solve_inverts_cell_and_node_operators(kinds, shape):
+    # the stencil with the same ends is the forward operator of every solve
     b = random_rhs(shape, 1)
-    if kinds == poisson.NODE_KINDS:
+    if "dst" not in kinds:
         b -= b.mean()  # the no-flux operator maps onto zero-mean fields
     b_in = b.copy()
     u = poisson.transform_solve(b, 0.2, kinds)
     assert np.array_equal(b, b_in)
-    assert np.abs(apply_op(u, 0.2) - b).max() <= 1e-12 * np.abs(b).max() / 0.04
-    if kinds == poisson.NODE_KINDS:
+    assert np.abs(poisson.laplace_apply(u, 0.2, kinds) - b).max() <= \
+        1e-12 * np.abs(b).max() / 0.04
+    if "dst" not in kinds:
         assert abs(u.mean()) <= 1e-14 * np.abs(u).max()
 
 
-@pytest.mark.parametrize("grid", [GridSpec(2, 5, 7, 0.3),
-                                  GridSpec(6, 2, 3, 0.25, pad=1),
-                                  GridSpec(3, 4, 2, 1.0)])
+@pytest.mark.parametrize("grid", EDGE_GRIDS)
 def test_transform_solve_inverts_edge_vector_laplacian(grid):
     # per edge component: sines along its own axis, cosines along the node axes
     rng = np.random.default_rng(6)
     b = VectorField.zeros(grid, EDGE)
     for c in b.components:
         c[:] = rng.standard_normal(c.shape)
-    kinds = [tuple("dst" if ax == c else "dct" for ax in range(3)) for c in range(3)]
     b_in = b.copy()
     x = VectorField(grid, *(poisson.transform_solve(bc, grid.h, k)
-                            for bc, k in zip(b.components, kinds)), staggering=EDGE)
+                            for bc, k in zip(b.components, poisson.EDGE_KINDS)), staggering=EDGE)
     for got, want in zip(b.components, b_in.components):
         assert np.array_equal(got, want)
     lx = curl(curl(x)) - grad_node(div(x))
     for got, want in zip(lx.components, b.components):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("grid", EDGE_GRIDS)
+def test_laplace_apply_is_the_node_and_edge_vector_laplacian(grid):
+    # NODE_KINDS: -div(grad_node p); EDGE_KINDS[c]: component c of
+    # curl curl x - grad_node div x
+    rng = np.random.default_rng(23)
+    p = rng.standard_normal(tuple(n + 1 for n in grid.shape))
+    want = -div(grad_node(ScalarField(grid, p, NODE))).data
+    got = poisson.laplace_apply(p, grid.h, poisson.NODE_KINDS)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    x = VectorField.zeros(grid, EDGE)
+    for c in x.components:
+        c[:] = rng.standard_normal(c.shape)
+    lx = curl(curl(x)) - grad_node(div(x))
+    for xc, kinds, want in zip(x.components, poisson.EDGE_KINDS, lx.components):
+        got = poisson.laplace_apply(xc, grid.h, kinds)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", [(1, 6, 5), (6, 1, 3), (4, 5, 1), (1, 1, 1), (7, 8, 9),
+                                   (2, 3, 2), (12, 1, 1)])
+def test_node_apply_equals_the_old_node_stencil_bit_for_bit(shape):
+    # one-plane axes subtract their single plane twice, as the old stencil did
+    x = random_rhs(shape, sum(shape))
+    assert poisson.laplace_apply(x, 0.3, poisson.NODE_KINDS).tobytes() == \
+        neumann_laplace_apply(x, 0.3).tobytes()
 
 
 def second_difference(n, kind):
@@ -263,19 +313,16 @@ def test_scaled_budget_transform_solve_matches_per_plane(kinds, box):
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
-APPLIES = [poisson.laplace_apply, poisson.neumann_laplace_apply]
-
-
 def _budget_planes(monkeypatch, shape, planes):
     """Set the residual slab budget to ``planes`` planes of a float array of
     ``shape``."""
     monkeypatch.setattr(poisson, "_SLAB_BYTES", planes * 8 * shape[1] * shape[2])
 
 
-@pytest.mark.parametrize("apply_op", APPLIES, ids=["laplace", "neumann"])
+@pytest.mark.parametrize("kinds", LATTICE_KINDS, ids=LATTICE_IDS)
 @pytest.mark.parametrize("shape, planes", [((1, 6, 5), 1), ((10, 6, 5), 3), ((9, 4, 7), 3),
                                            ((7, 5, 6), 2), ((8, 3, 4), 1)])
-def test_slab_residual_matches_full_residual(monkeypatch, apply_op, shape, planes):
+def test_slab_residual_matches_full_residual(monkeypatch, kinds, shape, planes):
     # several slabs, n0 a multiple of the slab or not, and a single plane
     _budget_planes(monkeypatch, shape, planes)
     rng = np.random.default_rng(11)
@@ -284,25 +331,25 @@ def test_slab_residual_matches_full_residual(monkeypatch, apply_op, shape, plane
 
     def spy(xs):
         slabs.append(xs.shape[0])
-        return apply_op(xs, 0.1)
+        return poisson.laplace_apply(xs, 0.1, kinds)
 
     got = poisson.stencil_residual_norm(spy, x, b)
-    want = np.linalg.norm(b - apply_op(x, 0.1))
+    want = np.linalg.norm(b - poisson.laplace_apply(x, 0.1, kinds))
     assert abs(got - want) <= 1e-13 * want
     assert len(slabs) == -(-shape[0] // planes)
 
 
-@pytest.mark.parametrize("apply_op", APPLIES, ids=["laplace", "neumann"])
-def test_slab_applies_equal_the_full_apply_bit_for_bit(monkeypatch, apply_op):
+@pytest.mark.parametrize("kinds", LATTICE_KINDS, ids=LATTICE_IDS)
+def test_slab_applies_equal_the_full_apply_bit_for_bit(monkeypatch, kinds):
     shape = (11, 5, 6)
     _budget_planes(monkeypatch, shape, 4)
     rng = np.random.default_rng(12)
     x, b = rng.standard_normal(shape), rng.standard_normal(shape)
-    full = apply_op(x, 0.1)
+    full = poisson.laplace_apply(x, 0.1, kinds)
     applied = []
 
     def spy(xs):
-        y = apply_op(xs, 0.1)
+        y = poisson.laplace_apply(xs, 0.1, kinds)
         applied.append(y.copy())  # the check subtracts from y in place
         return y
 
@@ -316,24 +363,27 @@ def test_slab_applies_equal_the_full_apply_bit_for_bit(monkeypatch, apply_op):
         assert y[lo - start:hi - start].tobytes() == full[lo:hi].tobytes()
 
 
-@pytest.mark.parametrize("apply_op", APPLIES, ids=["laplace", "neumann"])
+@pytest.mark.parametrize("kinds", LATTICE_KINDS, ids=LATTICE_IDS)
 @settings(derandomize=True, deadline=None, max_examples=30, database=None)
 @given(shape=st.tuples(*[st.integers(1, 9)] * 3), planes=st.integers(1, 10),
        seed=st.integers(0, 2 ** 32 - 1),
        support=st.sampled_from(["full", "sub-box", *FACES, "cell", "zero"]))
-def test_boxed_residual_equals_the_embedded_bit_for_bit(apply_op, shape, planes, seed,
-                                                        support):
+def test_boxed_residual_equals_the_embedded_bit_for_bit(kinds, shape, planes, seed, support):
     # b on its box: A x - b where the slab meets the box is -(b - A x) exactly,
     # so every slab budget sums the squares of the embedded residual
     b, box = supported_rhs(shape, seed, support, zero_mean=False)
     x = random_rhs(shape, seed + 1)
+
+    def apply_op(xs):
+        return poisson.laplace_apply(xs, 0.3, kinds)
+
     with pytest.MonkeyPatch.context() as mp:
         _budget_planes(mp, shape, planes)
-        got = poisson.stencil_residual_norm(lambda xs: apply_op(xs, 0.3), x, b[box].copy(), box)
-        want = poisson.stencil_residual_norm(lambda xs: apply_op(xs, 0.3), x, b)
+        got = poisson.stencil_residual_norm(apply_op, x, b[box].copy(), box)
+        want = poisson.stencil_residual_norm(apply_op, x, b)
     assert got == want
     if planes >= shape[0]:
-        assert got == np.linalg.norm(b - apply_op(x, 0.3))
+        assert got == np.linalg.norm(b - apply_op(x))
 
 
 def test_grid_within_the_budget_is_one_slab():
@@ -344,7 +394,7 @@ def test_grid_within_the_budget_is_one_slab():
     assert calls == [(24, 24, 24)]
 
 
-def test_checked_solve_allocates_about_one_output_plus_a_slab(monkeypatch):
+def test_solve_poisson_allocates_about_one_output_plus_a_slab(monkeypatch):
     # the transform solve's result plus one residual slab with its halo;
     # a full-grid b - A x would add two more arrays of b's size
     shape = (64, 40, 50)
@@ -461,7 +511,7 @@ def test_neumann_solver_kills_mean_free_rhs():
     b = random_rhs((7, 8, 9), 4)
     b -= b.mean()
     p, res, _ = poisson.solve_poisson_neumann(b, 0.12, 1e-10, 100)
-    assert np.allclose(poisson.neumann_laplace_apply(p, 0.12), b, atol=1e-9)
+    assert np.allclose(poisson.laplace_apply(p, 0.12, poisson.NODE_KINDS), b, atol=1e-9)
     assert res <= 1e-10
 
 
@@ -471,13 +521,13 @@ def test_returned_residual_is_true_residual(neumann, method):
     b = random_rhs((10, 6, 8), 5)
     if neumann:
         b -= b.mean()
-        solve, apply_op = poisson.solve_poisson_neumann, poisson.neumann_laplace_apply
+        solve, kinds = poisson.solve_poisson_neumann, poisson.NODE_KINDS
     else:
-        solve, apply_op = poisson.solve_poisson, poisson.laplace_apply
+        solve, kinds = poisson.solve_poisson, poisson.CELL_KINDS
     u, res, _ = solve(b, 0.1, 1e-13, 5000, method)
     if neumann:
         b = b - b.mean()  # the solve removes the (rounding) mean again
-    true = np.linalg.norm(b - apply_op(u, 0.1)) / np.linalg.norm(b)
+    true = np.linalg.norm(b - poisson.laplace_apply(u, 0.1, kinds)) / np.linalg.norm(b)
     assert res == true and res <= 1e-13
 
 
