@@ -36,6 +36,7 @@ the source embedded in zeros of the lattice, made once in
 
 from __future__ import annotations
 
+import itertools
 from functools import partial
 
 import numpy as np
@@ -51,8 +52,9 @@ EDGE_KINDS = tuple(tuple("dst" if axis == c else "dct" for axis in range(3))
 METHODS = ("direct", "cg", "dense")
 
 # The dense factorization's size cap.  It sweeps the longest axis, so at the
-# cap a plane holds at most 32768^(2/3) = 1024 unknowns, and it stores at most
-# n/2 + 1 plane inverses for n planes: 17 of 8 MB each on a 32^3 lattice.
+# cap a plane holds at most 32768^(2/3) = 1024 unknowns in four parity blocks
+# of at most 256, and it stores n/2 + 1 inverses per block for n planes:
+# 4 x 17 of 0.5 MB each, 34 MB, on a 32^3 lattice.
 DENSE_UNKNOWN_CAP = 32768
 
 
@@ -399,6 +401,16 @@ def dense_poisson_solver(shape, h: float):
     keeps ``c`` pivot inverses and the inverse of the middle plane's Schur
     complement; a solve runs forward from both ends to the middle plane,
     then back out to both ends.
+
+    ``T`` is persymmetric, so ``D`` and every pivot commute with reversing
+    either plane axis: in the orthogonal mirror basis of each plane axis
+    (``_mirror_basis``) ``D`` splits exactly into at most four parity blocks
+    ``kron(T_a, I) + kron(I, T_b) + 2 I`` of about a quarter of the plane
+    (Bossavit, Comput. Methods Appl. Mech. Eng. 56:167, 1986), and each
+    block is eliminated alone; a solve maps the planes into the basis and
+    back by 1-D products.  The basis holds only pair sums and differences,
+    and the blocks are still inverted by ``np.linalg.inv``: no sines,
+    cosines or eigensolver, nothing shared with the transform solve.
     """
     unknowns = int(np.prod(shape))
     if unknowns > DENSE_UNKNOWN_CAP:
@@ -410,36 +422,62 @@ def dense_poisson_solver(shape, h: float):
     return _DENSE_CACHE[key]
 
 
+def _mirror_basis(n: int) -> tuple[np.ndarray, np.ndarray, tuple[slice, slice]]:
+    """The orthogonal mirror basis of a line of ``n`` points (rows: pair sums
+    over sqrt(2) and, for odd ``n``, the middle point alone, then pair
+    differences over sqrt(2)), the second difference in it and the slices of
+    its even and odd rows.  The second difference is formed on the unscaled
+    +-1 rows, in integers, so it has exact zeros between the parities."""
+    m = n // 2
+    j = np.arange(m)
+    signs = np.zeros((n, n))
+    signs[j, j] = signs[j, n - 1 - j] = signs[n - m + j, j] = 1.0
+    signs[n - m + j, n - 1 - j] = -1.0
+    if n % 2:
+        signs[m, m] = 1.0
+    scale = np.sqrt(1.0 / np.count_nonzero(signs, axis=1))[:, None]
+    t = signs @ _second_difference(n) @ signs.T
+    return scale * signs, scale * t * scale.T, (slice(0, n - m), slice(n - m, n))
+
+
 def _block_factor(shape: tuple[int, int, int], h: float):
     axis = int(np.argmax(shape))
     n = shape[axis]
     p, q = (shape[a] for a in range(3) if a != axis)
-    d = np.kron(_second_difference(p), np.eye(q))
-    d += np.kron(np.eye(p), _second_difference(q))
-    d.flat[::p * q + 1] += 2.0
+    (bp, tp, halves_p), (bq, tq, halves_q) = _mirror_basis(p), _mirror_basis(q)
     c = n // 2
-    inv: list[np.ndarray] = []
-    for _ in range(c):
-        inv.append(np.linalg.inv(d - inv[-1] if inv else d))
-    for length in (c, n - 1 - c):  # planes eliminated from each end
-        if length:
-            d -= inv[length - 1]
-    mid = np.linalg.inv(d)
+    blocks = []  # per parity block: its rows, columns, pivot inverses, middle inverse
+    for rows, cols in itertools.product(halves_p, halves_q):
+        ta, tb = tp[rows, rows], tq[cols, cols]
+        if not (ta.size and tb.size):
+            continue
+        d = np.kron(ta, np.eye(len(tb))) + np.kron(np.eye(len(ta)), tb)
+        d.flat[::d.shape[0] + 1] += 2.0
+        inv: list[np.ndarray] = []
+        for _ in range(c):
+            inv.append(np.linalg.inv(d - inv[-1] if inv else d))
+        for length in (c, n - 1 - c):  # planes eliminated from each end
+            if length:
+                d -= inv[length - 1]
+        blocks.append((rows, cols, inv, np.linalg.inv(d)))
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x = np.moveaxis(b * (h * h), axis, 0).reshape(n, p * q)
-        ends = (x[:c], x[:c:-1])  # each ordered from its end toward plane c
-        for side in ends:
-            for k in range(1, len(side)):
-                side[k] += inv[k - 1] @ side[k - 1]
-            if len(side):
-                x[c] += inv[len(side) - 1] @ side[-1]
-        x[c] = mid @ x[c]
-        for side in ends:
-            nxt = x[c]
-            for k in reversed(range(len(side))):
-                side[k] = inv[k] @ (side[k] + nxt)
-                nxt = side[k]
-        return np.ascontiguousarray(np.moveaxis(x.reshape(n, p, q), 0, axis))
+        y = bp @ np.moveaxis(b * (h * h), axis, 0) @ bq.T  # planes in the mirror basis
+        for rows, cols, inv, mid in blocks:
+            x = y[:, rows, cols].reshape(n, -1)
+            ends = (x[:c], x[:c:-1])  # each ordered from its end toward plane c
+            for side in ends:
+                for k in range(1, len(side)):
+                    side[k] += inv[k - 1] @ side[k - 1]
+                if len(side):
+                    x[c] += inv[len(side) - 1] @ side[-1]
+            x[c] = mid @ x[c]
+            for side in ends:
+                nxt = x[c]
+                for k in reversed(range(len(side))):
+                    side[k] = inv[k] @ (side[k] + nxt)
+                    nxt = side[k]
+            y[:, rows, cols] = x.reshape(n, rows.stop - rows.start, -1)
+        return np.ascontiguousarray(np.moveaxis(bp.T @ y @ bq, 0, axis))
 
     return solve

@@ -141,24 +141,19 @@ def make_sphere_mesh(radius: float = 1.0, level: int = 3) -> SurfaceMesh:
     ], dtype=np.int64)
 
     for _ in range(level):
-        cache: dict[tuple[int, int], int] = {}
-        vlist = list(verts)
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                mid = vlist[i] + vlist[j]
-                mid /= np.linalg.norm(mid)
-                cache[key] = len(vlist)
-                vlist.append(mid)
-            return cache[key]
-
-        new_tris = []
-        for a, b, c in tris:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_tris += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        verts = np.array(vlist)
-        tris = np.array(new_tris, dtype=np.int64)
+        # edges ab, bc, ca of each triangle in turn; midpoints numbered by first use
+        edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, slot = np.unique(edges[:, 0] * len(verts) + edges[:, 1],
+                                   return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        ends = edges[first[order]]
+        mid = verts[ends[:, 0]] + verts[ends[:, 1]]
+        # the row-wise dot product, like np.linalg.norm of each row, bit for bit
+        mid /= np.sqrt(np.matmul(mid[:, None, :], mid[:, :, None]))[:, 0]
+        ab, bc, ca = (len(verts) + np.argsort(order)[slot]).reshape(-1, 3).T
+        a, b, c = tris.T
+        tris = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+        verts = np.concatenate([verts, mid])
 
     verts = radius * verts
     normals = verts / np.linalg.norm(verts, axis=1, keepdims=True)

@@ -433,6 +433,49 @@ def test_dense_solver_inverts_laplace_apply(shape, h, seed):
     assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("shape", [(21, 22, 23), (1, 40, 40), (3, 17, 40), (32, 32, 32)])
+def test_dense_solver_inverts_laplace_apply_beyond_the_property_range(shape):
+    # planes of odd and even sides up to 40, a 1-wide plane side and the cap
+    h = 0.1
+    b = random_rhs(shape, 5)
+    u = poisson.dense_poisson_solver(shape, h)(b)
+    res = np.linalg.norm(b - poisson.laplace_apply(u, h)) / np.linalg.norm(b)
+    assert res <= 1e-13
+    ref = poisson.transform_solve(b, h, poisson.CELL_KINDS)
+    assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+    poisson._DENSE_CACHE.clear()
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 22, 23])
+def test_mirror_basis_splits_the_second_difference_by_parity(n):
+    basis, t, (even, odd) = poisson._mirror_basis(n)
+    assert (even.stop, odd.stop - odd.start) == ((n + 1) // 2, n // 2)
+    assert np.abs(basis @ basis.T - np.eye(n)).max() <= 4e-16
+    # even rows are symmetric under reversal, odd rows antisymmetric
+    assert np.array_equal(basis[even, ::-1], basis[even])
+    assert np.array_equal(basis[odd, ::-1], -basis[odd])
+    assert not t[even, odd].any() and not t[odd, even].any()
+    assert np.array_equal(t, t.T)
+    assert np.abs(t - basis @ poisson._second_difference(n) @ basis.T).max() <= 1e-15
+
+
+def test_dense_factor_stores_quarter_size_pivot_inverses():
+    # a 22^3 lattice has 22 x 22 planes: four parity blocks of 11 x 11
+    # unknowns, each with 11 pivot inverses and one middle inverse.  Whole
+    # 484 x 484 planes would keep 12 inverses of 1.9 MB, 22 MB in all.
+    stored = 4 * 12 * 121 ** 2 * 8
+    poisson._DENSE_CACHE.clear()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        poisson.dense_poisson_solver((22, 22, 22), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        poisson._DENSE_CACHE.clear()
+    assert peak < 1.1 * stored
+
+
 def test_dense_solver_refuses_a_shape_over_the_cap_before_factoring(monkeypatch):
     factored = []
     monkeypatch.setattr(poisson, "_block_factor", lambda *key: factored.append(key))
@@ -449,7 +492,7 @@ def test_dense_solver_refuses_a_shape_over_the_cap_before_factoring(monkeypatch)
 
 def test_dense_factor_sweeps_the_longest_axis():
     # a sweep along axis 0 would invert 1600 x 1600 planes (20 MB each);
-    # along axis 1 each stored inverse is 80 x 80
+    # along axis 1 each 80-unknown plane splits into four blocks of 20
     poisson._DENSE_CACHE.clear()
     tracemalloc.start()
     try:

@@ -24,6 +24,43 @@ def _is_closed(mesh):
     return all(c == 2 for c in edges.values())
 
 
+def loop_icosphere(level):
+    """The icosphere refinement as it was before it was vectorized, one
+    triangle and one dict lookup at a time: the reference that
+    ``make_sphere_mesh`` must equal bit for bit."""
+    mesh = sh.make_sphere_mesh(1.0, level=0)
+    verts, tris = mesh.vertices, mesh.triangles
+    for _ in range(level):
+        cache = {}
+        vlist = list(verts)
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                mid = vlist[i] + vlist[j]
+                mid /= np.linalg.norm(mid)
+                cache[key] = len(vlist)
+                vlist.append(mid)
+            return cache[key]
+
+        new_tris = []
+        for a, b, c in tris:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_tris += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+        verts = np.array(vlist)
+        tris = np.array(new_tris, dtype=np.int64)
+    return verts, tris
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("radius", [1.0, 1.3])
+def test_sphere_mesh_equals_the_loop_refinement_bit_for_bit(level, radius):
+    verts, tris = loop_icosphere(level)
+    mesh = sh.make_sphere_mesh(radius, level)
+    assert mesh.triangles.dtype == tris.dtype and np.array_equal(mesh.triangles, tris)
+    assert mesh.vertices.tobytes() == (radius * verts).tobytes()
+
+
 def test_meshes_are_closed_and_unit_normals():
     for mesh in (SPHERE, TORUS):
         assert _is_closed(mesh)
