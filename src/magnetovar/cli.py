@@ -12,8 +12,8 @@ Commands:
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 solver
 non-convergence, 4 I/O error.  Outputs are CSV tables (17 significant
-digits; byte-identical for identical config and seed) plus ASCII
-structured-grid field dumps.
+digits; byte-identical for identical config, seed and BLAS thread count)
+plus ASCII structured-grid field dumps.
 """
 
 from __future__ import annotations
@@ -159,7 +159,10 @@ class RunConfig:
         try:  # the objects built from the keys hold their ranges, whatever the command
             grid_for_geometry(build_geometry(cfg), cfg["grid.h"], cfg["grid.pad_ratio"])
             validate_grid(cfg), build_material(cfg), build_minimize_config(cfg)
-            build_shell_policy(cfg)
+            uniform_direction(cfg), build_shell_policy(cfg), field_by_name(cfg["shell.m0"])
+            mesh = build_mesh(cfg)
+            for eps in cfg["shell.eps_list"]:  # each eps's checks before the study's solves
+                sh.checked_delta(mesh, eps, cfg["shell.delta"])
         except MagnetovarError as exc:
             raise ConfigError(f"{p}: {exc}") from exc
         return cfg
@@ -218,6 +221,22 @@ def validate_grid(cfg: RunConfig) -> GridSpec:
     threshold at this coarse resolution."""
     return grid_for_geometry(Ellipsoid(1.0, 1.0, 1.0), 2.0 / cfg["validate.ball_cells"],
                              cfg["validate.pad_ratio"])
+
+
+def uniform_direction(cfg: RunConfig) -> tuple | None:
+    """The unit direction of a uniform start (``solve.init = uniform``), or
+    None for a random one."""
+    init = cfg["solve.init"]
+    if init == "random":
+        return None
+    if init != "uniform":
+        raise ConfigError(f"unknown solve.init {init!r}")
+    d = np.asarray(cfg["solve.init_direction"])
+    length = np.linalg.norm(d)
+    if not 0.0 < length < np.inf:
+        raise ConfigError(f"solve.init_direction must have a finite nonzero length, "
+                          f"got {cfg['solve.init_direction']}")
+    return tuple(d / length)
 
 
 def build_mesh(cfg: RunConfig) -> sh.SurfaceMesh:
@@ -362,18 +381,11 @@ def cmd_solve(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     mask = build_mask(geom, grid)
     terms = cfg["minimize.terms"]
 
-    init = cfg["solve.init"]
-    if init == "random":
+    direction = uniform_direction(cfg)
+    if direction is None:
         m0 = random_unit_magnetization(seed, mask)
-    elif init == "uniform":
-        d = np.asarray(cfg["solve.init_direction"])
-        length = np.linalg.norm(d)
-        if not 0.0 < length < np.inf:
-            raise ConfigError(f"solve.init_direction must have a finite nonzero length, "
-                              f"got {cfg['solve.init_direction']}")
-        m0 = CellVectorField.constant(grid, tuple(d / length), mask)
     else:
-        raise ConfigError(f"unknown solve.init {init!r}")
+        m0 = CellVectorField.constant(grid, direction, mask)
 
     if mcfg.method == "projected_gradient":
         m, report = minimize_m(m0, params, mask, mcfg, solver, terms=terms)

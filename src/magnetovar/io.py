@@ -1,7 +1,7 @@
 """Deterministic output writers: CSV tables and legacy structured-grid dumps.
 
-All numbers are printed with 17 significant digits so identical runs
-produce byte-identical files.
+All numbers are printed with 17 significant digits so identical runs (same
+config, seed and BLAS thread count) produce byte-identical files.
 """
 
 from __future__ import annotations

@@ -115,10 +115,10 @@ def _checked_on_box(m: VectorField, mask: DomainMask | None) -> VectorField:
     """``m`` on a sub grid of its solves' grid: ``m`` itself if it has a host,
     else ``m`` on its ``support_box``, which holds every nonzero, non-finite
     values included.  The checks read the box only, in order: finiteness,
-    the mask's grid, the support on the box's mask (a failure raises
-    ``check_supported``'s error on all of ``m``, naming component and face),
-    and zeros on each side of the box with root cells beyond it, past which
-    -div m would reach (always so on a support box, grown by one cell)."""
+    the mask's grid, the support on the box's mask (``check_supported``,
+    which names the face by its root index), and zeros on each side of the
+    box with root cells beyond it, past which -div m would reach (always so
+    on a support box, grown by one cell)."""
     if m.staggering != FACE:
         raise GridError("magnetization must be face-staggered")
     m_box = m if m.grid.host else m.on_grid(
@@ -127,11 +127,7 @@ def _checked_on_box(m: VectorField, mask: DomainMask | None) -> VectorField:
         raise GridError("magnetization contains non-finite values")
     if mask is not None:
         mask.check_grid(m.grid)
-        try:
-            check_supported(m_box, mask if m_box is m else mask.on_box(m_box.grid.box))
-        except SupportError:
-            check_supported(m, mask)
-            raise
+        check_supported(m_box, mask if m_box is m else mask.on_box(m_box.grid.box))
     for axis, (comp, side, n) in enumerate(zip(m_box.components, m_box.grid.box,
                                                m_box.grid.root.shape)):
         ends = [end for end, beyond in ((0, side.start > 0), (-1, side.stop < n)) if beyond]
@@ -182,21 +178,47 @@ def functional_W(m: VectorField, u: ScalarField) -> float:
     return inner(g, m) - 0.5 * inner(g, g)
 
 
-def functional_V(m: VectorField, a: VectorField) -> float:
-    """Unconstrained trial functional (full difference-gradient stiffness)."""
+def functional_V_at(a: VectorField, grid: GridSpec) -> tuple:
+    """(mf -> V(mf, a), curl a on ``grid``) at a fixed edge potential ``a``, for
+    face fields on ``grid``, the grid of ``a`` or a sub grid of it; the m-free
+    parts 1/2 ||D a||^2 and curl a are computed once.  ``a`` need not be a
+    minimizer, so 1/2 ||D a||^2 is not replaced by a pairing."""
     if a.staggering != EDGE:
         raise GridError("vector potential must be edge-staggered")
+    half_da2 = 0.5 * grad_norm_sq(a)
+    curl_a = curl(a).on_grid(grid)
+
+    def V(mf: VectorField) -> float:
+        return half_da2 + 0.5 * inner(mf, mf) - inner(mf, curl_a)
+
+    return V, curl_a
+
+
+def functional_V(m: VectorField, a: VectorField) -> float:
+    """Unconstrained trial functional (full difference-gradient stiffness)."""
     if m.staggering != FACE:
         raise GridError("magnetization must be face-staggered")
-    return 0.5 * grad_norm_sq(a) + 0.5 * inner(m, m) - inner(m, curl(a))
+    return functional_V_at(a, m.grid)[0](m)
+
+
+def _half_misfit(curl_a: VectorField, m: VectorField) -> float:
+    """1/2 ||curl a - m||^2, one component at a time, for ``m`` on the grid of
+    ``curl a`` or a sub grid of it (zero off its box: ca - 0 = ca, bit for bit)."""
+    if m.staggering != FACE or m.grid.root != curl_a.grid:
+        raise GridError("m must be a face field on the grid of curl a or a sub grid of it")
+    d2 = 0.0
+    for axis, (ca, mc) in enumerate(zip(curl_a.components, m.components)):
+        d = ca.copy()
+        d[grow_box(m.grid.box, axis)] -= mc
+        d2 += _sq(d)
+    return 0.5 * (d2 * curl_a.grid.cell_volume)
 
 
 def functional_V_curl(m: VectorField, a: VectorField) -> float:
     """Gauged trial functional 1/2 ||curl a - m||^2."""
     if a.staggering != EDGE:
         raise GridError("vector potential must be edge-staggered")
-    d = curl(a) - m
-    return 0.5 * inner(d, d)
+    return _half_misfit(curl(a), m)
 
 
 def project_divergence_free(a: VectorField, cfg: SolverConfig):
@@ -210,8 +232,9 @@ def project_divergence_free(a: VectorField, cfg: SolverConfig):
     if not d.any():
         return a, 0.0, 0
     # div(grad_node p) is the no-flux node Laplacian; kill div a with its inverse
-    p, res, iters = poisson.solve_poisson_neumann(d, a.grid.h, cfg.tol,
-                                                  cfg.max_iter, cfg.method)
+    d -= d.mean()  # the sum of div a is zero but for rounding, which goes
+    p, res, iters = poisson.solve_poisson(d, a.grid.h, cfg.tol, cfg.max_iter, cfg.method,
+                                          kinds=poisson.NODE_KINDS)
     del d
     g = grad_node(ScalarField(a.grid, p, NODE))
     comps = [np.add(comp, gc, out=gc) for comp, gc in zip(a.components, g.components)]
@@ -266,16 +289,17 @@ def solve_vector_potential_unconstrained(m: VectorField, mask: DomainMask | None
 
 def _solve_curl_curl(m_box: VectorField, cfg: SolverConfig):
     """Solve  curl curl a = curl m  on the root of ``m_box``'s sub grid;
-    (a, curl a, residual, iterations).  Each component of curl m is built on
-    the box's edges.  The direct solve takes one transform solve per
+    (a, curl a, residual, iterations).  Each component of curl m is built
+    once, on the box's edges.  The direct solve takes one transform solve per
     component, each from that box array, and its true residual
-    ||b - curl curl a|| / ||b|| is summed one component at a time, each
-    component of b rebuilt on the box, so only ``a`` and ``curl a`` are held.
-    Plain CG runs on the concatenated components, embedded in zeros.
+    ||b - curl curl a|| / ||b|| is summed one component at a time, so ``a``
+    and ``curl a`` are the only arrays of the root held.  Plain CG runs on the
+    concatenated components, embedded in zeros.
     """
     poisson.refuse_dense(cfg.method, "curl-curl")
     grid, box = m_box.grid.root, m_box.grid.box
     shapes = edge_shapes(grid)
+    b = [curl_component(m_box, c) for c in range(3)]
     if cfg.method == "cg":
         splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
 
@@ -287,26 +311,25 @@ def _solve_curl_curl(m_box: VectorField, cfg: SolverConfig):
         def flat(f):
             return np.concatenate([c.ravel() for c in f.components])
 
-        b = np.concatenate([embed(curl_component(m_box, c), s, _edge_box(box, c)).ravel()
-                            for c, s in enumerate(shapes)])
-        x, res, iters = poisson.cg(lambda v: flat(curl(curl(field(v)))), b,
+        rhs = np.concatenate([embed(bc, s, _edge_box(box, c)).ravel()
+                              for c, (bc, s) in enumerate(zip(b, shapes))])
+        x, res, iters = poisson.cg(lambda v: flat(curl(curl(field(v)))), rhs,
                                    cfg.tol, cfg.max_iter)
         a = field(x)
         return a, curl(a), res, iters
-    bnorm = poisson.rhs_norm(*(curl_component(m_box, c) for c in range(3)))
+    bnorm = poisson.rhs_norm(*b)
     if bnorm == 0.0:
         a = VectorField.zeros(grid, EDGE)
         return a, curl(a), 0.0, 0
-    a = VectorField(grid, *(poisson.transform_solve(curl_component(m_box, c), grid.h,
-                                                    poisson.EDGE_KINDS[c], shapes[c],
-                                                    _edge_box(box, c))
-                            for c in range(3)), staggering=EDGE)
+    a = VectorField(grid, *(poisson.transform_solve(bc, grid.h, poisson.EDGE_KINDS[c],
+                                                    shapes[c], _edge_box(box, c))
+                            for c, bc in enumerate(b)), staggering=EDGE)
     curl_a = curl(a)
     r2 = 0.0
-    for c in range(3):
+    for c, bc in enumerate(b):
         # curl curl a - b, the negated residual: the same squares
         r = curl_component(curl_a, c)
-        r[_edge_box(box, c)] -= curl_component(m_box, c)
+        r[_edge_box(box, c)] -= bc
         r2 += _sq(r)
     return a, curl_a, poisson.confirm_direct(float(np.sqrt(r2)) / bnorm, cfg.tol), 1
 
@@ -327,20 +350,12 @@ def solve_vector_potential_gauged(m: VectorField, mask: DomainMask | None,
     lands there to rounding (``div_norm`` = ||div a|| reports it), so no
     projection follows: one would cost a node solve and change only
     rounding.  The ``curl a`` of the residual check is returned, and the
-    energy 1/2 ||curl a - m||^2 is summed one component at a time.
+    energy is ``functional_V_curl``'s sum on it.
     """
     m_box = _checked_on_box(m, mask)
     a, curl_a, res, iters = _solve_curl_curl(m_box, cfg)
-    div_norm = norm(div(a))
-    # 0.5 * inner(curl_a - m, curl_a - m) on the root, one component at a time
-    # (bit for bit on a full-grid m: off its box m is zero and ca - 0 = ca)
-    d2 = 0.0
-    for axis, (ca, mc) in enumerate(zip(curl_a.components, m_box.components)):
-        d = ca.copy()
-        d[grow_box(m_box.grid.box, axis)] -= mc
-        d2 += _sq(d)
-    return VectorPotentialSolution(a=a, curl_a=curl_a, div_norm=div_norm,
-                                   energy=0.5 * (d2 * a.grid.cell_volume),
+    return VectorPotentialSolution(a=a, curl_a=curl_a, div_norm=norm(div(a)),
+                                   energy=_half_misfit(curl_a, m_box),
                                    residual=res, iterations=iters)
 
 

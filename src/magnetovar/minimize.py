@@ -49,8 +49,8 @@ from .errors import ConvergenceError, GridError
 from .grid import EDGE, CellVectorField, DomainMask, VectorField, support_box
 from .energy import (ALL_TERMS, MaterialParams, effective_field, local_energies,
                      total_energy)
-from .magnetostatics import SolverConfig, minimize_V
-from .operators import curl, grad_norm_sq, inner, masked_cell_to_faces
+from .magnetostatics import SolverConfig, functional_V_at, minimize_V
+from .operators import masked_cell_to_faces
 
 DESCENT_SLACK = 1e-12
 ARMIJO_C = 0.1
@@ -205,24 +205,14 @@ def minimize_m(m0: CellVectorField, params: MaterialParams, mask: DomainMask,
 
 def _fixed_a_energy(a: VectorField, params: MaterialParams, mask: DomainMask,
                     terms=ALL_TERMS):
-    """The product-space functional as a function of m at fixed ``a``.
-
-    Returns (energy, curl a on the mask's grid), where energy(m, mf=None)
-    returns (local terms + V(mf, a), mf), with mf = face m if not given.
-    The m-independent parts of V, 1/2 ||D a||^2 and curl a, are computed
-    once here; the stray part is the terms of ``functional_V(mf, a)`` in its
-    order, the pairing summed on the mask's grid (bit for bit if ``a`` is on
-    it too).  ``a`` may be the caller's start ``a0``, not a minimizer, so
-    1/2 ||D a||^2 is not replaced by a pairing.
-    """
-    if a.staggering != EDGE:
-        raise GridError("vector potential must be edge-staggered")
-    half_da2 = 0.5 * grad_norm_sq(a)
-    curl_a = curl(a).on_grid(mask.grid)
+    """The product-space functional at fixed ``a``: (energy, curl a on the
+    mask's grid), with energy(m, mf=None) -> (local terms + V(mf, a), mf), mf
+    the face field of m if not given and V(., a) ``functional_V_at``'s."""
+    stray, curl_a = functional_V_at(a, mask.grid)
 
     def energy(m: CellVectorField, mf=None) -> tuple[float, VectorField]:
         mf = masked_cell_to_faces(m, mask) if mf is None else mf
-        total = half_da2 + 0.5 * inner(mf, mf) - inner(mf, curl_a)
+        total = stray(mf)
         for term in local_energies(m, params, mask, terms):
             total += term
         return total, mf

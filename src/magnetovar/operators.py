@@ -193,15 +193,17 @@ def masked_faces_to_cell_adjoint(v: VectorField, mask: DomainMask) -> CellVector
 
 def check_supported(v: VectorField, mask: DomainMask):
     """Raise SupportError if ``v`` is nonzero on a face that touches no domain
-    cell (``DomainMask.face_count`` 0)."""
+    cell (``DomainMask.face_count`` 0, where the cached ``face_scale`` is 0),
+    naming the face by its index on the root of ``v``'s grid."""
     if v.staggering != FACE:
         raise GridError("support check expects a face field")
+    start = tuple(s.start for s in v.grid.box)
     for axis, (comp, name) in enumerate(zip(v.components, "xyz")):
-        outside = mask.face_count(axis) == 0
+        outside = mask.face_scale(axis) == 0
         if np.any(comp, where=outside):
             bad = np.where(outside, np.abs(comp), 0.0)
             idx = np.unravel_index(np.argmax(bad), bad.shape)
             raise SupportError(
                 f"magnetization component {name} is nonzero outside the domain "
-                f"mask at face index {tuple(int(i) for i in idx)}"
+                f"mask at face index {tuple(int(i) + o for i, o in zip(idx, start))}"
             )

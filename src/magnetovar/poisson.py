@@ -317,17 +317,6 @@ def solve_poisson(b: np.ndarray, h: float, tol: float, max_iter: int,
     return x, confirm_direct(stencil_residual_norm(apply_op, x, b, box) / bnorm, tol), 1
 
 
-def solve_poisson_neumann(b: np.ndarray, h: float, tol: float, max_iter: int,
-                          method: str = "direct"):
-    """Zero-mean solve of the no-flux node Poisson problem; ``b`` fills the grid.
-
-    The right-hand side must have (numerically) zero sum; this is exact for
-    divergences of edge fields, and its rounding mean is removed here.
-    ``method = "dense"`` raises GridError.
-    """
-    return solve_poisson(b - b.mean(), h, tol, max_iter, method, kinds=NODE_KINDS)
-
-
 def cg(apply_op, b: np.ndarray, tol: float, max_iter: int):
     """Plain conjugate gradients for an SPD (or consistent SPSD) system.
 

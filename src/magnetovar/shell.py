@@ -403,7 +403,7 @@ def default_delta(mesh: SurfaceMesh) -> float:
     return 0.7 * mesh.min_curvature_radius()
 
 
-def _checked_delta(mesh: SurfaceMesh, eps: float, delta: float | None) -> float:
+def checked_delta(mesh: SurfaceMesh, eps: float, delta: float | None) -> float:
     """The matching radius (``default_delta`` if None), checked to be positive
     and finite, then against the tubular bound and the half-thickness, which
     ``Shell`` checks first."""
@@ -455,7 +455,7 @@ def recovery_lower_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
     """
     tris = mesh.triangles
     areas, t1, t2, k1, k2 = _triangle_frame(mesh)
-    P, T1, T2, Q1, Q2, S = _thickness_moments(k1, k2, eps, _checked_delta(mesh, eps, delta))
+    P, T1, T2, Q1, Q2, S = _thickness_moments(k1, k2, eps, checked_delta(mesh, eps, delta))
     phi = np.sum(m0 * mesh.normals, axis=1)
     phi2 = _tri_vertex_mean(phi ** 2, tris)
     gphi = _p1_gradients(mesh, phi)                      # (T, 3)
@@ -473,7 +473,7 @@ def recovery_upper_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
     the minimization functional at the profile potential (m0 x n) eta(t)."""
     tris = mesh.triangles
     areas, t1, t2, k1, k2 = _triangle_frame(mesh)
-    P, T1, T2, Q1, Q2, S = _thickness_moments(k1, k2, eps, _checked_delta(mesh, eps, delta))
+    P, T1, T2, Q1, Q2, S = _thickness_moments(k1, k2, eps, checked_delta(mesh, eps, delta))
     w_field = np.cross(m0, mesh.normals)                  # m0 x n per vertex
     wsq = _tri_vertex_mean(np.sum(w_field ** 2, axis=1), tris)
     gw = _p1_gradients(mesh, w_field)                     # (T, 3, 3)
@@ -505,6 +505,8 @@ class ShellGridPolicy:
         if not MIN_CELLS_ACROSS <= self.cells_per_thickness < np.inf:
             raise GridError(f"cells_per_thickness must be finite and at least "
                             f"{MIN_CELLS_ACROSS}, got {self.cells_per_thickness}")
+        if not 0.0 <= self.pad_ratio < np.inf:
+            raise GridError(f"pad_ratio must be nonnegative and finite, got {self.pad_ratio}")
 
     def spacing(self, eps: float) -> float:
         return 2.0 * eps / self.cells_per_thickness

@@ -42,8 +42,12 @@ class TestFieldSpec:
     sigma: float = 0.4
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise GridError("bump radius must be positive")
+        for name in ("r0", "sigma", "center", "xi_const", "xi_quad"):
+            value = getattr(self, name)
+            if name in ("r0", "sigma") and not 0.0 < value < np.inf:
+                raise GridError(f"{name} must be positive and finite, got {value}")
+            if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise GridError(f"{name} must be finite, got {value}")
         if self.xi_quad is not None:
             Q = np.asarray(self.xi_quad, dtype=float)
             if Q.shape != (3, 3) or not np.allclose(Q, Q.T):

@@ -229,6 +229,40 @@ def test_bad_float_of_an_unread_key_exits_2_at_load(tmp_path, capsys, line, quan
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, base, lines, quantity", [
+    ("shell-study", "shell_sphere", "shell.radius = -1", "radius"),
+    ("shell-study", "shell_sphere", "shell.surface = cube", "shell.surface"),
+    ("shell-study", "shell_sphere", "shell.m0 = foo", "shell.m0"),
+    ("shell-study", "shell_sphere", "shell.level = 40", "icosphere level 40"),
+    ("shell-study", "shell_sphere", "shell.pad_ratio = -1", "pad_ratio"),
+    ("shell-study", "shell_sphere", "shell.eps_list = 0.2 5", "tubular condition"),
+    ("shell-study", "shell_sphere", "shell.eps_list = 0.2 0.9\nshell.delta = 0.8",
+     "profile needs eps < delta"),
+    ("solve", "solve_zeeman", "solve.init = foo", "solve.init"),
+    ("solve", "solve_zeeman", "solve.init = uniform\nsolve.init_direction = 0 0 0",
+     "solve.init_direction"),
+], ids=["radius", "surface", "m0", "level", "pad_ratio", "eps", "eps_delta", "init",
+        "init_direction"])
+@pytest.mark.parametrize("runs", ["validate", "own"])
+def test_bad_command_key_exits_2_at_load_under_every_command(tmp_path, capsys, monkeypatch,
+                                                              command, base, lines,
+                                                              quantity, runs):
+    # each was checked only by the command that reads it, after the output
+    # directory was made and without naming the file; validate exited 0 with
+    # it, and shell-study ran the eps-0.2 3D solve before refusing eps 5
+    root = Path(__file__).resolve().parent.parent
+    body = (root / "configs" / f"{base}.cfg").read_text() + lines + "\n"
+    cfg = write_cfg(tmp_path, "k.cfg", body)
+    solves = []
+    monkeypatch.setattr(sh, "solve_scalar_potential", lambda *args: solves.append(args))
+    out = tmp_path / "out"
+    assert main([command if runs == "own" else "validate", "--config", cfg,
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "k.cfg: " in err and quantity in err
+    assert not out.exists() and solves == []
+
+
 def test_joint_method_without_stray_exits_2_at_load(tmp_path, capsys):
     # the joint scheme's potential is the stray term's variable
     root = Path(__file__).resolve().parent.parent
@@ -437,8 +471,8 @@ shell.m0 = uniform_z
 shell.eps_list = 0.2 0.1
 shell.delta = 5.0
 """)
-    # delta beyond the tubular bound fails at the first row's bounds, before
-    # any solve or write; the output directory the run made goes too
+    # delta beyond the tubular bound fails when the config is read, before
+    # any solve or write and before the output directory is made
     out = tmp_path / "out"
     code = main(["shell-study", "--config", cfg, "--out", str(out)])
     assert code == EXIT_CONFIG

@@ -107,6 +107,20 @@ def test_duality_sandwich_exact():
         assert w <= vc + 1e-10 and vc <= v + 1e-10
 
 
+@pytest.mark.parametrize("masked", [True, False])
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_gauged_energy_is_functional_V_curl_bit_for_bit(masked, method):
+    # the route sums 1/2 ||curl a - m||^2 from its box field; the functional
+    # sums it from the full-grid field: one sum, the same bits
+    grid, mask = ball_mask(8)
+    cfg = dataclasses.replace(CFG, method=method)
+    for seed in range(3):
+        m = random_masked(seed, mask)
+        sol = solve_vector_potential_gauged(m, mask if masked else None, cfg)
+        assert sol.energy > 0
+        assert sol.energy == functional_V_curl(m, sol.a)
+
+
 def test_gauged_route_matches_scalar():
     grid, mask = ball_mask(12, 1.0)
     for seed in range(3):
@@ -543,18 +557,25 @@ def test_route_transient_peak_is_bounded(monkeypatch, route):
 
 def test_three_routes_take_eight_transform_solves_and_one_neumann_solve(monkeypatch):
     # scalar 1, gauged 3 (no re-projection), unconstrained 3 + the gauge
-    # recovery's Neumann solve, itself one transform solve
+    # recovery's node solve, itself one transform solve
     grid, mask = ball_mask(8)
     m = random_masked(4, mask)
-    counts = dict.fromkeys(("transform_solve", "solve_poisson_neumann"), 0)
-    for name in counts:
-        def counted(*args, _real=getattr(poisson, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(poisson, name, counted)
+    counts = dict.fromkeys(("transform_solve", "node_solve"), 0)
+    real_transform, real_solve = poisson.transform_solve, poisson.solve_poisson
+
+    def transform(*args, **kwargs):
+        counts["transform_solve"] += 1
+        return real_transform(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        counts["node_solve"] += kwargs.get("kinds") == poisson.NODE_KINDS
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(poisson, "transform_solve", transform)
+    monkeypatch.setattr(poisson, "solve_poisson", solve)
     for route in ROUTE_PEAK_FACES:
         route(m, mask, CFG)
-    assert counts == {"transform_solve": 8, "solve_poisson_neumann": 1}
+    assert counts == {"transform_solve": 8, "node_solve": 1}
 
 
 @pytest.mark.parametrize("case", ["mask", "no-mask", "sub-grid"])
@@ -715,8 +736,6 @@ def test_node_and_curl_curl_refusals_factor_nothing(monkeypatch):
     for refuse in (lambda: solve_vector_potential_unconstrained(m, mask, cfg),
                    lambda: solve_vector_potential_gauged(m, mask, cfg),
                    lambda: project_divergence_free(a, cfg),
-                   lambda: poisson.solve_poisson_neumann(d, grid.h, CFG.tol,
-                                                         CFG.max_iter, "dense"),
                    lambda: poisson.solve_poisson(d, grid.h, CFG.tol, CFG.max_iter, "dense",
                                                  kinds=poisson.NODE_KINDS)):
         with pytest.raises(GridError, match="'dense'"):

@@ -553,7 +553,7 @@ def test_cg_raises_on_iteration_cap():
 def test_neumann_solver_kills_mean_free_rhs():
     b = random_rhs((7, 8, 9), 4)
     b -= b.mean()
-    p, res, _ = poisson.solve_poisson_neumann(b, 0.12, 1e-10, 100)
+    p, res, _ = poisson.solve_poisson(b, 0.12, 1e-10, 100, kinds=poisson.NODE_KINDS)
     assert np.allclose(poisson.laplace_apply(p, 0.12, poisson.NODE_KINDS), b, atol=1e-9)
     assert res <= 1e-10
 
@@ -562,14 +562,10 @@ def test_neumann_solver_kills_mean_free_rhs():
 @pytest.mark.parametrize("method", ["direct", "cg"])
 def test_returned_residual_is_true_residual(neumann, method):
     b = random_rhs((10, 6, 8), 5)
+    kinds = poisson.NODE_KINDS if neumann else poisson.CELL_KINDS
     if neumann:
         b -= b.mean()
-        solve, kinds = poisson.solve_poisson_neumann, poisson.NODE_KINDS
-    else:
-        solve, kinds = poisson.solve_poisson, poisson.CELL_KINDS
-    u, res, _ = solve(b, 0.1, 1e-13, 5000, method)
-    if neumann:
-        b = b - b.mean()  # the solve removes the (rounding) mean again
+    u, res, _ = poisson.solve_poisson(b, 0.1, 1e-13, 5000, method, kinds=kinds)
     true = np.linalg.norm(b - poisson.laplace_apply(u, 0.1, kinds)) / np.linalg.norm(b)
     assert res == true and res <= 1e-13
 

@@ -51,6 +51,22 @@ def test_xi_quad_must_be_symmetric():
         TestFieldSpec(xi_quad=((0, 1, 0), (0, 0, 0), (0, 0, 0)))
 
 
+@pytest.mark.parametrize("bad", [
+    dict(r0=np.nan), dict(r0=np.inf), dict(r0=0.0), dict(sigma=np.nan), dict(sigma=0.0),
+    dict(sigma=-0.4), dict(sigma=np.inf), dict(center=(np.nan, 0.0, 0.0)),
+    dict(center=(0.0, np.inf, 0.0)), dict(xi_const=(np.inf, 0.0, 0.0)),
+    dict(xi_const=(0.0, 0.0, np.nan)),
+    dict(xi_quad=((np.inf, 0, 0), (0, 0, 0), (0, 0, 0))),
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_spec_rejects_values_that_build_no_finite_field(bad):
+    # NaN passes the support check's comparisons and an infinite entry builds
+    # a non-finite field, so each is refused when the spec is made; sigma,
+    # like r0, must be positive
+    name = next(iter(bad))
+    with pytest.raises(GridError, match=name):
+        TestFieldSpec(**bad)
+
+
 def test_gradient_bump_zero_scalar():
     grid = GridSpec.centered_cube(12, 0.2, pad=2)
     m = gradient_bump(TestFieldSpec(r0=1e-9, sigma=1.0), grid)
