@@ -159,6 +159,7 @@ class RunConfig:
         try:  # the objects built from the keys hold their ranges, whatever the command
             grid_for_geometry(build_geometry(cfg), cfg["grid.h"], cfg["grid.pad_ratio"])
             validate_grid(cfg), build_material(cfg), build_minimize_config(cfg)
+            SolverConfig(method=cfg["solver.method"], max_iter=cfg["solver.max_iter"])
             uniform_direction(cfg), build_shell_policy(cfg), field_by_name(cfg["shell.m0"])
             mesh = build_mesh(cfg)
             for eps in cfg["shell.eps_list"]:  # each eps's checks before the study's solves

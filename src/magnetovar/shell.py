@@ -3,8 +3,10 @@ thickness limit.
 
 A closed parametric surface (sphere or torus) carries analytic normals and
 curvatures; the shell of half-thickness ``eps`` around it is parametrized
-by (surface point, scaled normal coordinate t in (-1, 1)).  The module
-provides
+by (surface point, scaled normal coordinate t in (-1, 1)).  Each mesh
+computes its per-triangle frame (``SurfaceMesh.frame``: areas, P1 basis
+gradients, mean principal directions and curvatures) once, on first use,
+and every surface integral reads it.  The module provides
 
 * the metric factors of that parametrization (volume Jacobian and the two
   tangential gradient scalings),
@@ -22,6 +24,7 @@ provides
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -66,13 +69,28 @@ class SurfaceMesh:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        cr = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        return 0.5 * np.linalg.norm(cr, axis=1)
+    @cached_property
+    def frame(self) -> tuple:
+        """Per-triangle geometry, computed on first use and kept: (areas, unit
+        mean tau1, unit mean tau2, mean kappa1, mean kappa2, g1, g2), where
+        g1, g2 are the tangential gradients of the barycentric coordinates of
+        the second and third vertex, so the P1 interpolant of f has gradient
+        (f_1 - f_0) g1 + (f_2 - f_0) g2."""
+        tris = self.triangles
+        p = self.vertices[tris]                    # (T, 3, 3)
+        nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        area2 = np.linalg.norm(nrm, axis=1, keepdims=True)
+        nhat = nrm / area2
+        return (0.5 * area2[:, 0],
+                _unit(_tri_vertex_mean(self.tau1, tris)),
+                _unit(_tri_vertex_mean(self.tau2, tris)),
+                _tri_vertex_mean(self.kappa1, tris),
+                _tri_vertex_mean(self.kappa2, tris),
+                np.cross(nhat, p[:, 0] - p[:, 2]) / area2,
+                np.cross(nhat, p[:, 1] - p[:, 0]) / area2)
 
     def total_area(self) -> float:
-        return float(self.triangle_areas().sum())
+        return float(self.frame[0].sum())
 
     def min_curvature_radius(self) -> float:
         if self.kind == "sphere":
@@ -199,13 +217,11 @@ def make_torus_mesh(r_major: float = 2.0, r_minor: float = 0.5,
     def vid(i, j):
         return (i % n_major) * n_minor + (j % n_minor)
 
-    tris = []
-    for i in range(n_major):
-        for j in range(n_minor):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris += [[a, b, c], [a, c, d]]
-    return SurfaceMesh("torus", verts, np.array(tris, dtype=np.int64), normals,
+    # triangles (a, b, c) and (a, c, d) of each quad (i, j), quads in row-major order
+    i, j = np.indices((n_major, n_minor), dtype=np.int64)
+    a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+    tris = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    return SurfaceMesh("torus", verts, tris, normals,
                        kappa1, kappa2, tau1, tau2,
                        params={"r_major": float(r_major), "r_minor": float(r_minor)})
 
@@ -272,16 +288,6 @@ def _tri_vertex_mean(values: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return values[tris].mean(axis=1)
 
 
-def _triangle_frame(mesh: SurfaceMesh):
-    """Per-triangle (areas, unit mean tau1, unit mean tau2, mean kappa1, mean kappa2)."""
-    tris = mesh.triangles
-    return (mesh.triangle_areas(),
-            _unit(_tri_vertex_mean(mesh.tau1, tris)),
-            _unit(_tri_vertex_mean(mesh.tau2, tris)),
-            _tri_vertex_mean(mesh.kappa1, tris),
-            _tri_vertex_mean(mesh.kappa2, tris))
-
-
 def _p1_gradients(mesh: SurfaceMesh, values: np.ndarray) -> np.ndarray:
     """Per-triangle tangential gradient of a piecewise-linear vertex field.
 
@@ -289,16 +295,7 @@ def _p1_gradients(mesh: SurfaceMesh, values: np.ndarray) -> np.ndarray:
     """
     scalar = values.ndim == 1
     vals = values[:, None] if scalar else values
-    p = mesh.vertices[mesh.triangles]          # (T, 3, 3)
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    nrm = np.cross(e1, e2)
-    area2 = np.linalg.norm(nrm, axis=1, keepdims=True)
-    nhat = nrm / area2
-    # gradient of the linear interpolant: sum_i f_i grad(lambda_i)
-    # grad(lambda_1) = (n x e2) ... derived from barycentric identities
-    g1 = np.cross(nhat, p[:, 0] - p[:, 2]) / area2
-    g2 = np.cross(nhat, p[:, 1] - p[:, 0]) / area2
+    g1, g2 = mesh.frame[5:]
     f = vals[mesh.triangles]                   # (T, 3, C)
     d1 = (f[:, 1] - f[:, 0]).T                 # (C, T)
     d2 = (f[:, 2] - f[:, 0]).T
@@ -316,7 +313,7 @@ def limit_energy(m0: np.ndarray, mesh: SurfaceMesh) -> float:
     """
     if m0.shape != (mesh.n_vertices, 3):
         raise GridError("m0 must be a per-vertex 3-vector field")
-    areas = mesh.triangle_areas()
+    areas = mesh.frame[0]
     grads = _p1_gradients(mesh, m0)            # (T, 3, 3)
     dirichlet = np.sum(grads ** 2, axis=(1, 2))
     mn = np.sum(m0 * mesh.normals, axis=1) ** 2
@@ -355,7 +352,7 @@ def shell_dirichlet_energy(m0: np.ndarray, mesh: SurfaceMesh, eps: float) -> flo
     if m0.shape != (mesh.n_vertices, 3):
         raise GridError("m0 must be a per-vertex 3-vector field")
     Shell(mesh, eps)  # eps positive, finite and within the tubular bound
-    areas, t1, t2, k1, k2 = _triangle_frame(mesh)
+    areas, t1, t2, k1, k2 = mesh.frame[:5]
     grads = _p1_gradients(mesh, m0)                       # (T, 3, 3)
     d1 = np.sum(np.einsum("tcx,tx->tc", grads, t1) ** 2, axis=1)
     d2 = np.sum(np.einsum("tcx,tx->tc", grads, t2) ** 2, axis=1)
@@ -454,7 +451,7 @@ def recovery_lower_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
     (thickness integrals ``_thickness_moments``, surface integrals midpoint rule).
     """
     tris = mesh.triangles
-    areas, t1, t2, k1, k2 = _triangle_frame(mesh)
+    areas, t1, t2, k1, k2 = mesh.frame[:5]
     P, T1, T2, Q1, Q2, S = _thickness_moments(k1, k2, eps, checked_delta(mesh, eps, delta))
     phi = np.sum(m0 * mesh.normals, axis=1)
     phi2 = _tri_vertex_mean(phi ** 2, tris)
@@ -472,7 +469,7 @@ def recovery_upper_bound(m0: np.ndarray, mesh: SurfaceMesh, eps: float,
     """Vector-trial value: a rigorous upper bound for the scaled stray energy,
     the minimization functional at the profile potential (m0 x n) eta(t)."""
     tris = mesh.triangles
-    areas, t1, t2, k1, k2 = _triangle_frame(mesh)
+    areas, t1, t2, k1, k2 = mesh.frame[:5]
     P, T1, T2, Q1, Q2, S = _thickness_moments(k1, k2, eps, checked_delta(mesh, eps, delta))
     w_field = np.cross(m0, mesh.normals)                  # m0 x n per vertex
     wsq = _tri_vertex_mean(np.sum(w_field ** 2, axis=1), tris)
@@ -514,24 +511,22 @@ class ShellGridPolicy:
 
 def shell_magnetization(mesh: SurfaceMesh, m0_fn: FieldFn, eps: float,
                         grid: GridSpec) -> VectorField:
-    """Face samples of the extruded field m0(project(x)) inside the shell,
-    |signed distance| < eps.  No face farther than eps from ``mesh.bounds()``
-    is inside, so distances are evaluated only within eps + h of the bounds."""
-    lo, hi = mesh.bounds()
-    reach = eps + grid.h
+    """Face samples of the extruded field m0(project(x)) on the faces that
+    ``Shell(mesh, eps)`` contains.  No face outside ``Shell.bounds()`` is
+    inside, so the shell is evaluated only within one spacing of them."""
+    shell = Shell(mesh, eps)
+    lo, hi = shell.bounds()
     comps = []
     for axis in range(3):
         coords = grid.face_centers(axis)
-        box = tuple(slice(*np.searchsorted(c, (l - reach, u + reach)))
+        box = tuple(slice(*np.searchsorted(c, (l - grid.h, u + grid.h)))
                     for c, l, u in zip(coords, lo, hi))
         X, Y, Z = np.meshgrid(*(c[s] for c, s in zip(coords, box)), indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-        inside = np.abs(mesh.signed_distance(pts)) < eps
-        vals = np.zeros(len(pts))
-        if inside.any():
-            vals[inside] = m0_fn(mesh.project(pts[inside]))[:, axis]
+        inside = shell.contains(X, Y, Z)
         comp = np.zeros(tuple(len(c) for c in coords))
-        comp[box] = vals.reshape(X.shape)
+        if inside.any():
+            pts = np.stack([X[inside], Y[inside], Z[inside]], axis=1)
+            comp[box][inside] = m0_fn(mesh.project(pts))[:, axis]
         comps.append(comp)
     return VectorField(grid, *comps, staggering=FACE)
 

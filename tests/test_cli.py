@@ -12,7 +12,7 @@ import pytest
 
 import magnetovar
 from magnetovar import shell as sh
-from magnetovar.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, RunConfig, main
+from magnetovar.cli import COMMANDS, EXIT_CONFIG, EXIT_IO, EXIT_OK, RunConfig, main
 from magnetovar.errors import ConfigError, GridError
 from magnetovar.io import write_csv
 from magnetovar.magnetostatics import SolverConfig
@@ -333,6 +333,17 @@ def test_oracle_refuses_the_dense_method(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "solver.method" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_unknown_solver_method_exits_2_at_load_under_every_command(tmp_path, capsys, command):
+    # it was checked only inside the command, after the output directory was
+    # made, and the message did not name the file
+    cfg = write_cfg(tmp_path, "m.cfg", BASE + "solver.method = foo\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "m.cfg: unknown solver method 'foo'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Shell geometry, metric factors, limit functional, and recovery bounds."""
 
+import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -101,10 +103,130 @@ def test_mesh_builders_cap_the_triangle_count_before_building(monkeypatch):
     assert 20 * 4 ** 7 <= sh.MAX_TRIANGLES < 20 * 4 ** 8
 
 
+def loop_torus_triangles(n_major, n_minor):
+    """The torus triangulation as it was built before it was vectorized, one
+    quad at a time: the reference that ``make_torus_mesh`` must equal."""
+    def vid(i, j):
+        return (i % n_major) * n_minor + (j % n_minor)
+
+    tris = []
+    for i in range(n_major):
+        for j in range(n_minor):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            tris += [[a, b, c], [a, c, d]]
+    return np.array(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n_major, n_minor", [(3, 3), (7, 5), (5, 7), (64, 32), (48, 24)])
+def test_torus_triangles_equal_the_loop_triangulation(n_major, n_minor):
+    mesh = sh.make_torus_mesh(2.0, 0.5, n_major, n_minor)
+    want = loop_torus_triangles(n_major, n_minor)
+    assert mesh.triangles.dtype == want.dtype and mesh.triangles.shape == want.shape
+    assert mesh.triangles.tobytes() == want.tobytes()
+    assert _is_closed(mesh)
+
+
 def test_unknown_mesh_kind_is_rejected():
     with pytest.raises(GridError, match="plane"):
         sh.SurfaceMesh("plane", SPHERE.vertices, SPHERE.triangles, SPHERE.normals,
                        SPHERE.kappa1, SPHERE.kappa2, SPHERE.tau1, SPHERE.tau2)
+
+
+def per_call_triangle_frame(mesh):
+    """Per-triangle (areas, unit mean tau1, unit mean tau2, mean kappa1, mean
+    kappa2) as they were computed on every call, before the mesh kept them."""
+    p = mesh.vertices[mesh.triangles]
+    cr = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    tris = mesh.triangles
+    return (0.5 * np.linalg.norm(cr, axis=1),
+            sh._unit(sh._tri_vertex_mean(mesh.tau1, tris)),
+            sh._unit(sh._tri_vertex_mean(mesh.tau2, tris)),
+            sh._tri_vertex_mean(mesh.kappa1, tris),
+            sh._tri_vertex_mean(mesh.kappa2, tris))
+
+
+def per_call_p1_gradients(mesh, values):
+    """The P1 gradients as they were computed on every call, normals and
+    barycentric gradients included."""
+    scalar = values.ndim == 1
+    vals = values[:, None] if scalar else values
+    p = mesh.vertices[mesh.triangles]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    nrm = np.cross(e1, e2)
+    area2 = np.linalg.norm(nrm, axis=1, keepdims=True)
+    nhat = nrm / area2
+    g1 = np.cross(nhat, p[:, 0] - p[:, 2]) / area2
+    g2 = np.cross(nhat, p[:, 1] - p[:, 0]) / area2
+    f = vals[mesh.triangles]
+    d1 = (f[:, 1] - f[:, 0]).T
+    d2 = (f[:, 2] - f[:, 0]).T
+    grad = np.moveaxis(d1[..., None] * g1[None] + d2[..., None] * g2[None], 0, 1)
+    return grad[:, 0] if scalar else grad
+
+
+PIN_MESHES = {"sphere2": sh.make_sphere_mesh(1.0, 2), "sphere4": sh.make_sphere_mesh(1.3, 4),
+              "torus": TORUS}
+PIN_FIELDS = [sh.uniform_field((0.3, 0.4, 0.866)), sh.hedgehog_field(), sh.toroidal_field()]
+
+
+def _same_bits(got, want):
+    return all(np.asarray(g).dtype == np.asarray(w).dtype
+               and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+               for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("name", sorted(PIN_MESHES))
+def test_frame_and_p1_gradients_equal_the_per_call_geometry_bit_for_bit(name):
+    mesh = PIN_MESHES[name]
+    assert _same_bits(mesh.frame[:5], per_call_triangle_frame(mesh))
+    assert mesh.total_area() == float(per_call_triangle_frame(mesh)[0].sum())
+    for fn in PIN_FIELDS:
+        m0 = sh.sample_on_vertices(mesh, fn)
+        for values in (m0, m0[:, 1], np.cross(m0, mesh.normals)):
+            assert _same_bits([sh._p1_gradients(mesh, values)],
+                              [per_call_p1_gradients(mesh, values)])
+
+
+@pytest.mark.parametrize("name", sorted(PIN_MESHES))
+def test_shell_energies_equal_the_per_call_geometry_bit_for_bit(monkeypatch, name):
+    # the same functions, once on the cached frame and once on the geometry
+    # computed per call: a mesh copy whose frame is preset to it, and the
+    # per-call P1 gradients
+    mesh = PIN_MESHES[name]
+    eps, delta = 0.1, 0.3
+
+    def energies(mesh, m0):
+        return [sh.limit_energy(m0, mesh), sh.shell_dirichlet_energy(m0, mesh, eps),
+                sh.recovery_lower_bound(m0, mesh, eps, delta),
+                sh.recovery_upper_bound(m0, mesh, eps, delta)]
+
+    fields = [sh.sample_on_vertices(mesh, fn) for fn in PIN_FIELDS]
+    got = [energies(mesh, m0) for m0 in fields]
+    per_call = dataclasses.replace(mesh)
+    per_call.frame = per_call_triangle_frame(per_call) + (None, None)
+    monkeypatch.setattr(sh, "_p1_gradients", per_call_p1_gradients)
+    want = [energies(per_call, m0) for m0 in fields]
+    assert _same_bits(np.array(got), np.array(want))
+
+
+def test_convergence_study_computes_each_frame_once(monkeypatch):
+    computed, compute = [], sh.SurfaceMesh.frame.func
+
+    def counted(mesh):
+        computed.append(mesh)
+        return compute(mesh)
+
+    frame = functools.cached_property(counted)
+    frame.__set_name__(sh.SurfaceMesh, "frame")
+    monkeypatch.setattr(sh.SurfaceMesh, "frame", frame)
+    monkeypatch.setattr(sh, "shell_stray_energy_scaled", lambda *args: 0.0)
+    meshes = [sh.make_sphere_mesh(1.0, 2), sh.make_torus_mesh(2.0, 0.5, 16, 8)]
+    for mesh, fn in zip(meshes, (sh.hedgehog_field(), sh.toroidal_field())):
+        rows = sh.convergence_study(mesh, fn, [0.2, 0.1, 0.05], CFG)
+        assert len(rows) == 3 and rows[0].limit > 0
+    assert [id(m) for m in computed] == [id(m) for m in meshes]
 
 
 def test_mesh_area_converges_to_analytic():
@@ -211,7 +333,7 @@ def test_thickness_integral_matches_gauss(a):
 def test_shell_dirichlet_equals_gauss_in_thickness_on_torus():
     # the closed form against a 16-node Gauss sum of the metric weights
     m0 = sh.sample_on_vertices(TORUS, sh.toroidal_field())
-    areas, t1, t2, k1, k2 = sh._triangle_frame(TORUS)
+    areas, t1, t2, k1, k2 = TORUS.frame[:5]
     grads = sh._p1_gradients(TORUS, m0)
     d1 = np.sum(np.einsum("tcx,tx->tc", grads, t1) ** 2, axis=1)
     d2 = np.sum(np.einsum("tcx,tx->tc", grads, t2) ** 2, axis=1)
@@ -312,7 +434,7 @@ def _bounds_node_by_node(m0, mesh, eps, delta):
     """Both recovery bounds summed node by node across the thickness: the
     reference for the summation order of the thickness table."""
     tris = mesh.triangles
-    areas, t1, t2, k1, k2 = sh._triangle_frame(mesh)
+    areas, t1, t2, k1, k2 = mesh.frame[:5]
     m0t = sh._tri_vertex_mean(m0, tris)
     phi = np.sum(m0 * mesh.normals, axis=1)
     phi2 = sh._tri_vertex_mean(phi ** 2, tris)
@@ -370,7 +492,7 @@ def test_recovery_vector_tangential_gradient_vanishes():
     m0 = sh.sample_on_vertices(mesh, sh.uniform_field((0, 0, 1)))
     w = np.cross(m0, mesh.normals)
     gw = sh._p1_gradients(mesh, w)
-    areas = mesh.triangle_areas()
+    areas = mesh.frame[0]
     base = float(np.sum(areas * np.sum(gw ** 2, axis=(1, 2))))
     vals = []
     for eps in (0.2, 0.1):
@@ -422,8 +544,10 @@ def _full_grid_shell_magnetization(mesh, m0_fn, eps, grid):
 @pytest.mark.parametrize("pad_ratio", [0.25, 1.0])
 @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
 @pytest.mark.parametrize("mesh,m0_fn", [(SPHERE, sh.hedgehog_field()),
-                                        (TORUS, sh.toroidal_field())],
-                         ids=["sphere", "torus"])
+                                        (TORUS, sh.toroidal_field()),
+                                        (PIN_MESHES["sphere2"], sh.hedgehog_field()),
+                                        (PIN_MESHES["sphere4"], PIN_FIELDS[0])],
+                         ids=["sphere", "torus", "sphere2", "sphere4"])
 def test_shell_magnetization_matches_full_grid_sampling(mesh, m0_fn, eps, pad_ratio):
     grid = sh.grid_for_geometry(sh.Shell(mesh, eps), 0.12, pad_ratio)
     m = sh.shell_magnetization(mesh, m0_fn, eps, grid)
