@@ -23,6 +23,7 @@ CELL = "cell"
 NODE = "node"
 
 MIN_PAD_CELLS = 2  # fewest padding layers per side, whatever the padding ratio
+FIT_SLACK = 1e-9  # cells a geometry's bounds may overhang the interior by rounding
 MAX_CELLS = int(np.iinfo(np.intp).max)  # most cells an array axis can index
 
 
@@ -115,8 +116,7 @@ class GridSpec:
     @staticmethod
     def centered_cube(n: int, h: float, pad: int = 0) -> "GridSpec":
         """Cube of n^3 interior cells centered at the coordinate origin."""
-        half = h * (n / 2.0 + pad)
-        return GridSpec(n, n, n, h, origin=(-half, -half, -half), pad=pad)
+        return GridSpec.centered_box((n, n, n), h, pad)
 
     @staticmethod
     def centered_box(n: tuple[int, int, int], h: float, pad: int = 0) -> "GridSpec":
@@ -453,13 +453,10 @@ class DomainMask:
         self.indicator = self.indicator.astype(float)
         if not np.all((self.indicator == 0) | (self.indicator == 1)):
             raise GridError("mask indicator must be binary")
-        p = self.grid.pad
-        if p > 0:
-            pad_region = self.indicator.copy()
-            pad_region[p:-p, p:-p, p:-p] = 0.0
-            if pad_region.any():
-                raise SupportError("mask extends into the padding region")
         self.cell_count = int(self.indicator.sum())
+        p = self.grid.pad
+        if p > 0 and self.indicator[p:-p, p:-p, p:-p].sum() != self.cell_count:
+            raise SupportError("mask extends into the padding region")
         self.indicator.setflags(write=False)
 
     def on_box(self, box: tuple[slice, ...]) -> "DomainMask":
@@ -514,10 +511,6 @@ class DomainMask:
     def volume(self) -> float:
         return self.cell_count * self.grid.cell_volume
 
-    @property
-    def bool_array(self) -> np.ndarray:
-        return self.indicator.astype(bool)
-
     def is_empty(self) -> bool:
         return self.cell_count == 0
 
@@ -530,22 +523,35 @@ class DomainMask:
             raise GridError(f"mask is on another grid (mask vs field): {diff}")
 
 
+def lattice_window(geom: Geometry, grid: GridSpec, coords):
+    """The lattice points of ``coords`` (per axis, 1-D and increasing) that
+    ``geom`` can contain: (their index box, their ``ij`` meshgrid), the
+    points within one spacing of ``geom.bounds()``.
+
+    Raises GridError unless the bounds lie in the unpadded interior, give or
+    take ``FIT_SLACK`` cells, the slack ``grid_for_geometry`` sizes with.
+    """
+    lo, hi = grid.interior_bounds()
+    glo, ghi = (np.asarray(b, dtype=float) for b in geom.bounds())
+    slack = FIT_SLACK * grid.h
+    if np.any(glo < lo - slack) or np.any(ghi > hi + slack):
+        raise GridError(f"geometry bounds [{glo.tolist()}, {ghi.tolist()}] exceed the "
+                        f"interior region [{lo.tolist()}, {hi.tolist()}]")
+    box = tuple(slice(*np.searchsorted(c, (l - grid.h, u + grid.h)))
+                for c, l, u in zip(coords, glo, ghi))
+    return box, np.meshgrid(*(c[s] for c, s in zip(coords, box)), indexing="ij")
+
+
 def build_mask(geom: Geometry, grid: GridSpec) -> DomainMask:
     """Rasterize a geometry: a cell belongs to the domain iff its center does.
 
     Raises GridError if the geometry does not fit inside the unpadded
-    interior region.
+    interior region (see ``lattice_window``).
     """
-    lo, hi = grid.interior_bounds()
-    glo, ghi = geom.bounds()
-    if np.any(np.asarray(glo) < lo - 1e-12) or np.any(np.asarray(ghi) > hi + 1e-12):
-        raise GridError(
-            f"geometry bounds [{np.asarray(glo)}, {np.asarray(ghi)}] exceed the "
-            f"interior region [{lo}, {hi}]"
-        )
-    xs, ys, zs = grid.cell_centers()
-    x, y, z = np.meshgrid(xs, ys, zs, indexing="ij")
-    return DomainMask(grid, geom.contains(x, y, z).astype(float))
+    box, (x, y, z) = lattice_window(geom, grid, grid.cell_centers())
+    indicator = np.zeros(grid.shape)
+    indicator[box] = geom.contains(x, y, z)
+    return DomainMask(grid, indicator)
 
 
 def grid_for_geometry(geom: Geometry, h: float, pad_ratio: float = 1.0) -> GridSpec:
@@ -563,7 +569,7 @@ def grid_for_geometry(geom: Geometry, h: float, pad_ratio: float = 1.0) -> GridS
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     diameter = 2.0 * geom.bounding_radius()
     with np.errstate(over="ignore"):  # an overflowing count is inf, capped below
-        counts = np.ceil(np.append((hi - lo) / h - 1e-9, pad_ratio * diameter / h))
+        counts = np.ceil(np.append((hi - lo) / h - FIT_SLACK, pad_ratio * diameter / h))
     # exact ints, not a wrapping cast: at most MAX_CELLS + 1, which GridSpec rejects
     *n, pad = (int(min(c, MAX_CELLS + 1.0)) for c in counts)
     n, pad = [max(k, 2) for k in n], max(pad, MIN_PAD_CELLS)

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridError
-from .grid import FACE, GridSpec, Shell, VectorField, grid_for_geometry
+from .grid import FACE, GridSpec, Shell, VectorField, grid_for_geometry, lattice_window
 from .magnetostatics import SolverConfig, solve_scalar_potential
 
 FieldFn = Callable[[np.ndarray], np.ndarray]
@@ -88,9 +88,6 @@ class SurfaceMesh:
                 _tri_vertex_mean(self.kappa2, tris),
                 np.cross(nhat, p[:, 0] - p[:, 2]) / area2,
                 np.cross(nhat, p[:, 1] - p[:, 0]) / area2)
-
-    def total_area(self) -> float:
-        return float(self.frame[0].sum())
 
     def min_curvature_radius(self) -> float:
         if self.kind == "sphere":
@@ -512,16 +509,14 @@ class ShellGridPolicy:
 def shell_magnetization(mesh: SurfaceMesh, m0_fn: FieldFn, eps: float,
                         grid: GridSpec) -> VectorField:
     """Face samples of the extruded field m0(project(x)) on the faces that
-    ``Shell(mesh, eps)`` contains.  No face outside ``Shell.bounds()`` is
-    inside, so the shell is evaluated only within one spacing of them."""
+    ``Shell(mesh, eps)`` contains, read on each face lattice's
+    ``lattice_window``; raises GridError unless the shell fits the grid's
+    interior."""
     shell = Shell(mesh, eps)
-    lo, hi = shell.bounds()
     comps = []
     for axis in range(3):
         coords = grid.face_centers(axis)
-        box = tuple(slice(*np.searchsorted(c, (l - grid.h, u + grid.h)))
-                    for c, l, u in zip(coords, lo, hi))
-        X, Y, Z = np.meshgrid(*(c[s] for c, s in zip(coords, box)), indexing="ij")
+        box, (X, Y, Z) = lattice_window(shell, grid, coords)
         inside = shell.contains(X, Y, Z)
         comp = np.zeros(tuple(len(c) for c in coords))
         if inside.any():

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .grid import CELL, FACE, DomainMask, GridSpec, ScalarField, VectorField
+from .grid import (CELL, FACE, DomainMask, Ellipsoid, GridSpec, ScalarField, VectorField,
+                   lattice_window)
 from .operators import grad
 
 
@@ -60,15 +61,6 @@ def smooth_cutoff(r: np.ndarray, r0: float) -> np.ndarray:
     return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
 
 
-def _check_support(spec: TestFieldSpec, grid: GridSpec):
-    lo, hi = grid.interior_bounds()
-    c = np.asarray(spec.center)
-    if np.any(c - spec.r0 < lo - 1e-12) or np.any(c + spec.r0 > hi + 1e-12):
-        raise GridError(
-            f"bump of radius {spec.r0} at {spec.center} is not contained in the "
-            f"interior region [{lo}, {hi}]")
-
-
 def _xi(spec: TestFieldSpec, x, y, z):
     xi = [np.full_like(x, c) for c in spec.xi_const]
     if spec.xi_quad is not None:
@@ -85,17 +77,20 @@ def solenoidal_bump(spec: TestFieldSpec, grid: GridSpec) -> VectorField:
     The discrete divergence of the samples is O(h^2); the stray energy of
     the result is bounded by that defect.
     """
-    _check_support(spec, grid)
+    support = Ellipsoid(spec.r0, spec.r0, spec.r0, spec.center)  # zero outside
     comps = []
     for axis in range(3):
         coords = grid.face_centers(axis)
-        x, y, z = (a - c for a, c in zip(np.meshgrid(*coords, indexing="ij"), spec.center))
+        box, mesh = lattice_window(support, grid, coords)
+        x, y, z = (a - c for a, c in zip(mesh, spec.center))
         r = np.sqrt(x * x + y * y + z * z)
         rho = smooth_cutoff(r, spec.r0)
         xi = _xi(spec, x, y, z)
         pos = (x, y, z)
         i, j, k = axis, (axis + 1) % 3, (axis + 2) % 3
-        comps.append(rho * (xi[j] * pos[k] - xi[k] * pos[j]))
+        comp = np.zeros(tuple(len(c) for c in coords))
+        comp[box] = rho * (xi[j] * pos[k] - xi[k] * pos[j])
+        comps.append(comp)
     return VectorField(grid, *comps, staggering=FACE)
 
 
@@ -105,11 +100,12 @@ def gradient_bump(spec: TestFieldSpec, grid: GridSpec) -> VectorField:
     Being an exact discrete gradient, the field operator maps it to its own
     negative up to solver tolerance, saturating the unit operator norm.
     """
-    _check_support(spec, grid)
-    x, y, z = (a - c for a, c in zip(np.meshgrid(*grid.cell_centers(), indexing="ij"),
-                                     spec.center))
+    support = Ellipsoid(spec.r0, spec.r0, spec.r0, spec.center)  # zero outside
+    box, mesh = lattice_window(support, grid, grid.cell_centers())
+    x, y, z = (a - c for a, c in zip(mesh, spec.center))
     r2 = x * x + y * y + z * z
-    v = np.exp(-r2 / spec.sigma ** 2) * smooth_cutoff(np.sqrt(r2), spec.r0)
+    v = np.zeros(grid.shape)
+    v[box] = np.exp(-r2 / spec.sigma ** 2) * smooth_cutoff(np.sqrt(r2), spec.r0)
     return grad(ScalarField(grid, v, CELL))
 
 

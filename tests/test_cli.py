@@ -123,6 +123,19 @@ def test_solve_rejects_zero_or_non_finite_init_direction(tmp_path, capsys):
         assert not (out / "summary.csv").exists()
 
 
+def test_solve_runs_on_the_grid_sized_for_a_bound_a_rounding_error_past_a_cell(tmp_path):
+    # the grid is sized and the geometry fitted to it with one slack
+    root = Path(__file__).resolve().parent.parent
+    body = ((root / "configs" / "solve_zeeman.cfg").read_text()
+            .replace("geometry.a = 1.0", "geometry.a = 1.00000000002")
+            .replace("grid.h = 0.16666666666666666", "grid.h = 0.125"))
+    assert "geometry.a = 1.00000000002" in body and "grid.h = 0.125" in body
+    cfg = write_cfg(tmp_path, "s.cfg", body)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert (out / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("line, field", [
     ("material.q = nan", "Q"),
     ("material.easy_axis = nan nan nan", "easy_axis"),

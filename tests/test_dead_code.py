@@ -1,6 +1,7 @@
 """No dead code in the package: every import is named by its module, and
-every module-level function, class or constant is referred to by some file
-of ``src/`` or ``perfbench/`` (the tests do not count)."""
+every module-level function, class or constant, and every method or
+property of a module-level class but the dunder ones, is referred to by
+some file of ``src/`` or ``perfbench/`` (the tests do not count)."""
 
 import ast
 from pathlib import Path
@@ -35,7 +36,8 @@ def referenced(tree, skip=None, imports=True):
 
 def defined(tree):
     """(name, its definition node) of each module-level function, class and
-    assigned name."""
+    assigned name, and (``Class.method``, its node) of each method or
+    property of a module-level class whose name is not a dunder."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node
@@ -45,6 +47,11 @@ def defined(tree):
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         yield name.id, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (method.name.startswith("__") and method.name.endswith("__"))):
+                    yield f"{node.name}.{method.name}", method
 
 
 def unused_imports(modules):
@@ -75,7 +82,8 @@ def unreferenced(modules, files):
         stem = path.rsplit("/", 1)[-1].removesuffix(".py")
         for name, node in defined(tree):
             if (stem, name) not in EXEMPT and not any(
-                    name in referenced(other, skip=node if other is tree else None)
+                    name.rsplit(".", 1)[-1] in referenced(other, skip=node if other is tree
+                                                          else None)
                     for other in files.values()):
                 dead.append(f"{path}:{node.lineno} {name}")
     return dead
@@ -92,9 +100,14 @@ def test_the_checks_find_dead_code():
     module = ast.parse("import os.path\nfrom .grid import embed, support_box\n\n"
                        "def used():\n    return embed\n\n"
                        "def orphan(n):\n    return orphan(n - 1)\n\n"
-                       "LIMIT, CAP = 3, 4\n")
-    caller = ast.parse("from .mod import used\nfrom . import mod\n\nx = mod.CAP\n")
+                       "LIMIT, CAP = 3, 4\n\n"
+                       "class Spec:\n    def __init__(self):\n        self.n = 1\n\n"
+                       "    def called(self):\n        return self.spare\n\n"
+                       "    @property\n    def spare(self):\n        return self.n\n\n"
+                       "    def unused(self):\n        return self.unused()\n")
+    caller = ast.parse("from .mod import used, Spec\nfrom . import mod\n\nx = mod.CAP\n"
+                       "y = Spec().called()\n")
     modules = {"pkg/mod.py": module}
     assert unused_imports(modules) == ["pkg/mod.py:1 os", "pkg/mod.py:2 support_box"]
     assert unreferenced(modules, {**modules, "pkg/caller.py": caller}) == [
-        "pkg/mod.py:7 orphan", "pkg/mod.py:10 LIMIT"]
+        "pkg/mod.py:7 orphan", "pkg/mod.py:10 LIMIT", "pkg/mod.py:23 Spec.unused"]

@@ -91,7 +91,7 @@ def test_non_finite_magnetization_names_cell(value, where):
     grid, mask = ball_setup()
     m = CellVectorField.constant(grid, (0, 0, 1), mask)
     i = tuple(s // 2 for s in grid.shape) if where == "on" else (0, 0, 0)
-    assert mask.bool_array[i] == (where == "on")
+    assert mask.indicator.astype(bool)[i] == (where == "on")
     m.data[(0, *i)] = value
     for evaluate in (lambda: exchange_energy(m, mask),
                      lambda: total_energy(m, MaterialParams(h_applied=(0.0, 0.0, 0.5)), mask,
@@ -158,7 +158,7 @@ def test_effective_field_zeeman_only():
     p = MaterialParams(h_applied=(0.1, -0.2, 0.4))
     m = CellVectorField.constant(grid, (0, 0, 1), mask)
     hf = effective_field(m, p, mask, CFG, terms=("zeeman",))
-    inside = mask.bool_array
+    inside = mask.indicator.astype(bool)
     for c in range(3):
         assert np.allclose(hf.data[c][inside], p.applied[c], atol=1e-13)
 

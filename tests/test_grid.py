@@ -1,5 +1,7 @@
 """Grid construction, geometry rasterization, and mask bookkeeping."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from magnetovar.grid import (EDGE, FACE, MAX_CELLS, Box, CellVectorField, Domain
                              Ellipsoid, GridSpec, Shell, VectorField, build_mask,
                              face_shapes, grid_for_geometry, grow_box, nonzero_box,
                              support_box)
-from magnetovar.shell import make_sphere_mesh
+from magnetovar.shell import make_sphere_mesh, make_torus_mesh
 
 
 def test_gridspec_invariants():
@@ -76,6 +78,83 @@ def test_geometry_must_fit_interior():
     grid = GridSpec.centered_cube(8, 0.1, pad=4)  # interior [-0.4, 0.4]
     with pytest.raises(GridError):
         build_mask(Ellipsoid(1.0, 1.0, 1.0), grid)
+
+
+def _full_grid_mask(geom, grid):
+    # the geometry's contains at every cell centre of the padded grid
+    xs, ys, zs = grid.cell_centers()
+    x, y, z = np.meshgrid(xs, ys, zs, indexing="ij")
+    return geom.contains(x, y, z).astype(float)
+
+
+MASK_PINS = {
+    "box": Box((0.6, 0.9, 0.5), center=(0.3, -0.2, 0.1)),
+    "ellipsoid": Ellipsoid(0.7, 0.4, 0.5, center=(-0.25, 0.3, 0.15)),
+    "sphere shell": Shell(make_sphere_mesh(1.0, level=2), 0.15),
+    "torus shell": Shell(make_torus_mesh(1.0, 0.4, 24, 12), 0.2),
+}
+
+
+@pytest.mark.parametrize("roomy", [False, True], ids=["tight", "roomy"])
+@pytest.mark.parametrize("name", sorted(MASK_PINS))
+def test_build_mask_equals_the_full_grid_rasterization_bit_for_bit(name, roomy):
+    # tight: the grid_for_geometry grid, whose interior boxes the bounds;
+    # roomy: a centred cube holding the geometry off its edges
+    geom = MASK_PINS[name]
+    grid = (GridSpec.centered_cube(36, 0.1, pad=3) if roomy
+            else grid_for_geometry(geom, 0.07, pad_ratio=0.3))
+    mask = build_mask(geom, grid)
+    want = _full_grid_mask(geom, grid)
+    assert mask.cell_count > 0
+    assert mask.indicator.tobytes() == want.tobytes()
+
+
+class ContainsSpy:
+    """A geometry that records the points its ``contains`` is asked about."""
+
+    def __init__(self, geom):
+        self.geom, self.seen = geom, []
+
+    def bounds(self):
+        return self.geom.bounds()
+
+    def contains(self, x, y, z):
+        self.seen.append(np.stack([np.ravel(x), np.ravel(y), np.ravel(z)], axis=1))
+        return self.geom.contains(x, y, z)
+
+
+@pytest.mark.parametrize("name", sorted(MASK_PINS))
+def test_build_mask_asks_contains_only_about_the_window_of_the_bounds(name):
+    # the cells within one spacing of the bounds, each once
+    grid = GridSpec.centered_cube(36, 0.1, pad=3)
+    spy = ContainsSpy(MASK_PINS[name])
+    build_mask(spy, grid)
+    lo, hi = MASK_PINS[name].bounds()
+    axes = [c[(c >= l - grid.h) & (c < u + grid.h)]
+            for c, l, u in zip(grid.cell_centers(), lo, hi)]
+    want = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    seen = np.concatenate(spy.seen)
+    assert 0 < len(want) < grid.n_cells
+    assert seen.shape == want.shape and np.array_equal(seen, want)
+
+
+@pytest.mark.parametrize("a", [1.00000000002, 1.00000000005])
+@pytest.mark.parametrize("h", [0.125, 0.1])
+def test_build_mask_accepts_the_grid_that_grid_for_geometry_sizes(a, h):
+    # bounds a rounding error past a whole number of cells: the sizing and
+    # the fit check share one slack, so the grid holds the geometry
+    geom, ball = Ellipsoid(a, 1.0, 1.0), Ellipsoid(1.0, 1.0, 1.0)
+    grid = grid_for_geometry(geom, h)
+    assert np.array_equal(grid.interior_bounds(), grid_for_geometry(ball, h).interior_bounds())
+    assert build_mask(geom, grid).cell_count == build_mask(ball, grid).cell_count
+
+
+def test_a_refused_geometry_names_its_bounds_at_full_precision():
+    grid = grid_for_geometry(Ellipsoid(1.0, 1.0, 1.0), 0.125)
+    with pytest.raises(GridError, match=re.escape(
+            "geometry bounds [[-1.000000001, -1.0, -1.0], [1.000000001, 1.0, 1.0]] "
+            "exceed the interior region [[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]]")):
+        build_mask(Ellipsoid(1.000000001, 1.0, 1.0), grid)
 
 
 def test_mask_rejects_padding_content():

@@ -66,7 +66,7 @@ def test_zeeman_only_reaches_aligned_minimum():
     assert rep.converged
     target = -0.5 * mask.volume
     assert abs(rep.energy_trace[-1] - target) / abs(target) < 1e-6
-    inside = mask.bool_array
+    inside = mask.indicator.astype(bool)
     assert np.all(m.data[2][inside] > 0.999)
 
 
@@ -76,7 +76,7 @@ def test_anisotropy_only_aligns_with_easy_axis():
     m0 = random_unit_magnetization(1, mask)
     mcfg = MinimizeConfig(grad_tol=1e-6, max_iter=600, step=1.0)
     m, rep = minimize_m(m0, params, mask, mcfg, CFG, terms=("anisotropy",))
-    inside = mask.bool_array
+    inside = mask.indicator.astype(bool)
     proj_sq = m.data[2][inside] ** 2
     assert np.all(proj_sq >= 1.0 - 1e-6)
     assert rep.energy_trace[-1] <= rep.energy_trace[0]
@@ -88,7 +88,7 @@ def test_unit_norm_and_descent_invariants():
     m0 = random_unit_magnetization(2, mask)
     mcfg = MinimizeConfig(grad_tol=1e-3, max_iter=40)
     m, rep = minimize_m(m0, params, mask, mcfg, CFG)
-    norms = m.pointwise_norm()[mask.bool_array]
+    norms = m.pointwise_norm()[mask.indicator.astype(bool)]
     assert np.abs(norms - 1.0).max() < 1e-13
     trace = np.array(rep.energy_trace)
     assert np.all(np.diff(trace) <= 1e-12)
@@ -112,7 +112,7 @@ def test_stray_only_slab_prefers_in_plane():
     m0 = tilted_uniform(mask, (0.25, 0.1, 0.96))
     mcfg = MinimizeConfig(grad_tol=1e-4, max_iter=40, step=0.5)
     m, rep = minimize_m(m0, params, mask, mcfg, CFG, terms=("stray",))
-    inside = mask.bool_array
+    inside = mask.indicator.astype(bool)
     before = np.abs(m0.data[2][inside]).mean() / np.sqrt((m0.data[:, inside] ** 2).sum(0)).mean()
     after = np.abs(m.data[2][inside]).mean()
     assert after < before
@@ -180,9 +180,9 @@ def test_random_unit_magnetization_determinism():
     a = random_unit_magnetization(11, mask)
     b = random_unit_magnetization(11, mask)
     assert np.array_equal(a.data, b.data)
-    norms = a.pointwise_norm()[mask.bool_array]
+    norms = a.pointwise_norm()[mask.indicator.astype(bool)]
     assert np.allclose(norms, 1.0, atol=1e-12)
-    assert np.all(a.data[:, ~mask.bool_array] == 0.0)
+    assert np.all(a.data[:, ~mask.indicator.astype(bool)] == 0.0)
 
 
 def tangential_norm(m, params, mask, a=None):
@@ -450,7 +450,7 @@ def test_returned_m_is_unit_on_mask_and_matches_last_trace_energy(scheme, setup)
     m, a, rep = run_scheme(scheme, tilted_uniform(mask, (0.3, 0.15, 0.94)), params, mask,
                            MinimizeConfig(grad_tol=1e-4, max_iter=4, step=0.5))
     assert m.grid == grid
-    inside = mask.bool_array
+    inside = mask.indicator.astype(bool)
     assert np.all(m.data[:, ~inside] == 0.0)
     assert np.abs(m.pointwise_norm()[inside] - 1.0).max() < 1e-13
     # the trace ends at the scheme's energy of the returned fields, evaluated

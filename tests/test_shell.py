@@ -181,7 +181,7 @@ def _same_bits(got, want):
 def test_frame_and_p1_gradients_equal_the_per_call_geometry_bit_for_bit(name):
     mesh = PIN_MESHES[name]
     assert _same_bits(mesh.frame[:5], per_call_triangle_frame(mesh))
-    assert mesh.total_area() == float(per_call_triangle_frame(mesh)[0].sum())
+    assert mesh.frame[0].sum() == per_call_triangle_frame(mesh)[0].sum()
     for fn in PIN_FIELDS:
         m0 = sh.sample_on_vertices(mesh, fn)
         for values in (m0, m0[:, 1], np.cross(m0, mesh.normals)):
@@ -230,13 +230,13 @@ def test_convergence_study_computes_each_frame_once(monkeypatch):
 
 
 def test_mesh_area_converges_to_analytic():
-    a2 = sh.make_sphere_mesh(1.0, 2).total_area()
-    a3 = sh.make_sphere_mesh(1.0, 3).total_area()
+    a2 = sh.make_sphere_mesh(1.0, 2).frame[0].sum()
+    a3 = sh.make_sphere_mesh(1.0, 3).frame[0].sum()
     exact = 4 * np.pi
     assert abs(a3 - exact) < abs(a2 - exact)
     assert abs(a3 - exact) / exact < 0.01
     t_exact = 4 * np.pi ** 2 * 2.0 * 0.5
-    assert abs(TORUS.total_area() - t_exact) / t_exact < 0.01
+    assert abs(TORUS.frame[0].sum() - t_exact) / t_exact < 0.01
 
 
 def test_torus_curvatures():
@@ -555,6 +555,12 @@ def test_shell_magnetization_matches_full_grid_sampling(mesh, m0_fn, eps, pad_ra
     assert any(np.count_nonzero(c) for c in want)
     for got, ref in zip(m.components, want):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_shell_magnetization_refuses_a_grid_that_does_not_hold_the_shell():
+    grid = sh.GridSpec.centered_cube(10, 0.1, pad=2)  # interior [-0.5, 0.5]
+    with pytest.raises(GridError, match="exceed the interior region"):
+        sh.shell_magnetization(SPHERE, sh.uniform_field((0, 0, 1)), 0.2, grid)
 
 
 def test_shell_resolution_guard():

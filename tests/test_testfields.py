@@ -5,8 +5,9 @@ import pytest
 
 from magnetovar.errors import GridError
 from magnetovar.grid import Ellipsoid, GridSpec, build_mask, grid_for_geometry
-from magnetovar.operators import div, norm
-from magnetovar.testfields import (TestFieldSpec, gradient_bump, random_masked,
+from magnetovar.operators import div, grad, norm
+from magnetovar.grid import CELL, ScalarField
+from magnetovar.testfields import (TestFieldSpec, _xi, gradient_bump, random_masked,
                                    smooth_cutoff, solenoidal_bump)
 
 
@@ -78,6 +79,50 @@ def test_support_overflow_raises():
     grid = GridSpec.centered_cube(8, 0.1, pad=2)  # interior [-0.4, 0.4]
     with pytest.raises(GridError):
         solenoidal_bump(TestFieldSpec(r0=1.0), grid)
+
+
+def _full_grid_solenoidal_bump(spec, grid):
+    # rho (xi x x) at every face centre of the padded grid
+    comps = []
+    for axis in range(3):
+        x, y, z = (a - c for a, c in zip(np.meshgrid(*grid.face_centers(axis), indexing="ij"),
+                                         spec.center))
+        rho = smooth_cutoff(np.sqrt(x * x + y * y + z * z), spec.r0)
+        xi, pos = _xi(spec, x, y, z), (x, y, z)
+        j, k = (axis + 1) % 3, (axis + 2) % 3
+        comps.append(rho * (xi[j] * pos[k] - xi[k] * pos[j]))
+    return comps
+
+
+def _full_grid_gradient_bump(spec, grid):
+    # the gradient of the Gaussian bump sampled at every cell centre
+    x, y, z = (a - c for a, c in zip(np.meshgrid(*grid.cell_centers(), indexing="ij"),
+                                     spec.center))
+    r2 = x * x + y * y + z * z
+    v = np.exp(-r2 / spec.sigma ** 2) * smooth_cutoff(np.sqrt(r2), spec.r0)
+    return grad(ScalarField(grid, v, CELL)).components
+
+
+BUMP_PINS = [
+    (TestFieldSpec(r0=0.55, center=(0.2, -0.15, 0.1), xi_const=(0.3, -0.2, 1.0),
+                   xi_quad=((0.5, 0.1, 0.0), (0.1, -0.3, 0.2), (0.0, 0.2, 0.4)), sigma=0.3),
+     GridSpec.centered_cube(20, 0.1, pad=3)),
+    # the support touches the interior's faces
+    (TestFieldSpec(r0=1.0), GridSpec.centered_cube(16, 0.125, pad=4)),
+]
+
+
+@pytest.mark.parametrize("spec, grid", BUMP_PINS, ids=["off-centre", "touching"])
+def test_bumps_equal_the_full_grid_samples(spec, grid):
+    # the gradient bump bit for bit; the solenoidal bump up to the sign of
+    # its zeros, which the full grid gives as -0.0 where a product is
+    for got, want in zip(gradient_bump(spec, grid).components,
+                         _full_grid_gradient_bump(spec, grid)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    want = _full_grid_solenoidal_bump(spec, grid)
+    assert any(np.count_nonzero(w) for w in want)
+    for got, ref in zip(solenoidal_bump(spec, grid).components, want):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 def test_random_masked_determinism_and_spread():
