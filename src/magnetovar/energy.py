@@ -65,14 +65,14 @@ class EnergyBreakdown:
         return self.exchange + self.anisotropy + self.zeeman + self.stray
 
 
-def check_unit_norm(m: CellVectorField, mask: DomainMask, tol: float = UNIT_NORM_TOL):
+def check_unit_norm(m: CellVectorField, mask: DomainMask):
     """Raise GridError naming the worst cell if |m| != 1 on the mask, or the
     first non-finite cell anywhere (off the mask, NaN * 0 poisons the sums)."""
     norms = m.pointwise_norm()
     norms[np.isinf(norms)] = np.nan  # NaN * 0 is NaN, as inf * 0 but silently
     dev = np.abs(norms - 1.0) * mask.indicator
     worst = float(dev.max())
-    if not worst <= tol:  # NaN compares False
+    if not worst <= UNIT_NORM_TOL:  # NaN compares False
         idx = np.unravel_index(np.argmax(dev), dev.shape)
         raise GridError(
             f"magnetization norm deviates by {worst:.3e} at cell "
@@ -90,7 +90,7 @@ def exchange_energy(m: CellVectorField, mask: DomainMask, *,
     if check_norm:
         check_unit_norm(m, mask)
     h = m.grid.h
-    bonds = mask.bond_masks()
+    bonds = mask.bond_masks
     total = 0.0
     for axis in range(3):
         d = np.diff(m.data, axis=1 + axis)
@@ -199,7 +199,7 @@ def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask
     data = np.zeros_like(m.data)
 
     if "exchange" in terms:
-        bonds = mask.bond_masks()
+        bonds = mask.bond_masks
         for axis in range(3):
             d = np.diff(m.data, axis=1 + axis) * bonds[axis]
             d /= h2
@@ -221,5 +221,5 @@ def effective_field(m: CellVectorField, params: MaterialParams, mask: DomainMask
     if "stray" in terms and not mask.is_empty():
         if h is None:
             h = stray_energy(m, mask, cfg)[1].h(mask.grid)
-        field_cells.data += masked_faces_to_cell_adjoint(h, mask).data * ind
+        field_cells.data += masked_faces_to_cell_adjoint(h, mask).data
     return field_cells

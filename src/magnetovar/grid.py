@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,8 @@ class GridSpec:
 
     def __post_init__(self):
         _check_spacing(self.h)
+        # plain floats: numpy scalars compare equal and hash alike, but print as np.float64
+        object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         if min(self.nx, self.ny, self.nz) < 2:
             raise GridError("need at least 2 interior cells per direction")
         if self.pad < 0:
@@ -155,14 +158,6 @@ class ScalarField:
                 f"layout {want}"
             )
 
-    @staticmethod
-    def zeros(grid: GridSpec, centering: str = CELL) -> "ScalarField":
-        shape = grid.shape if centering == CELL else node_shape(grid)
-        return ScalarField(grid, np.zeros(shape), centering)
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.data.copy(), self.centering)
-
 
 @dataclass
 class VectorField:
@@ -191,10 +186,6 @@ class VectorField:
         shapes = face_shapes(grid) if staggering == FACE else edge_shapes(grid)
         return VectorField(grid, *(np.zeros(s) for s in shapes), staggering=staggering)
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.x.copy(), self.y.copy(), self.z.copy(),
-                           self.staggering)
-
     def on_grid(self, grid: GridSpec) -> "VectorField":
         """This face field on ``grid``, its own grid or a sub grid of it: the
         field itself, or a view of it on the faces of the sub grid's cells."""
@@ -204,9 +195,6 @@ class VectorField:
             raise GridError("only a face field is read on a sub grid of its grid")
         return VectorField(grid, *(comp[grow_box(grid.box, axis)]
                                    for axis, comp in enumerate(self.components)))
-
-    def scaled(self, c: float) -> "VectorField":
-        return VectorField(self.grid, c * self.x, c * self.y, c * self.z, self.staggering)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _check_same_layout(self, other)
@@ -238,17 +226,13 @@ class CellVectorField:
             )
 
     @staticmethod
-    def zeros(grid: GridSpec) -> "CellVectorField":
-        return CellVectorField(grid, np.zeros((3, *grid.shape)))
-
-    @staticmethod
-    def constant(grid: GridSpec, vec, mask: "DomainMask | None" = None) -> "CellVectorField":
+    def constant(grid: GridSpec, vec, mask: "DomainMask") -> "CellVectorField":
+        """``vec`` on the cells of ``mask``, zero elsewhere."""
         data = np.zeros((3, *grid.shape))
         v = np.asarray(vec, dtype=float)
         for c in range(3):
             data[c] = v[c]
-        if mask is not None:
-            data *= mask.indicator
+        data *= mask.indicator
         return CellVectorField(grid, data)
 
     def copy(self) -> "CellVectorField":
@@ -384,9 +368,6 @@ class Ellipsoid:
         r = np.array([self.a, self.b, self.c])
         return c - r, c + r
 
-    def volume(self):
-        return 4.0 * np.pi / 3.0 * self.a * self.b * self.c
-
 
 @dataclass(frozen=True)
 class Shell:
@@ -430,22 +411,18 @@ Geometry = Box | Ellipsoid | Shell
 class DomainMask:
     """Binary per-cell indicator of the magnetic domain.
 
-    The indicator is zero on all padding cells and read-only after
-    construction, so the arrays derived from it can be cached: ``cell_count``
-    and ``volume = cell_count * h^3`` at construction, the face transfer
-    scales and the bond masks on first use.  One per-face count of adjacent
-    domain cells, ``face_count``, gives the transfer scale (1/count), the
-    bonds and interior faces (count 2), and the support (count > 0).  A
-    mask keeps no index box; routes restrict it to their field's ``support_box``.
+    The mask holds its own copy of the indicator, zero on all padding cells
+    and read-only, so the arrays derived from it can be cached: ``cell_count``
+    at construction, and the cached properties ``face_scales`` and
+    ``bond_masks`` on first use.  One per-face count of adjacent domain
+    cells, ``face_count``, gives the transfer scale (1/count), the bonds and
+    interior faces (count 2), and the support (count > 0).  A mask keeps no
+    index box; routes restrict it to their field's ``support_box``.
     """
 
     grid: GridSpec
     indicator: np.ndarray
     cell_count: int = field(init=False)
-    _face_scales: dict = field(init=False, repr=False, compare=False,
-                               default_factory=dict)
-    _bond_masks: tuple | None = field(init=False, repr=False, compare=False,
-                                      default=None)
 
     def __post_init__(self):
         if self.indicator.shape != self.grid.shape:
@@ -478,34 +455,34 @@ class DomainMask:
         count[tuple(lead + [slice(0, -1)])] += inside
         return count
 
-    def face_scale(self, axis: int) -> np.ndarray:
-        """Per face normal to ``axis``: 1 / ``face_count``, 0 where it is 0.
+    @cached_property
+    def face_scales(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per axis, on the faces normal to it: 1 / ``face_count``, 0 where it is 0.
 
         The value is 1/2 on faces between two domain cells, 1 on faces with
         one, and 0 on faces with none; float32 holds all three exactly.
         """
-        scale = self._face_scales.get(axis)
-        if scale is None:
+        scales = []
+        for axis in range(3):
             count = self.face_count(axis)
             scale = np.zeros(count.shape, dtype=np.float32)
             np.divide(1.0, count, out=scale, where=count > 0)
             scale.setflags(write=False)
-            self._face_scales[axis] = scale
-        return scale
+            scales.append(scale)
+        return tuple(scales)
 
+    @cached_property
     def bond_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per axis, the indicator of neighbor pairs lying inside the domain:
         the interior faces (not on the grid boundary) with ``face_count`` 2."""
-        if self._bond_masks is None:
-            bonds = []
-            for axis in range(3):
-                lead = [slice(None)] * axis
-                count = self.face_count(axis)[tuple(lead + [slice(1, -1)])]
-                bond = (count == 2).astype(np.float32)
-                bond.setflags(write=False)
-                bonds.append(bond)
-            self._bond_masks = tuple(bonds)
-        return self._bond_masks
+        bonds = []
+        for axis in range(3):
+            lead = [slice(None)] * axis
+            count = self.face_count(axis)[tuple(lead + [slice(1, -1)])]
+            bond = (count == 2).astype(np.float32)
+            bond.setflags(write=False)
+            bonds.append(bond)
+        return tuple(bonds)
 
     @property
     def volume(self) -> float:

@@ -166,7 +166,7 @@ def masked_cell_to_faces(m: CellVectorField, mask: DomainMask) -> VectorField:
     comps = []
     for axis in range(3):
         comp = _pair_sum_pad(ind * m.data[axis], axis)
-        comp *= mask.face_scale(axis)
+        comp *= mask.face_scales[axis]
         comps.append(comp)
     return VectorField(m.grid, *comps, staggering=FACE)
 
@@ -178,7 +178,7 @@ def masked_faces_to_cell_adjoint(v: VectorField, mask: DomainMask) -> CellVector
     ind = mask.indicator
     data = np.empty((3, *v.grid.shape))
     for axis, comp in enumerate(v.components):
-        scaled = mask.face_scale(axis) * comp
+        scaled = mask.face_scales[axis] * comp
         lead = [slice(None)] * axis
         # ind multiplies each term, not their sum: off-mask cells then get
         # (ind s_hi) v_hi + (ind s_lo) v_lo bit for bit, signed zeros included
@@ -193,13 +193,13 @@ def masked_faces_to_cell_adjoint(v: VectorField, mask: DomainMask) -> CellVector
 
 def check_supported(v: VectorField, mask: DomainMask):
     """Raise SupportError if ``v`` is nonzero on a face that touches no domain
-    cell (``DomainMask.face_count`` 0, where the cached ``face_scale`` is 0),
+    cell (``DomainMask.face_count`` 0, where the cached ``face_scales`` are 0),
     naming the face by its index on the root of ``v``'s grid."""
     if v.staggering != FACE:
         raise GridError("support check expects a face field")
     start = tuple(s.start for s in v.grid.box)
     for axis, (comp, name) in enumerate(zip(v.components, "xyz")):
-        outside = mask.face_scale(axis) == 0
+        outside = mask.face_scales[axis] == 0
         if np.any(comp, where=outside):
             bad = np.where(outside, np.abs(comp), 0.0)
             idx = np.unravel_index(np.argmax(bad), bad.shape)

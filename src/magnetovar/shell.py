@@ -36,6 +36,7 @@ from .magnetostatics import SolverConfig, solve_scalar_potential
 FieldFn = Callable[[np.ndarray], np.ndarray]
 
 MAX_TRIANGLES = 2 ** 20  # most triangles a mesh may have: a level-7 icosphere has 327,680
+N_GAUSS = 6  # Gauss points per thickness interval of the trial energies
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +413,9 @@ def checked_delta(mesh: SurfaceMesh, eps: float, delta: float | None) -> float:
     return delta
 
 
-def _t_pieces(eps: float, delta: float, n_gauss: int = 6):
-    """Gauss nodes/weights on (-1,1) and the two matching intervals."""
-    base_x, base_w = np.polynomial.legendre.leggauss(n_gauss)
+def _t_pieces(eps: float, delta: float):
+    """``N_GAUSS``-point Gauss nodes/weights on (-1,1) and the two matching intervals."""
+    base_x, base_w = np.polynomial.legendre.leggauss(N_GAUSS)
     pieces = []
     ratio = delta / eps
     for lo, hi in ((-ratio, -1.0), (-1.0, 1.0), (1.0, ratio)):

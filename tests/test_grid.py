@@ -195,17 +195,17 @@ def test_mask_indicator_is_read_only_and_face_scales_cached():
     ind[1, 1, 1] = 0.0  # the mask holds its own copy
     assert mask.indicator[1, 1, 1] == 1.0
     for axis in range(3):
-        scale = mask.face_scale(axis)
-        assert scale.dtype == np.float32 and scale is mask.face_scale(axis)
+        scale = mask.face_scales[axis]
+        assert scale.dtype == np.float32 and scale is mask.face_scales[axis]
         assert set(np.unique(scale)) <= {0.0, 0.5, 1.0}
         with pytest.raises(ValueError):
             scale[...] = 0.0
     # the x-face between cells (1, 1, 1) and (2, 1, 1): both inside
-    assert mask.face_scale(0)[2, 1, 1] == 0.5
+    assert mask.face_scales[0][2, 1, 1] == 0.5
     # the x-face between (1, 1, 2) and the hole at (2, 1, 2): one inside
-    assert mask.face_scale(0)[2, 1, 2] == 1.0
+    assert mask.face_scales[0][2, 1, 2] == 1.0
     # faces of the padding layer touch no domain cell
-    assert mask.face_scale(0)[0, 0, 0] == 0.0
+    assert mask.face_scales[0][0, 0, 0] == 0.0
 
 
 # nonzero entries of every kind: NaN and inf count as nonzero, -0.0 does not
@@ -307,6 +307,17 @@ def test_check_grid_names_the_host_when_only_it_differs():
     with pytest.raises(GridError) as err:
         mask.check_grid(standalone)
     assert str(err.value) == f"mask is on another grid (mask vs field): host {sub.host} != None"
+
+
+def test_check_grid_prints_origins_as_plain_floats():
+    ball = Ellipsoid(1.0, 1.0, 1.0)
+    wide, narrow = (grid_for_geometry(ball, 0.25, pad_ratio=r) for r in (1.0, 0.5))
+    sub = wide.sub_grid((slice(1, 5), slice(2, 6), slice(0, 3)))
+    assert all(type(o) is float for o in wide.origin + sub.origin)
+    with pytest.raises(GridError) as err:
+        build_mask(ball, wide).check_grid(narrow)
+    assert str(err.value) == ("mask is on another grid (mask vs field): origin (-3.0, -3.0, "
+                              "-3.0) != (-2.0, -2.0, -2.0), pad 8 != 4")
 
 
 def test_support_box_of_a_mask_grows_its_cells_by_one_clipped_to_the_grid():

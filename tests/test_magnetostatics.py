@@ -1,5 +1,6 @@
 """The three stray-field routes and their cross-checks."""
 
+import copy
 import dataclasses
 import tracemalloc
 
@@ -84,7 +85,7 @@ def test_scalar_solution_diagnostics():
 def test_functional_w_trivial_cases():
     grid, mask = ball_mask(8)
     m = random_masked(0, mask)
-    assert functional_W(m, ScalarField.zeros(grid)) == 0.0
+    assert functional_W(m, ScalarField(grid, np.zeros(grid.shape))) == 0.0
     rng = np.random.default_rng(5)
     u = ScalarField(grid, rng.standard_normal(grid.shape))
     assert functional_W(VectorField.zeros(grid, FACE), u) <= 0.0
@@ -451,7 +452,7 @@ def test_source_validation_on_the_box_keeps_the_full_checks_errors():
     clean = random_masked(3, mask)
 
     def with_values(*entries):
-        m = clean.copy()
+        m = copy.deepcopy(clean)
         for axis, idx, value in entries:
             m.components[axis][idx] = value
         return m
@@ -472,7 +473,7 @@ def test_source_validation_on_the_box_keeps_the_full_checks_errors():
                 route(m, mask, CFG)
             assert str(err.value) == str(full.value)
     # -0.0 off the support is zero: accepted, with the same solution bits
-    m = clean.copy()
+    m = copy.deepcopy(clean)
     for axis, comp in enumerate(m.components):
         comp[mask.face_count(axis) == 0] = -0.0
     got = solve_scalar_potential(m, mask, CFG)
@@ -762,7 +763,8 @@ def test_mixture_energy_is_gradient_part_only():
     grid = GridSpec.centered_cube(32, 1.0 / 16, pad=10)
     g = gradient_bump(TestFieldSpec(r0=0.9), grid)
     s = solenoidal_bump(TestFieldSpec(r0=0.9), grid)
-    s = s.scaled(norm(g) / norm(s))
+    c = norm(g) / norm(s)
+    s = VectorField(grid, c * s.x, c * s.y, c * s.z, FACE)
     alpha, beta = 0.8, 1.7
     mix = VectorField(grid, alpha * g.x + beta * s.x, alpha * g.y + beta * s.y,
                       alpha * g.z + beta * s.z, FACE)

@@ -1,5 +1,6 @@
 """Sphere-constrained minimization: descent, constraints, and analytic minima."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -49,7 +50,7 @@ def test_fixed_a_stray_energy_is_functional_V_bit_for_bit():
     mf = masked_cell_to_faces(m, mask)
     a_min = minimize_V(mf, mask, CFG)[0]
     rng = np.random.default_rng(2)
-    a_rand = a_min.copy()
+    a_rand = copy.deepcopy(a_min)
     for comp in a_rand.components:
         comp += rng.standard_normal(comp.shape)
     for a in (a_min, a_rand):
@@ -168,7 +169,7 @@ def test_joint_energy_gap_is_bounded_by_potential_truncation():
 def test_empty_mask_short_circuit():
     grid = GridSpec.centered_cube(8, 0.1, pad=2)
     mask = DomainMask(grid, np.zeros(grid.shape))
-    m0 = CellVectorField.zeros(grid)
+    m0 = CellVectorField(grid, np.zeros((3, *grid.shape)))
     m, rep = minimize_m(m0, MaterialParams(), mask, MinimizeConfig(), CFG)
     assert rep.converged and rep.energy_trace == [0.0]
     m, a, rep = minimize_joint(m0, None, MaterialParams(), mask, MinimizeConfig(), CFG)

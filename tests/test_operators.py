@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from magnetovar.grid import (CELL, EDGE, FACE, NODE, CellVectorField, DomainMask,
                              Ellipsoid, GridSpec, ScalarField, VectorField,
-                             build_mask, face_shapes)
+                             build_mask, face_shapes, node_shape)
 from magnetovar.errors import GridError, SupportError
 from magnetovar.magnetostatics import _charge, _checked_on_box, _edge_box
 from magnetovar.operators import (_pad_diff, _pair_sum_pad, check_supported, curl,
@@ -22,7 +22,8 @@ GRID = GridSpec.centered_cube(10, 0.2, pad=3)
 
 def random_scalar(grid, seed, centering=CELL, margin=2):
     rng = np.random.default_rng(seed)
-    f = ScalarField.zeros(grid, centering)
+    f = ScalarField(grid, np.zeros(grid.shape if centering == CELL else node_shape(grid)),
+                    centering)
     sl = tuple(slice(margin, -margin) for _ in range(3))
     f.data[sl] = rng.standard_normal(f.data[sl].shape)
     return f
@@ -38,7 +39,7 @@ def random_vector(grid, seed, staggering=FACE, margin=2):
 
 
 def test_grad_zero_field():
-    g = grad(ScalarField.zeros(GRID))
+    g = grad(ScalarField(GRID, np.zeros(GRID.shape)))
     assert all(np.all(c == 0) for c in g.components)
 
 
@@ -151,7 +152,7 @@ def test_inner_products():
     grid = GRID
     mask = build_mask(Ellipsoid(0.8, 0.8, 0.8), grid)
     one = ScalarField(grid, mask.indicator.copy())
-    assert inner(ScalarField.zeros(grid), one) == 0.0
+    assert inner(ScalarField(grid, np.zeros(grid.shape)), one) == 0.0
     assert abs(inner(one, one) - mask.volume) < 1e-12
     u, v = random_scalar(grid, 1), random_scalar(grid, 2)
     assert abs(inner(u, v) - inner(v, u)) < 1e-14
@@ -161,7 +162,8 @@ def test_inner_products():
 def test_inner_shape_mismatch_raises():
     small = GridSpec.centered_cube(6, 0.2, pad=1)
     with pytest.raises(GridError):
-        inner(ScalarField.zeros(GRID), ScalarField.zeros(small))
+        inner(ScalarField(GRID, np.zeros(GRID.shape)),
+              ScalarField(small, np.zeros(small.shape)))
     with pytest.raises(GridError):
         inner(VectorField.zeros(GRID, FACE), VectorField.zeros(GRID, EDGE))
 
@@ -422,8 +424,8 @@ def test_mask_face_arrays_are_bit_identical_to_separate_formulas(
     for axis in range(3):
         count = mask.face_count(axis)
         assert count.dtype == np.uint8 and set(np.unique(count)) <= {0, 1, 2}
-        assert _same_bits(mask.face_scale(axis), _parent_face_scale(ind, axis))
-        assert _same_bits(mask.bond_masks()[axis], _parent_bond_mask(ind, axis))
+        assert _same_bits(mask.face_scales[axis], _parent_face_scale(ind, axis))
+        assert _same_bits(mask.bond_masks[axis], _parent_bond_mask(ind, axis))
         assert np.array_equal(count > 0, _parent_touching_faces(ind, axis) > 0)
         # the same draws in the same order as random_masked makes them
         want = rng.standard_normal(count.shape) * _parent_interior_faces(ind, axis)

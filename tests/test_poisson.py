@@ -1,5 +1,6 @@
 """Linear-solve kernels: spectral, plain CG, and dense routes agree."""
 
+import copy
 import itertools
 import tracemalloc
 
@@ -66,7 +67,7 @@ def test_transform_solve_inverts_edge_vector_laplacian(grid):
     b = VectorField.zeros(grid, EDGE)
     for c in b.components:
         c[:] = rng.standard_normal(c.shape)
-    b_in = b.copy()
+    b_in = copy.deepcopy(b)
     x = VectorField(grid, *(poisson.transform_solve(bc, grid.h, k)
                             for bc, k in zip(b.components, poisson.EDGE_KINDS)), staggering=EDGE)
     for got, want in zip(b.components, b_in.components):

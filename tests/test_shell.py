@@ -403,7 +403,7 @@ def test_eta_tail_identity():
     # factor exactly
     eps, delta = 0.07, 0.42
     total = 0.0
-    for nodes, weights in sh._t_pieces(eps, delta, 8):
+    for nodes, weights in sh._t_pieces(eps, delta):
         total += float(np.sum(weights * sh.eta_profile_slope_sq(nodes, eps, delta)))
     assert abs(total - 2.0 * (1 + eps / (delta - eps))) < 1e-12
 
@@ -497,7 +497,7 @@ def test_recovery_vector_tangential_gradient_vanishes():
     vals = []
     for eps in (0.2, 0.1):
         tot = 0.0
-        for nodes, weights in sh._t_pieces(eps, 0.5, 6):
+        for nodes, weights in sh._t_pieces(eps, 0.5):
             eta = sh.eta_profile(nodes, eps, 0.5)
             tot += float(np.sum(weights * (eps * eta) ** 2)) * base
         vals.append(tot)
