@@ -200,15 +200,15 @@ def build_material(cfg: RunConfig) -> MaterialParams:
 
 
 def build_minimize_config(cfg: RunConfig) -> MinimizeConfig:
-    mcfg = MinimizeConfig(
-        method=cfg["minimize.method"],
-        step=cfg["minimize.step"],
-        grad_tol=cfg["minimize.grad_tol"],
-        max_iter=cfg["minimize.max_iter"])
-    if mcfg.method == "joint_alternating" and "stray" not in cfg["minimize.terms"]:
+    """The minimizer's settings; ``minimize.method`` names the function ``solve`` calls."""
+    method = cfg["minimize.method"]
+    if method not in ("projected_gradient", "joint_alternating"):
+        raise ConfigError(f"unknown minimize.method {method!r}")
+    if method == "joint_alternating" and "stray" not in cfg["minimize.terms"]:
         raise ConfigError("minimize.method = joint_alternating needs 'stray' in "
                           "minimize.terms")
-    return mcfg
+    return MinimizeConfig(step=cfg["minimize.step"], grad_tol=cfg["minimize.grad_tol"],
+                          max_iter=cfg["minimize.max_iter"])
 
 
 def build_shell_policy(cfg: RunConfig) -> sh.ShellGridPolicy:
@@ -388,7 +388,7 @@ def cmd_solve(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
     else:
         m0 = CellVectorField.constant(grid, direction, mask)
 
-    if mcfg.method == "projected_gradient":
+    if cfg["minimize.method"] == "projected_gradient":
         m, report = minimize_m(m0, params, mask, mcfg, solver, terms=terms)
     else:
         m, _a, report = minimize_joint(m0, None, params, mask, mcfg, solver,
@@ -398,7 +398,7 @@ def cmd_solve(cfg: RunConfig, out: OutputTracker, seed: int) -> int:
               [[i, e] for i, e in enumerate(report.energy_trace)])
     breakdown = total_energy(m, params, mask, solver, terms=terms)
     write_csv(out.path("summary.csv"), ["quantity", "value"], [
-        ["method", mcfg.method],
+        ["method", cfg["minimize.method"]],
         ["iterations", report.iterations],
         ["converged", int(report.converged)],
         ["final_grad_norm", report.final_grad_norm],

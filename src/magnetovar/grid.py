@@ -411,13 +411,13 @@ Geometry = Box | Ellipsoid | Shell
 class DomainMask:
     """Binary per-cell indicator of the magnetic domain.
 
-    The mask holds its own copy of the indicator, zero on all padding cells
-    and read-only, so the arrays derived from it can be cached: ``cell_count``
-    at construction, and the cached properties ``face_scales`` and
-    ``bond_masks`` on first use.  One per-face count of adjacent domain
-    cells, ``face_count``, gives the transfer scale (1/count), the bonds and
-    interior faces (count 2), and the support (count > 0).  A mask keeps no
-    index box; routes restrict it to their field's ``support_box``.
+    The indicator is float, zero on all padding cells and read-only (a
+    read-only float64 array is kept, any other copied), so the arrays derived
+    from it can be cached: ``cell_count`` at construction, ``face_scales`` and
+    ``bond_masks`` on first use.  One per-face count of adjacent domain cells,
+    ``face_count``, gives the transfer scale (1/count), the bonds and interior
+    faces (count 2), and the support (count > 0).  A mask keeps no index box;
+    routes restrict it to their field's ``support_box``.
     """
 
     grid: GridSpec
@@ -427,7 +427,7 @@ class DomainMask:
     def __post_init__(self):
         if self.indicator.shape != self.grid.shape:
             raise GridError("mask shape does not match grid")
-        self.indicator = self.indicator.astype(float)
+        self.indicator = self.indicator.astype(float, copy=self.indicator.flags.writeable)
         if not np.all((self.indicator == 0) | (self.indicator == 1)):
             raise GridError("mask indicator must be binary")
         self.cell_count = int(self.indicator.sum())
@@ -528,6 +528,7 @@ def build_mask(geom: Geometry, grid: GridSpec) -> DomainMask:
     box, (x, y, z) = lattice_window(geom, grid, grid.cell_centers())
     indicator = np.zeros(grid.shape)
     indicator[box] = geom.contains(x, y, z)
+    indicator.setflags(write=False)  # the mask keeps it without a copy
     return DomainMask(grid, indicator)
 
 

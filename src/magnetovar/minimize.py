@@ -1,9 +1,10 @@
 """Sphere-constrained energy minimization.
 
-Two schemes share one projected-gradient loop, ``_descend``: it steps
-m <- normalize(m + step t), t the tangential part of the effective field,
-with an Armijo backtracking line search, so every energy trace is
-nonincreasing and |m| = 1 holds exactly after every step.
+Two schemes share one projected-gradient loop, ``_descend``; the function
+called picks the scheme.  The loop steps m <- normalize(m + step t), t the
+tangential part of the effective field, with an Armijo backtracking line
+search, so every energy trace is nonincreasing and |m| = 1 holds exactly
+after every step.
 
 * ``minimize_m`` descends on the reduced energy: one call of the loop.
 * ``minimize_joint`` alternates over the product-space functional (m, a).
@@ -63,14 +64,11 @@ M_STEPS_PER_SWEEP = 10  # m-steps of one joint sweep at fixed potential
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    method: str = "projected_gradient"
     step: float = 0.25
     grad_tol: float = 1e-4
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.method not in ("projected_gradient", "joint_alternating"):
-            raise GridError(f"unknown method {self.method!r}")
         for name in ("step", "grad_tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise GridError(f"{name} must be finite and > 0, got {getattr(self, name)}")

@@ -115,5 +115,6 @@ def random_masked(seed: int, mask: DomainMask) -> VectorField:
     rng = np.random.default_rng(seed)
     v = VectorField.zeros(mask.grid, FACE)
     for axis, c in enumerate(v.components):
-        c[:] = rng.standard_normal(c.shape) * (mask.face_count(axis) == 2)
+        rng.standard_normal(out=c)
+        c *= mask.face_count(axis) == 2
     return v

@@ -349,14 +349,18 @@ def test_oracle_refuses_the_dense_method(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("solver.method = foo", "unknown solver method 'foo'"),
+    ("minimize.method = nonsense", "unknown minimize.method 'nonsense'")])
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_unknown_solver_method_exits_2_at_load_under_every_command(tmp_path, capsys, command):
-    # it was checked only inside the command, after the output directory was
-    # made, and the message did not name the file
-    cfg = write_cfg(tmp_path, "m.cfg", BASE + "solver.method = foo\n")
+def test_unknown_method_exits_2_at_load_under_every_command(tmp_path, capsys, command,
+                                                           line, message):
+    # each name is checked when the file is read, before the output directory
+    # is made, and the message names the file and which method key is wrong
+    cfg = write_cfg(tmp_path, "m.cfg", BASE + line + "\n")
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "m.cfg: unknown solver method 'foo'" in capsys.readouterr().err
+    assert "m.cfg: " + message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -32,8 +32,8 @@ def tilted_uniform(mask, direction):
 
 
 def test_config_validation():
-    with pytest.raises(GridError):
-        MinimizeConfig(method="nonsense")
+    with pytest.raises(TypeError, match="method"):  # the function called picks it
+        MinimizeConfig(method="projected_gradient")
     with pytest.raises(GridError):
         MinimizeConfig(step=-1.0)
     with pytest.raises(TypeError, match="backtrack"):  # the constant BACKTRACK now
